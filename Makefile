@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-quick bench-throughput telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke cover fmt clean
+.PHONY: all build test race vet perabench-test bench bench-quick bench-throughput telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke cover fmt clean
 
 all: build test race vet
 
@@ -52,6 +52,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# perabench is its own module (replace pera => ../), so ./... never
+# builds it; vet and race-test it in place.
+perabench-test:
+	cd perabench && $(GO) vet . && $(GO) test -race .
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

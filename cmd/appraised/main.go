@@ -22,128 +22,61 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
 	"strings"
-	"syscall"
-	"time"
 
+	"pera/cmd/internal/planes"
 	"pera/internal/appraiser"
 	"pera/internal/evidence"
-	"pera/internal/freshness"
-	"pera/internal/profiler"
 	"pera/internal/rats"
-	"pera/internal/recorder"
 	"pera/internal/rot"
-	"pera/internal/telemetry"
+)
+
+var (
+	listen  = flag.String("listen", "127.0.0.1:7421", "TCP listen address")
+	cfgPath = flag.String("config", "", "provisioning file (key/golden directives)")
+	strict  = flag.Bool("strict", false, "fail measurements without golden values")
+	seed    = flag.String("seed", "appraised", "deterministic identity seed")
+
+	planeFlags = planes.Register(flag.CommandLine, planes.Telemetry|planes.Trace|planes.Recorder|planes.Profile)
 )
 
 func main() {
-	var (
-		listen    = flag.String("listen", "127.0.0.1:7421", "TCP listen address")
-		cfgPath   = flag.String("config", "", "provisioning file (key/golden directives)")
-		strict    = flag.Bool("strict", false, "fail measurements without golden values")
-		seed      = flag.String("seed", "appraised", "deterministic identity seed")
-		telemAddr = flag.String("telemetry", "", "serve telemetry (/metrics, /trace) on this address, e.g. :9465")
-		traceN    = flag.Uint("trace", 0, "trace 1-in-N flows (0 = off); spans served at the -telemetry /trace endpoint")
-
-		recorderDir      = flag.String("recorder", "", "enable the attestation flight recorder; incident bundles land in this directory (inspect with `attestctl incident`)")
-		recorderInterval = flag.Duration("recorder-interval", time.Second, "with -recorder: metric scrape interval")
-		recorderDebounce = flag.Duration("recorder-debounce", 30*time.Second, "with -recorder: minimum spacing between incident bundles")
-
-		profileOn  = flag.Bool("profile", false, "enable the continuous profiler: stage-attributed CPU at /profile.json, raw artifacts at /profile/pprof (inspect with `attestctl profile`)")
-		profileWin = flag.Duration("profile-window", 2*time.Second, "with -profile: one CPU capture window")
-		profMutex  = flag.Int("profile-mutex", 0, "runtime.SetMutexProfileFraction: sample 1-in-N mutex contention events (0 = off)")
-		profBlock  = flag.Int("profile-block", 0, "runtime.SetBlockProfileRate: sample blocking events lasting >= N ns (0 = off)")
-	)
 	flag.Parse()
-
-	if *profMutex > 0 {
-		runtime.SetMutexProfileFraction(*profMutex)
-	}
-	if *profBlock > 0 {
-		runtime.SetBlockProfileRate(*profBlock)
-	}
 
 	appr := appraiser.New("appraised", []byte(*seed))
 	appr.Strict = *strict
 	if *cfgPath != "" {
 		if err := provision(appr, *cfgPath); err != nil {
-			fmt.Fprintf(os.Stderr, "appraised: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 
-	var tracer *telemetry.FlowTracer
-	if *traceN > 0 {
-		tracer = telemetry.NewFlowTracer(0)
-		tracer.SetSampleEvery(uint32(*traceN))
-		appr.SetTracer(tracer)
-		fmt.Printf("appraised: tracing 1-in-%d flows\n", *traceN)
+	pl, err := planeFlags.Open(planes.Setup{Name: "appraised", Service: "appraised", Log: os.Stdout})
+	if err != nil {
+		fatal(err)
 	}
-	if *telemAddr != "" || *recorderDir != "" || *profileOn {
-		reg := telemetry.NewRegistry()
-		appr.Instrument(reg)
-		tracer.Instrument(reg)
-		var extras []telemetry.Endpoint
-		var rec *recorder.Recorder
-		if *recorderDir != "" {
-			rec = recorder.New(recorder.Config{
-				Interval: *recorderInterval,
-				Service:  "appraised",
-				Bundle:   recorder.BundlerConfig{Dir: *recorderDir, Debounce: *recorderDebounce},
-			})
-			rec.SetRegistry(reg)
-			rec.SetTracer(tracer)
-			cfgInfo := make(map[string]string)
-			flag.VisitAll(func(f *flag.Flag) { cfgInfo[f.Name] = f.Value.String() })
-			rec.SetConfigInfo(cfgInfo)
-			rec.Instrument(reg)
-			rec.AddSink(freshness.NewLogSink(os.Stderr))
-			rec.Start()
-			defer rec.Close()
-			extras = append(extras, rec.Endpoint())
-			fmt.Printf("appraised: flight recorder on — incident bundles -> %s\n", *recorderDir)
-		}
-		if *profileOn {
-			prof := profiler.New(profiler.Options{
-				Service: "appraised", Window: *profileWin, Registry: reg,
-				Diff: profiler.DiffConfig{AutoBaseline: true},
-			})
-			prof.AddSink(freshness.NewLogSink(os.Stderr))
-			if rec != nil {
-				prof.AddSink(rec.Sink())
-				rec.SetProfiler(prof)
-			}
-			prof.Start()
-			defer prof.Close()
-			extras = append(extras, prof.Endpoints()...)
-			fmt.Printf("appraised: continuous profiler on — %v windows at /profile.json (attestctl profile top)\n", *profileWin)
-		}
-		if *telemAddr != "" {
-			srv, err := telemetry.Serve(*telemAddr, reg, tracer, extras...)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "appraised: %v\n", err)
-				os.Exit(1)
-			}
-			defer srv.Close()
-			fmt.Printf("appraised: telemetry serving on http://%s/metrics\n", srv.Addr())
-		}
+	if pl.Registry != nil {
+		appr.Instrument(pl.Registry)
 	}
+	appr.SetTracer(pl.Tracer)
+	if err := pl.Start(); err != nil {
+		fatal(err)
+	}
+	defer pl.Close()
 
 	ln, err := rats.ListenAndServe(*listen, loggingHandler(appr.Handler()))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "appraised: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer ln.Close()
 	fmt.Printf("appraised: listening on %s (strict=%v)\n", ln.Addr(), *strict)
 	fmt.Printf("appraised: verification key %s\n", hex.EncodeToString(appr.Public()))
+	pl.Wait()
+}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("appraised: shutting down")
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "appraised: %v\n", err)
+	os.Exit(1)
 }
 
 func loggingHandler(h rats.Handler) rats.Handler {

@@ -27,40 +27,28 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
-	"syscall"
 	"time"
 
+	"pera/cmd/internal/planes"
 	"pera/internal/fleetscope"
-	"pera/internal/freshness"
-	"pera/internal/profiler"
 	"pera/internal/telemetry"
 )
 
+var (
+	targetsFlag = flag.String("targets", "", "comma-separated scrape targets (name=url or bare URL)")
+	targetsFile = flag.String("targets-file", "", "targets file (one name=url per line, # comments), re-read on mtime change")
+	name        = flag.String("name", "fleet", "fleet name stamped on views and renders")
+	listen      = flag.String("listen", "127.0.0.1:9470", "serve /fleet.json and /metrics on this address (:0 picks a port)")
+	interval    = flag.Duration("interval", time.Second, "per-target scrape interval")
+	timeout     = flag.Duration("timeout", 2*time.Second, "per-target scrape timeout")
+	downAfter   = flag.Int("down-after", 2, "consecutive scrape failures before a target is down")
+
+	// -profile profiles fleetd itself, served on the -listen server.
+	planeFlags = planes.Register(flag.CommandLine, planes.Profile)
+)
+
 func main() {
-	var (
-		targetsFlag = flag.String("targets", "", "comma-separated scrape targets (name=url or bare URL)")
-		targetsFile = flag.String("targets-file", "", "targets file (one name=url per line, # comments), re-read on mtime change")
-		name        = flag.String("name", "fleet", "fleet name stamped on views and renders")
-		listen      = flag.String("listen", "127.0.0.1:9470", "serve /fleet.json and /metrics on this address (:0 picks a port)")
-		interval    = flag.Duration("interval", time.Second, "per-target scrape interval")
-		timeout     = flag.Duration("timeout", 2*time.Second, "per-target scrape timeout")
-		downAfter   = flag.Int("down-after", 2, "consecutive scrape failures before a target is down")
-
-		profileOn  = flag.Bool("profile", false, "profile fleetd itself: stage-attributed CPU at /profile.json on the -listen server")
-		profileWin = flag.Duration("profile-window", 2*time.Second, "with -profile: one CPU capture window")
-		profMutex  = flag.Int("profile-mutex", 0, "runtime.SetMutexProfileFraction: sample 1-in-N mutex contention events (0 = off)")
-		profBlock  = flag.Int("profile-block", 0, "runtime.SetBlockProfileRate: sample blocking events lasting >= N ns (0 = off)")
-	)
 	flag.Parse()
-
-	if *profMutex > 0 {
-		runtime.SetMutexProfileFraction(*profMutex)
-	}
-	if *profBlock > 0 {
-		runtime.SetBlockProfileRate(*profBlock)
-	}
 
 	static, err := fleetscope.ParseTargets(*targetsFlag)
 	if err != nil {
@@ -83,38 +71,26 @@ func main() {
 		TargetsFile: *targetsFile,
 	}, static)
 
-	reg := telemetry.NewRegistry()
-	agg.Instrument(reg)
-	agg.Start()
-	defer agg.Close()
-
-	extras := []telemetry.Endpoint{agg.Endpoint()}
-	if *profileOn {
-		prof := profiler.New(profiler.Options{
-			Service: "fleetd/" + *name, Window: *profileWin, Registry: reg,
-			Diff: profiler.DiffConfig{AutoBaseline: true},
-		})
-		prof.AddSink(freshness.NewLogSink(os.Stderr))
-		prof.Start()
-		defer prof.Close()
-		extras = append(extras, prof.Endpoints()...)
-		fmt.Printf("fleetd: continuous profiler on — %v windows at /profile.json\n", *profileWin)
-	}
-	srv, err := telemetry.Serve(*listen, reg, nil, extras...)
+	pl, err := planeFlags.Open(planes.Setup{
+		Name: "fleetd", Service: "fleetd/" + *name, Log: os.Stdout,
+		Registry: true, Serve: *listen, Extras: []telemetry.Endpoint{agg.Endpoint()},
+	})
 	if err != nil {
 		fatal("%v", err)
 	}
-	defer srv.Close()
+	agg.Instrument(pl.Registry)
+	agg.Start()
+	defer agg.Close()
+	if err := pl.Start(); err != nil {
+		fatal("%v", err)
+	}
+	defer pl.Close()
 	fmt.Printf("fleetd: %d targets, scraping every %v\n", len(agg.Targets()), *interval)
 	for _, t := range agg.Targets() {
 		fmt.Printf("fleetd:   %s -> %s\n", t.Name, t.URL)
 	}
-	fmt.Printf("fleetd: serving fleet view on http://%s%s\n", srv.Addr(), fleetscope.FleetPath)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("fleetd: shutting down")
+	fmt.Printf("fleetd: serving fleet view on http://%s%s\n", pl.Server.Addr(), fleetscope.FleetPath)
+	pl.Wait()
 }
 
 func fatal(format string, args ...any) {

@@ -67,18 +67,14 @@ import (
 	"syscall"
 	"time"
 
+	"pera/cmd/internal/planes"
 	"pera/internal/appraiser"
 	"pera/internal/attester"
-	"pera/internal/auditlog"
 	"pera/internal/evidence"
 	"pera/internal/freshness"
 	"pera/internal/harness"
-	"pera/internal/nac"
 	"pera/internal/observatory"
 	"pera/internal/pera"
-	"pera/internal/profiler"
-	"pera/internal/recorder"
-	"pera/internal/telemetry"
 	"pera/internal/usecases"
 )
 
@@ -88,12 +84,8 @@ var (
 	flows   = flag.Int("flows", 50, "distinct flows in the -uc throughput corpus")
 	memoOff = flag.Bool("no-memo", false, "disable verification memoization in -uc throughput")
 
-	telemetryAddr = flag.String("telemetry", "", "serve telemetry (/metrics, /metrics.json, /trace) on this address during the run, e.g. :9464 (:0 picks a free port)")
 	telemetryHold = flag.Bool("telemetry-hold", false, "with -telemetry: keep serving after the run completes, until interrupted")
 	jsonOut       = flag.Bool("json", false, "with -uc throughput/observe: write JSON results to stdout")
-	traceEvery    = flag.Uint("trace", 0, "record RATS flow-trace spans for 1-in-N flows (0 disables, 1 traces every flow)")
-	auditPath     = flag.String("audit", "", "write the hash-chained RATS audit ledger to this file (dev key; inspect with `attestctl audit`)")
-	pprofOn       = flag.Bool("pprof", false, "with -telemetry: also expose /debug/pprof/* on the telemetry server")
 
 	observe       = flag.Bool("observe", false, "run the observatory scenario (shorthand for -uc observe)")
 	observeHops   = flag.Int("observe-hops", 4, "switches on the observatory's linear chain")
@@ -101,15 +93,6 @@ var (
 	observeSample = flag.Uint("observe-sample", 1, "hop-span 1-in-N flow sampling (Fig. 4 Inertia knob; 1 spans every flow)")
 	observeBudget = flag.Int("observe-budget", 0, "in-band span-section byte budget (Fig. 4 Detail knob; 0 = default)")
 	observeAttack = flag.String("observe-attack", "", "switch to program-swap mid-run (default the middle hop; 'none' disables)")
-
-	recorderDir      = flag.String("recorder", "", "enable the attestation flight recorder: metric history, anomaly detection, and incident bundles written into this directory (inspect with `attestctl incident`)")
-	recorderInterval = flag.Duration("recorder-interval", time.Second, "with -recorder: wall-clock scrape interval (harness runs also scrape per packet)")
-	recorderDebounce = flag.Duration("recorder-debounce", 30*time.Second, "with -recorder: minimum spacing between incident bundles")
-
-	profileOn  = flag.Bool("profile", false, "enable the continuous profiler: stage-attributed CPU at /profile.json, raw artifacts at /profile/pprof (inspect with `attestctl profile`)")
-	profileWin = flag.Duration("profile-window", 2*time.Second, "with -profile: one CPU capture window (wall-clock use cases; throughput profiles the timed phase)")
-	profMutex  = flag.Int("profile-mutex", 0, "runtime.SetMutexProfileFraction: sample 1-in-N mutex contention events (0 = off)")
-	profBlock  = flag.Int("profile-block", 0, "runtime.SetBlockProfileRate: sample blocking events lasting >= N ns (0 = off)")
 
 	slo         = flag.Bool("slo", false, "run the trust-decay scenario (shorthand for -uc slo)")
 	sloHops     = flag.Int("slo-hops", 4, "switches on the trust-decay run's linear chain")
@@ -120,21 +103,21 @@ var (
 	sloTTL      = flag.Int("slo-ttl", 16, "evidence cache TTL in simulated seconds (Fig. 4 Inertia knob; the staleness budget derives from it)")
 	sloTick     = flag.Int("slo-tick", 1, "simulated seconds per packet")
 
-	// Telemetry plumbing shared by the runners; nil when not requested.
-	reg       *telemetry.Registry
-	tracer    *telemetry.FlowTracer
-	tsrv      *telemetry.Server
-	audit     *auditlog.Writer
+	uc         = flag.String("uc", "all", "use case to run: 1..5, all, monitor, throughput, observe or slo")
+	cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
+
+	planeFlags = planes.Register(flag.CommandLine,
+		planes.Telemetry|planes.Trace|planes.Audit|planes.Pprof|planes.Recorder|planes.Profile)
+
+	// The planes the runners report into (fields nil when not requested),
+	// and the scenario planes -uc observe/slo serve.
+	pl        *planes.Planes
 	collector *observatory.Collector
 	watchdog  *freshness.Watchdog
-	rec       *recorder.Recorder
-	prof      *profiler.Profiler
 )
 
 func main() {
-	uc := flag.String("uc", "all", "use case to run: 1..5, all, monitor, throughput, observe or slo")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	flag.Parse()
 	if *observe {
 		*uc = "observe"
@@ -143,13 +126,6 @@ func main() {
 		*uc = "slo"
 	}
 
-	if *traceEvery > 0 {
-		tracer = telemetry.NewFlowTracer(0)
-		tracer.SetSampleEvery(uint32(*traceEvery))
-	}
-	if *telemetryAddr != "" || *jsonOut {
-		reg = telemetry.NewRegistry()
-	}
 	if *uc == "observe" || *uc == "slo" {
 		collector = observatory.New("collector", observatory.Config{})
 	}
@@ -159,101 +135,23 @@ func main() {
 		// simulated clock.
 		watchdog = freshness.New("watchdog", freshness.Config{})
 	}
-	if *recorderDir != "" {
-		if reg == nil {
-			// The recorder scrapes the registry, so enabling it turns
-			// instrumentation on even without -telemetry/-json.
-			reg = telemetry.NewRegistry()
-		}
-		rec = recorder.New(recorder.Config{
-			Interval: *recorderInterval,
-			Service:  "perasim",
-			Bundle:   recorder.BundlerConfig{Dir: *recorderDir, Debounce: *recorderDebounce},
-		})
-		rec.SetRegistry(reg)
-		rec.SetTracer(tracer)
-		rec.SetCollector(collector)
-		rec.SetWatchdog(watchdog)
-		rec.Instrument(reg)
-		rec.AddSink(freshness.NewLogSink(os.Stderr))
-		if watchdog != nil {
-			// Alert firings capture incident bundles too.
-			watchdog.AddSink(rec.Sink())
-		}
-		cfgInfo := make(map[string]string)
-		flag.VisitAll(func(f *flag.Flag) { cfgInfo[f.Name] = f.Value.String() })
-		rec.SetConfigInfo(cfgInfo)
-		rec.Start()
-		defer rec.Close()
-		fmt.Fprintf(os.Stderr, "perasim: flight recorder on — incident bundles -> %s\n", *recorderDir)
+	var err error
+	pl, err = planeFlags.Open(planes.Setup{
+		Name: "perasim", Service: "perasim", Log: os.Stderr,
+		Registry: *jsonOut, Collector: collector, Watchdog: watchdog,
+		// The harness profiles exactly the timed appraisal phase via
+		// CaptureWhile; the wall-clock loop would race it for the
+		// process's single CPU profile.
+		Capture: *uc == "throughput",
+	})
+	if err != nil {
+		fail(err)
 	}
-	if *profMutex > 0 {
-		runtime.SetMutexProfileFraction(*profMutex)
+	if err := pl.Start(); err != nil {
+		fail(err)
 	}
-	if *profBlock > 0 {
-		runtime.SetBlockProfileRate(*profBlock)
-	}
-	if *profileOn {
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		prof = profiler.New(profiler.Options{
-			Service: "perasim", Window: *profileWin, Registry: reg,
-			Diff: profiler.DiffConfig{AutoBaseline: true},
-		})
-		prof.AddSink(freshness.NewLogSink(os.Stderr))
-		if rec != nil {
-			// Regressions trigger incident bundles, and bundles carry the
-			// profiler's cpu.pprof / mutex.pprof / top_diff.json.
-			prof.AddSink(rec.Sink())
-			rec.SetProfiler(prof)
-		}
-		if *uc == "throughput" {
-			// The harness profiles exactly the timed appraisal phase via
-			// CaptureWhile; the wall-clock loop would race it for the
-			// process's single CPU profile.
-			fmt.Fprintln(os.Stderr, "perasim: continuous profiler on — capturing the timed appraisal phase")
-		} else {
-			prof.Start()
-			defer prof.Close()
-			fmt.Fprintf(os.Stderr, "perasim: continuous profiler on — %v windows at /profile.json (attestctl profile top)\n", *profileWin)
-		}
-	}
-	if *telemetryAddr != "" {
-		var extras []telemetry.Endpoint
-		if collector != nil {
-			extras = append(extras, collector.Endpoint())
-		}
-		extras = append(extras, watchdog.Endpoints()...)
-		if rec != nil {
-			extras = append(extras, rec.Endpoint())
-		}
-		if prof != nil {
-			extras = append(extras, prof.Endpoints()...)
-		}
-		if *pprofOn {
-			extras = append(extras, telemetry.PprofEndpoints()...)
-		}
-		srv, err := telemetry.Serve(*telemetryAddr, reg, tracer, extras...)
-		if err != nil {
-			fail(err)
-		}
-		tsrv = srv
-		defer tsrv.Close()
-		fmt.Fprintf(os.Stderr, "perasim: telemetry serving on http://%s/metrics\n", tsrv.Addr())
-	}
-	if *auditPath != "" {
-		w, err := auditlog.Create(*auditPath, auditlog.Options{KeyID: "dev"})
-		if err != nil {
-			fail(err)
-		}
-		audit = w
-		audit.Instrument(reg)
-		rec.SetLedger(audit, *auditPath)
-		rec.AddSink(freshness.NewAuditSink(audit))
-		prof.AddSink(freshness.NewAuditSink(audit))
-		fmt.Fprintf(os.Stderr, "perasim: audit ledger -> %s (verify: attestctl audit verify -ledger %s)\n",
-			*auditPath, *auditPath)
+	defer pl.Close()
+	if pl.Audit != nil {
 		// Flush-on-shutdown: an interrupt mid-run still leaves a complete,
 		// verifiable chain on disk rather than a truncated record.
 		sig := make(chan os.Signal, 1)
@@ -261,15 +159,14 @@ func main() {
 		go func() {
 			<-sig
 			fmt.Fprintln(os.Stderr, "perasim: interrupted — flushing audit ledger")
-			audit.Close()
-			if reg != nil {
+			pl.Audit.Close()
+			if pl.Registry != nil {
 				// Same one-shot exposition dump a completed run would
 				// print, so an interrupted run still leaves usable data.
-				reg.Snapshot().WritePrometheus(os.Stdout)
+				pl.Registry.Snapshot().WritePrometheus(os.Stdout)
 			}
 			os.Exit(130)
 		}()
-		defer audit.Close()
 	}
 
 	if *cpuprofile != "" {
@@ -310,8 +207,7 @@ func main() {
 			}
 			fmt.Println()
 		}
-		finishAudit()
-		holdTelemetry()
+		finish()
 		return
 	}
 	r, ok := runners[*uc]
@@ -322,34 +218,20 @@ func main() {
 	if err := r(); err != nil {
 		fail(err)
 	}
-	finishAudit()
-	holdTelemetry()
+	finish()
 }
 
-// finishAudit seals the ledger as soon as the run completes (Close is
-// idempotent; the deferred/signal-path closes become no-ops), so the
-// file on disk is complete and verifiable even while -telemetry-hold
-// keeps the process alive.
-func finishAudit() {
-	if audit == nil {
+// finish seals the ledger as soon as the run completes, so the file on
+// disk is complete and verifiable even while -telemetry-hold keeps the
+// process alive serving the final counters to scrapers (and the
+// telemetry-smoke target) until interrupted.
+func finish() {
+	pl.Seal()
+	if pl.Server == nil || !*telemetryHold {
 		return
 	}
-	audit.Close()
-	fmt.Fprintf(os.Stderr, "perasim: audit ledger sealed — %d records, %d dropped\n",
-		audit.Records(), audit.Dropped())
-}
-
-// holdTelemetry keeps the telemetry endpoint alive after the run when
-// -telemetry-hold is set, so scrapers (and the telemetry-smoke target)
-// read final counters instead of racing the run.
-func holdTelemetry() {
-	if tsrv == nil || !*telemetryHold {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "perasim: run complete; telemetry still serving on http://%s/metrics (interrupt to exit)\n", tsrv.Addr())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	fmt.Fprintf(os.Stderr, "perasim: run complete; telemetry still serving on http://%s/metrics (interrupt to exit)\n", pl.Server.Addr())
+	pl.Wait()
 }
 
 func fail(err error) {
@@ -362,27 +244,8 @@ func newTB() (*usecases.Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	// With telemetry requested, every use-case testbed reports in too.
-	if reg != nil {
-		for _, sw := range tb.Switches {
-			sw.Instrument(reg)
-		}
-		tb.Net.Instrument(reg)
-		tb.Appraiser.Instrument(reg)
-		tracer.Instrument(reg)
-	}
-	if tracer != nil {
-		for _, sw := range tb.Switches {
-			sw.SetTracer(tracer)
-		}
-	}
-	if audit != nil {
-		for _, sw := range tb.Switches {
-			sw.SetAudit(audit)
-		}
-		tb.Appraiser.SetAudit(audit)
-		tb.Appraiser.SetPolicy("AP1", nac.AP1)
-	}
+	// With planes requested, every use-case testbed reports in too.
+	harness.Planes{Registry: pl.Registry, Tracer: pl.Tracer, Audit: pl.Audit}.Attach(tb, nil)
 	return tb, nil
 }
 
@@ -607,18 +470,18 @@ func runThroughput() error {
 		Packets:  *packets,
 		Flows:    *flows,
 		Memo:     !*memoOff,
-		Registry: reg,
-		Tracer:   tracer,
-		Audit:    audit,
-		Recorder: rec,
-		Profiler: prof,
+		Registry: pl.Registry,
+		Tracer:   pl.Tracer,
+		Audit:    pl.Audit,
+		Recorder: pl.Recorder,
+		Profiler: pl.Profiler,
 	})
 	if err != nil {
 		return err
 	}
 
 	table := os.Stdout
-	machine := *jsonOut || reg != nil
+	machine := *jsonOut || pl.Registry != nil
 	if machine {
 		table = os.Stderr
 	}
@@ -639,10 +502,10 @@ func runThroughput() error {
 		}{rows}); err != nil {
 			return err
 		}
-	case reg != nil:
+	case pl.Registry != nil:
 		// One-shot exposition dump: the same text a /metrics scrape of
 		// the final state would return.
-		if err := reg.Snapshot().WritePrometheus(os.Stdout); err != nil {
+		if err := pl.Registry.Snapshot().WritePrometheus(os.Stdout); err != nil {
 			return err
 		}
 	}

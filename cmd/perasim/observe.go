@@ -25,10 +25,10 @@ func runObserve() error {
 		SampleEvery: uint32(*observeSample),
 		ByteBudget:  *observeBudget,
 		Collector:   collector,
-		Registry:    reg,
-		Tracer:      tracer,
-		Audit:       audit,
-		Recorder:    rec,
+		Registry:    pl.Registry,
+		Tracer:      pl.Tracer,
+		Audit:       pl.Audit,
+		Recorder:    pl.Recorder,
 	}
 	switch attack {
 	case "none":
@@ -55,7 +55,7 @@ func runObserve() error {
 
 	snap := res.Collector.Snapshot()
 	table := os.Stdout
-	if *jsonOut || reg != nil {
+	if *jsonOut || pl.Registry != nil {
 		table = os.Stderr
 	}
 	fmt.Fprintln(table)

@@ -33,9 +33,9 @@ func runSLO() error {
 		Watchdog:     watchdog,
 		Collector:    collector,
 		AlertLog:     os.Stderr,
-		Registry:     reg,
-		Tracer:       tracer,
-		Audit:        audit,
+		Registry:     pl.Registry,
+		Tracer:       pl.Tracer,
+		Audit:        pl.Audit,
 	}
 	fmt.Fprintf(out, "chain: bank — sw1..sw%d — client, %d packets at %ds/packet, evidence TTL %ds\n",
 		opts.Hops, opts.Packets, *sloTick, *sloTTL)
@@ -67,7 +67,7 @@ func runSLO() error {
 	}
 
 	table := os.Stdout
-	if *jsonOut || reg != nil {
+	if *jsonOut || pl.Registry != nil {
 		table = os.Stderr
 	}
 	fmt.Fprintln(table)

@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pera/internal/auditlog"
 	"pera/internal/evidence"
@@ -184,17 +183,17 @@ type Appraiser struct {
 	// node instead of one ed25519.Verify. Set via EnableMemo.
 	memo *evidence.VerifyMemo
 
-	// verifySec, when instrumented, times the Verify half of each
-	// appraisal (signature + quote chain checks) separately from the
-	// golden-value appraisal logic — the relying party's view of the
-	// Fig. 3 Verify stage.
-	verifySec *telemetry.Histogram
+	// planes carries the observability planes the appraise and verify
+	// stages report to: the verify-latency histogram (Instrument), the
+	// flow tracer and the audit ledger's appraise/verdict records. The
+	// signature/quote walk is its own verify stage, so stage-attributed
+	// CPU separates the relying party's two halves.
+	planes telemetry.Planes
 
-	// aud, when attached, records appraise/verdict events (with clause
-	// provenance) on the durable audit ledger. policyName/policyTerm name
-	// the Copland policy in force so every verdict is attributable to a
-	// written-down term, not just "the code". All three live behind mu
-	// with the copy-on-write tables.
+	// aud, when attached, receives the policy binding and the memo's
+	// records. policyName/policyTerm name the Copland policy in force so
+	// every verdict is attributable to a written-down term, not just "the
+	// code". All three live behind mu with the copy-on-write tables.
 	aud        *auditlog.Writer
 	policyName string
 	policyTerm string
@@ -205,12 +204,6 @@ type Appraiser struct {
 	// the other attachments.
 	obs Observer
 
-	// tracer, when attached, records appraise/verify/verdict spans for
-	// sampled flows, parented under the requester's propagated context.
-	// Deployments embedding the appraiser in a Pool leave this unset
-	// (the pool records the spans with worker attribution instead).
-	tracer *telemetry.FlowTracer
-
 	serial atomic.Uint64
 
 	nonceMu sync.Mutex
@@ -218,14 +211,6 @@ type Appraiser struct {
 
 	certMu sync.Mutex
 	certs  map[string]*Certificate
-
-	// Profiling label regions (internal/profiler). Appraisal work on
-	// this goroutine is labeled "appraise"; the signature/quote walk
-	// inside check re-labels itself "verify" for its duration so
-	// stage-attributed CPU separates the relying party's two halves.
-	// Enter is an atomic load + branch while the profiler is disarmed.
-	profVerify   *telemetry.ProfRegion
-	profAppraise *telemetry.ProfRegion
 }
 
 // New creates an appraiser with a key derived from seed, so simulations
@@ -233,17 +218,17 @@ type Appraiser struct {
 func New(name string, seed []byte) *Appraiser {
 	h := rot.Sum(append([]byte("appraiser:"), seed...))
 	priv := ed25519.NewKeyFromSeed(h[:])
-	return &Appraiser{
-		name:         name,
-		key:          priv,
-		pub:          priv.Public().(ed25519.PublicKey),
-		keys:         evidence.KeyMap{},
-		golden:       make(map[goldenKey]rot.Digest),
-		used:         make(map[string]bool),
-		certs:        make(map[string]*Certificate),
-		profVerify:   telemetry.NewProfRegion(telemetry.StageVerify, name),
-		profAppraise: telemetry.NewProfRegion(telemetry.StageAppraise, name),
+	a := &Appraiser{
+		name:   name,
+		key:    priv,
+		pub:    priv.Public().(ed25519.PublicKey),
+		keys:   evidence.KeyMap{},
+		golden: make(map[goldenKey]rot.Digest),
+		used:   make(map[string]bool),
+		certs:  make(map[string]*Certificate),
 	}
+	a.planes.Init(name, telemetry.StageVerify, telemetry.StageAppraise)
+	return a
 }
 
 // EnableMemo installs a verification memo bounded to capacity entries
@@ -268,15 +253,13 @@ func (a *Appraiser) MemoStats() evidence.MemoStats {
 
 // Instrument registers the appraiser's Verify-stage latency histogram
 // (pera_verify_seconds, labelled with the appraiser name) with reg and
-// arms the timing. The memo, when enabled, is exported too.
+// subscribes it to the verify stage. The memo, when enabled, is
+// exported too.
 func (a *Appraiser) Instrument(reg *telemetry.Registry) {
 	h := telemetry.NewHistogram("pera_verify_seconds", nil, telemetry.L("appraiser", a.name))
 	reg.Register(h)
-	a.mu.Lock()
-	a.verifySec = h
-	memo := a.memo
-	a.mu.Unlock()
-	memo.Instrument(reg)
+	a.planes.SetHistogram(h, telemetry.StageVerify, telemetry.StageVerifyFail)
+	a.memoSnapshot().Instrument(reg)
 }
 
 // SetAudit attaches the durable audit ledger: every appraisal emits an
@@ -287,6 +270,7 @@ func (a *Appraiser) SetAudit(w *auditlog.Writer) {
 	a.aud = w
 	a.memo.SetAudit(w) // nil-safe; order vs EnableMemo doesn't matter
 	a.mu.Unlock()
+	a.planes.SetLedger(auditlog.Sink(w), telemetry.StageAppraise)
 }
 
 // SetPolicy binds the appraiser to a named Copland policy term (AP1–AP3
@@ -324,11 +308,11 @@ func (a *Appraiser) keysSnapshot() evidence.KeyMap {
 	return a.keys
 }
 
-// auditCtx snapshots the audit binding for one appraisal.
-func (a *Appraiser) auditCtx() (*auditlog.Writer, string) {
+// policy snapshots the name of the policy term in force.
+func (a *Appraiser) policy() string {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return a.aud, a.policyName
+	return a.policyName
 }
 
 // Observer receives appraisal outcomes as they are rendered. place names
@@ -354,19 +338,13 @@ func (a *Appraiser) observer() Observer {
 	return a.obs
 }
 
-// SetTracer attaches the distributed-tracing span recorder; nil
-// detaches.
+// SetTracer attaches the distributed-tracing span recorder: appraise,
+// verify and verdict spans for sampled flows, parented under the
+// requester's propagated context. Deployments embedding the appraiser in
+// a Pool leave this unset (the pool records the spans with worker
+// attribution instead). Nil detaches.
 func (a *Appraiser) SetTracer(tr *telemetry.FlowTracer) {
-	a.mu.Lock()
-	a.tracer = tr
-	a.mu.Unlock()
-}
-
-// tracerSnapshot reads the attached tracer.
-func (a *Appraiser) tracerSnapshot() *telemetry.FlowTracer {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.tracer
+	a.planes.SetTracer(tr)
 }
 
 // Name returns the appraiser identity.
@@ -464,7 +442,7 @@ func (a *Appraiser) Appraise(subject string, ev *evidence.Evidence, nonce []byte
 
 // appraisalFlowID correlates appraisal-side audit records with the
 // switch side: the session nonce (hex) when present, else the first
-// nonce inside the evidence — the same ID flowIDOf derives in-band.
+// nonce inside the evidence — the same ID pera.FlowID derives in-band.
 func appraisalFlowID(ev *evidence.Evidence, nonce []byte) string {
 	if len(nonce) > 0 {
 		return hex.EncodeToString(nonce)
@@ -493,54 +471,40 @@ func (a *Appraiser) AppraiseCtx(parent telemetry.SpanContext, subject string, ev
 // appraiseNoted additionally threads an override verification memo (the
 // pool's per-window batch memo when the appraiser has no persistent
 // one; nil uses the appraiser's own) and a span link naming the shared
-// batch-flush span this appraisal's signatures rode, if any.
+// batch-flush span this appraisal's signatures rode, if any. The whole
+// appraisal is one appraise stage: the ledger records its start and its
+// verdict, the tracer its span and a verdict child.
 func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte, note string, memoOverride *evidence.VerifyMemo, link string) (*Certificate, error) {
-	defer telemetry.ProfExit(a.profAppraise.Enter())
-	aud, policy := a.auditCtx()
 	obs := a.observer()
-	tr := a.tracerSnapshot()
+	rec := a.planes.Recorder()
 	flow, nonceHex := "", ""
-	var start time.Time
-	if aud != nil || obs != nil || tr != nil {
+	if rec.Detailed() || obs != nil {
 		flow = appraisalFlowID(ev, nonce)
+		if len(nonce) > 0 {
+			nonceHex = flow // appraisalFlowID is the nonce hex when there is one
+		}
 	}
-	actx := tr.ChildContext(parent, flow)
-	var spanStart time.Time
-	if actx.Valid() {
-		spanStart = time.Now()
+	stage := telemetry.StageEvent{
+		Stage: telemetry.StageAppraise, Flow: flow, Parent: parent,
+		Target: subject, Nonce: nonceHex, Policy: a.policy(), Note: note,
 	}
-	if aud != nil {
-		nonceHex = hex.EncodeToString(nonce)
-		start = time.Now()
-		aud.Emit(auditlog.Record{
-			Event: auditlog.EventAppraise, Place: a.name, Flow: flow,
-			Nonce: nonceHex, Policy: policy, Target: subject, Note: note,
-		})
-	}
+	rec.Open(stage)
 	if len(nonce) > 0 {
 		a.nonceMu.Lock()
 		replayed := a.used[string(nonce)]
 		a.used[string(nonce)] = true
 		a.nonceMu.Unlock()
 		if replayed {
-			if aud != nil {
-				aud.Emit(auditlog.Record{
-					Event: auditlog.EventVerdict, Place: a.name, Flow: flow,
-					Nonce: nonceHex, Policy: policy, Target: subject,
-					Verdict: "FAIL", DurNS: int64(time.Since(start)), Note: note,
-					Prov: &auditlog.Provenance{
-						Policy: policy, Clause: "*bank<n, X>", Stage: "nonce",
-						Accept: false, Reason: ErrNonceReplayed.Error(),
-					},
-				})
+			stage.Verdict, stage.Err = "FAIL", ErrNonceReplayed.Error()
+			stage.Prov = telemetry.Provenance{
+				Policy: stage.Policy, Clause: clauseNonce, Stage: "nonce",
+				Reason: ErrNonceReplayed.Error(),
 			}
-			if actx.Valid() {
-				tr.RecordSpan(actx, parent, flow, a.name, telemetry.StageAppraise, spanStart, time.Since(spanStart), "nonce replayed")
-			}
+			rec.Close(stage)
 			return nil, ErrNonceReplayed
 		}
 	}
-	verdict, reason, prov := a.check(ev, nonce, memoOverride, flow, actx, tr)
+	verdict, reason, prov := a.check(&rec, ev, nonce, memoOverride)
 	c := &Certificate{
 		Issuer:         a.name,
 		Subject:        subject,
@@ -556,32 +520,20 @@ func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, 
 	if obs != nil {
 		obs.ObserveVerdict(flow, subject, verdict, prov.Place, prov.Stage, reason)
 	}
-	if actx.Valid() {
-		v := "PASS"
-		if !verdict {
-			v = "FAIL"
-		}
-		tr.RecordChild(actx, flow, a.name, telemetry.StageVerdict, time.Time{}, 0, v)
-		if link != "" {
-			tr.RecordSpan(actx, parent, flow, a.name, telemetry.StageAppraise, spanStart, time.Since(spanStart), note, link)
-		} else {
-			tr.RecordSpan(actx, parent, flow, a.name, telemetry.StageAppraise, spanStart, time.Since(spanStart), note)
-		}
-	}
-	if aud != nil {
-		v := "PASS"
-		if !verdict {
-			v = "FAIL"
-		}
-		prov.Policy = policy
-		aud.Emit(auditlog.Record{
-			Event: auditlog.EventVerdict, Place: a.name, Flow: flow,
-			Nonce: nonceHex, Policy: policy, Target: subject,
-			Verdict: v, DurNS: int64(time.Since(start)), Note: note,
-			Prov: &prov,
-		})
-	}
+	stage.Verdict = verdictString(verdict)
+	stage.Prov = prov
+	stage.Prov.Policy = stage.Policy
+	stage.Link = link
+	rec.Close(stage)
 	return c, nil
+}
+
+// verdictString renders a verdict the way records and spans carry it.
+func verdictString(ok bool) string {
+	if ok {
+		return "PASS"
+	}
+	return "FAIL"
 }
 
 // Clause fragments of the Copland policy terms (nac.Table1) that each
@@ -626,10 +578,9 @@ var batchVerifiers = sync.Pool{
 // check runs the verification pipeline and renders a verdict together
 // with the provenance naming the exact policy clause that decided.
 // memoOverride, when non-nil, replaces the appraiser's own memo for this
-// appraisal — the pool's batch-window transport. flow/actx/tr carry the
-// trace context so the Verify half records as a child span of the
-// appraisal (zero/nil when tracing is off or the flow unsampled).
-func (a *Appraiser) check(ev *evidence.Evidence, nonce []byte, memoOverride *evidence.VerifyMemo, flow string, actx telemetry.SpanContext, tr *telemetry.FlowTracer) (bool, string, auditlog.Provenance) {
+// appraisal — the pool's batch-window transport. The signature walk is
+// reported on rec as the appraisal's verify stage.
+func (a *Appraiser) check(rec *telemetry.StageRecorder, ev *evidence.Evidence, nonce []byte, memoOverride *evidence.VerifyMemo) (bool, string, auditlog.Provenance) {
 	if err := evidence.Validate(ev); err != nil {
 		return false, err.Error(), reject("structure", clauseStructure, err.Error())
 	}
@@ -639,21 +590,12 @@ func (a *Appraiser) check(ev *evidence.Evidence, nonce []byte, memoOverride *evi
 	keys, golden, hashes := a.keys, a.golden, a.hashes
 	strict, requireNonce := a.Strict, a.RequireNonce
 	memo := a.memo
-	verifySec := a.verifySec
 	a.mu.RUnlock()
 	if memoOverride != nil {
 		memo = memoOverride
 	}
 
-	var start time.Time
-	if verifySec != nil || actx.Valid() {
-		start = time.Now()
-	}
-	// Re-label this goroutine "verify" for the signature walk below; it
-	// falls back to the enclosing "appraise" region once the walk is done
-	// (appraiseNoted's deferred ProfExit clears it when the appraisal
-	// returns).
-	ventered := a.profVerify.Enter()
+	m := rec.Begin(telemetry.StageVerify)
 	// With a memo available, front-load the chain's unverified signatures
 	// through the batch equation; the memoized walk below then consumes
 	// the seeded verdicts, so the rendered verdict (and error text) is
@@ -669,20 +611,11 @@ func (a *Appraiser) check(ev *evidence.Evidence, nonce []byte, memoOverride *evi
 		batchVerifiers.Put(bv)
 	}
 	nsigs, err := evidence.VerifySignaturesMemo(ev, keys, memo)
-	if ventered {
-		a.profAppraise.Enter()
-	}
-	verifySec.ObserveSinceExemplar(start, actx.TraceID)
-	if actx.Valid() {
-		stage, note := telemetry.StageVerify, ""
-		if err != nil {
-			stage, note = telemetry.StageVerifyFail, err.Error()
-		}
-		tr.RecordChild(actx, flow, a.name, stage, start, time.Since(start), note)
-	}
 	if err != nil {
+		rec.End(m, telemetry.StageEvent{Stage: telemetry.StageVerifyFail, Note: err.Error()})
 		return false, err.Error(), reject("signature", clauseSignature, err.Error())
 	}
+	rec.End(m, telemetry.StageEvent{})
 	if requireNonce && len(nonce) > 0 && !evidence.HasNonce(ev, nonce) {
 		return false, ErrNonceMissing.Error(), reject("nonce", clauseNonce, ErrNonceMissing.Error())
 	}

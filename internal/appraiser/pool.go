@@ -82,10 +82,12 @@ type Pool struct {
 	fail   atomic.Uint64
 	errors atomic.Uint64
 
-	// latency[i], when instrumented, is worker i's appraisal-latency
-	// histogram; tracer records appraise/verdict spans for sampled flows.
-	latency []*telemetry.Histogram
-	tracer  *telemetry.FlowTracer
+	// planes[i] carries worker i's appraise stage to its latency
+	// histogram and the flow tracer; notes[i] is its attribution.
+	planes []telemetry.Planes
+	notes  []string
+	// tracer records the shared batch-flush spans.
+	tracer *telemetry.FlowTracer
 	// aud, when attached, receives the pool_drained summary record at
 	// Close (per-job appraise/verdict records come from the Appraiser
 	// itself, with worker attribution in their notes).
@@ -113,8 +115,13 @@ func NewPool(a *Appraiser, workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{a: a, workers: workers, queues: make([]chan poolTask, workers)}
+	p := &Pool{
+		a: a, workers: workers, queues: make([]chan poolTask, workers),
+		planes: make([]telemetry.Planes, workers), notes: make([]string, workers),
+	}
 	for i := range p.queues {
+		p.planes[i].Init(a.Name())
+		p.notes[i] = "worker " + strconv.Itoa(i)
 		p.queues[i] = make(chan poolTask, 64)
 		p.wg.Add(1)
 		go p.worker(i, p.queues[i])
@@ -127,13 +134,10 @@ func (p *Pool) Workers() int { return p.workers }
 
 // Instrument registers the pool's verdict counters, live queue depth and
 // per-worker appraisal-latency histograms (pera_appraise_seconds with a
-// worker label) with reg. Like OnResult, it must be called before the
-// first Submit: workers observe the instruments only through the task
-// channel's happens-before edge.
+// worker label) with reg.
 func (p *Pool) Instrument(reg *telemetry.Registry) {
-	p.latency = make([]*telemetry.Histogram, p.workers)
-	for i := range p.latency {
-		p.latency[i] = reg.Histogram("pera_appraise_seconds", nil, telemetry.L("worker", strconv.Itoa(i)))
+	for i := range p.planes {
+		p.planes[i].SetHistogram(reg.Histogram("pera_appraise_seconds", nil, telemetry.L("worker", strconv.Itoa(i))), telemetry.StageAppraise)
 	}
 	reg.RegisterFunc("pera_pool_jobs_total", telemetry.KindCounter,
 		func() float64 { return float64(p.jobs.Load()) })
@@ -155,12 +159,17 @@ func (p *Pool) Instrument(reg *telemetry.Registry) {
 }
 
 // SetTracer attaches a flow tracer recording appraise/verdict spans for
-// sampled flows. Like Instrument, call before the first Submit.
-func (p *Pool) SetTracer(tr *telemetry.FlowTracer) { p.tracer = tr }
+// sampled flows. Call before the first Submit.
+func (p *Pool) SetTracer(tr *telemetry.FlowTracer) {
+	p.tracer = tr
+	for i := range p.planes {
+		p.planes[i].SetTracer(tr)
+	}
+}
 
 // SetAudit attaches the audit ledger for the pool's lifecycle records
-// and arms worker attribution on per-job records. Like Instrument, call
-// before the first Submit.
+// and arms worker attribution on per-job records. Call before the first
+// Submit.
 func (p *Pool) SetAudit(w *auditlog.Writer) { p.aud = w }
 
 // jobFlowID is the trace correlation ID the appraisal side can see: the
@@ -178,43 +187,26 @@ func jobFlowID(job *Job) string {
 
 func (p *Pool) worker(id int, queue <-chan poolTask) {
 	defer p.wg.Done()
+	planes := &p.planes[id]
 	for t := range queue {
-		var hist *telemetry.Histogram
-		if p.latency != nil {
-			hist = p.latency[id]
+		rec := planes.Recorder()
+		flow := ""
+		if rec.Detailed() {
+			flow = jobFlowID(&t.job)
 		}
-		var start time.Time
-		if hist != nil || p.tracer != nil {
-			start = time.Now()
-		}
+		rec.Open(telemetry.StageEvent{Stage: telemetry.StageAppraise, Flow: flow, Parent: t.job.Trace})
 		attr := ""
 		if p.aud != nil {
-			attr = "worker " + strconv.Itoa(id)
+			attr = p.notes[id]
 		}
 		cert, err := p.a.appraiseNoted(t.job.Trace, t.job.Subject, t.job.Evidence, t.job.Nonce, attr, t.memo, t.link)
-		hist.ObserveSince(start)
-		if tr := p.tracer; tr != nil {
-			flow := jobFlowID(&t.job)
-			if actx := tr.ChildContext(t.job.Trace, flow); actx.Valid() {
-				var dur time.Duration
-				if !start.IsZero() {
-					dur = time.Since(start)
-				}
-				note := "PASS"
-				switch {
-				case err != nil:
-					note = "error: " + err.Error()
-				case !cert.Verdict:
-					note = "FAIL"
-				}
-				if t.link != "" {
-					tr.RecordSpan(actx, t.job.Trace, flow, p.a.Name(), telemetry.StageAppraise, start, dur, "worker "+strconv.Itoa(id), t.link)
-				} else {
-					tr.RecordSpan(actx, t.job.Trace, flow, p.a.Name(), telemetry.StageAppraise, start, dur, "worker "+strconv.Itoa(id))
-				}
-				tr.RecordChild(actx, flow, p.a.Name(), telemetry.StageVerdict, time.Time{}, 0, note)
-			}
+		done := telemetry.StageEvent{Note: p.notes[id], Link: t.link}
+		if err != nil {
+			done.Err = err.Error()
+		} else {
+			done.Verdict = verdictString(cert.Verdict)
 		}
+		rec.Close(done)
 		r := Result{Index: t.idx, Certificate: cert, Err: err}
 		p.jobs.Add(1)
 		switch {
@@ -291,7 +283,7 @@ type verifyWindow struct {
 // workers: Submit-path jobs wait for at most maxDelay (or until maxJobs
 // accumulate, whichever is first) so their signatures can be verified
 // together with one batch equation. maxJobs <= 1 and maxDelay <= 0 pick
-// defaults (16 jobs, 2ms). Like Instrument, call before the first
+// defaults (16 jobs, 2ms). Like SetTracer, call before the first
 // Submit; AppraiseAll is unaffected (it batches whole calls already).
 func (p *Pool) EnableVerifyWindow(maxJobs int, maxDelay time.Duration) {
 	if maxJobs <= 1 {
@@ -345,7 +337,7 @@ func (p *Pool) windowFlushLocked(w *verifyWindow) {
 			}
 		}
 	})
-	ventered := p.a.profVerify.Enter()
+	ventered := p.a.planes.Region(telemetry.StageVerify).Enter()
 	bv := batchVerifiers.Get().(*evidence.BatchVerifier)
 	bv.Reset(memo)
 	for i := range w.buf {
@@ -528,7 +520,7 @@ func (p *Pool) prewarm(jobs []Job, leaderOf []int) (*evidence.VerifyMemo, string
 			defer wg.Done()
 			// Fresh goroutine: pprof labels are goroutine-scoped, so the
 			// batch crypto must label itself here, not inherit the caller's.
-			defer telemetry.ProfExit(p.a.profVerify.Enter())
+			defer telemetry.ProfExit(p.a.planes.Region(telemetry.StageVerify).Enter())
 			bv := batchVerifiers.Get().(*evidence.BatchVerifier)
 			bv.Reset(memo)
 			for j := w; j < len(uniq); j += parts {

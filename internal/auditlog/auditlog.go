@@ -29,6 +29,8 @@ package auditlog
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+
+	"pera/internal/telemetry"
 )
 
 // Event names one RATS lifecycle step. Events shared with the flow
@@ -36,23 +38,24 @@ import (
 // timeline and a /trace span dump line up record for record.
 type Event string
 
-// Ledger events. The first block mirrors telemetry stage names; the
-// second block is ledger-only lifecycle.
+// Ledger events. The first block is the stage vocabulary of the seam
+// (telemetry.Stage), recorded by the stage sink below; the second block
+// is ledger-only lifecycle.
 const (
-	EventSign       Event = "sign"        // RoT/remote signature over evidence
-	EventEvidence   Event = "evidence"    // claim/measurement creation (uncached)
-	EventCompose    Event = "compose"     // chaining local evidence onto the header chain
-	EventCacheHit   Event = "cache_hit"   // high-inertia evidence served from cache
-	EventCacheMiss  Event = "cache_miss"  // evidence rebuilt on cache miss
-	EventVerify     Event = "verify"      // signature/quote chain verification passed
-	EventVerifyFail Event = "verify_fail" // frame dropped for an unverifiable chain
-	EventAppraise   Event = "appraise"    // appraisal of a chain started
-	EventVerdict    Event = "verdict"     // appraisal outcome with provenance
+	EventSign        = Event(telemetry.StageSign)        // RoT/remote signature over evidence
+	EventEvidence    = Event(telemetry.StageEvidence)    // claim/measurement creation (uncached)
+	EventCompose     = Event(telemetry.StageCompose)     // chaining local evidence onto the header chain
+	EventCacheHit    = Event(telemetry.StageCacheHit)    // high-inertia evidence served from cache
+	EventCacheMiss   = Event(telemetry.StageCacheMiss)   // evidence rebuilt on cache miss
+	EventVerify      = Event(telemetry.StageVerify)      // signature/quote chain verification passed
+	EventVerifyFail  = Event(telemetry.StageVerifyFail)  // frame dropped for an unverifiable chain
+	EventAppraise    = Event(telemetry.StageAppraise)    // appraisal of a chain started
+	EventVerdict     = Event(telemetry.StageVerdict)     // appraisal outcome with provenance
+	EventGuardReject = Event(telemetry.StageGuardReject) // obligation skipped by a failed ▶ test
 
 	EventLedgerOpen  Event = "ledger_open"  // first record of every ledger
 	EventLedgerClose Event = "ledger_close" // orderly shutdown marker
 	EventClaimIssued Event = "claim_issued" // out-of-band challenge received (Fig. 1 step 1)
-	EventGuardReject Event = "guard_reject" // obligation skipped by a failed ▶ test
 	EventMemoInsert  Event = "memo_insert"  // first full verification of a signature triple
 	EventPolicyBound Event = "policy_bound" // appraiser bound to a Copland policy term
 	EventPoolDrained Event = "pool_drained" // appraisal pool closed; note carries totals
@@ -70,17 +73,9 @@ const (
 )
 
 // Provenance names the exact Copland/NetKAT clause that accepted or
-// rejected a packet — the machine-checkable "why" behind a verdict
-// record. Stage identifies which step of the appraisal pipeline decided;
-// Clause is the policy-language fragment that step enforces.
-type Provenance struct {
-	Policy string `json:"policy,omitempty"` // policy term name, e.g. "AP1"
-	Clause string `json:"clause"`           // Copland/NetKAT clause that decided
-	Stage  string `json:"stage"`            // structure|signature|nonce|hash|quote|golden|guard|accept
-	Place  string `json:"place,omitempty"`  // the place whose claim decided (golden/quote rejections)
-	Accept bool   `json:"accept"`
-	Reason string `json:"reason,omitempty"`
-}
+// rejected a packet: the stage seam's telemetry.Provenance, recorded on
+// verdict, verify_fail and guard_reject records.
+type Provenance = telemetry.Provenance
 
 // Record is one ledger entry. Field order is the canonical JSON member
 // order (encoding/json emits struct fields in declaration order); the

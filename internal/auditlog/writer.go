@@ -126,6 +126,44 @@ func (w *Writer) Emit(r Record) {
 	}
 }
 
+// Sink returns w as a stage-seam subscriber, or nil for a nil writer so
+// that attaching "no ledger" detaches.
+func Sink(w *Writer) telemetry.StageSink {
+	if w == nil {
+		return nil
+	}
+	return w
+}
+
+// StageOpened implements telemetry.StageSink: an envelope the ledger
+// subscribes to (the appraisal) is recorded when it begins.
+func (w *Writer) StageOpened(ev telemetry.StageEvent) {
+	w.Emit(stageRecord(Event(ev.Stage), ev))
+}
+
+// StageEnded implements telemetry.StageSink: one record per stage, with
+// an envelope that rendered a verdict recorded as the verdict.
+func (w *Writer) StageEnded(ev telemetry.StageEvent) {
+	e := Event(ev.Stage)
+	if ev.Verdict != "" {
+		e = EventVerdict
+	}
+	w.Emit(stageRecord(e, ev))
+}
+
+func stageRecord(e Event, ev telemetry.StageEvent) Record {
+	r := Record{
+		Event: e, Place: ev.Place, Flow: ev.Flow, Nonce: ev.Nonce,
+		Policy: ev.Policy, Target: ev.Target, Detail: ev.Detail,
+		Verdict: ev.Verdict, DurNS: int64(ev.Dur), Note: ev.Note,
+	}
+	if ev.Prov.Clause != "" {
+		p := ev.Prov
+		r.Prov = &p
+	}
+	return r
+}
+
 // run is the single writer goroutine: it owns the chain state, so links
 // are computed over a total order without any hot-path locking. Because
 // it is the only sealer, all sealing scratch — the keyed HMAC state, the

@@ -6,7 +6,6 @@ import (
 
 	"pera/internal/auditlog"
 	"pera/internal/evidence"
-	"pera/internal/nac"
 	"pera/internal/observatory"
 	"pera/internal/pera"
 	"pera/internal/recorder"
@@ -134,42 +133,12 @@ func RunObserve(o ObserveOptions) (*ObserveResult, error) {
 	if col == nil {
 		col = observatory.New("collector", observatory.Config{})
 	}
-	// Feed 1: terminal frames — the collector shadows the client host
-	// and pops every delivered span trail.
-	col.AttachHost(tb.Client)
-	// Feed 2: appraisal verdicts with place attribution.
-	tb.Appraiser.SetObserver(col)
-
-	if o.Registry != nil {
-		for _, sw := range tb.Switches {
-			sw.Instrument(o.Registry)
-		}
-		tb.Net.Instrument(o.Registry)
-		cache.Instrument(o.Registry)
-		o.Tracer.Instrument(o.Registry)
-	}
-	if o.Tracer != nil {
-		for _, sw := range tb.Switches {
-			sw.SetTracer(o.Tracer)
-		}
-	}
-	if o.Audit != nil {
-		for _, sw := range tb.Switches {
-			sw.SetAudit(o.Audit)
-		}
-		cache.SetAudit(o.Audit)
-		tb.Appraiser.SetAudit(o.Audit)
-		tb.Appraiser.SetPolicy("AP1", nac.AP1)
-		if o.Registry != nil {
-			o.Audit.Instrument(o.Registry)
-		}
-	}
 	if o.Memo {
 		tb.Appraiser.EnableMemo(0)
 	}
-	if o.Registry != nil {
-		tb.Appraiser.Instrument(o.Registry)
-	}
+	// The collector's feeds 1 and 2: the span trails of terminal frames,
+	// and appraisal verdicts with place attribution.
+	Planes{Registry: o.Registry, Tracer: o.Tracer, Audit: o.Audit, Collector: col}.Attach(tb, cache)
 	tb.Net.SetTracing(o.NetTracing)
 
 	res := &ObserveResult{

@@ -9,7 +9,6 @@ import (
 	"pera/internal/auditlog"
 	"pera/internal/evidence"
 	"pera/internal/freshness"
-	"pera/internal/nac"
 	"pera/internal/observatory"
 	"pera/internal/pera"
 	"pera/internal/rats"
@@ -178,18 +177,6 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 	if col == nil {
 		col = observatory.New("collector", observatory.Config{})
 	}
-	// Watchdog feed 1: cache lifecycle (evidence age per place).
-	cache.SetNotify(wd.CacheEvent)
-	// Watchdog feed 2: span trails → flow → hop places, via the
-	// collector's reassembly.
-	col.AttachHost(tb.Client)
-	col.SetPathSink(wd.IngestPath)
-	// Watchdog feed 3: appraisal verdicts — the watchdog owns the
-	// appraiser's observer slot and tees to the collector.
-	wd.SetForward(col)
-	tb.Appraiser.SetObserver(wd)
-	wd.Track(tb.PathSwitchNames()...)
-
 	if o.AlertLog != nil {
 		wd.AddSink(freshness.NewLogSink(o.AlertLog))
 	}
@@ -241,35 +228,17 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 	}
 	wd.SetProber(prober)
 
-	if o.Registry != nil {
-		for _, sw := range tb.Switches {
-			sw.Instrument(o.Registry)
-		}
-		tb.Net.Instrument(o.Registry)
-		cache.Instrument(o.Registry)
-		o.Tracer.Instrument(o.Registry)
-		tb.Appraiser.Instrument(o.Registry)
-		wd.Instrument(o.Registry)
-	}
-	if o.Tracer != nil {
-		for _, sw := range tb.Switches {
-			sw.SetTracer(o.Tracer)
-		}
-		tb.Appraiser.SetTracer(o.Tracer)
-		col.SetTracer(o.Tracer)
-	}
-	if o.Audit != nil {
-		for _, sw := range tb.Switches {
-			sw.SetAudit(o.Audit)
-		}
-		cache.SetAudit(o.Audit)
-		tb.Appraiser.SetAudit(o.Audit)
-		wd.AddSink(freshness.NewAuditSink(o.Audit))
-		if o.Registry != nil {
-			o.Audit.Instrument(o.Registry)
-		}
-	}
-	tb.Appraiser.SetPolicy("AP1", nac.AP1)
+	// The watchdog's three feeds: the cache lifecycle (evidence age per
+	// place), span trails via the collector's reassembly, and verdicts.
+	// The appraiser is instrumented before EnableMemo: the probe path's
+	// memo stays unexported.
+	Planes{
+		Registry: o.Registry, Tracer: o.Tracer, Audit: o.Audit,
+		Collector: col, Watchdog: wd,
+	}.Attach(tb, cache)
+	// Probes appraise directly (no pool), so the appraiser traces itself.
+	tb.Appraiser.SetTracer(o.Tracer)
+	col.SetTracer(o.Tracer)
 	if o.Memo {
 		tb.Appraiser.EnableMemo(0)
 	}

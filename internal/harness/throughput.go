@@ -8,7 +8,6 @@ import (
 	"pera/internal/auditlog"
 	"pera/internal/evidence"
 	"pera/internal/freshness"
-	"pera/internal/nac"
 	"pera/internal/observatory"
 	"pera/internal/pera"
 	"pera/internal/profiler"
@@ -87,11 +86,10 @@ type ThroughputOptions struct {
 	// appraisal verdicts (teeing them to Collector when both are set) —
 	// the trust-decay overhead BenchmarkThroughput_SLO measures.
 	Watchdog *freshness.Watchdog
-	// Recorder, when non-nil, is scraped every RecorderEvery packets
+	// Recorder, when non-nil, is scraped every recorderEvery packets
 	// during the timed appraisal phase — the flight-recorder overhead
 	// BenchmarkThroughput_Recorder measures.
-	Recorder      *recorder.Recorder
-	RecorderEvery int // default 256
+	Recorder *recorder.Recorder
 	// Profiler, when non-nil, wraps the timed appraisal phase in one
 	// deterministic CPU-profile capture (profiler.CaptureWhile) so the
 	// run's /profile.json attributes the phase's samples to RATS stages
@@ -112,10 +110,14 @@ func ThroughputCorpus(packets, flows int) ([]appraiser.Job, *usecases.Testbed, *
 	return throughputCorpus(ThroughputOptions{Packets: packets, Flows: flows})
 }
 
-// throughputCorpus is ThroughputCorpus with telemetry wiring: when a
-// registry/tracer is present, the switches and network are instrumented
-// before any traffic flows, so the Sign-stage histograms and trace spans
-// cover corpus generation (the on-switch half of the pipeline).
+// recorderEvery is how many packets the timed phase appraises between
+// flight-recorder scrapes.
+const recorderEvery = 256
+
+// throughputCorpus is ThroughputCorpus with the run's planes attached
+// before any traffic flows, so the Sign-stage histograms, trace spans
+// and ledger records cover corpus generation (the on-switch half of the
+// pipeline) as well as the appraisal.
 func throughputCorpus(o ThroughputOptions) ([]appraiser.Job, *usecases.Testbed, *evidence.Cache, error) {
 	packets, flows := o.Packets, o.Flows
 	if flows <= 0 {
@@ -131,37 +133,13 @@ func throughputCorpus(o ThroughputOptions) ([]appraiser.Job, *usecases.Testbed, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if o.Collector != nil {
-		o.Collector.AttachHost(tb.Client)
-		if o.Watchdog != nil {
-			o.Collector.SetPathSink(o.Watchdog.IngestPath)
-		}
+	if o.Memo {
+		tb.Appraiser.EnableMemo(0)
 	}
-	if o.Watchdog != nil {
-		cache.SetNotify(o.Watchdog.CacheEvent)
-	}
-	if o.Registry != nil {
-		for _, sw := range tb.Switches {
-			sw.Instrument(o.Registry)
-		}
-		tb.Net.Instrument(o.Registry)
-		cache.Instrument(o.Registry)
-		o.Tracer.Instrument(o.Registry)
-	}
-	if o.Tracer != nil {
-		for _, sw := range tb.Switches {
-			sw.SetTracer(o.Tracer)
-		}
-	}
-	if o.Audit != nil {
-		for _, sw := range tb.Switches {
-			sw.SetAudit(o.Audit)
-		}
-		cache.SetAudit(o.Audit)
-		if o.Registry != nil {
-			o.Audit.Instrument(o.Registry)
-		}
-	}
+	Planes{
+		Registry: o.Registry, Tracer: o.Tracer, Audit: o.Audit,
+		Collector: o.Collector, Watchdog: o.Watchdog,
+	}.Attach(tb, cache)
 	chains := make([]*evidence.Evidence, flows)
 	for f := 0; f < flows; f++ {
 		nonce := tb.NextNonce("tp")
@@ -213,54 +191,22 @@ func RunThroughputOpts(o ThroughputOptions) (*ThroughputResult, error) {
 		return nil, err
 	}
 	a := tb.Appraiser
-	switch {
-	case o.Watchdog != nil:
-		// The watchdog owns the observer slot and tees to the collector.
-		if o.Collector != nil {
-			o.Watchdog.SetForward(o.Collector)
-		}
-		o.Watchdog.Track(tb.PathSwitchNames()...)
-		a.SetObserver(o.Watchdog)
-	case o.Collector != nil:
-		a.SetObserver(o.Collector)
-	}
-	if o.Memo {
-		a.EnableMemo(0)
-	}
-	if o.Registry != nil {
-		// After EnableMemo, so the memo's counters are exported too.
-		a.Instrument(o.Registry)
-	}
-	if o.Audit != nil {
-		a.SetAudit(o.Audit)
-		// UC1 path attestation is governed by Table 1's AP1 term; binding
-		// it here stamps every verdict's provenance with the policy name.
-		a.SetPolicy("AP1", nac.AP1)
-	}
 	pool := appraiser.NewPool(a, o.Workers)
 	if o.Registry != nil {
 		pool.Instrument(o.Registry)
 	}
-	if o.Tracer != nil {
-		pool.SetTracer(o.Tracer)
-	}
-	if o.Audit != nil {
-		pool.SetAudit(o.Audit)
-	}
+	pool.SetTracer(o.Tracer)
+	pool.SetAudit(o.Audit)
 	start := time.Now()
 	var results []appraiser.Result
 	appraise := func() {
 		if o.Recorder != nil {
 			// Appraise in chunks with a scrape between each, so the timed
 			// phase pays the real steady-state recorder cost at a
-			// deterministic cadence (default: one scrape per 256 packets).
-			every := o.RecorderEvery
-			if every <= 0 {
-				every = 256
-			}
+			// deterministic cadence.
 			results = make([]appraiser.Result, 0, len(jobs))
-			for lo := 0; lo < len(jobs); lo += every {
-				hi := lo + every
+			for lo := 0; lo < len(jobs); lo += recorderEvery {
+				hi := lo + recorderEvery
 				if hi > len(jobs) {
 					hi = len(jobs)
 				}

@@ -2,8 +2,11 @@ package pera
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/fnv"
+
+	"pera/internal/evidence"
 )
 
 // In-band hop spans (observatory plane).
@@ -260,5 +263,10 @@ func (d *spanDecoder) str() string {
 // collector uses the same derivation as the switch and the appraiser,
 // so spans, tracer records, ledger records and verdicts all key alike.
 func FlowID(hdr *Header) string {
-	return flowIDOf(hdr)
+	if hdr != nil && hdr.Evidence != nil {
+		if ns := evidence.Nonces(hdr.Evidence); len(ns) > 0 {
+			return hex.EncodeToString(ns[0])
+		}
+	}
+	return "-"
 }

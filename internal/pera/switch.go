@@ -94,16 +94,13 @@ type Stats struct {
 // switchMetrics is the live, lock-free representation of Stats: every
 // counter is a telemetry instrument (striped atomics), so the same
 // storage backs both the Stats() snapshot API and the telemetry
-// registry — there is no second set of books to drift. The duration
-// histograms and trace spans are armed only once Instrument or
-// SetTracer is called, so an un-instrumented switch pays no time.Now
-// calls on the packet path.
+// registry — there is no second set of books to drift. The counters are
+// unconditional; the duration histograms are stage-seam subscribers
+// that Instrument attaches.
 // The instruments are embedded by value — one switchMetrics sits inside
 // each Switch — so constructing a switch costs two histogram bucket
 // arrays rather than fifteen separate instrument allocations.
 type switchMetrics struct {
-	timing atomic.Bool // take stage timestamps (Instrument arms this)
-
 	packets       telemetry.Counter
 	attested      telemetry.Counter
 	signOps       telemetry.Counter
@@ -120,14 +117,6 @@ type switchMetrics struct {
 
 	signSeconds   telemetry.Histogram // Fig. 3 Sign stage latency
 	verifySeconds telemetry.Histogram // Fig. 3 Verify stage latency (in-band)
-
-	// Profiling label regions (internal/profiler). Enter is an atomic
-	// load + branch while the profiler is disarmed, so the packet path
-	// pays nothing unless continuous profiling is on.
-	profSign     *telemetry.ProfRegion
-	profEvidence *telemetry.ProfRegion
-	profCompose  *telemetry.ProfRegion
-	profVerify   *telemetry.ProfRegion
 }
 
 func (m *switchMetrics) init(name string) {
@@ -148,10 +137,6 @@ func (m *switchMetrics) init(name string) {
 	m.hopSpanDrops.Init("pera_hop_span_drops_total", sw)
 	m.signSeconds.Init("pera_sign_seconds", nil, sw)
 	m.verifySeconds.Init("pera_switch_verify_seconds", nil, sw)
-	m.profSign = telemetry.NewProfRegion(telemetry.StageSign, name)
-	m.profEvidence = telemetry.NewProfRegion(telemetry.StageEvidence, name)
-	m.profCompose = telemetry.NewProfRegion(telemetry.StageCompose, name)
-	m.profVerify = telemetry.NewProfRegion(telemetry.StageVerify, name)
 }
 
 func (m *switchMetrics) instruments() []telemetry.Instrument {
@@ -197,25 +182,6 @@ func (m *switchMetrics) reset() {
 	m.hopSpanDrops.Reset()
 }
 
-// start returns a stage timestamp when timing is armed (Instrument was
-// called, a tracer is attached, or this frame carries a hop span), else
-// the zero time — downstream ObserveSince/elapsed treat zero as "not
-// timed".
-func (m *switchMetrics) start(tr *telemetry.FlowTracer, sp *HopSpan) time.Time {
-	if tr != nil || sp != nil || m.timing.Load() {
-		return time.Now()
-	}
-	return time.Time{}
-}
-
-// elapsed converts a start timestamp into a span duration.
-func elapsed(start time.Time) time.Duration {
-	if start.IsZero() {
-		return 0
-	}
-	return time.Since(start)
-}
-
 // Switch is a PERA switch: a PISA dataplane plus a root of trust, the
 // Sign/Verify stage, and the evidence Create/Inspect/Compose block.
 // It implements netsim.Node and netsim.Dataplane, and is safe for
@@ -225,8 +191,10 @@ type Switch struct {
 	name string
 	rot  *rot.RoT
 	met  switchMetrics
-	trc  atomic.Pointer[telemetry.FlowTracer]
-	aud  atomic.Pointer[auditlog.Writer]
+	// planes carries every observability plane the stages report to;
+	// aud is kept for the claim_issued lifecycle record.
+	planes telemetry.Planes
+	aud    atomic.Pointer[auditlog.Writer]
 
 	mu     sync.RWMutex
 	signer evidence.Signer // defaults to the local RoT; see SetSigner
@@ -246,6 +214,7 @@ func New(name string, prog *p4ir.Program, cfg Config) (*Switch, error) {
 	r := rot.NewDeterministic(name, []byte("pera:"+name))
 	s := &Switch{name: name, rot: r, signer: r, inst: inst, cfg: cfg}
 	s.met.init(name)
+	s.planes.Init(name, telemetry.StageSign, telemetry.StageEvidence, telemetry.StageCompose, telemetry.StageVerify)
 	if cfg.Sampler == nil {
 		s.cfg.Sampler = evidence.NewSampler(evidence.SamplerConfig{Mode: evidence.SamplePerPacket})
 	}
@@ -345,13 +314,15 @@ func (s *Switch) ResetStats() {
 
 // Instrument registers the switch's counters and stage-latency
 // histograms with reg (metric names carry a switch=<name> label) and
-// arms stage timing. Counters keep accumulating whether or not they are
-// registered; registration only exposes them.
+// subscribes the histograms to the Sign and Verify stages. Counters keep
+// accumulating whether or not they are registered; registration only
+// exposes them.
 func (s *Switch) Instrument(reg *telemetry.Registry) {
 	for _, m := range s.met.instruments() {
 		reg.Register(m)
 	}
-	s.met.timing.Store(true)
+	s.planes.SetHistogram(&s.met.signSeconds, telemetry.StageSign)
+	s.planes.SetHistogram(&s.met.verifySeconds, telemetry.StageVerify, telemetry.StageVerifyFail)
 }
 
 // SetTracer attaches a flow tracer: per-packet spans for the Verify,
@@ -359,12 +330,14 @@ func (s *Switch) Instrument(reg *telemetry.Registry) {
 // correlated by the evidence nonce (in-band) or the packet's flow hash.
 // A nil tracer detaches.
 func (s *Switch) SetTracer(tr *telemetry.FlowTracer) {
-	s.trc.Store(tr)
+	s.planes.SetTracer(tr)
 }
 
-// tracer returns the attached flow tracer, or nil.
-func (s *Switch) tracer() *telemetry.FlowTracer {
-	return s.trc.Load()
+// ledgeredStages are the switch stages the audit ledger records.
+var ledgeredStages = []telemetry.Stage{
+	telemetry.StageVerify, telemetry.StageVerifyFail, telemetry.StageEvidence,
+	telemetry.StageCacheHit, telemetry.StageCacheMiss, telemetry.StageCompose,
+	telemetry.StageSign, telemetry.StageGuardReject,
 }
 
 // SetAudit attaches the durable audit ledger: the same lifecycle events
@@ -373,24 +346,7 @@ func (s *Switch) tracer() *telemetry.FlowTracer {
 // tracer the debugging aid). A nil writer detaches.
 func (s *Switch) SetAudit(w *auditlog.Writer) {
 	s.aud.Store(w)
-}
-
-// audit returns the attached ledger writer, or nil.
-func (s *Switch) audit() *auditlog.Writer {
-	return s.aud.Load()
-}
-
-// flowIDOf derives the trace correlation ID visible at this stage: the
-// first nonce in the in-band chain (hex) when present — the same nonce
-// the appraiser side sees — falling back to the literal tag for
-// nonce-less traffic.
-func flowIDOf(hdr *Header) string {
-	if hdr != nil && hdr.Evidence != nil {
-		if ns := evidence.Nonces(hdr.Evidence); len(ns) > 0 {
-			return hex.EncodeToString(ns[0])
-		}
-	}
-	return "-"
+	s.planes.SetLedger(auditlog.Sink(w), ledgeredStages...)
 }
 
 // ReloadProgram swaps the dataplane program, re-measuring PCR 4 — the
@@ -450,20 +406,13 @@ func (s *Switch) Attest(nonce []byte, details ...evidence.Detail) (*evidence.Evi
 // rats trace-context field), so the challenge round trip and the
 // attester-side claim/sign work form one cross-process trace.
 func (s *Switch) AttestCtx(parent telemetry.SpanContext, nonce []byte, details ...evidence.Detail) (*evidence.Evidence, error) {
-	tr := s.tracer()
-	aud := s.audit()
+	rec := s.planes.Recorder()
 	flow := ""
-	if (tr != nil || aud != nil) && len(nonce) > 0 {
+	if rec.Detailed() && len(nonce) > 0 {
 		flow = hex.EncodeToString(nonce)
 	}
-	actx := tr.ChildContext(parent, flow)
-	var astart time.Time
-	if actx.Valid() {
-		astart = time.Now()
-	} else {
-		tr = nil // unsampled flow: keep stage timers unarmed
-	}
-	if aud != nil {
+	rec.Open(telemetry.StageEvent{Stage: telemetry.StageAttest, Flow: flow, Parent: parent})
+	if aud := s.aud.Load(); aud != nil {
 		names := make([]string, len(details))
 		for i, d := range details {
 			names[i] = d.String()
@@ -478,17 +427,14 @@ func (s *Switch) AttestCtx(parent telemetry.SpanContext, nonce []byte, details .
 		parts = append(parts, evidence.Nonce(nonce))
 	}
 	for _, d := range details {
-		m, err := s.claimEvidence(d, nil, flow, actx, tr, aud, nil)
+		m, err := s.claimEvidence(&rec, d, nil)
 		if err != nil {
 			return nil, err
 		}
 		parts = append(parts, m)
 	}
-	ev := evidence.SeqAll(parts...)
-	signed := s.signEvidence(ev, flow, actx, tr, aud, nil)
-	if actx.Valid() {
-		tr.RecordSpan(actx, parent, flow, s.name, telemetry.StageAttest, astart, time.Since(astart), "")
-	}
+	signed := s.signEvidence(&rec, evidence.SeqAll(parts...))
+	rec.Close(telemetry.StageEvent{})
 	return signed, nil
 }
 
@@ -512,11 +458,8 @@ func (s *Switch) claimTarget(d evidence.Detail) (string, error) {
 }
 
 // claimEvidence builds (or fetches from cache) the measurement node for
-// one detail level. flow/parent/tr/aud/sp carry the trace, audit and
-// hop-span context (zero/nil when off); recorded spans parent under
-// the hop or attest span.
-func (s *Switch) claimEvidence(d evidence.Detail, frame []byte, flow string, parent telemetry.SpanContext, tr *telemetry.FlowTracer, aud *auditlog.Writer, sp *HopSpan) (*evidence.Evidence, error) {
-	defer telemetry.ProfExit(s.met.profEvidence.Enter())
+// one detail level as one evidence, cache_hit or cache_miss stage.
+func (s *Switch) claimEvidence(rec *telemetry.StageRecorder, d evidence.Detail, frame []byte) (*evidence.Evidence, error) {
 	s.mu.RLock()
 	cache := s.cfg.Cache
 	s.mu.RUnlock()
@@ -543,40 +486,20 @@ func (s *Switch) claimEvidence(d evidence.Detail, frame []byte, flow string, par
 		}
 		return evidence.Measurement(s.name, tgt, s.name, d, val, claims), nil
 	}
+	m := rec.Begin(telemetry.StageEvidence)
+	stage := telemetry.StageEvidence
+	var ev *evidence.Evidence
 	if cache == nil {
-		start := s.met.start(tr, sp)
-		ev, err := build()
-		tr.RecordChild(parent, flow, s.name, telemetry.StageEvidence, start, elapsed(start), target)
-		if aud != nil {
-			aud.Emit(auditlog.Record{
-				Event: auditlog.EventEvidence, Place: s.name, Flow: flow,
-				Target: target, Detail: d.String(), DurNS: int64(elapsed(start)),
-			})
-		}
-		return ev, err
-	}
-	start := s.met.start(tr, sp)
-	ev, hit, err := cache.GetOrProduce(s.name, target, d, build)
-	if sp != nil {
-		if hit {
-			sp.CacheHits++
-		} else {
-			sp.CacheMisses++
-		}
-	}
-	if tr != nil || aud != nil {
-		stage := telemetry.StageCacheMiss
+		ev, err = build()
+	} else {
+		var hit bool
+		ev, hit, err = cache.GetOrProduce(s.name, target, d, build)
+		stage = telemetry.StageCacheMiss
 		if hit {
 			stage = telemetry.StageCacheHit
 		}
-		tr.RecordChild(parent, flow, s.name, stage, start, elapsed(start), target)
-		if aud != nil {
-			aud.Emit(auditlog.Record{
-				Event: auditlog.Event(stage), Place: s.name, Flow: flow,
-				Target: target, Detail: d.String(), DurNS: int64(elapsed(start)),
-			})
-		}
 	}
+	rec.End(m, telemetry.StageEvent{Stage: stage, Target: target, Detail: d.String()})
 	return ev, err
 }
 
@@ -597,40 +520,29 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 	inst := s.inst
 	s.mu.RUnlock()
 	s.met.packets.Inc()
-	tr := s.tracer()
-	aud := s.audit()
+	rec := s.planes.Recorder()
 
 	var hdr *Header
 	var sp *HopSpan
 	var spanStart time.Time
-	var hopCtx telemetry.SpanContext // parent of this hop's stage spans
-	var hopStart time.Time
 	evBefore := 0
 	inner := frame
-	flow := ""
 	if cfg.InBand && HasHeader(frame) {
 		h, rest, err := Pop(frame)
 		if err != nil {
 			return nil, err
 		}
 		hdr, inner = h, rest
-		if tr != nil || aud != nil || cfg.Spans.Enabled {
-			flow = flowIDOf(hdr)
+		flow := ""
+		if rec.Detailed() || cfg.Spans.Enabled {
+			flow = FlowID(hdr)
 		}
-		if hopCtx = tr.NewContext(flow); hopCtx.Valid() {
-			hopStart = time.Now()
-		} else {
-			// Unsampled flow: drop the local tracer reference so the
-			// stage timers below stay unarmed — every tr.Record* call
-			// would be a no-op with an invalid context anyway, and this
-			// keeps the per-packet cost of an attached tracer confined
-			// to the sampled fraction.
-			tr = nil
-		}
+		rec.Open(telemetry.StageEvent{Stage: telemetry.StageHop, Flow: flow})
 		if cfg.Spans.Enabled && cfg.Spans.Sampled(flow) {
 			sp = &HopSpan{Place: s.name}
 			spanStart = time.Now()
 			evBefore = evidence.EncodedSize(hdr.Evidence)
+			rec.Tally() // sp reads this hop's stages off the recorder
 		}
 		// The Verify half of the Sign/Verify stage (Fig. 3): inspect the
 		// incoming chain before doing any work on its behalf; a frame
@@ -638,8 +550,7 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 		// tampering cannot ride further along the path.
 		if cfg.VerifyIncoming != nil {
 			s.met.verifyOps.Inc()
-			start := s.met.start(tr, sp)
-			ventered := s.met.profVerify.Enter()
+			m := rec.Begin(telemetry.StageVerify)
 			var err error
 			if cfg.VerifyMemo != nil {
 				// Batch path: gather the chain's signatures, settle them
@@ -653,37 +564,18 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 			} else {
 				_, err = evidence.VerifySignaturesMemo(hdr.Evidence, cfg.VerifyIncoming, nil)
 			}
-			telemetry.ProfExit(ventered)
-			s.met.verifySeconds.ObserveSinceExemplar(start, hopCtx.TraceID)
 			if err != nil {
 				s.met.verifyFails.Inc()
-				tr.RecordChild(hopCtx, flow, s.name, telemetry.StageVerifyFail, start, elapsed(start), err.Error())
-				if aud != nil {
-					aud.Emit(auditlog.Record{
-						Event: auditlog.EventVerifyFail, Place: s.name, Flow: flow,
-						DurNS: int64(elapsed(start)), Note: err.Error(),
-						Prov: &auditlog.Provenance{
-							Clause: "Khop |> attest(n) X -> !", Stage: "signature",
-							Accept: false, Reason: err.Error(),
-						},
-					})
-				}
-				if hopCtx.Valid() {
-					tr.RecordSpan(hopCtx, telemetry.SpanContext{}, flow, s.name, telemetry.StageHop, hopStart, time.Since(hopStart), "dropped")
-				}
+				rec.End(m, telemetry.StageEvent{
+					Stage: telemetry.StageVerifyFail, Note: err.Error(),
+					Prov: telemetry.Provenance{
+						Clause: "Khop |> attest(n) X -> !", Stage: "signature", Reason: err.Error(),
+					},
+				})
+				rec.Close(telemetry.StageEvent{Note: "dropped"})
 				return nil, nil
 			}
-			if sp != nil {
-				sp.VerifyNS = uint64(elapsed(start))
-				sp.Flags |= SpanVerified
-			}
-			tr.RecordChild(hopCtx, flow, s.name, telemetry.StageVerify, start, elapsed(start), "")
-			if aud != nil {
-				aud.Emit(auditlog.Record{
-					Event: auditlog.EventVerify, Place: s.name, Flow: flow,
-					DurNS: int64(elapsed(start)),
-				})
-			}
+			rec.End(m, telemetry.StageEvent{})
 		}
 	}
 
@@ -700,34 +592,29 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 	// first, then the policy's precomputed per-place index — instead of
 	// concatenating them into a fresh slice per packet.
 	pkt := outs[0].Packet
-	if (tr != nil || aud != nil) && flow == "" {
-		flow = strconv.FormatUint(pkt.FlowHash(), 16)
-		if hopCtx = tr.NewContext(flow); hopCtx.Valid() {
-			hopStart = time.Now()
-		} else {
-			tr = nil // unsampled flow: keep stage timers unarmed
-		}
+	if hdr == nil && rec.Detailed() {
+		rec.Open(telemetry.StageEvent{Stage: telemetry.StageHop, Flow: strconv.FormatUint(pkt.FlowHash(), 16)})
 	}
-	attested := false
+	var outcomes [obligationOutcomes]int
 	for i := range cfg.Standing {
 		o := &cfg.Standing[i]
 		if !o.AppliesAt(s.name) {
 			continue
 		}
-		did, err := s.applyObligation(o, &cfg, sink, pkt, inner, hdr, flow, hopCtx, tr, aud, sp)
+		out, err := s.applyObligation(&rec, o, &cfg, sink, pkt, inner, hdr)
 		if err != nil {
 			return nil, err
 		}
-		attested = attested || did
+		outcomes[out]++
 	}
 	if hdr != nil {
 		if idx, ok := hdr.Policy.forPlace(s.name); ok {
 			for _, i := range idx {
-				did, err := s.applyObligation(&hdr.Policy.Obls[i], &cfg, sink, pkt, inner, hdr, flow, hopCtx, tr, aud, sp)
+				out, err := s.applyObligation(&rec, &hdr.Policy.Obls[i], &cfg, sink, pkt, inner, hdr)
 				if err != nil {
 					return nil, err
 				}
-				attested = attested || did
+				outcomes[out]++
 			}
 		} else {
 			for i := range hdr.Policy.Obls {
@@ -735,25 +622,35 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 				if !o.AppliesAt(s.name) {
 					continue
 				}
-				did, err := s.applyObligation(o, &cfg, sink, pkt, inner, hdr, flow, hopCtx, tr, aud, sp)
+				out, err := s.applyObligation(&rec, o, &cfg, sink, pkt, inner, hdr)
 				if err != nil {
 					return nil, err
 				}
-				attested = attested || did
+				outcomes[out]++
 			}
 		}
 	}
+	attested := outcomes[obligationAttested] > 0
 	if attested {
 		s.met.attested.Inc()
-		if sp != nil {
-			sp.Flags |= SpanAttested
-		}
 	}
 
 	// Seal this hop's span into the header, budget permitting. EvBytes is
 	// the chain growth across the hop, TotalNS the whole-pipeline time —
 	// measured here so the span itself is the last thing the hop does.
-	if sp != nil && hdr != nil {
+	if sp != nil {
+		if attested {
+			sp.Flags |= SpanAttested
+		}
+		if rec.Count(telemetry.StageVerify) > 0 {
+			sp.Flags |= SpanVerified
+			sp.VerifyNS = uint64(rec.Total(telemetry.StageVerify))
+		}
+		sp.SignNS = uint64(rec.Total(telemetry.StageSign))
+		sp.CacheHits = uint16(rec.Count(telemetry.StageCacheHit))
+		sp.CacheMisses = uint16(rec.Count(telemetry.StageCacheMiss))
+		sp.GuardRejects = uint16(outcomes[obligationGuarded])
+		sp.SampleSkips = uint16(outcomes[obligationSkipped])
 		if grown := evidence.EncodedSize(hdr.Evidence) - evBefore; grown > 0 {
 			sp.EvBytes = uint32(grown)
 		}
@@ -782,11 +679,9 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 		}
 		emissions = append(emissions, netsim.Emission{Port: o.Port, Frame: data})
 	}
-	// The hop root span covers the whole pipeline and is recorded last,
-	// after its stage children, so the ring holds complete hops.
-	if hopCtx.Valid() {
-		tr.RecordSpan(hopCtx, telemetry.SpanContext{}, flow, s.name, telemetry.StageHop, hopStart, time.Since(hopStart), "")
-	}
+	// The hop span covers the whole pipeline and is recorded last, after
+	// its stage spans, so the ring holds complete hops.
+	rec.Close(telemetry.StageEvent{})
 	return emissions, nil
 }
 
@@ -794,36 +689,40 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 // lists) across the Verify stage's per-frame batch passes.
 var switchBatchPool = sync.Pool{New: func() any { return evidence.NewBatchVerifier(nil) }}
 
+// obligationOutcome is what one obligation did at this hop.
+type obligationOutcome uint8
+
+const (
+	obligationAttested obligationOutcome = iota // evidence produced
+	obligationGuarded                           // skipped by a failed ▶ test
+	obligationSkipped                           // skipped by the sampler
+	obligationOutcomes
+)
+
 // applyObligation runs one obligation against the current packet: guard
 // and sampling gates, evidence production, and in-band or out-of-band
-// emission. It reports whether evidence was actually produced.
-func (s *Switch) applyObligation(o *Obligation, cfg *Config, sink Sink, pkt *pisa.Packet, inner []byte, hdr *Header, flow string, parent telemetry.SpanContext, tr *telemetry.FlowTracer, aud *auditlog.Writer, sp *HopSpan) (bool, error) {
+// emission.
+func (s *Switch) applyObligation(rec *telemetry.StageRecorder, o *Obligation, cfg *Config, sink Sink, pkt *pisa.Packet, inner []byte, hdr *Header) (obligationOutcome, error) {
 	if !MatchAll(o.Guards, pkt) {
 		s.met.guardRejects.Inc()
-		if sp != nil {
-			sp.GuardRejects++
-		}
-		if aud != nil {
-			aud.Emit(auditlog.Record{
-				Event: auditlog.EventGuardReject, Place: s.name, Flow: flow,
-				Prov: &auditlog.Provenance{
+		if rec.Detailed() {
+			rec.Mark(telemetry.StageEvent{
+				Stage: telemetry.StageGuardReject,
+				Prov: telemetry.Provenance{
 					Clause: guardClause(o.Guards), Stage: "guard",
-					Accept: false, Reason: "NetKAT guard test failed; obligation skipped",
+					Reason: "NetKAT guard test failed; obligation skipped",
 				},
 			})
 		}
-		return false, nil
+		return obligationGuarded, nil
 	}
 	if !cfg.Sampler.Sample(pkt.FlowHash()) {
 		s.met.sampleSkips.Inc()
-		if sp != nil {
-			sp.SampleSkips++
-		}
-		return false, nil
+		return obligationSkipped, nil
 	}
-	ev, err := s.obligationEvidence(o, inner, hdr, flow, parent, tr, aud, sp)
+	ev, err := s.obligationEvidence(rec, o, inner, hdr)
 	if err != nil {
-		return false, err
+		return obligationAttested, err
 	}
 	switch {
 	case hdr != nil && cfg.Composition == evidence.Chained:
@@ -832,19 +731,17 @@ func (s *Switch) applyObligation(o *Obligation, cfg *Config, sink Sink, pkt *pis
 		// Pointwise (or no header to thread through): out-of-band.
 		s.emitOOB(sink, o.Appraiser, ev)
 	}
-	return true, nil
+	return obligationAttested, nil
 }
 
 // obligationEvidence builds the evidence one obligation demands,
-// composing with the header chain when chained. flow/parent/tr/aud/sp
-// carry the trace, audit and hop-span context ("" / zero / nil when
-// off).
-func (s *Switch) obligationEvidence(o *Obligation, frame []byte, hdr *Header, flow string, parent telemetry.SpanContext, tr *telemetry.FlowTracer, aud *auditlog.Writer, sp *HopSpan) (*evidence.Evidence, error) {
+// composing with the header chain when chained.
+func (s *Switch) obligationEvidence(rec *telemetry.StageRecorder, o *Obligation, frame []byte, hdr *Header) (*evidence.Evidence, error) {
 	// Obligations carry one claim in the common case; fold incrementally
 	// so no parts slice is materialized.
 	var local *evidence.Evidence
 	for i, d := range o.Claims {
-		m, err := s.claimEvidence(d, frame, flow, parent, tr, aud, sp)
+		m, err := s.claimEvidence(rec, d, frame)
 		if err != nil {
 			return nil, err
 		}
@@ -865,48 +762,28 @@ func (s *Switch) obligationEvidence(o *Obligation, frame []byte, hdr *Header, fl
 		// Thread the incoming chain through this hop: local evidence is
 		// sequenced after everything accumulated so far, and the switch
 		// signs the whole chain, committing to its position on the path.
-		centered := s.met.profCompose.Enter()
+		m := rec.Begin(telemetry.StageCompose)
 		composed := evidence.Seq(hdr.Evidence, local)
-		telemetry.ProfExit(centered)
-		tr.RecordChild(parent, flow, s.name, telemetry.StageCompose, time.Time{}, 0, "chained")
-		if aud != nil {
-			aud.Emit(auditlog.Record{
-				Event: auditlog.EventCompose, Place: s.name, Flow: flow, Note: "chained",
-			})
-		}
+		rec.End(m, telemetry.StageEvent{Note: "chained"})
 		if o.SignEvidence {
-			composed = s.signEvidence(composed, flow, parent, tr, aud, sp)
+			composed = s.signEvidence(rec, composed)
 		}
 		s.met.evidenceBytes.Add(uint64(evidence.EncodedSize(composed)))
 		return composed, nil
 	}
 	if o.SignEvidence {
-		local = s.signEvidence(local, flow, parent, tr, aud, sp)
+		local = s.signEvidence(rec, local)
 	}
 	s.met.evidenceBytes.Add(uint64(evidence.EncodedSize(local)))
 	return local, nil
 }
 
-// signEvidence is the instrumented Sign stage: one signature op counted,
-// timed into the sign histogram, traced for sampled flows and recorded
-// on the audit ledger.
-func (s *Switch) signEvidence(ev *evidence.Evidence, flow string, parent telemetry.SpanContext, tr *telemetry.FlowTracer, aud *auditlog.Writer, sp *HopSpan) *evidence.Evidence {
+// signEvidence is the Sign stage: one signature op counted and reported.
+func (s *Switch) signEvidence(rec *telemetry.StageRecorder, ev *evidence.Evidence) *evidence.Evidence {
 	s.met.signOps.Inc()
-	start := s.met.start(tr, sp)
-	sentered := s.met.profSign.Enter()
+	m := rec.Begin(telemetry.StageSign)
 	signed := evidence.Sign(s.currentSigner(), ev)
-	telemetry.ProfExit(sentered)
-	s.met.signSeconds.ObserveSinceExemplar(start, parent.TraceID)
-	if sp != nil {
-		sp.SignNS += uint64(elapsed(start))
-	}
-	tr.RecordChild(parent, flow, s.name, telemetry.StageSign, start, elapsed(start), "")
-	if aud != nil {
-		aud.Emit(auditlog.Record{
-			Event: auditlog.EventSign, Place: s.name, Flow: flow,
-			DurNS: int64(elapsed(start)),
-		})
-	}
+	rec.End(m, telemetry.StageEvent{})
 	return signed
 }
 

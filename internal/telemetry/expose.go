@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"time"
 )
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
@@ -224,6 +225,16 @@ func Handler(reg *Registry, tracer *FlowTracer, extras ...Endpoint) http.Handler
 	return mux
 }
 
+// A telemetry server bounds how long a client may take to send its
+// request header and how long an idle keep-alive connection is held, so
+// a client that never finishes a request cannot pin a goroutine and a
+// socket. There is no write timeout: /debug/pprof/profile?seconds=N
+// streams its response for N seconds.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
 // Server is a live telemetry endpoint.
 type Server struct {
 	ln  net.Listener
@@ -238,7 +249,11 @@ func Serve(addr string, reg *Registry, tracer *FlowTracer, extras ...Endpoint) (
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: Handler(reg, tracer, extras...)}}
+	s := &Server{ln: ln, srv: &http.Server{
+		Handler:           Handler(reg, tracer, extras...),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}}
 	go s.srv.Serve(ln)
 	return s, nil
 }

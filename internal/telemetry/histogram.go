@@ -130,14 +130,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	}
 }
 
-// ObserveSinceExemplar is ObserveSince with an exemplar trace ID.
-func (h *Histogram) ObserveSinceExemplar(start time.Time, traceID string) {
-	if h == nil || start.IsZero() {
-		return
-	}
-	h.ObserveExemplar(time.Since(start).Seconds(), traceID)
-}
-
 // BucketCount is one histogram bucket in a snapshot. Count is the number
 // of observations <= UpperBound (cumulative, Prometheus-style).
 type BucketCount struct {

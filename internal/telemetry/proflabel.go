@@ -8,11 +8,10 @@ import (
 
 // Profiling label plumbing: the continuous profiler (internal/profiler)
 // attributes CPU samples to RATS stages by reading pprof goroutine
-// labels off the decoded profile. The hot-path components stamp those
-// labels through ProfRegion values precomputed at construction, and the
-// stamping itself is gated on one global armed flag so a process that
-// never turns the profiler on pays a single atomic load per region —
-// the same discipline as the tracer-off fast path.
+// labels off the decoded profile. The stage seam (stage.go) stamps those
+// labels through ProfRegion values precomputed when a component's Planes
+// is initialised, and the stamping itself is gated on one global armed
+// flag, which a StageRecorder samples once when it is created.
 //
 // The helpers live here (not in internal/profiler) deliberately:
 // telemetry imports nothing internal, so pera/appraiser/evidence can
@@ -26,8 +25,7 @@ const (
 )
 
 // profArmed gates every ProfRegion.Enter. Flipped by the profiler's
-// Start/Close (via ArmProfiling); off by default, so the packet path of
-// an unprofiled process costs one atomic load and a branch per region.
+// Start/Close (via ArmProfiling); off by default.
 var profArmed atomic.Bool
 
 // ArmProfiling turns stage-label stamping on or off process-wide. The

@@ -31,6 +31,8 @@ const (
 	StageAppraisal  Stage = "appraisal"   // relying party's appraise round trip
 	StageProbe      Stage = "probe"       // freshness re-attestation probe (full loop)
 	StageBatchFlush Stage = "batch_flush" // shared batch-verify window flush (link target)
+
+	StageGuardReject Stage = "guard_reject" // obligation skipped by a failed ▶ test (a point: no span)
 )
 
 // Span is one recorded pipeline step. Flow correlation (nonce hex or
