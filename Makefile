@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet perabench-test bench bench-quick bench-throughput telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke cover fmt clean
+.PHONY: all build test race vet perabench-test fuzz bench bench-quick bench-throughput telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke cover fmt clean
 
 all: build test race vet
 
@@ -57,6 +57,15 @@ vet:
 # builds it; vet and race-test it in place.
 perabench-test:
 	cd perabench && $(GO) vet . && $(GO) test -race .
+
+# Native fuzz targets, one after another, FUZZTIME each: the RATS wire
+# decoder, the PERA header pop, and the policy parser. Their seeds
+# already run as plain tests under `go test`.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rats
+	$(GO) test -run '^$$' -fuzz '^FuzzPop$$' -fuzztime $(FUZZTIME) ./internal/pera
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/copland
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

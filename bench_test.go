@@ -15,6 +15,7 @@ import (
 
 	"pera/internal/appraiser"
 	"pera/internal/auditlog"
+	"pera/internal/copland"
 	"pera/internal/evidence"
 	"pera/internal/fleetscope"
 	"pera/internal/freshness"
@@ -108,7 +109,7 @@ func BenchmarkTable1_AP2_ScanPacket(b *testing.B) {
 // BenchmarkTable1_AP3_Compile measures AP3's backtracking binder over a
 // 7-element path with a non-RA gap.
 func BenchmarkTable1_AP3_Compile(b *testing.B) {
-	pol, err := nac.ParsePolicy(nac.AP3)
+	pol, err := copland.ParsePolicy(nac.AP3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -860,7 +861,7 @@ func BenchmarkAblation_SamplerModes(b *testing.B) {
 // growing path lengths (the binder is a backtracking matcher; paths in
 // deployments are short, but the curve matters).
 func BenchmarkAblation_PolicyCompile(b *testing.B) {
-	pol, err := nac.ParsePolicy(nac.AP1)
+	pol, err := copland.ParsePolicy(nac.AP1)
 	if err != nil {
 		b.Fatal(err)
 	}

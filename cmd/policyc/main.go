@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"pera/internal/copland"
@@ -158,7 +159,7 @@ func parsePath(spec string) []nac.PathHop {
 }
 
 func compileNAC(src, pathSpec string) {
-	pol, err := nac.ParsePolicy(src)
+	pol, err := copland.ParsePolicy(src)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -189,8 +190,13 @@ func compileNAC(src, pathSpec string) {
 		fatal("compile: %v", err)
 	}
 	fmt.Printf("bindings:\n")
-	for v, b := range compiled.Bindings {
-		fmt.Printf("  %s -> %s\n", v, b)
+	vars := make([]string, 0, len(compiled.Bindings))
+	for v := range compiled.Bindings {
+		vars = append(vars, v)
+	}
+	sort.Strings(vars)
+	for _, v := range vars {
+		fmt.Printf("  %s -> %s\n", v, compiled.Bindings[v])
 	}
 	fmt.Printf("obligations (%d):\n", len(compiled.Policy.Obls))
 	for i, o := range compiled.Policy.Obls {

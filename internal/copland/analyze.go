@@ -156,6 +156,10 @@ func (c *collector) walk(place string, t Term) []int {
 		return append(ids, id)
 	case *At:
 		return c.walk(n.Place, n.Body)
+	case *Guard:
+		// A guard decides whether its body runs, not the order of the
+		// body's events.
+		return c.walk(place, n.Body)
 	case *LSeq:
 		l := c.walk(place, n.L)
 		r := c.walk(place, n.R)

@@ -1,6 +1,9 @@
 package copland
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // These tests reproduce the paper's §4.2 narrative: expression (1), with
 // parallel composition, is vulnerable to the bmon repair attack; the
@@ -27,31 +30,40 @@ func findingFor(r *Report, agent string) (Finding, bool) {
 	return Finding{}, false
 }
 
+// guarded wraps a `*bank: ...` request's body in a guard. A guard decides
+// whether a phrase runs, not the order of its events, so it must leave
+// every finding as it was.
+func guarded(src string) string { return strings.Replace(src, ": ", ": Kbank |> ", 1) }
+
 func TestAnalyzeExpr1Vulnerable(t *testing.T) {
-	rep := analyzeBody(t, expr1)
-	f, ok := findingFor(rep, "bmon")
-	if !ok {
-		t.Fatalf("no finding for bmon: %v", rep.Findings)
-	}
-	if f.Status != StatusVulnerable {
-		t.Fatalf("expression (1) should be vulnerable, got %v", f)
-	}
-	if !rep.Vulnerable() {
-		t.Fatal("report not flagged vulnerable")
+	for _, src := range []string{expr1, guarded(expr1)} {
+		rep := analyzeBody(t, src)
+		f, ok := findingFor(rep, "bmon")
+		if !ok {
+			t.Fatalf("%s: no finding for bmon: %v", src, rep.Findings)
+		}
+		if f.Status != StatusVulnerable {
+			t.Fatalf("%s: expression (1) should be vulnerable, got %v", src, f)
+		}
+		if !rep.Vulnerable() {
+			t.Fatalf("%s: report not flagged vulnerable", src)
+		}
 	}
 }
 
 func TestAnalyzeExpr2Protected(t *testing.T) {
-	rep := analyzeBody(t, expr2)
-	f, ok := findingFor(rep, "bmon")
-	if !ok {
-		t.Fatalf("no finding for bmon: %v", rep.Findings)
-	}
-	if f.Status != StatusProtected {
-		t.Fatalf("expression (2) should be protected, got %v", f)
-	}
-	if rep.Vulnerable() {
-		t.Fatalf("report flagged vulnerable: %v", rep.Findings)
+	for _, src := range []string{expr2, guarded(expr2)} {
+		rep := analyzeBody(t, src)
+		f, ok := findingFor(rep, "bmon")
+		if !ok {
+			t.Fatalf("%s: no finding for bmon: %v", src, rep.Findings)
+		}
+		if f.Status != StatusProtected {
+			t.Fatalf("%s: expression (2) should be protected, got %v", src, f)
+		}
+		if rep.Vulnerable() {
+			t.Fatalf("%s: report flagged vulnerable: %v", src, rep.Findings)
+		}
 	}
 }
 

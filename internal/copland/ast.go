@@ -9,11 +9,14 @@
 //
 //	*bank<n>: @ks [av us bmon -> !] -<- @us [bmon us exts -> !]
 //
-//	term   := branch
-//	branch := linear (FLAG ('<'|'~') FLAG linear)*      left-assoc
-//	linear := unary ('->' unary)*                        left-assoc
-//	unary  := '@' place '[' term ']' | '(' term ')' | asp
-//	asp    := '!' | '#' | '_' | NAME ['(' inner ')'] [NAME [NAME]]
+//	policy  := header ('forall' NAME (',' NAME)* ':')? term ('*=>' term)*
+//	request := header term
+//	header  := '*' NAME ('<' NAME (',' NAME)* '>' | (',' NAME)+)? ':'
+//	term    := branch
+//	branch  := linear (FLAG ('<'|'~') FLAG linear)*      left-assoc
+//	linear  := unary ('->' unary)*                        left-assoc
+//	unary   := '@' place '[' term ']' | '(' term ')' | NAME '|>' term | asp
+//	asp     := '!' | '#' | '_' | NAME ['(' inner ')'] [NAME [NAME]]
 //
 // where FLAG is '+' or '-', `-<-` is sequential branching and `-~-`
 // parallel branching with evidence-splitting flags, `->` pipes evidence,
@@ -21,6 +24,17 @@
 // measurer av measuring target bmon at place us; `attest(n) X` passes the
 // parameter n and measures target X; `attest(Hardware -~- Program)` runs
 // the parenthesized subterm and applies attest to its evidence.
+//
+// The paper's network-aware extensions (§5.1, Table 1) share this
+// grammar. `K |> term` (NetKAT's test prefix) runs term only where test
+// K holds; its body extends as far right as a term does. A Policy binds
+// place variables with `forall`, so it need not name concrete switches,
+// and joins path segments with `*=>` (NetKAT's Kleene star): the segment
+// to its left holds for zero or more hops. `forall` is the binder only
+// when NAME and then ',' or ':' follow it; anywhere else it is an
+// ordinary name. Guards and variables are resolved against a concrete
+// network by internal/nac; the VM refuses an unresolved guard, and
+// Analyze looks through guards.
 package copland
 
 import (
@@ -89,11 +103,18 @@ type BPar struct {
 	L, R         Term
 }
 
-func (*ASP) isTerm()  {}
-func (*At) isTerm()   {}
-func (*LSeq) isTerm() {}
-func (*BSeq) isTerm() {}
-func (*BPar) isTerm() {}
+// Guard is the `|>` operator: Body runs only where test Test holds.
+type Guard struct {
+	Test string
+	Body Term
+}
+
+func (*ASP) isTerm()   {}
+func (*At) isTerm()    {}
+func (*LSeq) isTerm()  {}
+func (*BSeq) isTerm()  {}
+func (*BPar) isTerm()  {}
+func (*Guard) isTerm() {}
 
 func (a *ASP) String() string {
 	var b strings.Builder
@@ -124,11 +145,13 @@ func (p *BPar) String() string {
 	return fmt.Sprintf("%s %s~%s %s", wrap(p.L), p.LFlag, p.RFlag, wrap(p.R))
 }
 
+func (g *Guard) String() string { return fmt.Sprintf("%s |> %s", g.Test, wrap(g.Body)) }
+
 // wrap parenthesizes composite subterms so String output re-parses to the
 // same tree.
 func wrap(t Term) string {
 	switch t.(type) {
-	case *LSeq, *BSeq, *BPar:
+	case *LSeq, *BSeq, *BPar, *Guard:
 		return "(" + t.String() + ")"
 	default:
 		return t.String()
@@ -144,15 +167,41 @@ type Request struct {
 	Body         Term
 }
 
-func (r *Request) String() string {
+func (r *Request) String() string { return renderHeader(r.RelyingParty, r.Params) + r.Body.String() }
+
+// Policy is a network-aware top-level phrase: a request whose
+// forall-bound place variables Vars stand for path elements, and whose
+// path segments are joined by `*=>`. Segment i *=> segment i+1 means:
+// segment i holds across zero or more hops, after which segment i+1's
+// pattern continues.
+type Policy struct {
+	RelyingParty string
+	Params       []string
+	Vars         []string
+	Segments     []Term
+}
+
+func (p *Policy) String() string {
 	var b strings.Builder
-	b.WriteString("*")
-	b.WriteString(r.RelyingParty)
-	if len(r.Params) > 0 {
-		fmt.Fprintf(&b, "<%s>", strings.Join(r.Params, ", "))
+	b.WriteString(renderHeader(p.RelyingParty, p.Params))
+	if len(p.Vars) > 0 {
+		fmt.Fprintf(&b, "forall %s: ", strings.Join(p.Vars, ", "))
 	}
-	fmt.Fprintf(&b, ": %s", r.Body)
+	for i, s := range p.Segments {
+		if i > 0 {
+			b.WriteString(" *=> ")
+		}
+		b.WriteString(wrap(s))
+	}
 	return b.String()
+}
+
+// renderHeader renders the `*RP<params>: ` prefix of Request and Policy.
+func renderHeader(rp string, params []string) string {
+	if len(params) == 0 {
+		return "*" + rp + ": "
+	}
+	return fmt.Sprintf("*%s<%s>: ", rp, strings.Join(params, ", "))
 }
 
 // Sig returns the built-in signature ASP.
@@ -181,6 +230,8 @@ func Walk(t Term, visit func(Term) bool) {
 			Walk(n.SubTerm, visit)
 		}
 	case *At:
+		Walk(n.Body, visit)
+	case *Guard:
 		Walk(n.Body, visit)
 	case *LSeq:
 		Walk(n.L, visit)

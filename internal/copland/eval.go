@@ -220,6 +220,10 @@ func (v *vm) eval(place string, t Term, e *evidence.Evidence) (*evidence.Evidenc
 		return evidence.Seq(l, r), nil
 	case *BPar:
 		return v.evalPar(place, n, e)
+	case *Guard:
+		// Tests are resolved against a concrete network (internal/nac)
+		// before execution; the VM cannot decide one.
+		return nil, fmt.Errorf("copland: unresolved guard %q", n.Test)
 	default:
 		return nil, fmt.Errorf("copland: unknown term %T", t)
 	}

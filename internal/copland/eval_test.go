@@ -253,6 +253,14 @@ func TestEvalErrors(t *testing.T) {
 	if _, err := ExecTerm(env, "bank", bseq, evidence.Empty(), nil); err == nil {
 		t.Fatal("error swallowed by <")
 	}
+	// Only a binder can decide a guard's test: the VM refuses an
+	// unresolved one and never runs its body.
+	ran := false
+	bare.Handle("tripwire", func(*Call) (*evidence.Evidence, error) { ran = true; return evidence.Empty(), nil })
+	guard, _ := Parse(`K |> tripwire`)
+	if _, err := ExecTerm(env, "bare", guard, evidence.Empty(), nil); err == nil || ran {
+		t.Fatalf("unresolved guard: err %v, body ran %v", err, ran)
+	}
 }
 
 func TestEvalTraceOrder(t *testing.T) {

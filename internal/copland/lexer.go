@@ -13,23 +13,25 @@ type tokKind uint8
 const (
 	tokEOF tokKind = iota
 	tokIdent
-	tokStar   // *
-	tokColon  // :
-	tokComma  // ,
-	tokAt     // @
-	tokLBrack // [
-	tokRBrack // ]
-	tokLParen // (
-	tokRParen // )
-	tokArrow  // ->
-	tokPlus   // +
-	tokMinus  // -
-	tokLess   // <
-	tokTilde  // ~
-	tokGT     // >
-	tokBang   // !
-	tokHash   // #
-	tokUnder  // _
+	tokStar      // *
+	tokColon     // :
+	tokComma     // ,
+	tokAt        // @
+	tokLBrack    // [
+	tokRBrack    // ]
+	tokLParen    // (
+	tokRParen    // )
+	tokArrow     // ->
+	tokPlus      // +
+	tokMinus     // -
+	tokLess      // <
+	tokTilde     // ~
+	tokGT        // >
+	tokBang      // !
+	tokHash      // #
+	tokUnder     // _
+	tokGuard     // |>
+	tokStarArrow // *=>
 )
 
 var tokNames = map[tokKind]string{
@@ -38,6 +40,7 @@ var tokNames = map[tokKind]string{
 	tokRBrack: "']'", tokLParen: "'('", tokRParen: "')'", tokArrow: "'->'",
 	tokPlus: "'+'", tokMinus: "'-'", tokLess: "'<'", tokTilde: "'~'",
 	tokGT: "'>'", tokBang: "'!'", tokHash: "'#'", tokUnder: "'_'",
+	tokGuard: "'|>'", tokStarArrow: "'*=>'",
 }
 
 func (k tokKind) String() string {
@@ -92,14 +95,15 @@ func lex(input string) ([]token, error) {
 			for i < len(input) && input[i] != '\n' {
 				i++
 			}
-		case r == '-':
-			if strings.HasPrefix(input[i:], "->") {
-				toks = append(toks, token{tokArrow, "->", i})
-				i += 2
-			} else {
-				toks = append(toks, token{tokMinus, "-", i})
-				i++
-			}
+		case strings.HasPrefix(input[i:], "->"):
+			toks = append(toks, token{tokArrow, "->", i})
+			i += 2
+		case strings.HasPrefix(input[i:], "|>"):
+			toks = append(toks, token{tokGuard, "|>", i})
+			i += 2
+		case strings.HasPrefix(input[i:], "*=>"):
+			toks = append(toks, token{tokStarArrow, "*=>", i})
+			i += 3
 		case isIdentStart(r):
 			j := i + w
 			for j < len(input) {
@@ -132,6 +136,8 @@ func lex(input string) ([]token, error) {
 				k = tokRParen
 			case '+':
 				k = tokPlus
+			case '-':
+				k = tokMinus
 			case '<':
 				k = tokLess
 			case '~':

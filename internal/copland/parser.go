@@ -1,38 +1,69 @@
 package copland
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Parse parses a single Copland term.
-func Parse(input string) (Term, error) {
-	p, err := newParser(input)
-	if err != nil {
-		return nil, err
-	}
-	t, err := p.term()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(tokEOF); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
+func Parse(input string) (Term, error) { return parseAll(input, (*parser).term) }
 
 // ParseRequest parses a top-level `*RP<params>: term` phrase. Parameters
 // may also be given in the paper's comma style, `*RP, n: term`.
-func ParseRequest(input string) (*Request, error) {
+func ParseRequest(input string) (*Request, error) { return parseAll(input, (*parser).request) }
+
+// parseMemo caches successfully parsed policies by source text. The
+// shipped policies (AP1..AP3) are constants re-parsed on every compile —
+// per-testbed in the throughput harness — and lexing dominated the parse
+// cost. Parsed ASTs are never mutated (nac.Compile only reads them), so
+// returning the shared *Policy is safe; the cache is bounded and dropped
+// wholesale if arbitrary inputs ever push it past the cap.
+var parseMemo struct {
+	sync.Mutex
+	m map[string]*Policy
+}
+
+const parseMemoCap = 64
+
+// ParsePolicy parses a top-level network-aware policy,
+// `*RP<params>: forall vars: segment *=> segment ...`. The returned
+// Policy may be shared across calls with the same input; callers must
+// treat it as immutable.
+func ParsePolicy(input string) (*Policy, error) {
+	parseMemo.Lock()
+	pol, ok := parseMemo.m[input]
+	parseMemo.Unlock()
+	if ok {
+		return pol, nil
+	}
+	pol, err := parseAll(input, (*parser).policy)
+	if err != nil {
+		return nil, err
+	}
+	parseMemo.Lock()
+	if parseMemo.m == nil || len(parseMemo.m) >= parseMemoCap {
+		parseMemo.m = make(map[string]*Policy, 8)
+	}
+	parseMemo.m[input] = pol
+	parseMemo.Unlock()
+	return pol, nil
+}
+
+// parseAll parses all of input with rule.
+func parseAll[T any](input string, rule func(*parser) (T, error)) (T, error) {
+	var zero T
 	p, err := newParser(input)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	r, err := p.request()
+	v, err := rule(p)
+	if err == nil {
+		err = p.expect(tokEOF)
+	}
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	if err := p.expect(tokEOF); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return v, nil
 }
 
 type parser struct {
@@ -72,54 +103,94 @@ func (p *parser) ident() (string, error) {
 	return p.next().text, nil
 }
 
-// request := '*' IDENT params? ':' term
-// params  := '<' IDENT (',' IDENT)* '>'  |  (',' IDENT)+
-func (p *parser) request() (*Request, error) {
-	if err := p.expect(tokStar); err != nil {
-		return nil, err
+// lookahead returns the kind of the token i places past the current one.
+// Callers look only past tokens that are not EOF, which ends the stream.
+func (p *parser) lookahead(i int) tokKind { return p.toks[p.pos+i].kind }
+
+// names := IDENT (',' IDENT)*
+func (p *parser) names() ([]string, error) {
+	var out []string
+	for {
+		name, err := p.ident()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, name)
+		if !p.at(tokComma) {
+			return out, nil
+		}
+		p.next()
 	}
-	rp, err := p.ident()
-	if err != nil {
-		return nil, err
+}
+
+// header := '*' IDENT ('<' names '>' | ',' names)? ':'
+func (p *parser) header() (rp string, params []string, err error) {
+	if err = p.expect(tokStar); err != nil {
+		return "", nil, err
 	}
-	req := &Request{RelyingParty: rp}
+	if rp, err = p.ident(); err != nil {
+		return "", nil, err
+	}
 	switch {
 	case p.at(tokLess):
 		p.next()
-		for {
-			name, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			req.Params = append(req.Params, name)
-			if p.at(tokComma) {
-				p.next()
-				continue
-			}
-			break
-		}
-		if err := p.expect(tokGT); err != nil {
-			return nil, err
+		if params, err = p.names(); err == nil {
+			err = p.expect(tokGT)
 		}
 	case p.at(tokComma):
-		for p.at(tokComma) {
-			p.next()
-			name, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			req.Params = append(req.Params, name)
-		}
+		p.next()
+		params, err = p.names()
 	}
-	if err := p.expect(tokColon); err != nil {
+	if err == nil {
+		err = p.expect(tokColon)
+	}
+	return rp, params, err
+}
+
+// request := header term
+func (p *parser) request() (*Request, error) {
+	rp, params, err := p.header()
+	if err != nil {
 		return nil, err
 	}
 	body, err := p.term()
 	if err != nil {
 		return nil, err
 	}
-	req.Body = body
-	return req, nil
+	return &Request{RelyingParty: rp, Params: params, Body: body}, nil
+}
+
+// policy := header ('forall' names ':')? term ('*=>' term)*
+//
+// `forall` is the binder only when IDENT and then ',' or ':' follow it,
+// so a policy whose first segment is the ASP forall still re-parses.
+func (p *parser) policy() (*Policy, error) {
+	rp, params, err := p.header()
+	if err != nil {
+		return nil, err
+	}
+	pol := &Policy{RelyingParty: rp, Params: params}
+	if p.at(tokIdent) && p.peek().text == "forall" && p.lookahead(1) == tokIdent &&
+		(p.lookahead(2) == tokComma || p.lookahead(2) == tokColon) {
+		p.next()
+		if pol.Vars, err = p.names(); err != nil {
+			return nil, err
+		}
+		if err := p.expect(tokColon); err != nil {
+			return nil, err
+		}
+	}
+	for {
+		seg, err := p.term()
+		if err != nil {
+			return nil, err
+		}
+		pol.Segments = append(pol.Segments, seg)
+		if !p.at(tokStarArrow) {
+			return pol, nil
+		}
+		p.next()
+	}
 }
 
 // term := branch
@@ -185,7 +256,7 @@ func (p *parser) linear() (Term, error) {
 	return left, nil
 }
 
-// unary := '@' IDENT '[' term ']' | '(' term ')' | asp
+// unary := '@' IDENT '[' term ']' | '(' term ')' | IDENT '|>' term | asp
 func (p *parser) unary() (Term, error) {
 	switch p.peek().kind {
 	case tokAt:
@@ -215,6 +286,17 @@ func (p *parser) unary() (Term, error) {
 			return nil, err
 		}
 		return t, nil
+	case tokIdent:
+		if p.lookahead(1) != tokGuard {
+			return p.asp()
+		}
+		test := p.next().text
+		p.next() // |>
+		body, err := p.term()
+		if err != nil {
+			return nil, err
+		}
+		return &Guard{Test: test, Body: body}, nil
 	default:
 		return p.asp()
 	}

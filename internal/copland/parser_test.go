@@ -1,6 +1,7 @@
 package copland
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -229,11 +230,79 @@ func TestParseComments(t *testing.T) {
 	}
 }
 
+// A guard's body is a full term: it extends as far right as a term does,
+// also to the right of '->'. String parenthesizes what the parser grouped.
+func TestParseGuard(t *testing.T) {
+	for src, want := range map[string]string{
+		`K |> @p [attest(Hardware) -> !]`: `K |> @p [attest(Hardware) -> !]`,
+		`K |> a -> b`:                     `K |> (a -> b)`,
+		`K |> a -<- b -~- c`:              `K |> ((a -<- b) -~- c)`,
+		`a -> K |> b -> c`:                `a -> (K |> (b -> c))`,
+		`(K |> a) -> b`:                   `(K |> a) -> b`,
+		`f(K |> a) -> b`:                  `f(K |> a) -> b`,
+	} {
+		term, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if got := term.String(); got != want {
+			t.Errorf("%q parsed as %q, want %q", src, got, want)
+		}
+	}
+	term, _ := Parse(`K |> a`)
+	if g, ok := term.(*Guard); !ok || g.Test != "K" || g.Body.String() != "a" {
+		t.Fatalf("guard: %#v", term)
+	}
+}
+
+func TestParsePolicy(t *testing.T) {
+	pol, err := ParsePolicy(`*rp<n, X>: forall hop, c: (@hop [K |> attest(n) X -> !] -<+ @Appraiser [appraise]) *=> @c [!]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pol.RelyingParty != "rp" || strings.Join(pol.Params, ",") != "n,X" || strings.Join(pol.Vars, ",") != "hop,c" {
+		t.Fatalf("header: %+v", pol)
+	}
+	if len(pol.Segments) != 2 {
+		t.Fatalf("segments: %v", pol.Segments)
+	}
+	if _, ok := pol.Segments[0].(*BSeq); !ok {
+		t.Fatalf("segment 0 is %T, want *BSeq", pol.Segments[0])
+	}
+	if at, ok := pol.Segments[1].(*At); !ok || at.Place != "c" {
+		t.Fatalf("segment 1: %v", pol.Segments[1])
+	}
+	// The header is ParseRequest's, comma-style parameters included.
+	pol, err = ParsePolicy(`*rp, n: @p [!]`)
+	if err != nil || len(pol.Params) != 1 || len(pol.Vars) != 0 || len(pol.Segments) != 1 {
+		t.Fatalf("comma params: %+v, %v", pol, err)
+	}
+	// forall binds only before a name and then ',' or ':'; anywhere else
+	// it is an ordinary name, so each rendering re-parses to itself.
+	for src, want := range map[string]string{
+		`*x: (forall)`:           `*x: forall`,
+		`*x: (forall) *=> a`:     `*x: forall *=> a`,
+		`*x: forall p: forall q`: `*x: forall p: forall q`,
+	} {
+		pol, err := ParsePolicy(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if pol.String() != want {
+			t.Fatalf("%q renders as %q, want %q", src, pol, want)
+		}
+		again, err := ParsePolicy(want)
+		if err != nil || again.String() != want {
+			t.Fatalf("%q does not re-parse to itself: %v, %v", want, again, err)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		``, `@`, `@p`, `@p [`, `@p [a`, `(a`, `a ->`, `a -< b`, `a -<`,
 		`a -<* b`, `*: a`, `*rp a`, `*rp<: a`, `*rp<n: a`, `f(`, `f(a,`,
-		`a b c d`, `$`, `a -> )`,
+		`a b c d`, `$`, `a -> )`, `@p [a] trailing junk ~`,
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -242,16 +311,28 @@ func TestParseErrors(t *testing.T) {
 			}
 		}
 	}
+	badPolicies := []string{
+		``, `*`, `*x`, `*x:`, `*x: @p [`, `*x: forall : a`, `K |>`,
+		`*x: a *=>`, `*x<: a`, `$`, `*x: forall p q: a`, `*x: forall p, : a`,
+	}
+	for _, src := range badPolicies {
+		if _, err := ParsePolicy(src); err == nil {
+			t.Errorf("policy %q parsed", src)
+		}
+	}
 }
 
 func TestSyntaxErrorPosition(t *testing.T) {
 	_, err := Parse("a ->\n$")
-	se, ok := err.(*SyntaxError)
-	if !ok {
-		t.Fatalf("error type %T", err)
-	}
-	if !strings.Contains(se.Error(), "2:1") {
-		t.Fatalf("error lacks position: %v", se)
+	_, perr := ParsePolicy("*x:\n$")
+	for _, err := range []error{err, perr} {
+		se, ok := err.(*SyntaxError)
+		if !ok {
+			t.Fatalf("error type %T", err)
+		}
+		if !strings.Contains(se.Error(), "2:1") {
+			t.Fatalf("error lacks position: %v", se)
+		}
 	}
 }
 
@@ -283,6 +364,10 @@ func TestStringRoundTrip(t *testing.T) {
 		`*x: a -> (b -<- c) -> d`,
 		`*x: attest(Hardware -~- Program) -> # -> !`,
 		`*x: _ -> # -> !`,
+		`*x: check(n, X) p t`,
+		`*x: K |> a -> b`,
+		`*x: (K |> a) -> b -~- (L |> @p [m q t])`,
+		`*x: f(K |> a)`,
 	}
 	for _, src := range srcs {
 		req, err := ParseRequest(src)
@@ -300,18 +385,23 @@ func TestStringRoundTrip(t *testing.T) {
 }
 
 func TestPlaces(t *testing.T) {
-	req, err := ParseRequest(expr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Places(req.Body)
-	want := []string{"ks", "us"}
-	if len(got) != len(want) {
-		t.Fatalf("places: %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("places: %v, want %v", got, want)
+	for src, want := range map[string][]string{
+		expr2: {"ks", "us"},
+		// Walk, and so Places, goes through guards.
+		`*x: K |> @p [a q t] -> L |> @r [!]`: {"p", "q", "r"},
+	} {
+		req, err := ParseRequest(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Places(req.Body)
+		if len(got) != len(want) {
+			t.Fatalf("places: %v", got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("places: %v, want %v", got, want)
+			}
 		}
 	}
 }
@@ -345,7 +435,7 @@ func TestPropertyTermRoundTrip(t *testing.T) {
 		}
 		l := build(r/7, depth-1)
 		rr := build(r/13, depth-1)
-		switch r % 5 {
+		switch r % 7 {
 		case 0:
 			return &LSeq{L: l, R: rr}
 		case 1:
@@ -354,6 +444,10 @@ func TestPropertyTermRoundTrip(t *testing.T) {
 			return &BPar{LFlag: r&1 == 0, RFlag: r&2 == 0, L: l, R: rr}
 		case 3:
 			return &At{Place: places[r%4], Body: l}
+		case 4:
+			return &Guard{Test: places[r%4], Body: l}
+		case 5:
+			return &ASP{Name: names[r%5], Args: []string{places[r%4], names[(r>>3)%5]}, Target: names[(r>>6)%5]}
 		default:
 			return &ASP{Name: names[r%5], SubTerm: l}
 		}
@@ -369,5 +463,35 @@ func TestPropertyTermRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzParsePolicy feeds hostile input to the one policy front end.
+// Nothing may panic, and whenever Parse, ParseRequest or ParsePolicy
+// accepts an input, its String re-parses to the same String. The seed
+// corpus in testdata/fuzz/FuzzParsePolicy also runs under plain go test.
+func FuzzParsePolicy(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		reparses(t, Parse, src)
+		reparses(t, ParseRequest, src)
+		reparses(t, ParsePolicy, src)
+	})
+}
+
+// reparses checks that, if parse accepts src, the String of the result
+// parses again to the same String.
+func reparses[T fmt.Stringer](t *testing.T, parse func(string) (T, error), src string) {
+	t.Helper()
+	v, err := parse(src)
+	if err != nil {
+		return
+	}
+	s := v.String()
+	again, err := parse(s)
+	if err != nil {
+		t.Fatalf("%q parses, but its String %q does not: %v", src, s, err)
+	}
+	if got := again.String(); got != s {
+		t.Fatalf("%q: String %q re-parses as %q", src, s, got)
 	}
 }

@@ -191,6 +191,17 @@ func TestServeEnvRejects(t *testing.T) {
 	if h(&rats.Message{Type: rats.MsgExec, Claims: []string{"p", "_"}, Body: []byte{1}}).Type != rats.MsgError {
 		t.Fatal("garbage payload serviced")
 	}
+	// Parse accepts guards, so a remote guard must fail at execution; `_`
+	// alone runs at p.
+	payload := encodeExecPayload(nil, evidence.Empty())
+	if h(&rats.Message{Type: rats.MsgExec, Claims: []string{"p", "_"}, Body: payload}).Type != rats.MsgEvidence {
+		t.Fatal("copy refused")
+	}
+	for _, src := range []string{"K |> _", "K |> !"} {
+		if h(&rats.Message{Type: rats.MsgExec, Claims: []string{"p", src}, Body: payload}).Type != rats.MsgError {
+			t.Fatalf("unresolved guard %q serviced", src)
+		}
+	}
 }
 
 func TestExecPayloadRoundTrip(t *testing.T) {

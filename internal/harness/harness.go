@@ -12,6 +12,7 @@ import (
 
 	"pera/internal/appraiser"
 	"pera/internal/attester"
+	"pera/internal/copland"
 	"pera/internal/evidence"
 	"pera/internal/nac"
 	"pera/internal/p4ir"
@@ -113,7 +114,7 @@ func RunTable1() ([]Table1Row, error) {
 	// --- AP3: segment attestation with a non-RA gap. ---
 	{
 		row := Table1Row{Policy: "AP3"}
-		pol, err := nac.ParsePolicy(nac.AP3)
+		pol, err := copland.ParsePolicy(nac.AP3)
 		if err != nil {
 			return nil, fmt.Errorf("AP3: %w", err)
 		}

@@ -1,18 +1,15 @@
-package nac
-
-import (
-	"errors"
-	"fmt"
-
-	"pera/internal/copland"
-	"pera/internal/evidence"
-	"pera/internal/netsim"
-	"pera/internal/pera"
-)
-
-// Compilation: a parsed Policy is bound against a concrete forwarding
-// path (Prim1–Prim3 resolved), yielding per-hop PERA obligations, lowered
-// Copland terms for endpoint places, and the variable bindings chosen.
+// Package nac binds Network-Aware Copland policies — the paper's §5.1
+// hybrid of Copland and NetKAT, parsed by copland.ParsePolicy — to a
+// concrete network, and lowers them to what that network executes.
+//
+// Compile binds a policy against a forwarding path (PathFromNetwork
+// derives one from internal/netsim): `forall` variables bind to real
+// nodes, each `*=>` segment spans zero or more hops, and `K |>` guards
+// resolve through a TestRegistry. Per-hop phrases become pera.Obligations,
+// carried in the in-band header or installed out-of-band; endpoint phrases
+// are lowered to plain Copland, guards stripped and variables substituted,
+// for the copland VM to run on hosts. table1.go holds the paper's Table 1
+// policies.
 //
 // Binding semantics, matching the paper's Table 1 examples:
 //
@@ -29,6 +26,18 @@ import (
 //   - `K |>` guards resolve through a TestRegistry: place predicates are
 //     evaluated at bind time ("fail early"); packet predicates compile
 //     into the obligation's guard list and run per packet on the switch.
+package nac
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+
+	"pera/internal/copland"
+	"pera/internal/evidence"
+	"pera/internal/netsim"
+	"pera/internal/pera"
+)
 
 // TestSpec gives meaning to a guard test name.
 type TestSpec struct {
@@ -106,24 +115,24 @@ var serviceASPs = map[string]bool{
 // atom is one @place phrase extracted from a segment.
 type atom struct {
 	place   string
-	guard   string // test name guarding the phrase ("" = none)
-	body    Term   // the phrase inside @place [...]
-	service bool   // appraiser-service atom (not on the path)
+	guard   string       // test name guarding the phrase ("" = none)
+	body    copland.Term // the phrase inside @place [...]
+	service bool         // appraiser-service atom (not on the path)
 }
 
 // flatten extracts the ordered atoms of a segment. Segments must be
 // (possibly guarded) @place phrases composed with ->, -<-, or -~-.
-func flatten(t Term) ([]atom, error) {
+func flatten(t copland.Term) ([]atom, error) {
 	switch n := t.(type) {
-	case *At:
+	case *copland.At:
 		a := atom{place: n.Place, body: n.Body}
-		if g, ok := n.Body.(*Guard); ok {
+		if g, ok := n.Body.(*copland.Guard); ok {
 			a.guard = g.Test
 			a.body = g.Body
 		}
 		a.service = isServiceBody(a.body)
 		return []atom{a}, nil
-	case *Guard:
+	case *copland.Guard:
 		inner, err := flatten(n.Body)
 		if err != nil {
 			return nil, err
@@ -132,18 +141,18 @@ func flatten(t Term) ([]atom, error) {
 			inner[0].guard = n.Test
 		}
 		return inner, nil
-	case *LSeq:
+	case *copland.LSeq:
 		return flatten2(n.L, n.R)
-	case *BSeq:
+	case *copland.BSeq:
 		return flatten2(n.L, n.R)
-	case *BPar:
+	case *copland.BPar:
 		return flatten2(n.L, n.R)
 	default:
 		return nil, fmt.Errorf("%w: segment atom %T (%s)", ErrBadSegment, t, t)
 	}
 }
 
-func flatten2(l, r Term) ([]atom, error) {
+func flatten2(l, r copland.Term) ([]atom, error) {
 	la, err := flatten(l)
 	if err != nil {
 		return nil, err
@@ -157,13 +166,13 @@ func flatten2(l, r Term) ([]atom, error) {
 
 // isServiceBody reports whether a phrase is an appraiser-service action
 // chain (appraise -> store(n), retrieve(n), ...).
-func isServiceBody(t Term) bool {
+func isServiceBody(t copland.Term) bool {
 	switch n := t.(type) {
-	case *ASP:
+	case *copland.ASP:
 		return serviceASPs[n.Name]
-	case *LSeq:
+	case *copland.LSeq:
 		return isServiceBody(n.L)
-	case *Guard:
+	case *copland.Guard:
 		return isServiceBody(n.Body)
 	default:
 		return false
@@ -186,31 +195,31 @@ var errNotAttest = errors.New("nac: not an attest phrase")
 // `attest(args) target -> # -> !` (any subset of the #/! suffix). A bare
 // `!` body (AP3's @peer1 [Peer1 |> !]) yields an empty-claim signing
 // spec.
-func parseAttest(t Term, props map[string][]evidence.Detail) (*attestSpec, error) {
+func parseAttest(t copland.Term, props map[string][]evidence.Detail) (*attestSpec, error) {
 	return parseAttestQ(t, props, false)
 }
 
 // parseAttestQ is parseAttest with a quiet mode that returns the static
 // errNotAttest instead of formatted errors, for classification probes.
-func parseAttestQ(t Term, props map[string][]evidence.Detail, quiet bool) (*attestSpec, error) {
+func parseAttestQ(t copland.Term, props map[string][]evidence.Detail, quiet bool) (*attestSpec, error) {
 	spec := &attestSpec{}
-	var walk func(Term) error
-	walk = func(t Term) error {
+	var walk func(copland.Term) error
+	walk = func(t copland.Term) error {
 		switch n := t.(type) {
-		case *LSeq:
+		case *copland.LSeq:
 			if err := walk(n.L); err != nil {
 				return err
 			}
 			return walk(n.R)
-		case *ASP:
+		case *copland.ASP:
 			switch n.Name {
-			case "#":
+			case copland.HashName:
 				spec.hash = true
 				return nil
-			case "!":
+			case copland.SigName:
 				spec.sign = true
 				return nil
-			case "_":
+			case copland.CopyName:
 				return nil
 			case "attest":
 				names := append([]string(nil), n.Args...)
@@ -219,8 +228,8 @@ func parseAttestQ(t Term, props map[string][]evidence.Detail, quiet bool) (*atte
 				}
 				if n.SubTerm != nil {
 					// attest(Hardware -~- Program): collect ASP names.
-					Walk(n.SubTerm, func(s Term) bool {
-						if a, ok := s.(*ASP); ok {
+					copland.Walk(n.SubTerm, func(s copland.Term) bool {
+						if a, ok := s.(*copland.ASP); ok {
 							names = append(names, a.Name)
 						}
 						return true
@@ -288,7 +297,7 @@ type hostSrc struct {
 
 // binder holds matcher state (backtracking over small paths).
 type binder struct {
-	policy   *Policy
+	policy   *copland.Policy
 	path     []PathHop
 	reg      TestRegistry
 	segs     []segInfo
@@ -363,7 +372,7 @@ func (b *binder) match(segIdx, atomIdx, pathPos int) bool {
 		return b.match(segIdx+1, 0, pathPos)
 	}
 	a := seg.pathAtoms[atomIdx]
-	isVar := b.policy.IsVar(a.place)
+	isVar := slices.Contains(b.policy.Vars, a.place)
 	kind := bodyKind(a.body)
 	for pos := pathPos; pos < len(b.path); pos++ {
 		h := b.path[pos]
@@ -431,10 +440,10 @@ const (
 )
 
 // bodyKind classifies an atom body for capability matching.
-func bodyKind(t Term) int {
+func bodyKind(t copland.Term) int {
 	hasAttest := false
-	Walk(t, func(n Term) bool {
-		if a, ok := n.(*ASP); ok && a.Name == "attest" {
+	copland.Walk(t, func(n copland.Term) bool {
+		if a, ok := n.(*copland.ASP); ok && a.Name == "attest" {
 			hasAttest = true
 		}
 		return true
@@ -449,7 +458,7 @@ func bodyKind(t Term) int {
 }
 
 // Compile binds policy against path and produces the executable pieces.
-func Compile(policy *Policy, path []PathHop, reg TestRegistry, opts Options) (*Compiled, error) {
+func Compile(policy *copland.Policy, path []PathHop, reg TestRegistry, opts Options) (*Compiled, error) {
 	props := map[string][]evidence.Detail{}
 	for k, v := range opts.Properties {
 		props[k] = v
@@ -469,7 +478,7 @@ func Compile(policy *Policy, path []PathHop, reg TestRegistry, opts Options) (*C
 				si.pathAtoms = append(si.pathAtoms, a)
 			}
 		}
-		if i < len(policy.Segments)-1 && len(si.pathAtoms) == 1 && policy.IsVar(si.pathAtoms[0].place) {
+		if i < len(policy.Segments)-1 && len(si.pathAtoms) == 1 && slices.Contains(policy.Vars, si.pathAtoms[0].place) {
 			si.repeated = true
 			si.repVar = si.pathAtoms[0].place
 		}
@@ -502,12 +511,7 @@ func Compile(policy *Policy, path []PathHop, reg TestRegistry, opts Options) (*C
 		out.Policy.Obls = append(out.Policy.Obls, obl)
 	}
 	for _, h := range b.hosts {
-		body := substPlaces(stripGuards(h.atom.body), b.bindings)
-		ct, err := ToCopland(body)
-		if err != nil {
-			return nil, err
-		}
-		out.HostTerms = append(out.HostTerms, HostTerm{Place: h.place, Term: ct})
+		out.HostTerms = append(out.HostTerms, HostTerm{Place: h.place, Term: lower(h.atom.body, b.bindings)})
 	}
 	for k, v := range b.bindings {
 		out.Bindings[k] = v
@@ -523,27 +527,34 @@ func pathNames(path []PathHop) []string {
 	return out
 }
 
-// stripGuards removes Guard nodes (their place predicates were evaluated
-// at bind time; packet guards are meaningless on hosts).
-func stripGuards(t Term) Term {
+// lower turns a host phrase into plain Copland for the VM: guards are
+// stripped (their place predicates were evaluated at bind time; packet
+// guards are meaningless on hosts) and bound variables become places.
+func lower(t copland.Term, bind map[string]string) copland.Term {
 	switch n := t.(type) {
-	case *Guard:
-		return stripGuards(n.Body)
-	case *At:
-		return &At{Place: n.Place, Body: stripGuards(n.Body)}
-	case *LSeq:
-		return &LSeq{L: stripGuards(n.L), R: stripGuards(n.R)}
-	case *BSeq:
-		return &BSeq{LFlag: n.LFlag, RFlag: n.RFlag, L: stripGuards(n.L), R: stripGuards(n.R)}
-	case *BPar:
-		return &BPar{LFlag: n.LFlag, RFlag: n.RFlag, L: stripGuards(n.L), R: stripGuards(n.R)}
-	case *ASP:
-		if n.SubTerm != nil {
-			cp := *n
-			cp.SubTerm = stripGuards(n.SubTerm)
-			return &cp
+	case *copland.Guard:
+		return lower(n.Body, bind)
+	case *copland.ASP:
+		cp := *n
+		if v, ok := bind[cp.TargetPlace]; ok {
+			cp.TargetPlace = v
 		}
-		return n
+		if n.SubTerm != nil {
+			cp.SubTerm = lower(n.SubTerm, bind)
+		}
+		return &cp
+	case *copland.At:
+		place := n.Place
+		if v, ok := bind[place]; ok {
+			place = v
+		}
+		return &copland.At{Place: place, Body: lower(n.Body, bind)}
+	case *copland.LSeq:
+		return &copland.LSeq{L: lower(n.L, bind), R: lower(n.R, bind)}
+	case *copland.BSeq:
+		return &copland.BSeq{LFlag: n.LFlag, RFlag: n.RFlag, L: lower(n.L, bind), R: lower(n.R, bind)}
+	case *copland.BPar:
+		return &copland.BPar{LFlag: n.LFlag, RFlag: n.RFlag, L: lower(n.L, bind), R: lower(n.R, bind)}
 	default:
 		return t
 	}

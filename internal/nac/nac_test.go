@@ -11,7 +11,7 @@ import (
 )
 
 func TestParseAP1(t *testing.T) {
-	pol, err := ParsePolicy(AP1)
+	pol, err := copland.ParsePolicy(AP1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,38 +28,38 @@ func TestParseAP1(t *testing.T) {
 		t.Fatalf("segments: %d", len(pol.Segments))
 	}
 	// First segment: BSeq(@hop[...], @Appraiser[...]).
-	seq, ok := pol.Segments[0].(*BSeq)
+	seq, ok := pol.Segments[0].(*copland.BSeq)
 	if !ok {
 		t.Fatalf("segment 0: %T", pol.Segments[0])
 	}
-	hop, ok := seq.L.(*At)
+	hop, ok := seq.L.(*copland.At)
 	if !ok || hop.Place != "hop" {
 		t.Fatalf("hop atom: %v", seq.L)
 	}
-	g, ok := hop.Body.(*Guard)
+	g, ok := hop.Body.(*copland.Guard)
 	if !ok || g.Test != "Khop" {
 		t.Fatalf("guard: %v", hop.Body)
 	}
 	// Second segment: @client with Kclient guard over host Copland.
-	client, ok := pol.Segments[1].(*At)
+	client, ok := pol.Segments[1].(*copland.At)
 	if !ok || client.Place != "client" {
 		t.Fatalf("client atom: %v", pol.Segments[1])
 	}
-	cg, ok := client.Body.(*Guard)
+	cg, ok := client.Body.(*copland.Guard)
 	if !ok || cg.Test != "Kclient" {
 		t.Fatalf("client guard: %v", client.Body)
 	}
 }
 
 func TestParseAP2AndAP3(t *testing.T) {
-	p2, err := ParsePolicy(AP2)
+	p2, err := copland.ParsePolicy(AP2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p2.RelyingParty != "scanner" || len(p2.Segments) != 1 || len(p2.Vars) != 0 {
 		t.Fatalf("ap2: %+v", p2)
 	}
-	p3, err := ParsePolicy(AP3)
+	p3, err := copland.ParsePolicy(AP3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,90 +70,17 @@ func TestParseAP2AndAP3(t *testing.T) {
 
 func TestPolicyStringRoundTrip(t *testing.T) {
 	for _, src := range []string{AP1, AP2, AP3} {
-		pol, err := ParsePolicy(src)
+		pol, err := copland.ParsePolicy(src)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
-		again, err := ParsePolicy(pol.String())
+		again, err := copland.ParsePolicy(pol.String())
 		if err != nil {
 			t.Fatalf("re-parse %q: %v", pol.String(), err)
 		}
 		if pol.String() != again.String() {
 			t.Fatalf("round trip:\n1: %s\n2: %s", pol, again)
 		}
-	}
-}
-
-func TestParseTermGuardsAndOperators(t *testing.T) {
-	term, err := ParseTerm(`K |> @p [attest(Hardware) -> !]`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, ok := term.(*Guard)
-	if !ok || g.Test != "K" {
-		t.Fatalf("term: %v", term)
-	}
-	// Guard binds tighter than ->? No: guard body is a full term.
-	term, err = ParseTerm(`K |> a -> b`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, ok := term.(*Guard); !ok {
-		t.Fatalf("got %T", term)
-	} else if _, ok := g.Body.(*LSeq); !ok {
-		t.Fatalf("guard body: %T", g.Body)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	bad := []string{
-		``, `*`, `*x`, `*x:`, `*x: @p [`, `*x: forall : a`, `K |>`,
-		`*x: a *=>`, `*x<: a`, `$`, `*x: forall p q: a`,
-	}
-	for _, src := range bad {
-		if _, err := ParsePolicy(src); err == nil {
-			t.Errorf("%q parsed", src)
-		}
-	}
-	if _, err := ParseTerm(`@p [a] trailing junk ~`); err == nil {
-		t.Error("trailing junk parsed")
-	}
-}
-
-func TestSyntaxErrorPosition(t *testing.T) {
-	_, err := ParsePolicy("*x:\n$")
-	var se *SyntaxError
-	if !errors.As(err, &se) || !strings.Contains(se.Error(), "2:1") {
-		t.Fatalf("err: %v", err)
-	}
-}
-
-func TestToCopland(t *testing.T) {
-	term, err := ParseTerm(`@ks [av us bmon -> !] -<- @us [bmon us exts -> !]`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := ToCopland(term)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The lowered term round-trips through the base Copland parser.
-	parsed, err := copland.Parse(ct.String())
-	if err != nil {
-		t.Fatalf("lowered term %q does not re-parse: %v", ct, err)
-	}
-	if parsed.String() != ct.String() {
-		t.Fatalf("lowering unstable: %q vs %q", parsed, ct)
-	}
-	// Guards cannot lower.
-	g, _ := ParseTerm(`K |> !`)
-	if _, err := ToCopland(g); err == nil {
-		t.Fatal("guard lowered")
-	}
-	// Subterms lower too.
-	sub, _ := ParseTerm(`attest(Hardware -~- Program) -> #`)
-	if _, err := ToCopland(sub); err != nil {
-		t.Fatalf("subterm lowering: %v", err)
 	}
 }
 
@@ -164,6 +91,29 @@ func ap1Registry() TestRegistry {
 	return TestRegistry{
 		"Khop":    {PlacePred: func(p string) bool { return keyed[p] }},
 		"Kclient": {PlacePred: func(p string) bool { return keyed[p] }},
+	}
+}
+
+func TestParseErrors(t *testing.T) {
+	bad := []string{
+		``, `*`, `*x`, `*x:`, `*x: @p [`, `*x: forall : a`, `K |>`,
+		`*x: a *=>`, `*x<: a`, `$`, `*x: forall p q: a`,
+	}
+	for _, src := range bad {
+		if _, err := copland.ParsePolicy(src); err == nil {
+			t.Errorf("%q parsed", src)
+		}
+	}
+	if _, err := copland.Parse(`@p [a] trailing junk ~`); err == nil {
+		t.Error("trailing junk parsed")
+	}
+}
+
+func TestSyntaxErrorPosition(t *testing.T) {
+	_, err := copland.ParsePolicy("*x:\n$")
+	var se *copland.SyntaxError
+	if !errors.As(err, &se) || !strings.Contains(se.Error(), "2:1") {
+		t.Fatalf("err: %v", err)
 	}
 }
 
@@ -178,7 +128,7 @@ func ap1Path() []PathHop {
 }
 
 func TestCompileAP1(t *testing.T) {
-	pol, err := ParsePolicy(AP1)
+	pol, err := copland.ParsePolicy(AP1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +175,7 @@ func TestCompileAP1(t *testing.T) {
 }
 
 func TestCompileAP1GuardFailsEarly(t *testing.T) {
-	pol, _ := ParsePolicy(AP1)
+	pol, _ := copland.ParsePolicy(AP1)
 	// sw2 has no key relationship: Khop must fail the binding (the
 	// "fail early" design point) — no span containing sw2 satisfies the
 	// guard, and sw2 sits mid-path so it cannot be skipped.
@@ -242,7 +192,7 @@ func TestCompileAP1GuardFailsEarly(t *testing.T) {
 }
 
 func TestCompileAP1UnknownTest(t *testing.T) {
-	pol, _ := ParsePolicy(AP1)
+	pol, _ := copland.ParsePolicy(AP1)
 	_, err := Compile(pol, ap1Path(), TestRegistry{}, Options{
 		Properties: map[string][]evidence.Detail{"X": {evidence.DetailProgram}},
 	})
@@ -254,7 +204,7 @@ func TestCompileAP1UnknownTest(t *testing.T) {
 }
 
 func TestCompileAP2(t *testing.T) {
-	pol, err := ParsePolicy(AP2)
+	pol, err := copland.ParsePolicy(AP2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +235,7 @@ func TestCompileAP2(t *testing.T) {
 }
 
 func TestCompileAP3(t *testing.T) {
-	pol, err := ParsePolicy(AP3)
+	pol, err := copland.ParsePolicy(AP3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +289,7 @@ func TestCompileAP3(t *testing.T) {
 }
 
 func TestCompileAP3RequiresOrder(t *testing.T) {
-	pol, _ := ParsePolicy(AP3)
+	pol, _ := copland.ParsePolicy(AP3)
 	reg := TestRegistry{
 		"Peer1": {PlacePred: func(p string) bool { return p == "alice" }},
 		"Peer2": {PlacePred: func(p string) bool { return p == "bob" }},
@@ -362,7 +312,7 @@ func TestCompileAP3RequiresOrder(t *testing.T) {
 }
 
 func TestCompileConcretePlaceMustExist(t *testing.T) {
-	pol, err := ParsePolicy(`*rp: @SwitchX [attest(Program) -> !] -<+ @Appraiser [appraise -> store]`)
+	pol, err := copland.ParsePolicy(`*rp: @SwitchX [attest(Program) -> !] -<+ @Appraiser [appraise -> store]`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +331,7 @@ func TestCompileConcretePlaceMustExist(t *testing.T) {
 }
 
 func TestCompileUnknownProperty(t *testing.T) {
-	pol, _ := ParsePolicy(`*rp: @sw [attest(Mystery) -> !] -<+ @Appraiser [appraise -> store]`)
+	pol, _ := copland.ParsePolicy(`*rp: @sw [attest(Mystery) -> !] -<+ @Appraiser [appraise -> store]`)
 	path := []PathHop{{Name: "sw", Attesting: true, CanSign: true}}
 	if _, err := Compile(pol, path, TestRegistry{}, Options{}); err == nil {
 		t.Fatal("unknown property compiled")
@@ -389,7 +339,7 @@ func TestCompileUnknownProperty(t *testing.T) {
 }
 
 func TestCompileBuiltinProperties(t *testing.T) {
-	pol, _ := ParsePolicy(`*rp: @sw [attest(Hardware -~- Program) -> # -> !] -<+ @Appraiser [appraise -> store]`)
+	pol, _ := copland.ParsePolicy(`*rp: @sw [attest(Hardware -~- Program) -> # -> !] -<+ @Appraiser [appraise -> store]`)
 	path := []PathHop{{Name: "sw", Attesting: true, CanSign: true}}
 	c, err := Compile(pol, path, TestRegistry{}, Options{})
 	if err != nil {
@@ -402,13 +352,13 @@ func TestCompileBuiltinProperties(t *testing.T) {
 }
 
 func TestPlacesAndWalk(t *testing.T) {
-	pol, _ := ParsePolicy(AP3)
-	ps := Places(pol.Segments[0])
+	pol, _ := copland.ParsePolicy(AP3)
+	ps := copland.Places(pol.Segments[0])
 	if len(ps) != 4 || ps[0] != "peer1" || ps[3] != "Appraiser" {
 		t.Fatalf("places: %v", ps)
 	}
 	count := 0
-	Walk(pol.Segments[0], func(Term) bool { count++; return false })
+	copland.Walk(pol.Segments[0], func(copland.Term) bool { count++; return false })
 	if count != 1 {
 		t.Fatal("walk stop")
 	}

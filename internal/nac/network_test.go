@@ -1,8 +1,10 @@
 package nac
 
 import (
+	"strings"
 	"testing"
 
+	"pera/internal/copland"
 	"pera/internal/evidence"
 	"pera/internal/netsim"
 	"pera/internal/p4ir"
@@ -51,7 +53,7 @@ func TestPathFromNetworkAndCompile(t *testing.T) {
 
 	// AP1 binds over this path: the single attesting hop carries the
 	// obligation; the non-attesting switch sits in the star's span.
-	pol, err := ParsePolicy(AP1)
+	pol, err := copland.ParsePolicy(AP1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +77,12 @@ func TestPathFromNetworkAndCompile(t *testing.T) {
 }
 
 func TestTermStringsCoverAllNodes(t *testing.T) {
-	terms := []Term{
-		&BPar{LFlag: true, RFlag: false, L: &ASP{Name: "a"}, R: &ASP{Name: "b"}},
-		&BSeq{L: &ASP{Name: "a"}, R: &ASP{Name: "b"}},
-		&Guard{Test: "K", Body: &ASP{Name: "!"}},
-		&LSeq{L: &ASP{Name: "a", Args: []string{"x", "y"}}, R: &ASP{Name: "m", TargetPlace: "p", Target: "t"}},
-		&At{Place: "p", Body: &ASP{Name: "f", SubTerm: &ASP{Name: "inner"}}},
+	terms := []copland.Term{
+		&copland.BPar{LFlag: true, RFlag: false, L: &copland.ASP{Name: "a"}, R: &copland.ASP{Name: "b"}},
+		&copland.BSeq{L: &copland.ASP{Name: "a"}, R: &copland.ASP{Name: "b"}},
+		&copland.Guard{Test: "K", Body: &copland.ASP{Name: "!"}},
+		&copland.LSeq{L: &copland.ASP{Name: "a", Args: []string{"x", "y"}}, R: &copland.ASP{Name: "m", TargetPlace: "p", Target: "t"}},
+		&copland.At{Place: "p", Body: &copland.ASP{Name: "f", SubTerm: &copland.ASP{Name: "inner"}}},
 	}
 	for _, tm := range terms {
 		s := tm.String()
@@ -88,7 +90,7 @@ func TestTermStringsCoverAllNodes(t *testing.T) {
 			t.Errorf("empty string for %T", tm)
 		}
 		// Every rendering must re-parse.
-		if _, err := ParseTerm(s); err != nil {
+		if _, err := copland.Parse(s); err != nil {
 			t.Errorf("%q does not re-parse: %v", s, err)
 		}
 	}
@@ -96,27 +98,21 @@ func TestTermStringsCoverAllNodes(t *testing.T) {
 
 func TestSubstPlacesCoversAllNodes(t *testing.T) {
 	src := `K |> (@p [f(m q t -~- n) -<+ @q [x q y]])`
-	term, err := ParseTerm(src)
+	term, err := copland.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := substPlaces(term, map[string]string{"p": "SW1", "q": "SW2"})
-	s := out.String()
+	s := lower(term, map[string]string{"p": "SW1", "q": "SW2"}).String()
 	for _, want := range []string{"SW1", "SW2"} {
-		if !contains(s, want) {
+		if !strings.Contains(s, want) {
 			t.Errorf("%q missing %q", s, want)
 		}
 	}
-	if contains(s, "@p ") || contains(s, "@q ") {
+	if strings.Contains(s, "@p ") || strings.Contains(s, "@q ") {
 		t.Errorf("unsubstituted places in %q", s)
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
+	// Lowering strips guards in the same pass, so the VM can run it.
+	if strings.Contains(s, "|>") {
+		t.Errorf("guard left in %q", s)
 	}
-	return false
 }

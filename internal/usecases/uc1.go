@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pera/internal/appraiser"
+	"pera/internal/copland"
 	"pera/internal/evidence"
 	"pera/internal/nac"
 	"pera/internal/p4ir"
@@ -36,7 +37,7 @@ type UC1Result struct {
 // must be treated as read-only by callers.
 func CompileUC1Policy(tb *Testbed, nonce []byte) (*nac.Compiled, error) {
 	tb.uc1Once.Do(func() {
-		pol, err := nac.ParsePolicy(nac.AP1)
+		pol, err := copland.ParsePolicy(nac.AP1)
 		if err != nil {
 			tb.uc1Err = err
 			return

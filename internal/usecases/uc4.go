@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pera/internal/appraiser"
+	"pera/internal/copland"
 	"pera/internal/evidence"
 	"pera/internal/nac"
 	"pera/internal/rot"
@@ -20,7 +21,7 @@ import (
 // fires, attest the matching packet (DetailPackets) and the scanner's
 // program identity, sign, and store at the appraiser.
 func CompileUC4Policy(tb *Testbed, scanner string) (*nac.Compiled, error) {
-	pol, err := nac.ParsePolicy(nac.AP2)
+	pol, err := copland.ParsePolicy(nac.AP2)
 	if err != nil {
 		return nil, err
 	}

@@ -95,7 +95,7 @@ PID=""
 grep -q "  verify" "$TMP/offline" || {
     echo "profile-smoke: FAIL — offline summary has no verify stage:"; cat "$TMP/offline"; exit 1
 }
-grep -q "hotspot $HOTSPOT " "$TMP/offline" || {
+grep -qF "hotspot $HOTSPOT " "$TMP/offline" || {
     echo "profile-smoke: FAIL — offline hotspot disagrees with live ($HOTSPOT):"
     cat "$TMP/offline"; exit 1
 }
