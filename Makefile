@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet perabench-test fuzz bench bench-quick bench-throughput telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke cover fmt clean
+.PHONY: all build test race vet perabench-test fuzz bench bench-quick bench-throughput telemetry-smoke audit-smoke observe-smoke slo-smoke trace-smoke recorder-smoke fleet-smoke profile-smoke cover fmt fmt-check clean
 
 all: build test race vet
 
@@ -149,6 +149,15 @@ cover:
 
 fmt:
 	gofmt -w $$($(GO) list -f '{{.Dir}}' ./...)
+
+# Formatting gate (CI tier): gofmt -l over the root module's package
+# directories and the perabench module; fails, listing the files, if
+# gofmt would change any of them.
+fmt-check:
+	@unformatted=$$(gofmt -l $$($(GO) list -f '{{.Dir}}' ./...) perabench | sort -u); \
+	if [ -n "$$unformatted" ]; then \
+		echo "fmt-check: gofmt would change:"; echo "$$unformatted"; exit 1; \
+	fi
 
 clean:
 	$(GO) clean ./...

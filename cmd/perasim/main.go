@@ -337,14 +337,7 @@ func runUC3() error {
 		return err
 	}
 	gate := usecases.NewGatekeeper("gate", 1, 2, tb.Keys())
-	compiled, err := usecases.CompileUC1Policy(tb, []byte("uc3"))
-	if err != nil {
-		return err
-	}
-	if err := tb.SendAttested(compiled.Policy, true, 1, 443, nil); err != nil {
-		return err
-	}
-	hdr, _, err := usecases.LastDelivered(tb.Client)
+	hdr, err := usecases.SendUC1(tb, []byte("uc3"), true, 1, nil)
 	if err != nil {
 		return err
 	}

@@ -61,22 +61,14 @@ func main() {
 	gate := usecases.NewGatekeeper("gate", 1, 2, tb.Keys())
 	gate.SetUnderAttack(true)
 
-	compiled, err := usecases.CompileUC1Policy(tb, []byte("uc3-flow"))
+	hdr, err := usecases.SendUC1(tb, []byte("uc3-flow"), true, 7, []byte("legit"))
 	if err != nil {
-		log.Fatal(err)
-	}
-	tb.Client.Clear()
-	if err := tb.SendAttested(compiled.Policy, true, 7, 443, []byte("legit")); err != nil {
 		log.Fatal(err)
 	}
 	legit := tb.Client.Received()[0]
 	// The operator allowlists the tag of the sanctioned bank→client path
 	// (path tags are direction-sensitive: the hop order is part of the
 	// evidence).
-	hdr, _, err := usecases.LastDelivered(tb.Client)
-	if err != nil {
-		log.Fatal(err)
-	}
 	gate.AllowTag(appraiser.PathTag(hdr.Evidence))
 
 	out, _ := gate.Receive(1, legit)

@@ -185,9 +185,10 @@ type Appraiser struct {
 
 	// planes carries the observability planes the appraise and verify
 	// stages report to: the verify-latency histogram (Instrument), the
-	// flow tracer and the audit ledger's appraise/verdict records. The
-	// signature/quote walk is its own verify stage, so stage-attributed
-	// CPU separates the relying party's two halves.
+	// flow tracer, and the appraise envelope's sinks — the audit
+	// ledger's appraise/verdict records and every verdict reader
+	// (Subscribe). The signature/quote walk is its own verify stage, so
+	// stage-attributed CPU separates the relying party's two halves.
 	planes telemetry.Planes
 
 	// aud, when attached, receives the policy binding and the memo's
@@ -197,12 +198,6 @@ type Appraiser struct {
 	aud        *auditlog.Writer
 	policyName string
 	policyTerm string
-
-	// obs, when attached, sees every rendered verdict with its place
-	// attribution — the hook an observatory collector uses to correlate
-	// appraisal outcomes with in-band path traces. Lives behind mu with
-	// the other attachments.
-	obs Observer
 
 	serial atomic.Uint64
 
@@ -267,10 +262,25 @@ func (a *Appraiser) Instrument(reg *telemetry.Registry) {
 // provenance when it completes. A nil writer detaches.
 func (a *Appraiser) SetAudit(w *auditlog.Writer) {
 	a.mu.Lock()
+	old := a.aud
 	a.aud = w
 	a.memo.SetAudit(w) // nil-safe; order vs EnableMemo doesn't matter
 	a.mu.Unlock()
-	a.planes.SetLedger(auditlog.Sink(w), telemetry.StageAppraise)
+	if old != nil {
+		a.planes.Subscribe(old)
+	}
+	if w != nil {
+		a.Subscribe(w)
+	}
+}
+
+// Subscribe feeds s the appraise envelope of every appraisal, after the
+// sinks subscribed before it: StageOpened when it starts, StageEnded
+// with the verdict and its provenance (Prov.Place names the switch
+// whose claim decided a rejection) when it completes. An appraisal that
+// failed operationally, such as a nonce replay, ends with Err set.
+func (a *Appraiser) Subscribe(s telemetry.StageSink) {
+	a.planes.Subscribe(s, telemetry.StageAppraise)
 }
 
 // SetPolicy binds the appraiser to a named Copland policy term (AP1–AP3
@@ -293,7 +303,7 @@ func (a *Appraiser) SetPolicy(name, term string) {
 
 // memoSnapshot returns the appraiser's persistent verification memo, or
 // nil when none is enabled. Pools use it to decide whether a batch
-// window seeds the durable memo or an ephemeral per-window one.
+// prewarm seeds the durable memo or an ephemeral per-call one.
 func (a *Appraiser) memoSnapshot() *evidence.VerifyMemo {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -313,29 +323,6 @@ func (a *Appraiser) policy() string {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	return a.policyName
-}
-
-// Observer receives appraisal outcomes as they are rendered. place names
-// the switch whose claim decided a rejection ("" when no single place is
-// attributable — e.g. structural or signature failures over the whole
-// chain, or a pass). Implementations must be safe for concurrent calls:
-// pool workers appraise in parallel.
-type Observer interface {
-	ObserveVerdict(flow, subject string, verdict bool, place, stage, reason string)
-}
-
-// SetObserver attaches the verdict observer; nil detaches.
-func (a *Appraiser) SetObserver(o Observer) {
-	a.mu.Lock()
-	a.obs = o
-	a.mu.Unlock()
-}
-
-// observer snapshots the attached verdict observer.
-func (a *Appraiser) observer() Observer {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.obs
 }
 
 // SetTracer attaches the distributed-tracing span recorder: appraise,
@@ -437,7 +424,7 @@ func (a *Appraiser) AllowHash(d rot.Digest) {
 // operational failures (nonce replay); verification failures are reported
 // through the certificate so they remain attributable and storable.
 func (a *Appraiser) Appraise(subject string, ev *evidence.Evidence, nonce []byte) (*Certificate, error) {
-	return a.AppraiseNoted(subject, ev, nonce, "")
+	return a.appraiseNoted(telemetry.SpanContext{}, subject, ev, nonce, "", nil, "")
 }
 
 // appraisalFlowID correlates appraisal-side audit records with the
@@ -453,13 +440,6 @@ func appraisalFlowID(ev *evidence.Evidence, nonce []byte) string {
 	return "-"
 }
 
-// AppraiseNoted is Appraise with an attribution note (e.g. "worker 3")
-// stamped on the audit records, so pool-dispatched appraisals remain
-// attributable to the goroutine that ran them.
-func (a *Appraiser) AppraiseNoted(subject string, ev *evidence.Evidence, nonce []byte, note string) (*Certificate, error) {
-	return a.appraiseNoted(telemetry.SpanContext{}, subject, ev, nonce, note, nil, "")
-}
-
 // AppraiseCtx is Appraise with a propagated trace context: the
 // appraisal spans parent under the requester's span (carried in the
 // rats trace-context field), joining the challenge's cross-process
@@ -468,17 +448,17 @@ func (a *Appraiser) AppraiseCtx(parent telemetry.SpanContext, subject string, ev
 	return a.appraiseNoted(parent, subject, ev, nonce, "", nil, "")
 }
 
-// appraiseNoted additionally threads an override verification memo (the
-// pool's per-window batch memo when the appraiser has no persistent
-// one; nil uses the appraiser's own) and a span link naming the shared
+// appraiseNoted additionally threads an attribution note (e.g. "worker
+// 3") stamped on the audit records, an override verification memo (the
+// pool's per-call batch memo when the appraiser has no persistent one;
+// nil uses the appraiser's own) and a span link naming the shared
 // batch-flush span this appraisal's signatures rode, if any. The whole
-// appraisal is one appraise stage: the ledger records its start and its
-// verdict, the tracer its span and a verdict child.
+// appraisal is one appraise stage: the sinks see its start and its
+// verdict, the tracer records its span and a verdict child.
 func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte, note string, memoOverride *evidence.VerifyMemo, link string) (*Certificate, error) {
-	obs := a.observer()
 	rec := a.planes.Recorder()
 	flow, nonceHex := "", ""
-	if rec.Detailed() || obs != nil {
+	if rec.Detailed() {
 		flow = appraisalFlowID(ev, nonce)
 		if len(nonce) > 0 {
 			nonceHex = flow // appraisalFlowID is the nonce hex when there is one
@@ -517,9 +497,6 @@ func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, 
 	// Signing happens outside every lock: concurrent appraisal workers
 	// must not serialize their Ed25519 work behind shared state.
 	c.Signature = ed25519.Sign(a.key, certMessage(c))
-	if obs != nil {
-		obs.ObserveVerdict(flow, subject, verdict, prov.Place, prov.Stage, reason)
-	}
 	stage.Verdict = verdictString(verdict)
 	stage.Prov = prov
 	stage.Prov.Policy = stage.Policy
@@ -578,7 +555,7 @@ var batchVerifiers = sync.Pool{
 // check runs the verification pipeline and renders a verdict together
 // with the provenance naming the exact policy clause that decided.
 // memoOverride, when non-nil, replaces the appraiser's own memo for this
-// appraisal — the pool's batch-window transport. The signature walk is
+// appraisal — the pool's batch-prewarm transport. The signature walk is
 // reported on rec as the appraisal's verify stage.
 func (a *Appraiser) check(rec *telemetry.StageRecorder, ev *evidence.Evidence, nonce []byte, memoOverride *evidence.VerifyMemo) (bool, string, auditlog.Provenance) {
 	if err := evidence.Validate(ev); err != nil {

@@ -73,10 +73,6 @@ type Pool struct {
 	next   atomic.Uint64 // submission index + round-robin source
 	closed atomic.Bool
 
-	// win, when set via EnableVerifyWindow, batches Submit-path jobs into
-	// bounded-latency signature-verification windows before dispatch.
-	win *verifyWindow
-
 	jobs   atomic.Uint64
 	pass   atomic.Uint64
 	fail   atomic.Uint64
@@ -100,7 +96,7 @@ type poolTask struct {
 	res  *Result         // AppraiseAll: slot to fill
 	done *sync.WaitGroup // AppraiseAll: completion signal
 	// memo, when set, overrides the appraiser's memo for this appraisal —
-	// the transport that hands a batch window's pre-verified signature
+	// the transport that hands a batch prewarm's pre-verified signature
 	// verdicts to the worker without installing a persistent cache.
 	memo *evidence.VerifyMemo
 	// link, when set, names the shared batch-flush span whose batched
@@ -242,145 +238,36 @@ func (p *Pool) route(job *Job, idx int) chan poolTask {
 
 // Submit enqueues a job and returns its submission index. It blocks only
 // when the routed worker's queue is full (natural backpressure on the
-// producer). Submit must not be called after Close. With a verify window
-// enabled, the job is held for at most the window's delay before
-// dispatch; per-nonce ordering is preserved because the window drains in
-// submission order.
+// producer). Submit must not be called after Close.
 func (p *Pool) Submit(job Job) int {
 	idx := int(p.next.Add(1) - 1)
-	t := poolTask{job: job, idx: idx}
-	if w := p.win; w != nil {
-		p.windowAdd(w, t)
-		return idx
-	}
-	p.route(&job, idx) <- t
+	p.route(&job, idx) <- poolTask{job: job, idx: idx}
 	return idx
 }
 
 // submitTracked is Submit with a result slot, completion group, memo
-// override and batch-flush span link, used by AppraiseAll. It bypasses
-// the verify window: AppraiseAll runs its own whole-call batch prewarm.
+// override and batch-flush span link, used by AppraiseAll.
 func (p *Pool) submitTracked(job Job, res *Result, done *sync.WaitGroup, memo *evidence.VerifyMemo, link string) {
 	idx := int(p.next.Add(1) - 1)
 	p.route(&job, idx) <- poolTask{job: job, idx: idx, res: res, done: done, memo: memo, link: link}
 }
 
-// verifyWindow is the bounded-latency batching stage in front of the
-// workers: Submit-path jobs are buffered until the window fills or the
-// delay timer fires, their chains' signatures verified as one Ed25519
-// batch, then dispatched in submission order. The crypto runs under the
-// window mutex, so producers feel the window's latency as backpressure —
-// that is the bound the delay parameter promises.
-type verifyWindow struct {
-	mu       sync.Mutex
-	buf      []poolTask
-	timer    *time.Timer
-	maxJobs  int
-	maxDelay time.Duration
-}
-
-// EnableVerifyWindow inserts a batch-verification window in front of the
-// workers: Submit-path jobs wait for at most maxDelay (or until maxJobs
-// accumulate, whichever is first) so their signatures can be verified
-// together with one batch equation. maxJobs <= 1 and maxDelay <= 0 pick
-// defaults (16 jobs, 2ms). Like SetTracer, call before the first
-// Submit; AppraiseAll is unaffected (it batches whole calls already).
-func (p *Pool) EnableVerifyWindow(maxJobs int, maxDelay time.Duration) {
-	if maxJobs <= 1 {
-		maxJobs = 16
-	}
-	if maxDelay <= 0 {
-		maxDelay = 2 * time.Millisecond
-	}
-	p.win = &verifyWindow{maxJobs: maxJobs, maxDelay: maxDelay}
-}
-
-// windowAdd buffers one task, flushing when the window fills and arming
-// the delay timer for the partial-window case.
-func (p *Pool) windowAdd(w *verifyWindow, t poolTask) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.buf = append(w.buf, t)
-	if len(w.buf) >= w.maxJobs {
-		p.windowFlushLocked(w)
-		return
-	}
-	if w.timer == nil {
-		w.timer = time.AfterFunc(w.maxDelay, func() { p.windowFlush(w) })
-	}
-}
-
-func (p *Pool) windowFlush(w *verifyWindow) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	p.windowFlushLocked(w)
-}
-
-// windowFlushLocked batch-verifies the buffered chains and dispatches
-// them in buffered (= submission) order. Dispatch happens under the
-// window mutex so a timer flush racing Close cannot send on a closed
-// queue: Close's final flush holds the same lock and stops the timer.
-func (p *Pool) windowFlushLocked(w *verifyWindow) {
-	if w.timer != nil {
-		w.timer.Stop()
-		w.timer = nil
-	}
-	if len(w.buf) == 0 {
-		return
-	}
-	memo, override := p.windowMemo()
-	keys := p.a.keysSnapshot()
-	flushCtx, flushStart := p.flushSpanStart(func(yield func(*Job) bool) {
-		for i := range w.buf {
-			if !yield(&w.buf[i].job) {
-				return
-			}
-		}
-	})
-	ventered := p.a.planes.Region(telemetry.StageVerify).Enter()
-	bv := batchVerifiers.Get().(*evidence.BatchVerifier)
-	bv.Reset(memo)
-	for i := range w.buf {
-		// Gather errors (unknown signer, malformed tree) are dropped here;
-		// the worker's appraisal walk reproduces them verbatim.
-		_ = bv.Gather(w.buf[i].job.Evidence, keys)
-	}
-	bv.Flush()
-	batchVerifiers.Put(bv)
-	telemetry.ProfExit(ventered)
-	link := p.flushSpanEnd(flushCtx, flushStart, len(w.buf))
-	for i := range w.buf {
-		t := w.buf[i]
-		t.memo = override
-		t.link = link
-		p.route(&t.job, t.idx) <- t
-	}
-	w.buf = w.buf[:0]
-}
-
 // flushSpanStart mints the shared batch-flush span's context when the
 // tracer would keep it: the span rides the trace of the first sampled
 // job in the batch (one batch serves many traces; the others reach it
-// through their appraise spans' links). Returns a zero context when
-// tracing is off or no buffered flow is sampled.
-func (p *Pool) flushSpanStart(jobs func(yield func(*Job) bool)) (telemetry.SpanContext, time.Time) {
-	tr := p.tracer
-	if tr == nil {
-		return telemetry.SpanContext{}, time.Time{}
-	}
-	var ctx telemetry.SpanContext
-	jobs(func(j *Job) bool {
-		flow := jobFlowID(j)
-		if tr.Sampled(flow) {
-			ctx = telemetry.SpanContext{TraceID: telemetry.TraceIDFromFlow(flow), SpanID: telemetry.NewSpanID()}
-			return false
+// through their appraise spans' links). A coalesced duplicate shares its
+// earlier leader's flow, so scanning every job finds the same one.
+// Returns a zero context when tracing is off or no flow is sampled.
+func (p *Pool) flushSpanStart(jobs []Job) (telemetry.SpanContext, time.Time) {
+	if tr := p.tracer; tr != nil {
+		for i := range jobs {
+			if flow := jobFlowID(&jobs[i]); tr.Sampled(flow) {
+				ctx := telemetry.SpanContext{TraceID: telemetry.TraceIDFromFlow(flow), SpanID: telemetry.NewSpanID()}
+				return ctx, time.Now()
+			}
 		}
-		return true
-	})
-	if !ctx.Valid() {
-		return telemetry.SpanContext{}, time.Time{}
 	}
-	return ctx, time.Now()
+	return telemetry.SpanContext{}, time.Time{}
 }
 
 // flushSpanEnd records the batch-flush span and returns its span ID for
@@ -394,12 +281,12 @@ func (p *Pool) flushSpanEnd(ctx telemetry.SpanContext, start time.Time, jobs int
 	return ctx.SpanID
 }
 
-// windowMemo picks the memo a batch window seeds: the appraiser's own
+// prewarmMemo picks the memo a batch prewarm seeds: the appraiser's own
 // persistent memo when enabled (override nil — workers already use it),
 // else a fresh ephemeral memo that must be threaded through the tasks
-// and dies with the window, so memo-off configurations batch within a
-// window without gaining a cross-call cache.
-func (p *Pool) windowMemo() (memo, override *evidence.VerifyMemo) {
+// and dies with the call, so memo-off configurations batch within a
+// call without gaining a cross-call cache.
+func (p *Pool) prewarmMemo() (memo, override *evidence.VerifyMemo) {
 	if m := p.a.memoSnapshot(); m != nil {
 		return m, nil
 	}
@@ -411,7 +298,7 @@ func (p *Pool) windowMemo() (memo, override *evidence.VerifyMemo) {
 // submission order. It may be interleaved with concurrent Submit calls;
 // only the jobs passed here are waited on.
 //
-// Two window-level optimizations apply to the whole call:
+// Two batch optimizations apply to the whole call:
 //
 //   - identical nonce-less jobs — same subject, same evidence tree — are
 //     coalesced: one appraisal runs and every duplicate receives its
@@ -491,7 +378,7 @@ func (p *Pool) AppraiseAll(jobs []Job) []Result {
 // when the appraiser's own memo is the seed target) and the span ID of
 // the whole-call batch-flush span for the jobs to link to.
 func (p *Pool) prewarm(jobs []Job, leaderOf []int) (*evidence.VerifyMemo, string) {
-	memo, override := p.windowMemo()
+	memo, override := p.prewarmMemo()
 	keys := p.a.keysSnapshot()
 	uniq := make([]int, 0, len(jobs))
 	for i := range jobs {
@@ -502,13 +389,7 @@ func (p *Pool) prewarm(jobs []Job, leaderOf []int) (*evidence.VerifyMemo, string
 	if len(uniq) == 0 {
 		return override, ""
 	}
-	flushCtx, flushStart := p.flushSpanStart(func(yield func(*Job) bool) {
-		for _, j := range uniq {
-			if !yield(&jobs[j]) {
-				return
-			}
-		}
-	})
+	flushCtx, flushStart := p.flushSpanStart(jobs)
 	parts := p.workers
 	if parts > len(uniq) {
 		parts = len(uniq)
@@ -548,9 +429,6 @@ func (p *Pool) Stats() PoolStats {
 // aggregate stats. The pool must not be used afterwards.
 func (p *Pool) Close() PoolStats {
 	if p.closed.CompareAndSwap(false, true) {
-		if w := p.win; w != nil {
-			p.windowFlush(w) // dispatch any buffered partial window
-		}
 		for _, q := range p.queues {
 			close(q)
 		}

@@ -1,0 +1,93 @@
+package appraiser
+
+import (
+	"errors"
+	"reflect"
+	"sync"
+	"testing"
+
+	"pera/internal/evidence"
+	"pera/internal/freshness"
+	"pera/internal/observatory"
+	"pera/internal/rot"
+	"pera/internal/telemetry"
+)
+
+// endedSink keeps every stage end it is fed.
+type endedSink struct {
+	mu    sync.Mutex
+	ended []telemetry.StageEvent
+}
+
+func (s *endedSink) StageOpened(telemetry.StageEvent) {}
+
+func (s *endedSink) StageEnded(ev telemetry.StageEvent) {
+	s.mu.Lock()
+	s.ended = append(s.ended, ev)
+	s.mu.Unlock()
+}
+
+// TestSubscribeFeedsEverySink: each subscribed sink sees one appraise
+// end per appraisal, all with the same verdict and provenance. A
+// replayed nonce reaches them with Err set, and the collector and the
+// watchdog, which read only rendered verdicts, do not count it.
+func TestSubscribeFeedsEverySink(t *testing.T) {
+	r := attesterRoT()
+	a := newAppraiser(r)
+	s1, s2 := &endedSink{}, &endedSink{}
+	col := observatory.New("collector", observatory.Config{})
+	wd := freshness.New("watchdog", freshness.Config{})
+	for _, s := range []telemetry.StageSink{s1, wd, col, s2} {
+		a.Subscribe(s)
+	}
+
+	rogue := evidence.Sign(r, evidence.Seq(
+		evidence.Measurement("attest", "firewall_v5.p4", "sw1", evidence.DetailProgram, rot.Sum([]byte("rogue-bytes")), nil),
+		evidence.Nonce([]byte("n2"))))
+	if c, err := a.Appraise("path", goodEvidence(r, []byte("n1")), []byte("n1")); err != nil || !c.Verdict {
+		t.Fatalf("good evidence: %+v, %v", c, err)
+	}
+	if c, err := a.Appraise("path", rogue, []byte("n2")); err != nil || c.Verdict {
+		t.Fatalf("rogue evidence: %+v, %v", c, err)
+	}
+	colBefore, wdBefore := col.Snapshot(), wd.Coverage()
+	if colBefore.Verdicts != 2 {
+		t.Fatalf("collector counted %d verdicts, want 2", colBefore.Verdicts)
+	}
+	if len(wdBefore.Places) != 1 || wdBefore.Places[0].Place != "sw1" || wdBefore.Places[0].Fails != 1 {
+		t.Fatalf("watchdog rows: %+v", wdBefore.Places)
+	}
+	if _, err := a.Appraise("path", rogue, []byte("n2")); !errors.Is(err, ErrNonceReplayed) {
+		t.Fatalf("replay: %v", err)
+	}
+
+	for _, s := range []*endedSink{s1, s2} {
+		if len(s.ended) != 3 {
+			t.Fatalf("sink saw %d appraisals, want 3", len(s.ended))
+		}
+		for _, ev := range s.ended {
+			if ev.Stage != telemetry.StageAppraise || ev.Target != "path" {
+				t.Fatalf("sink saw %s of %q, want the appraise envelope", ev.Stage, ev.Target)
+			}
+		}
+	}
+	if !reflect.DeepEqual(s1.ended, s2.ended) {
+		t.Fatalf("sinks disagree:\n%+v\n%+v", s1.ended, s2.ended)
+	}
+	pass, fail, replay := s1.ended[0], s1.ended[1], s1.ended[2]
+	if pass.Verdict != "PASS" || pass.Err != "" || pass.Prov.Stage != "accept" {
+		t.Fatalf("pass: %+v", pass)
+	}
+	if fail.Verdict != "FAIL" || fail.Err != "" || fail.Prov.Place != "sw1" || fail.Prov.Stage != "golden" {
+		t.Fatalf("fail: %+v", fail)
+	}
+	if replay.Err != ErrNonceReplayed.Error() || replay.Prov.Stage != "nonce" {
+		t.Fatalf("replay: %+v", replay)
+	}
+	if got := col.Snapshot(); !reflect.DeepEqual(got, colBefore) {
+		t.Fatalf("replay moved the collector:\n%+v\n%+v", colBefore, got)
+	}
+	if got := wd.Coverage(); got.Evaluations != wdBefore.Evaluations || !reflect.DeepEqual(got.Places, wdBefore.Places) {
+		t.Fatalf("replay moved the watchdog:\n%+v\n%+v", wdBefore, got)
+	}
+}

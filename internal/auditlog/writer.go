@@ -126,15 +126,6 @@ func (w *Writer) Emit(r Record) {
 	}
 }
 
-// Sink returns w as a stage-seam subscriber, or nil for a nil writer so
-// that attaching "no ledger" detaches.
-func Sink(w *Writer) telemetry.StageSink {
-	if w == nil {
-		return nil
-	}
-	return w
-}
-
 // StageOpened implements telemetry.StageSink: an envelope the ledger
 // subscribes to (the appraisal) is recorded when it begins.
 func (w *Writer) StageOpened(ev telemetry.StageEvent) {

@@ -67,8 +67,8 @@ func ReadBatchStats() BatchStats {
 // crypto/ed25519 (the standard library stays the ground truth for all
 // rejections) and the per-item verdicts are seeded instead.
 //
-// A BatchVerifier is not safe for concurrent use; pools hold one per
-// verify window. Zero allocation in steady state: the message arena and
+// A BatchVerifier is not safe for concurrent use; each batch runs on its
+// own. Zero allocation in steady state: the message arena and
 // item list are retained across Reset.
 type BatchVerifier struct {
 	memo  *VerifyMemo

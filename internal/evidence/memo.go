@@ -188,8 +188,8 @@ func (m *VerifyMemo) Verify(pub ed25519.PublicKey, message, sig []byte) bool {
 }
 
 // Seed records an externally computed verdict for the triple — the memo
-// transport batch verification uses: a verify window batch-checks its
-// signatures, seeds the verdicts here, and the unchanged appraisal logic
+// transport batch verification uses: a batch prewarm checks its
+// signatures together, seeds the verdicts here, and the unchanged appraisal logic
 // then consumes them as ordinary memo hits, which is what keeps batched
 // and per-item verdicts bit-identical.
 func (m *VerifyMemo) Seed(pub ed25519.PublicKey, message, sig []byte, verdict bool, note string) {

@@ -242,7 +242,7 @@ func (w *Watchdog) pushAlertLocked(a *Alert) {
 // runProbes challenges each target place through the prober, records
 // the outcome on the row and the firing alert, and emits probe events.
 // A CAS guard prevents recursion: a probe's own appraisal re-enters
-// ObserveVerdict, whose evaluation must not spawn nested probes.
+// StageEnded, whose evaluation must not spawn nested probes.
 func (w *Watchdog) runProbes(targets []probeTarget) {
 	if len(targets) == 0 {
 		return

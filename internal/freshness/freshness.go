@@ -10,11 +10,12 @@
 //   - evidence-cache lifecycle events (evidence.Cache.SetNotify): every
 //     Put stamps a candidate freshness instant for the producing place;
 //     Hit/Expire events track how hard the inertia window is working.
-//   - appraiser verdicts (it implements the appraiser.Observer shape
-//     and tees to a downstream observer such as the observatory
-//     collector): a clean verdict over a flow *commits* the pending
-//     freshness of every place on that flow's path — evidence is only
-//     "fresh trust" once it has appraised clean.
+//   - appraiser verdicts (it is a telemetry.StageSink subscribed to the
+//     appraiser's appraise envelope with Appraiser.Subscribe, beside
+//     the audit ledger and the observatory collector): a clean verdict
+//     over a flow *commits* the pending freshness of every place on
+//     that flow's path — evidence is only "fresh trust" once it has
+//     appraised clean.
 //   - observatory span trails (observatory.Collector.SetPathSink): the
 //     flow → hop-places map that tells the watchdog which places a
 //     verdict actually covered.
@@ -75,13 +76,6 @@ func DeriveBudget(ttl time.Duration, sampleEvery uint32) Budget {
 	}
 	period := ttl * time.Duration(sampleEvery)
 	return Budget{FreshFor: period * 3 / 2, LapsedAfter: period * 3}
-}
-
-// VerdictObserver is the downstream verdict consumer the watchdog tees
-// to (structurally the appraiser.Observer shape, satisfied by
-// observatory.Collector).
-type VerdictObserver interface {
-	ObserveVerdict(flow, subject string, verdict bool, place, stage, reason string)
 }
 
 // Config tunes the watchdog. The zero value is usable: budget derived
@@ -201,8 +195,8 @@ type row struct {
 }
 
 // Watchdog is the trust-decay watchdog. Construct with New; it is safe
-// for concurrent use by the cache notify hook, the appraiser observer
-// path, the collector path sink, and telemetry scrapes.
+// for concurrent use by the cache notify hook, the appraiser's verdict
+// feed, the collector path sink, and telemetry scrapes.
 type Watchdog struct {
 	name string
 
@@ -215,7 +209,6 @@ type Watchdog struct {
 	evals   uint64
 	sinks   []Sink
 	prober  Prober
-	forward VerdictObserver
 
 	// alert engine state (see alerts.go)
 	states        map[stateKey]*alertState
@@ -298,15 +291,6 @@ func (w *Watchdog) SetProber(p Prober) {
 	w.prober = p
 }
 
-// SetForward tees every observed verdict to a downstream observer
-// (typically the observatory collector, since the appraiser holds a
-// single observer slot).
-func (w *Watchdog) SetForward(o VerdictObserver) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.forward = o
-}
-
 // rowLocked returns (creating if needed) the row for place.
 func (w *Watchdog) rowLocked(place string) *row {
 	if r, ok := w.rows[place]; ok {
@@ -368,20 +352,25 @@ func (w *Watchdog) IngestPath(flow string, hops []pera.HopSpan, truncated bool) 
 	w.flushRegistrations()
 }
 
-// ObserveVerdict implements the appraiser.Observer shape. A clean
-// verdict commits the pending freshness of every place on the flow's
-// recorded path — this is the moment cached evidence becomes committed
-// trust. Every verdict also drives one evaluation of the alert rules,
-// then the verdict is forwarded downstream.
-func (w *Watchdog) ObserveVerdict(flow, subject string, verdict bool, failPlace, stage, reason string) {
-	if w == nil {
+// StageOpened implements telemetry.StageSink; an appraisal's start
+// carries nothing the watchdog reads.
+func (w *Watchdog) StageOpened(telemetry.StageEvent) {}
+
+// StageEnded implements telemetry.StageSink for the appraiser's appraise
+// envelope. A clean verdict commits the pending freshness of every place
+// on the flow's recorded path — this is the moment cached evidence
+// becomes committed trust. Every verdict also drives one evaluation of
+// the alert rules. An appraisal that failed operationally (Err, e.g. a
+// nonce replay) rendered no verdict and is skipped.
+func (w *Watchdog) StageEnded(ev telemetry.StageEvent) {
+	if w == nil || ev.Err != "" || ev.Verdict == "" {
 		return
 	}
+	verdict, failPlace := ev.Verdict == "PASS", ev.Prov.Place
 	w.mu.Lock()
-	fwd := w.forward
-	hops, traced := w.flows[flow]
+	hops, traced := w.flows[ev.Flow]
 	if traced {
-		delete(w.flows, flow)
+		delete(w.flows, ev.Flow)
 		for _, place := range hops {
 			r := w.rowLocked(place)
 			r.verdicts++
@@ -399,9 +388,6 @@ func (w *Watchdog) ObserveVerdict(flow, subject string, verdict bool, failPlace,
 	w.flushRegistrations()
 	w.dispatch(events)
 	w.runProbes(probes)
-	if fwd != nil {
-		fwd.ObserveVerdict(flow, subject, verdict, failPlace, stage, reason)
-	}
 }
 
 // RecordFresh commits a fresh-trust instant for place directly — the

@@ -15,6 +15,19 @@ import (
 	"pera/internal/telemetry"
 )
 
+// feedVerdict feeds w one appraisal's end the way Appraiser.Subscribe
+// delivers it: the appraise envelope with the verdict and provenance.
+func feedVerdict(w *Watchdog, flow string, pass bool, place, stage, reason string) {
+	v := "FAIL"
+	if pass {
+		v = "PASS"
+	}
+	w.StageEnded(telemetry.StageEvent{
+		Stage: telemetry.StageAppraise, Flow: flow, Verdict: v,
+		Prov: telemetry.Provenance{Place: place, Stage: stage, Reason: reason},
+	})
+}
+
 func TestDeriveBudget(t *testing.T) {
 	b := DeriveBudget(16*time.Second, 1)
 	if b.FreshFor != 24*time.Second || b.LapsedAfter != 48*time.Second {
@@ -257,7 +270,7 @@ func TestCacheCommitFlow(t *testing.T) {
 
 	// …and a clean verdict over a traced path commits it.
 	w.IngestPath("flow-1", []pera.HopSpan{{Place: "sw1"}}, false)
-	w.ObserveVerdict("flow-1", "path", true, "", "accept", "")
+	feedVerdict(w, "flow-1", true, "", "accept", "")
 	cov = w.Coverage()
 	if cov.Places[0].Status != StatusFresh {
 		t.Fatalf("clean verdict did not commit pending trust: %+v", cov.Places[0])
@@ -273,7 +286,7 @@ func TestCacheCommitFlow(t *testing.T) {
 		Detail: evidence.DetailTables, TTL: 16 * time.Second, At: clk.Now(),
 	})
 	w.IngestPath("flow-2", []pera.HopSpan{{Place: "sw2"}}, false)
-	w.ObserveVerdict("flow-2", "path", false, "sw2", "golden", "hash mismatch")
+	feedVerdict(w, "flow-2", false, "sw2", "golden", "hash mismatch")
 	for _, p := range w.Coverage().Places {
 		if p.Place == "sw2" && p.Status != StatusNever {
 			t.Fatalf("failing verdict committed trust: %+v", p)
@@ -282,25 +295,6 @@ func TestCacheCommitFlow(t *testing.T) {
 			t.Fatalf("fail not attributed: %+v", p)
 		}
 	}
-}
-
-func TestVerdictForwarding(t *testing.T) {
-	clk := NewSimClock(time.Unix(1000, 0))
-	w := newTestWatchdog(clk)
-	var got []string
-	w.SetForward(forwardFunc(func(flow, subject string, verdict bool, place, stage, reason string) {
-		got = append(got, flow)
-	}))
-	w.ObserveVerdict("flow-9", "path", true, "", "accept", "")
-	if len(got) != 1 || got[0] != "flow-9" {
-		t.Fatalf("forward saw %v", got)
-	}
-}
-
-type forwardFunc func(flow, subject string, verdict bool, place, stage, reason string)
-
-func (f forwardFunc) ObserveVerdict(flow, subject string, verdict bool, place, stage, reason string) {
-	f(flow, subject, verdict, place, stage, reason)
 }
 
 func TestSinks(t *testing.T) {

@@ -37,8 +37,9 @@ type RATSProber struct {
 	// Claims is the challenge claim spec (e.g. "program", "tables").
 	Claims []string
 	// Appraise judges the returned evidence against the active policy;
-	// nil error means clean. Required.
-	Appraise func(place string, nonce, evidenceBody []byte) error
+	// nil error means clean. ctx is the probe span, for the appraisal
+	// side to parent under (zero when the flow is unsampled). Required.
+	Appraise func(place string, ctx telemetry.SpanContext, nonce, evidenceBody []byte) error
 	// OnFresh commits a clean probe (typically Watchdog.RecordFresh).
 	OnFresh func(place string, at time.Time)
 	// Clock stamps the fresh instant; default time.Now.
@@ -47,15 +48,11 @@ type RATSProber struct {
 	// sampled nonce flows) and propagates its context in the challenge
 	// frame, so the attester's and appraiser's spans join one trace.
 	Tracer *telemetry.FlowTracer
-	// AppraiseCtx, when set, replaces Appraise with a trace-context-aware
-	// variant: ctx is the probe span, for the appraisal side to parent
-	// under (zero when the flow is unsampled).
-	AppraiseCtx func(place string, ctx telemetry.SpanContext, nonce, evidenceBody []byte) error
 }
 
 // Probe implements Prober.
 func (p *RATSProber) Probe(place string) error {
-	if p.Dial == nil || p.NewNonce == nil || (p.Appraise == nil && p.AppraiseCtx == nil) {
+	if p.Dial == nil || p.NewNonce == nil || p.Appraise == nil {
 		return errors.New("rats prober: Dial, NewNonce, and Appraise are required")
 	}
 	conn, err := p.Dial(place)
@@ -86,12 +83,7 @@ func (p *RATSProber) Probe(place string) error {
 	if resp.Type != rats.MsgEvidence {
 		return probeErr(fmt.Errorf("challenge %s: attester answered %v: %s", place, resp.Type, resp.Body))
 	}
-	if p.AppraiseCtx != nil {
-		err = p.AppraiseCtx(place, pctx, nonce, resp.Body)
-	} else {
-		err = p.Appraise(place, nonce, resp.Body)
-	}
-	if err != nil {
+	if err := p.Appraise(place, pctx, nonce, resp.Body); err != nil {
 		return probeErr(fmt.Errorf("probe evidence from %s: %w", place, err))
 	}
 	if p.OnFresh != nil {

@@ -55,14 +55,7 @@ func RunDDoS(total int, attackShare float64) (*DDoSRow, error) {
 
 	// One sanctioned attested flow establishes the allowlisted tag and a
 	// template frame for legit traffic.
-	compiled, err := usecases.CompileUC1Policy(tb, []byte("ddos"))
-	if err != nil {
-		return nil, err
-	}
-	if err := tb.SendAttested(compiled.Policy, true, 1, 443, []byte("legit")); err != nil {
-		return nil, err
-	}
-	hdr, _, err := usecases.LastDelivered(tb.Client)
+	hdr, err := usecases.SendUC1(tb, []byte("ddos"), true, 1, []byte("legit"))
 	if err != nil {
 		return nil, err
 	}

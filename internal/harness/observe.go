@@ -169,20 +169,9 @@ func RunObserve(o ObserveOptions) (*ObserveResult, error) {
 			res.AttackSwitch = o.AttackSwitch
 		}
 		nonce := tb.NextNonce("obs")
-		compiled, err := usecases.CompileUC1Policy(tb, nonce)
+		hdr, err := usecases.SendUC1(tb, nonce, true, 40000+uint64(i), []byte("obs-data"))
 		if err != nil {
-			return nil, fmt.Errorf("harness: compile packet %d: %w", i, err)
-		}
-		tb.Client.Clear()
-		if err := tb.SendAttested(compiled.Policy, true, 40000+uint64(i), 443, []byte("obs-data")); err != nil {
-			return nil, err
-		}
-		hdr, _, err := usecases.LastDelivered(tb.Client)
-		if err != nil {
-			return nil, err
-		}
-		if hdr == nil {
-			return nil, fmt.Errorf("harness: packet %d delivered without header", i)
+			return nil, fmt.Errorf("harness: packet %d: %w", i, err)
 		}
 		cert, err := tb.Appraiser.Appraise("bank→client path", hdr.Evidence, nonce)
 		if err != nil {

@@ -17,10 +17,10 @@ type Planes struct {
 	Tracer   *telemetry.FlowTracer
 	Audit    *auditlog.Writer
 	// Collector shadows the client host, reassembling in-band span
-	// trails, and observes every verdict.
+	// trails, and reads every verdict.
 	Collector *observatory.Collector
 	// Watchdog consumes the cache's events, the collector's span trails
-	// and every verdict (teeing verdicts on to the collector).
+	// and every verdict.
 	Watchdog *freshness.Watchdog
 }
 
@@ -28,10 +28,13 @@ type Planes struct {
 // the registry, the tracer and the ledger; the network, the evidence
 // cache (nil when the testbed has none), the tracer's and the ledger's
 // own health report to the registry; the cache's expiries go to the
-// ledger; the appraiser reports to the registry and, bound to Table 1's
-// AP1 term (UC1 path attestation), to the ledger; and the collector and
-// watchdog get their feeds. Call it before traffic flows and after
-// EnableMemo, so the memo's counters are exported too.
+// ledger; the collector and watchdog get their feeds; and the appraiser
+// reports to the registry and, bound to Table 1's AP1 term (UC1 path
+// attestation), to the ledger. The watchdog, the collector and then the
+// ledger subscribe to the appraiser's verdicts, in that order, so the
+// alert records a verdict causes precede the verdict's own record. Call
+// it before traffic flows and after EnableMemo, so the memo's counters
+// are exported too.
 func (p Planes) Attach(tb *usecases.Testbed, cache *evidence.Cache) {
 	for _, sw := range tb.Switches {
 		if p.Registry != nil {
@@ -48,22 +51,9 @@ func (p Planes) Attach(tb *usecases.Testbed, cache *evidence.Cache) {
 		p.Tracer.Instrument(p.Registry)
 		p.Audit.Instrument(p.Registry)
 	}
-	if p.Audit != nil {
-		tb.Appraiser.SetAudit(p.Audit)
-		tb.Appraiser.SetPolicy("AP1", nac.AP1)
-	}
-	if p.Collector != nil {
-		p.Collector.AttachHost(tb.Client)
-		tb.Appraiser.SetObserver(p.Collector)
-	}
 	if wd := p.Watchdog; wd != nil {
 		cache.SetNotify(wd.CacheEvent)
-		if p.Collector != nil {
-			p.Collector.SetPathSink(wd.IngestPath)
-			wd.SetForward(p.Collector)
-		}
-		// The watchdog owns the appraiser's observer slot.
-		tb.Appraiser.SetObserver(wd)
+		tb.Appraiser.Subscribe(wd)
 		wd.Track(tb.PathSwitchNames()...)
 		if p.Registry != nil {
 			wd.Instrument(p.Registry)
@@ -71,5 +61,16 @@ func (p Planes) Attach(tb *usecases.Testbed, cache *evidence.Cache) {
 		if p.Audit != nil {
 			wd.AddSink(freshness.NewAuditSink(p.Audit))
 		}
+	}
+	if p.Collector != nil {
+		p.Collector.AttachHost(tb.Client)
+		tb.Appraiser.Subscribe(p.Collector)
+		if p.Watchdog != nil {
+			p.Collector.SetPathSink(p.Watchdog.IngestPath)
+		}
+	}
+	if p.Audit != nil {
+		tb.Appraiser.SetAudit(p.Audit)
+		tb.Appraiser.SetPolicy("AP1", nac.AP1)
 	}
 }

@@ -209,7 +209,7 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 		NewNonce: func(string) []byte { return tb.NextNonce("probe") },
 		Claims:   []string{"program", "tables"},
 		Tracer:   o.Tracer,
-		AppraiseCtx: func(place string, ctx telemetry.SpanContext, nonce, body []byte) error {
+		Appraise: func(place string, ctx telemetry.SpanContext, nonce, body []byte) error {
 			ev, err := evidence.Decode(body)
 			if err != nil {
 				return err
@@ -238,7 +238,6 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 	}.Attach(tb, cache)
 	// Probes appraise directly (no pool), so the appraiser traces itself.
 	tb.Appraiser.SetTracer(o.Tracer)
-	col.SetTracer(o.Tracer)
 	if o.Memo {
 		tb.Appraiser.EnableMemo(0)
 	}
@@ -282,20 +281,9 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 		}
 
 		nonce := tb.NextNonce("slo")
-		compiled, err := usecases.CompileUC1Policy(tb, nonce)
+		hdr, err := usecases.SendUC1(tb, nonce, true, 41000+uint64(i), []byte("slo-data"))
 		if err != nil {
-			return nil, fmt.Errorf("harness: compile packet %d: %w", i, err)
-		}
-		tb.Client.Clear()
-		if err := tb.SendAttested(compiled.Policy, true, 41000+uint64(i), 443, []byte("slo-data")); err != nil {
-			return nil, err
-		}
-		hdr, _, err := usecases.LastDelivered(tb.Client)
-		if err != nil {
-			return nil, err
-		}
-		if hdr == nil {
-			return nil, fmt.Errorf("harness: packet %d delivered without header", i)
+			return nil, fmt.Errorf("harness: packet %d: %w", i, err)
 		}
 		cert, err := tb.Appraiser.Appraise("bank→client path", hdr.Evidence, nonce)
 		if err != nil {

@@ -142,21 +142,9 @@ func throughputCorpus(o ThroughputOptions) ([]appraiser.Job, *usecases.Testbed, 
 	}.Attach(tb, cache)
 	chains := make([]*evidence.Evidence, flows)
 	for f := 0; f < flows; f++ {
-		nonce := tb.NextNonce("tp")
-		compiled, err := usecases.CompileUC1Policy(tb, nonce)
+		hdr, err := usecases.SendUC1(tb, tb.NextNonce("tp"), true, 40000+uint64(f), []byte("tp-data"))
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("harness: compile flow %d: %w", f, err)
-		}
-		tb.Client.Clear()
-		if err := tb.SendAttested(compiled.Policy, true, 40000+uint64(f), 443, []byte("tp-data")); err != nil {
-			return nil, nil, nil, err
-		}
-		hdr, _, err := usecases.LastDelivered(tb.Client)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if hdr == nil {
-			return nil, nil, nil, fmt.Errorf("harness: flow %d delivered without header", f)
+			return nil, nil, nil, fmt.Errorf("harness: flow %d: %w", f, err)
 		}
 		chains[f] = hdr.Evidence
 	}

@@ -15,7 +15,7 @@ type Host struct {
 
 	mu       sync.Mutex
 	received [][]byte
-	observer func(port uint64, frame []byte)
+	tap      func(port uint64, frame []byte)
 }
 
 // HostPort is the single network-facing port of a Host.
@@ -33,24 +33,24 @@ func (h *Host) Name() string { return h.name }
 // Addr returns the host's address.
 func (h *Host) Addr() uint64 { return h.addr }
 
-// SetObserver installs a tap seeing every frame delivered to the host —
-// how an out-of-band collector attaches to a path's terminal without
-// sitting in the forwarding path. The observer runs synchronously on
-// delivery with its own copy of the frame; nil detaches.
-func (h *Host) SetObserver(fn func(port uint64, frame []byte)) {
+// Tap installs a tap seeing every frame delivered to the host — how an
+// out-of-band collector attaches to a path's terminal without sitting
+// in the forwarding path. The tap runs synchronously on delivery with
+// its own copy of the frame; nil detaches.
+func (h *Host) Tap(fn func(port uint64, frame []byte)) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.observer = fn
+	h.tap = fn
 }
 
 // Receive implements Node: hosts are sinks.
 func (h *Host) Receive(port uint64, frame []byte) ([]Emission, error) {
 	h.mu.Lock()
 	h.received = append(h.received, append([]byte(nil), frame...))
-	obs := h.observer
+	tap := h.tap
 	h.mu.Unlock()
-	if obs != nil {
-		obs(port, append([]byte(nil), frame...))
+	if tap != nil {
+		tap(port, append([]byte(nil), frame...))
 	}
 	return nil, nil
 }

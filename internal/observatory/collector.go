@@ -13,8 +13,9 @@
 //     spans, reassembles end-to-end path traces keyed by nonce/flow,
 //     ingests periodic telemetry pushes from every place, and maintains
 //     per-place and per-link health.
-//   - Compromise localization: the Collector implements
-//     appraiser.Observer, so every verdict's place attribution (which
+//   - Compromise localization: the Collector is a telemetry.StageSink
+//     subscribed to the appraiser's appraise envelope
+//     (Appraiser.Subscribe), so every verdict's place attribution (which
 //     switch's claim failed the golden comparison) trains a rolling
 //     window per place; the first place whose failure rate departs its
 //     baseline is flagged — a UC1 program swap is attributed to the
@@ -25,7 +26,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pera/internal/netsim"
 	"pera/internal/pera"
@@ -102,7 +102,7 @@ type linkKey struct{ from, to string }
 // Collector is the out-of-band observatory node. It is safe for
 // concurrent use (netsim delivery, appraisal workers and stats pushers
 // may all feed it at once) and implements netsim.Node and
-// appraiser.Observer.
+// telemetry.StageSink.
 type Collector struct {
 	name string
 	cfg  Config
@@ -122,7 +122,6 @@ type Collector struct {
 	loc      *Localization
 
 	pathSink atomic.Pointer[func(flow string, hops []pera.HopSpan, truncated bool)]
-	tracer   atomic.Pointer[telemetry.FlowTracer]
 }
 
 // New creates a collector. The name is its netsim node identity.
@@ -150,7 +149,7 @@ func (c *Collector) Receive(port uint64, frame []byte) ([]netsim.Emission, error
 // the usual deployment: the collector shadows the path's destination
 // without occupying a topology port.
 func (c *Collector) AttachHost(h *netsim.Host) {
-	h.SetObserver(func(_ uint64, frame []byte) { c.IngestFrame(frame) })
+	h.Tap(func(_ uint64, frame []byte) { c.IngestFrame(frame) })
 }
 
 // IngestFrame inspects one terminal frame: if it carries a PERA header
@@ -176,37 +175,12 @@ func (c *Collector) IngestFrame(frame []byte) bool {
 // span transports; in-band callers use IngestFrame.
 func (c *Collector) IngestPath(flow string, hops []pera.HopSpan, truncated bool) {
 	c.ingestPath(flow, hops, truncated)
-	// Replay the in-band hop records into the distributed trace for this
-	// flow: the trace ID derivation is the same pure function of the
-	// flow the switches use, so these spans land in the same trace as
-	// the challenge/appraisal spans without any coordination. The hop's
-	// wall-clock start is reconstructed from its reported duration.
-	if tr := c.tracer.Load(); tr != nil && tr.Sampled(flow) {
-		tid := telemetry.TraceIDFromFlow(flow)
-		for i := range hops {
-			sp := &hops[i]
-			ctx := telemetry.SpanContext{TraceID: tid, SpanID: telemetry.NewSpanID()}
-			dur := time.Duration(sp.TotalNS)
-			tr.RecordSpan(ctx, telemetry.SpanContext{}, flow, sp.Place,
-				telemetry.StageHop, time.Now().Add(-dur), dur, "in-band")
-		}
-	}
 	// The sink runs after c.mu is released so a subscriber (the
 	// freshness watchdog) may take its own locks — or call back into
 	// the collector — without deadlocking.
 	if fn := c.pathSink.Load(); fn != nil {
 		(*fn)(flow, append([]pera.HopSpan(nil), hops...), truncated)
 	}
-}
-
-// SetTracer attaches a flow tracer: every reassembled span trail is
-// replayed as "hop" spans in the flow's distributed trace, joining the
-// same trace the RATS challenge/appraisal spans use. Nil detaches.
-func (c *Collector) SetTracer(tr *telemetry.FlowTracer) {
-	if c == nil {
-		return
-	}
-	c.tracer.Store(tr)
 }
 
 // SetPathSink subscribes a downstream consumer to every reassembled span
@@ -259,22 +233,31 @@ func (c *Collector) ingestPath(flow string, hops []pera.HopSpan, truncated bool)
 	}
 }
 
-// ObserveVerdict implements appraiser.Observer: the verdict joins the
-// pending path trace for its flow, and every hop on that path receives
-// an appraisal outcome — a failure is attributed only to the place the
-// appraiser's provenance names, which is what trains the per-place
-// anomaly windows to localize rather than blame the whole path.
-func (c *Collector) ObserveVerdict(flow, subject string, verdict bool, failPlace, stage, reason string) {
+// StageOpened implements telemetry.StageSink; an appraisal's start
+// carries nothing the collector reads.
+func (c *Collector) StageOpened(telemetry.StageEvent) {}
+
+// StageEnded implements telemetry.StageSink for the appraiser's appraise
+// envelope: the verdict joins the pending path trace for its flow, and
+// every hop on that path receives an appraisal outcome — a failure is
+// attributed only to the place the verdict's provenance names, which is
+// what trains the per-place anomaly windows to localize rather than
+// blame the whole path. An appraisal that failed operationally (Err,
+// e.g. a nonce replay) rendered no verdict and is skipped.
+func (c *Collector) StageEnded(ev telemetry.StageEvent) {
+	if ev.Err != "" || ev.Verdict == "" {
+		return
+	}
+	verdict := ev.Verdict == "PASS"
+	failPlace, stage, reason := ev.Prov.Place, ev.Prov.Stage, ev.Prov.Reason
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.verdicts++
-	pt := c.byFlow[flow]
+	pt := c.byFlow[ev.Flow]
 	if pt != nil {
-		delete(c.byFlow, flow)
-		if verdict {
-			pt.Verdict = "PASS"
-		} else {
-			pt.Verdict = "FAIL"
+		delete(c.byFlow, ev.Flow)
+		pt.Verdict = ev.Verdict
+		if !verdict {
 			pt.FailPlace = failPlace
 			pt.FailStage = stage
 			pt.Reason = reason

@@ -19,7 +19,7 @@ type place struct {
 	sampleSkips  uint64
 	lat          ring // hop TotalNS samples
 
-	// From appraisal verdicts (appraiser.Observer).
+	// From appraisal verdicts (the appraiser's appraise envelope).
 	obs       uint64 // outcomes observed
 	fails     uint64 // failures attributed to this place
 	win       []bool // rolling outcome window, true = attributed failure

@@ -8,7 +8,21 @@ import (
 	"testing"
 
 	"pera/internal/pera"
+	"pera/internal/telemetry"
 )
+
+// feedVerdict feeds c one appraisal's end the way Appraiser.Subscribe
+// delivers it: the appraise envelope with the verdict and provenance.
+func feedVerdict(c *Collector, flow string, pass bool, place, stage, reason string) {
+	v := "FAIL"
+	if pass {
+		v = "PASS"
+	}
+	c.StageEnded(telemetry.StageEvent{
+		Stage: telemetry.StageAppraise, Flow: flow, Verdict: v,
+		Prov: telemetry.Provenance{Place: place, Stage: stage, Reason: reason},
+	})
+}
 
 func pathHops(places ...string) []pera.HopSpan {
 	hops := make([]pera.HopSpan, len(places))
@@ -62,7 +76,7 @@ func TestCollectorPathRingBounded(t *testing.T) {
 func TestVerdictJoinsTrace(t *testing.T) {
 	c := New("collector", Config{})
 	c.IngestPath("f1", pathHops("sw1", "sw2"), false)
-	c.ObserveVerdict("f1", "path", false, "sw2", "golden", "measurement mismatch")
+	feedVerdict(c, "f1", false, "sw2", "golden", "measurement mismatch")
 	s := c.Snapshot()
 	pt := s.Paths[0]
 	if pt.Verdict != "FAIL" || pt.FailPlace != "sw2" || pt.FailStage != "golden" {
@@ -93,7 +107,7 @@ func TestLocalizationFlagsCompromisedPlace(t *testing.T) {
 		if !verdict {
 			stage, reason = "golden", "measurement mismatch: "+failPlace+"/fwd_v1.p4"
 		}
-		c.ObserveVerdict(f, "path", verdict, failPlace, stage, reason)
+		feedVerdict(c, f, verdict, failPlace, stage, reason)
 	}
 	for i := 0; i < 16; i++ {
 		send(true, "")
@@ -154,7 +168,7 @@ func TestStatsAndHealthPushes(t *testing.T) {
 func TestSnapshotHTTPAndRender(t *testing.T) {
 	c := New("collector", Config{})
 	c.IngestPath("f1", pathHops("sw1", "sw2"), false)
-	c.ObserveVerdict("f1", "path", true, "", "accept", "ok")
+	feedVerdict(c, "f1", true, "", "accept", "ok")
 
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -188,10 +202,10 @@ func TestVerdictWithoutTrace(t *testing.T) {
 	c := New("collector", Config{Baseline: 4, MinFails: 2})
 	for i := 0; i < 4; i++ {
 		c.IngestPath(fmt.Sprintf("w%d", i), pathHops("sw1"), false)
-		c.ObserveVerdict(fmt.Sprintf("w%d", i), "path", true, "", "accept", "ok")
+		feedVerdict(c, fmt.Sprintf("w%d", i), true, "", "accept", "ok")
 	}
 	for i := 0; i < 4; i++ {
-		c.ObserveVerdict(fmt.Sprintf("x%d", i), "path", false, "sw1", "golden", "mismatch")
+		feedVerdict(c, fmt.Sprintf("x%d", i), false, "sw1", "golden", "mismatch")
 	}
 	if loc := c.Localized(); loc == nil || loc.Place != "sw1" {
 		t.Fatalf("localization: %+v", loc)

@@ -345,8 +345,12 @@ var ledgeredStages = []telemetry.Stage{
 // (every flow, not 1-in-N — the ledger is the compliance trail, the
 // tracer the debugging aid). A nil writer detaches.
 func (s *Switch) SetAudit(w *auditlog.Writer) {
-	s.aud.Store(w)
-	s.planes.SetLedger(auditlog.Sink(w), ledgeredStages...)
+	if old := s.aud.Swap(w); old != nil {
+		s.planes.Subscribe(old)
+	}
+	if w != nil {
+		s.planes.Subscribe(w, ledgeredStages...)
+	}
 }
 
 // ReloadProgram swaps the dataplane program, re-measuring PCR 4 — the

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,14 +17,15 @@ import (
 //   - the flow tracer (SetTracer): one span per stage, parented under
 //     the recorder's envelope span (hop, attest or appraise), for
 //     sampled flows;
-//   - the durable ledger (SetLedger): one record per subscribed stage;
+//   - stage sinks (Subscribe): the durable ledger, the observatory
+//     collector and the freshness watchdog, each on its own stages;
 //   - profiler labels: Begin stamps the stage's pprof labels and End
 //     restores the enclosing region's;
 //   - the recorder's own tally (Tally): per-stage counts and durations,
 //     which the in-band hop span carries.
 //
 // A stage is timed whenever an attached plane records durations: a
-// histogram, the ledger, a tally, or the tracer for a sampled flow.
+// histogram, a sink, a tally, or the tracer for a sampled flow.
 // With no plane attached and the profiler disarmed, Open, Begin, End
 // and Close are each one inlined bool test.
 
@@ -61,9 +63,9 @@ type Provenance struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// StageSink is a plane outside this package that the seam feeds: the
-// audit ledger. StageOpened sees a subscribed envelope begin, StageEnded
-// every subscribed stage end.
+// StageSink is a plane outside this package that the seam feeds.
+// StageOpened sees a subscribed envelope begin, StageEnded every
+// subscribed stage end. Sinks must be safe for concurrent calls.
 type StageSink interface {
 	StageOpened(ev StageEvent)
 	StageEnded(ev StageEvent)
@@ -100,11 +102,16 @@ type Planes struct {
 }
 
 type planeSet struct {
-	tracer   *FlowTracer
-	ledger   StageSink
-	ledgered [numStages]bool
-	hist     [numStages]*Histogram
-	timed    bool // a histogram or the ledger records every stage's duration
+	tracer *FlowTracer
+	sinks  []subscription
+	hist   [numStages]*Histogram
+	timed  bool // a histogram or a sink records every stage's duration
+}
+
+// subscription is one sink and the stages it receives.
+type subscription struct {
+	sink   StageSink
+	stages [numStages]bool
 }
 
 // Init names the place and precomputes the pprof labels for the stages
@@ -130,14 +137,25 @@ func (p *Planes) SetTracer(tr *FlowTracer) {
 	p.swap(next)
 }
 
-// SetLedger attaches the ledger for the given stages; nil detaches.
-func (p *Planes) SetLedger(l StageSink, stages ...Stage) {
+// Subscribe feeds sink the given stages, after the sinks subscribed
+// before it. Subscribing a sink again replaces its stages in place; no
+// stages detaches it.
+func (p *Planes) Subscribe(sink StageSink, stages ...Stage) {
+	sub := subscription{sink: sink}
+	for _, s := range stages {
+		sub.stages[stageIndex(s)] = true
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	next := p.snapshot()
-	next.ledger, next.ledgered = l, [numStages]bool{}
-	for _, s := range stages {
-		next.ledgered[stageIndex(s)] = l != nil
+	next.sinks = slices.Clone(next.sinks) // published sets are immutable
+	i := slices.IndexFunc(next.sinks, func(s subscription) bool { return s.sink == sink })
+	if i < 0 {
+		i, next.sinks = len(next.sinks), append(next.sinks, sub)
+	}
+	next.sinks[i] = sub
+	if len(stages) == 0 {
+		next.sinks = slices.Delete(next.sinks, i, i+1)
 	}
 	p.swap(next)
 }
@@ -164,7 +182,7 @@ func (p *Planes) snapshot() planeSet {
 // swap publishes next, or nil when it attaches nothing — detaching from
 // a bare component allocates nothing.
 func (p *Planes) swap(next planeSet) {
-	next.timed = next.ledger != nil
+	next.timed = len(next.sinks) > 0
 	for _, h := range next.hist {
 		next.timed = next.timed || h != nil
 	}
@@ -223,10 +241,10 @@ func (p *Planes) Recorder() StageRecorder {
 }
 
 // Detailed reports whether a plane that reads more than stage and timing
-// — the tracer or the ledger — is attached. Sites use it to skip
-// building flow IDs and other text nobody would read.
+// — the tracer or a sink — is attached. Sites use it to skip building
+// flow IDs and other text nobody would read.
 func (r *StageRecorder) Detailed() bool {
-	return r.set != nil && (r.set.tracer != nil || r.set.ledger != nil)
+	return r.set != nil && (r.set.tracer != nil || len(r.set.sinks) > 0)
 }
 
 // Tally counts the stages that end after this call and sums their
@@ -260,9 +278,14 @@ func (r *StageRecorder) open(ev *StageEvent) {
 		r.start = time.Now()
 	}
 	r.region = r.planes.enter(ev.Stage)
-	if set != nil && set.ledgered[stageIndex(ev.Stage)] {
-		ev.Place, ev.Start = r.planes.place, r.start
-		set.ledger.StageOpened(*ev)
+	if set == nil {
+		return
+	}
+	ev.Place, ev.Start = r.planes.place, r.start
+	for _, sub := range set.sinks {
+		if sub.stages[stageIndex(ev.Stage)] {
+			sub.sink.StageOpened(*ev)
+		}
 	}
 }
 
@@ -389,8 +412,10 @@ func (r *StageRecorder) publish(ev *StageEvent, kind spanKind) {
 			}
 		}
 	}
-	if set.ledgered[i] {
-		set.ledger.StageEnded(*ev)
+	for _, sub := range set.sinks {
+		if sub.stages[i] {
+			sub.sink.StageEnded(*ev)
+		}
 	}
 }
 

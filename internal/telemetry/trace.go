@@ -30,7 +30,7 @@ const (
 	StageChallenge  Stage = "challenge"   // relying party's challenge round trip
 	StageAppraisal  Stage = "appraisal"   // relying party's appraise round trip
 	StageProbe      Stage = "probe"       // freshness re-attestation probe (full loop)
-	StageBatchFlush Stage = "batch_flush" // shared batch-verify window flush (link target)
+	StageBatchFlush Stage = "batch_flush" // shared batch-verify flush (link target)
 
 	StageGuardReject Stage = "guard_reject" // obligation skipped by a failed ▶ test (a point: no span)
 )

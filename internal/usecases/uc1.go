@@ -64,23 +64,40 @@ func CompileUC1Policy(tb *Testbed, nonce []byte) (*nac.Compiled, error) {
 	}, nil
 }
 
-// RunUC1Round sends one attested packet bank→client and appraises the
-// chained path evidence the client receives.
-func RunUC1Round(tb *Testbed, nonce []byte) (*UC1Result, error) {
+// SendUC1 sends one packet to port 443 under AP1 compiled for nonce —
+// bank→client when fromBank, else client→bank — and returns the PERA
+// header the receiving host got, whose Evidence is the chained path
+// evidence. The receiving host is cleared first, so its Received()[0]
+// is this packet's frame.
+func SendUC1(tb *Testbed, nonce []byte, fromBank bool, sport uint64, payload []byte) (*pera.Header, error) {
 	compiled, err := CompileUC1Policy(tb, nonce)
 	if err != nil {
 		return nil, err
 	}
-	tb.Client.Clear()
-	if err := tb.SendAttested(compiled.Policy, true, 40000, 443, []byte("hello")); err != nil {
+	to := tb.Client
+	if !fromBank {
+		to = tb.Bank
+	}
+	to.Clear()
+	if err := tb.SendAttested(compiled.Policy, fromBank, sport, 443, payload); err != nil {
 		return nil, err
 	}
-	hdr, _, err := LastDelivered(tb.Client)
+	hdr, _, err := LastDelivered(to)
 	if err != nil {
 		return nil, err
 	}
 	if hdr == nil {
-		return nil, fmt.Errorf("uc1: delivered frame lost its header")
+		return nil, fmt.Errorf("usecases: frame reached %s without its PERA header", to.Name())
+	}
+	return hdr, nil
+}
+
+// RunUC1Round sends one attested packet bank→client and appraises the
+// chained path evidence the client receives.
+func RunUC1Round(tb *Testbed, nonce []byte) (*UC1Result, error) {
+	hdr, err := SendUC1(tb, nonce, true, 40000, []byte("hello"))
+	if err != nil {
+		return nil, err
 	}
 	cert, err := tb.Appraiser.Appraise("bank→client path", hdr.Evidence, nonce)
 	if err != nil {

@@ -70,20 +70,9 @@ func (pa *PathAuthenticator) Authenticate(user string, ev *evidence.Evidence, no
 // CollectPathEvidence runs one attested round client→bank and returns the
 // chained evidence the bank received.
 func CollectPathEvidence(tb *Testbed, nonce []byte) (*evidence.Evidence, error) {
-	compiled, err := CompileUC1Policy(tb, nonce)
+	hdr, err := SendUC1(tb, nonce, false, 50000, []byte("login"))
 	if err != nil {
 		return nil, err
-	}
-	tb.Bank.Clear()
-	if err := tb.SendAttested(compiled.Policy, false, 50000, 443, []byte("login")); err != nil {
-		return nil, err
-	}
-	hdr, _, err := LastDelivered(tb.Bank)
-	if err != nil {
-		return nil, err
-	}
-	if hdr == nil {
-		return nil, fmt.Errorf("uc2: no in-band evidence arrived")
 	}
 	return hdr.Evidence, nil
 }
