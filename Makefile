@@ -59,11 +59,12 @@ perabench-test:
 	cd perabench && $(GO) vet . && $(GO) test -race .
 
 # Native fuzz targets, one after another, FUZZTIME each: the RATS wire
-# decoder, the PERA header pop, and the policy parser. Their seeds
-# already run as plain tests under `go test`.
+# decoder, the evidence decoders, the PERA header pop, and the policy
+# parser. Their seeds already run as plain tests under `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rats
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/evidence
 	$(GO) test -run '^$$' -fuzz '^FuzzPop$$' -fuzztime $(FUZZTIME) ./internal/pera
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/copland
 

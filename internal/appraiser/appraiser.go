@@ -254,7 +254,10 @@ func (a *Appraiser) Instrument(reg *telemetry.Registry) {
 	h := telemetry.NewHistogram("pera_verify_seconds", nil, telemetry.L("appraiser", a.name))
 	reg.Register(h)
 	a.planes.SetHistogram(h, telemetry.StageVerify, telemetry.StageVerifyFail)
-	a.memoSnapshot().Instrument(reg)
+	a.mu.RLock()
+	m := a.memo
+	a.mu.RUnlock()
+	m.Instrument(reg)
 }
 
 // SetAudit attaches the durable audit ledger: every appraisal emits an
@@ -299,23 +302,6 @@ func (a *Appraiser) SetPolicy(name, term string) {
 			Policy: name, Note: term,
 		})
 	}
-}
-
-// memoSnapshot returns the appraiser's persistent verification memo, or
-// nil when none is enabled. Pools use it to decide whether a batch
-// prewarm seeds the durable memo or an ephemeral per-call one.
-func (a *Appraiser) memoSnapshot() *evidence.VerifyMemo {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.memo
-}
-
-// keysSnapshot returns the current copy-on-write key table; the map is
-// immutable once published, so callers read it lock-free.
-func (a *Appraiser) keysSnapshot() evidence.KeyMap {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.keys
 }
 
 // policy snapshots the name of the policy term in force.
@@ -424,7 +410,7 @@ func (a *Appraiser) AllowHash(d rot.Digest) {
 // operational failures (nonce replay); verification failures are reported
 // through the certificate so they remain attributable and storable.
 func (a *Appraiser) Appraise(subject string, ev *evidence.Evidence, nonce []byte) (*Certificate, error) {
-	return a.appraiseNoted(telemetry.SpanContext{}, subject, ev, nonce, "", nil, "")
+	return a.appraiseNoted(telemetry.SpanContext{}, subject, ev, nonce, "")
 }
 
 // appraisalFlowID correlates appraisal-side audit records with the
@@ -445,17 +431,14 @@ func appraisalFlowID(ev *evidence.Evidence, nonce []byte) string {
 // rats trace-context field), joining the challenge's cross-process
 // trace.
 func (a *Appraiser) AppraiseCtx(parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte) (*Certificate, error) {
-	return a.appraiseNoted(parent, subject, ev, nonce, "", nil, "")
+	return a.appraiseNoted(parent, subject, ev, nonce, "")
 }
 
 // appraiseNoted additionally threads an attribution note (e.g. "worker
-// 3") stamped on the audit records, an override verification memo (the
-// pool's per-call batch memo when the appraiser has no persistent one;
-// nil uses the appraiser's own) and a span link naming the shared
-// batch-flush span this appraisal's signatures rode, if any. The whole
-// appraisal is one appraise stage: the sinks see its start and its
-// verdict, the tracer records its span and a verdict child.
-func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte, note string, memoOverride *evidence.VerifyMemo, link string) (*Certificate, error) {
+// 3") stamped on the audit records. The whole appraisal is one appraise
+// stage: the sinks see its start and its verdict, the tracer records its
+// span and a verdict child.
+func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte, note string) (*Certificate, error) {
 	rec := a.planes.Recorder()
 	flow, nonceHex := "", ""
 	if rec.Detailed() {
@@ -484,7 +467,7 @@ func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, 
 			return nil, ErrNonceReplayed
 		}
 	}
-	verdict, reason, prov := a.check(&rec, ev, nonce, memoOverride)
+	verdict, reason, prov := a.check(&rec, ev, nonce)
 	c := &Certificate{
 		Issuer:         a.name,
 		Subject:        subject,
@@ -500,7 +483,6 @@ func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, 
 	stage.Verdict = verdictString(verdict)
 	stage.Prov = prov
 	stage.Prov.Policy = stage.Policy
-	stage.Link = link
 	rec.Close(stage)
 	return c, nil
 }
@@ -545,19 +527,10 @@ func rejectAt(stage, clause, place, reason string) auditlog.Provenance {
 	return p
 }
 
-// batchVerifiers recycles chain batch verifiers across appraisals; each
-// check that batches takes one, retargets it at the active memo, and
-// returns it with buffers intact.
-var batchVerifiers = sync.Pool{
-	New: func() any { return evidence.NewBatchVerifier(nil) },
-}
-
 // check runs the verification pipeline and renders a verdict together
-// with the provenance naming the exact policy clause that decided.
-// memoOverride, when non-nil, replaces the appraiser's own memo for this
-// appraisal — the pool's batch-prewarm transport. The signature walk is
-// reported on rec as the appraisal's verify stage.
-func (a *Appraiser) check(rec *telemetry.StageRecorder, ev *evidence.Evidence, nonce []byte, memoOverride *evidence.VerifyMemo) (bool, string, auditlog.Provenance) {
+// with the provenance naming the exact policy clause that decided. The
+// signature walk is reported on rec as the appraisal's verify stage.
+func (a *Appraiser) check(rec *telemetry.StageRecorder, ev *evidence.Evidence, nonce []byte) (bool, string, auditlog.Provenance) {
 	if err := evidence.Validate(ev); err != nil {
 		return false, err.Error(), reject("structure", clauseStructure, err.Error())
 	}
@@ -568,25 +541,12 @@ func (a *Appraiser) check(rec *telemetry.StageRecorder, ev *evidence.Evidence, n
 	strict, requireNonce := a.Strict, a.RequireNonce
 	memo := a.memo
 	a.mu.RUnlock()
-	if memoOverride != nil {
-		memo = memoOverride
-	}
 
 	m := rec.Begin(telemetry.StageVerify)
-	// With a memo available, front-load the chain's unverified signatures
-	// through the batch equation; the memoized walk below then consumes
-	// the seeded verdicts, so the rendered verdict (and error text) is
-	// exactly what the per-item path produces.
-	if memo != nil {
-		bv := batchVerifiers.Get().(*evidence.BatchVerifier)
-		bv.Reset(memo)
-		if err := bv.Gather(ev, keys); err == nil {
-			bv.Flush()
-		} else {
-			bv.Reset(memo) // drop the partial window; the walk reports the error
-		}
-		batchVerifiers.Put(bv)
-	}
+	// With a memo, the prewarm verifies the chain's new signatures into
+	// it and the walk answers every node from it; without one the walk
+	// verifies each signature in full.
+	memo.Prewarm(ev, keys)
 	nsigs, err := evidence.VerifySignaturesMemo(ev, keys, memo)
 	if err != nil {
 		rec.End(m, telemetry.StageEvent{Stage: telemetry.StageVerifyFail, Note: err.Error()})

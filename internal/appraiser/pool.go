@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pera/internal/auditlog"
 	"pera/internal/evidence"
@@ -82,8 +81,6 @@ type Pool struct {
 	// histogram and the flow tracer; notes[i] is its attribution.
 	planes []telemetry.Planes
 	notes  []string
-	// tracer records the shared batch-flush spans.
-	tracer *telemetry.FlowTracer
 	// aud, when attached, receives the pool_drained summary record at
 	// Close (per-job appraise/verdict records come from the Appraiser
 	// itself, with worker attribution in their notes).
@@ -95,14 +92,6 @@ type poolTask struct {
 	idx  int
 	res  *Result         // AppraiseAll: slot to fill
 	done *sync.WaitGroup // AppraiseAll: completion signal
-	// memo, when set, overrides the appraiser's memo for this appraisal —
-	// the transport that hands a batch prewarm's pre-verified signature
-	// verdicts to the worker without installing a persistent cache.
-	memo *evidence.VerifyMemo
-	// link, when set, names the shared batch-flush span whose batched
-	// verification this job's signatures rode — recorded as a span link
-	// (not a parent: the flush serves many jobs across many traces).
-	link string
 }
 
 // NewPool starts workers goroutines appraising against a. workers <= 0
@@ -157,7 +146,6 @@ func (p *Pool) Instrument(reg *telemetry.Registry) {
 // SetTracer attaches a flow tracer recording appraise/verdict spans for
 // sampled flows. Call before the first Submit.
 func (p *Pool) SetTracer(tr *telemetry.FlowTracer) {
-	p.tracer = tr
 	for i := range p.planes {
 		p.planes[i].SetTracer(tr)
 	}
@@ -195,8 +183,8 @@ func (p *Pool) worker(id int, queue <-chan poolTask) {
 		if p.aud != nil {
 			attr = p.notes[id]
 		}
-		cert, err := p.a.appraiseNoted(t.job.Trace, t.job.Subject, t.job.Evidence, t.job.Nonce, attr, t.memo, t.link)
-		done := telemetry.StageEvent{Note: p.notes[id], Link: t.link}
+		cert, err := p.a.appraiseNoted(t.job.Trace, t.job.Subject, t.job.Evidence, t.job.Nonce, attr)
+		done := telemetry.StageEvent{Note: p.notes[id]}
 		if err != nil {
 			done.Err = err.Error()
 		} else {
@@ -239,77 +227,27 @@ func (p *Pool) route(job *Job, idx int) chan poolTask {
 // Submit enqueues a job and returns its submission index. It blocks only
 // when the routed worker's queue is full (natural backpressure on the
 // producer). Submit must not be called after Close.
-func (p *Pool) Submit(job Job) int {
+func (p *Pool) Submit(job Job) int { return p.submit(job, nil, nil) }
+
+// submit enqueues one task; AppraiseAll passes a result slot and its
+// completion group.
+func (p *Pool) submit(job Job, res *Result, done *sync.WaitGroup) int {
 	idx := int(p.next.Add(1) - 1)
-	p.route(&job, idx) <- poolTask{job: job, idx: idx}
+	p.route(&job, idx) <- poolTask{job: job, idx: idx, res: res, done: done}
 	return idx
-}
-
-// submitTracked is Submit with a result slot, completion group, memo
-// override and batch-flush span link, used by AppraiseAll.
-func (p *Pool) submitTracked(job Job, res *Result, done *sync.WaitGroup, memo *evidence.VerifyMemo, link string) {
-	idx := int(p.next.Add(1) - 1)
-	p.route(&job, idx) <- poolTask{job: job, idx: idx, res: res, done: done, memo: memo, link: link}
-}
-
-// flushSpanStart mints the shared batch-flush span's context when the
-// tracer would keep it: the span rides the trace of the first sampled
-// job in the batch (one batch serves many traces; the others reach it
-// through their appraise spans' links). A coalesced duplicate shares its
-// earlier leader's flow, so scanning every job finds the same one.
-// Returns a zero context when tracing is off or no flow is sampled.
-func (p *Pool) flushSpanStart(jobs []Job) (telemetry.SpanContext, time.Time) {
-	if tr := p.tracer; tr != nil {
-		for i := range jobs {
-			if flow := jobFlowID(&jobs[i]); tr.Sampled(flow) {
-				ctx := telemetry.SpanContext{TraceID: telemetry.TraceIDFromFlow(flow), SpanID: telemetry.NewSpanID()}
-				return ctx, time.Now()
-			}
-		}
-	}
-	return telemetry.SpanContext{}, time.Time{}
-}
-
-// flushSpanEnd records the batch-flush span and returns its span ID for
-// the batched jobs to link to ("" when none was started).
-func (p *Pool) flushSpanEnd(ctx telemetry.SpanContext, start time.Time, jobs int) string {
-	if !ctx.Valid() {
-		return ""
-	}
-	p.tracer.RecordSpan(ctx, telemetry.SpanContext{}, "batch", p.a.Name(),
-		telemetry.StageBatchFlush, start, time.Since(start), strconv.Itoa(jobs)+" jobs")
-	return ctx.SpanID
-}
-
-// prewarmMemo picks the memo a batch prewarm seeds: the appraiser's own
-// persistent memo when enabled (override nil — workers already use it),
-// else a fresh ephemeral memo that must be threaded through the tasks
-// and dies with the call, so memo-off configurations batch within a
-// call without gaining a cross-call cache.
-func (p *Pool) prewarmMemo() (memo, override *evidence.VerifyMemo) {
-	if m := p.a.memoSnapshot(); m != nil {
-		return m, nil
-	}
-	m := evidence.NewVerifyMemo(1024)
-	return m, m
 }
 
 // AppraiseAll runs every job through the pool and returns results in
 // submission order. It may be interleaved with concurrent Submit calls;
 // only the jobs passed here are waited on.
 //
-// Two batch optimizations apply to the whole call:
-//
-//   - identical nonce-less jobs — same subject, same evidence tree — are
-//     coalesced: one appraisal runs and every duplicate receives its
-//     certificate. High-inertia evidence re-presented across the packets
-//     of one batch is pointer-identical (the switch caches the frame),
-//     so re-appraising it per packet proves nothing the first appraisal
-//     didn't. Jobs with a nonce are never coalesced: replay semantics
-//     require each submission to be appraised.
-//   - the unique chains' signatures are batch-verified up front, in
-//     parallel sub-windows, seeding the verification memo the dispatched
-//     appraisals then consume.
+// Identical nonce-less jobs — same subject, same evidence tree — are
+// coalesced: one appraisal runs and every duplicate receives its
+// certificate. High-inertia evidence re-presented across the packets of
+// one call is pointer-identical (the switch caches the frame), so
+// re-appraising it per packet proves nothing the first appraisal didn't.
+// Jobs with a nonce are never coalesced: replay semantics require each
+// submission to be appraised.
 //
 // Coalesced duplicates still count in Stats and still trigger OnResult
 // (from this goroutine, not a worker); their Result.Index is the
@@ -339,12 +277,10 @@ func (p *Pool) AppraiseAll(jobs []Job) []Result {
 		}
 	}
 
-	memo, link := p.prewarm(jobs, leaderOf)
-
 	done.Add(len(jobs) - dups)
 	for i := range jobs {
 		if leaderOf[i] == -1 {
-			p.submitTracked(jobs[i], &results[i], &done, memo, link)
+			p.submit(jobs[i], &results[i], &done)
 		}
 	}
 	done.Wait()
@@ -370,49 +306,6 @@ func (p *Pool) AppraiseAll(jobs []Job) []Result {
 		}
 	}
 	return results
-}
-
-// prewarm batch-verifies the signatures of the call's unique chains,
-// split across up to Workers parallel sub-windows, before any job is
-// dispatched. It returns the memo override to stamp on the tasks (nil
-// when the appraiser's own memo is the seed target) and the span ID of
-// the whole-call batch-flush span for the jobs to link to.
-func (p *Pool) prewarm(jobs []Job, leaderOf []int) (*evidence.VerifyMemo, string) {
-	memo, override := p.prewarmMemo()
-	keys := p.a.keysSnapshot()
-	uniq := make([]int, 0, len(jobs))
-	for i := range jobs {
-		if leaderOf[i] == -1 {
-			uniq = append(uniq, i)
-		}
-	}
-	if len(uniq) == 0 {
-		return override, ""
-	}
-	flushCtx, flushStart := p.flushSpanStart(jobs)
-	parts := p.workers
-	if parts > len(uniq) {
-		parts = len(uniq)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < parts; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Fresh goroutine: pprof labels are goroutine-scoped, so the
-			// batch crypto must label itself here, not inherit the caller's.
-			defer telemetry.ProfExit(p.a.planes.Region(telemetry.StageVerify).Enter())
-			bv := batchVerifiers.Get().(*evidence.BatchVerifier)
-			bv.Reset(memo)
-			for j := w; j < len(uniq); j += parts {
-				_ = bv.Gather(jobs[uniq[j]].Evidence, keys)
-			}
-			bv.Flush()
-			batchVerifiers.Put(bv)
-		}(w)
-	}
-	wg.Wait()
-	return override, p.flushSpanEnd(flushCtx, flushStart, len(uniq))
 }
 
 // Stats returns a snapshot of the aggregate verdict counters.

@@ -1,7 +1,9 @@
 package appraiser
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,30 +11,50 @@ import (
 	"pera/internal/rot"
 )
 
-// poolCorpus builds a deterministic corpus of appraisal jobs over mixed
-// good and tampered evidence chains: every third chain has its outer
-// signature corrupted, and every tenth job reuses the previous job's
-// nonce to exercise the replay path. good reports how many chains are
-// untampered.
+// poolSeed derives the pool tests' signer key: rot.NewDeterministic("sw1",
+// poolSeed) signs the honest chains, and the torsion signer reuses its key.
+const poolSeed = "pool-signer"
+
+// chainKinds are the kinds of chain poolCorpus builds, in corpus order.
+var chainKinds = []string{"honest", "flipped", "replayed", "unknown", "torsion"}
+
+// poolCorpus builds n jobs of each chain kind, kind after kind: honest
+// chains; flipped-byte chains (a signature byte flipped after signing);
+// replayed-nonce jobs (every second job reuses the previous job's nonce,
+// and so its chain); unknown-signer chains (a key the appraiser lacks);
+// and torsion chains (see torsionSigner), which crypto/ed25519 rejects.
+// Every job carries its own nonce but the replays. good counts the jobs
+// the serial appraiser passes.
 func poolCorpus(t testing.TB, signer *rot.RoT, n int) (jobs []Job, good int) {
 	t.Helper()
 	val := rot.Sum([]byte("golden"))
-	for i := 0; i < n; i++ {
-		nonce := []byte("pool-" + strconv.Itoa(i))
-		if i%10 == 9 {
-			nonce = []byte("pool-" + strconv.Itoa(i-1)) // deliberate replay
+	stranger := rot.NewDeterministic("sw-unknown", []byte("pool-stranger"))
+	torsion := newTorsionSigner(signer.Name(), []byte(poolSeed)) // signer's key
+	for _, kind := range chainKinds {
+		for i := 0; i < n; i++ {
+			nonce := []byte(kind + "-" + strconv.Itoa(i))
+			if kind == "replayed" && i%2 == 1 {
+				nonce = []byte(kind + "-" + strconv.Itoa(i-1))
+			}
+			var by evidence.Signer = signer
+			switch kind {
+			case "unknown":
+				by = stranger
+			case "torsion":
+				by = torsion
+			}
+			m := evidence.Measurement(signer.Name(), "prog", signer.Name(), evidence.DetailProgram, val, nil)
+			ev := evidence.Sign(by, evidence.Seq(evidence.Nonce(nonce), m))
+			if kind == "flipped" {
+				sig := append([]byte(nil), ev.Signature...)
+				sig[0] ^= 0xff
+				ev = &evidence.Evidence{Kind: evidence.KindSig, Signer: ev.Signer, Signature: sig, Left: ev.Left}
+			}
+			if kind == "honest" || kind == "replayed" && i%2 == 0 {
+				good++
+			}
+			jobs = append(jobs, Job{Subject: "sw-under-test", Evidence: ev, Nonce: nonce})
 		}
-		m := evidence.Measurement(signer.Name(), "prog", signer.Name(), evidence.DetailProgram, val, nil)
-		ev := evidence.Sign(signer, evidence.Seq(evidence.Nonce(nonce), m))
-		if i%3 == 2 {
-			// Tamper after signing: flip a signature byte.
-			sig := append([]byte(nil), ev.Signature...)
-			sig[0] ^= 0xff
-			ev = &evidence.Evidence{Kind: evidence.KindSig, Signer: ev.Signer, Signature: sig, Left: ev.Left}
-		} else if i%10 != 9 {
-			good++
-		}
-		jobs = append(jobs, Job{Subject: "sw-under-test", Evidence: ev, Nonce: nonce})
 	}
 	return jobs, good
 }
@@ -44,91 +66,131 @@ func poolAppraiser(signer *rot.RoT) *Appraiser {
 	return a
 }
 
-// TestPoolDifferential runs 100 mixed good/tampered chains through the
-// serial appraiser (1 worker) and the parallel pool (8 workers) and
-// requires identical per-job verdicts, reasons and errors — the parallel
-// engine must be observationally equivalent to the serial one.
-func TestPoolDifferential(t *testing.T) {
-	signer := rot.NewDeterministic("sw1", []byte("pool-signer"))
-	jobs, good := poolCorpus(t, signer, 100)
-
-	serial := AppraiseParallel(poolAppraiser(signer), jobs, 1)
-	parallel := AppraiseParallel(poolAppraiser(signer), jobs, 8)
-
-	if len(serial) != len(jobs) || len(parallel) != len(jobs) {
-		t.Fatalf("result lengths: serial=%d parallel=%d want %d", len(serial), len(parallel), len(jobs))
+// appraiseSerial is the reference: the plain appraiser, no memo, one
+// job after another.
+func appraiseSerial(a *Appraiser, jobs []Job) []Result {
+	out := make([]Result, len(jobs))
+	for i, j := range jobs {
+		cert, err := a.Appraise(j.Subject, j.Evidence, j.Nonce)
+		out[i] = Result{Index: i, Certificate: cert, Err: err}
 	}
-	var sPass, pPass int
-	for i := range jobs {
-		s, p := serial[i], parallel[i]
-		if (s.Err == nil) != (p.Err == nil) {
-			t.Fatalf("job %d: err mismatch serial=%v parallel=%v", i, s.Err, p.Err)
-		}
-		if s.Err != nil {
-			if s.Err.Error() != p.Err.Error() {
-				t.Fatalf("job %d: error text mismatch %q vs %q", i, s.Err, p.Err)
-			}
-			continue
-		}
-		if s.Certificate.Verdict != p.Certificate.Verdict {
-			t.Fatalf("job %d: verdict mismatch serial=%v parallel=%v", i, s.Certificate.Verdict, p.Certificate.Verdict)
-		}
-		if s.Certificate.Reason != p.Certificate.Reason {
-			t.Fatalf("job %d: reason mismatch %q vs %q", i, s.Certificate.Reason, p.Certificate.Reason)
-		}
-		if s.Certificate.Verdict {
-			sPass++
-		}
-		if p.Certificate.Verdict {
-			pPass++
+	return out
+}
+
+// submitAll streams jobs through Submit on a fresh pool and collects the
+// results by submission index.
+func submitAll(a *Appraiser, jobs []Job, workers int) []Result {
+	out := make([]Result, len(jobs))
+	p := NewPool(a, workers)
+	p.OnResult = func(r Result) { out[r.Index] = r }
+	for _, j := range jobs {
+		p.Submit(j)
+	}
+	p.Close()
+	return out
+}
+
+// TestPoolDifferential runs the differential table with the memo off.
+func TestPoolDifferential(t *testing.T) { poolDifferential(t, false) }
+
+// TestPoolDifferentialMemo runs the differential table with the memo on:
+// memoized verification must never change a verdict, must not keep one
+// the serial path would not reach, and re-presented chains must hit.
+func TestPoolDifferentialMemo(t *testing.T) { poolDifferential(t, true) }
+
+// poolDifferential requires every pool path to render exactly the plain
+// serial appraiser's verdict, reason and error for every job: 1, 2, 4 and
+// 8 workers × AppraiseParallel and Submit, on an appraiser with the memo
+// on or off. Each case appraises every chain kind on its own, then the
+// whole corpus followed by two nonce-less re-presentations of it
+// (coalesced by AppraiseAll, memo hits with the memo on). The torsion
+// kind pins one signature semantics: a cofactored check over a window of
+// torsion chains would PASS what crypto/ed25519 rejects, and with the
+// memo on that PASS would outlive the pool.
+func poolDifferential(t *testing.T, memo bool) {
+	signer := rot.NewDeterministic("sw1", []byte(poolSeed))
+	const n = 8
+	corpus, good := poolCorpus(t, signer, n)
+	runs := map[string][]Job{}
+	for k, kind := range chainKinds {
+		runs[kind] = corpus[k*n : (k+1)*n]
+	}
+	all := append([]Job(nil), corpus...)
+	for round := 0; round < 2; round++ {
+		for _, j := range corpus {
+			all = append(all, Job{Subject: j.Subject, Evidence: j.Evidence})
 		}
 	}
-	if sPass != good || pPass != good {
-		t.Fatalf("pass counts: serial=%d parallel=%d want %d", sPass, pPass, good)
+	runs["all"] = all
+	order := append(append([]string(nil), chainKinds...), "all")
+
+	want := map[string][]Result{}
+	for _, run := range order {
+		want[run] = appraiseSerial(poolAppraiser(signer), runs[run])
+	}
+	pass := 0
+	for _, r := range want["all"][:len(corpus)] {
+		if r.Err == nil && r.Certificate.Verdict {
+			pass++
+		}
+	}
+	if pass != good {
+		t.Fatalf("serial appraiser passed %d of the corpus, want %d", pass, good)
+	}
+
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, path := range []string{"AppraiseParallel", "Submit"} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, path), func(t *testing.T) {
+				for _, run := range order {
+					a := poolAppraiser(signer)
+					if memo {
+						a.EnableMemo(0)
+					}
+					jobs := runs[run]
+					var got []Result
+					if path == "Submit" {
+						got = submitAll(a, jobs, workers)
+					} else {
+						got = AppraiseParallel(a, jobs, workers)
+					}
+					for i := range jobs {
+						if w, g := describe(want[run][i]), describe(got[i]); w != g {
+							t.Fatalf("%s job %d: serial %s, pool %s", run, i, w, g)
+						}
+					}
+					if !memo {
+						continue
+					}
+					// The memo must not carry a verdict the serial path
+					// would not reach.
+					for _, j := range runs["torsion"] {
+						c, err := a.Appraise(j.Subject, j.Evidence, nil)
+						if got := describe(Result{Certificate: c, Err: err}); !strings.HasPrefix(got, "FAIL") {
+							t.Fatalf("%s: torsion chain re-appraised after the pool: %s", run, got)
+						}
+					}
+					if st := a.MemoStats(); run == "all" && st.HitRate() < 0.5 {
+						t.Fatalf("memo hit rate %.2f over the re-presented corpus, want >= 0.5: %+v", st.HitRate(), st)
+					}
+				}
+			})
+		}
 	}
 }
 
-// TestPoolDifferentialMemo repeats the differential check with the
-// verification memo enabled on the parallel side: memoized verification
-// must never change a verdict, and re-presented chains must actually hit.
-func TestPoolDifferentialMemo(t *testing.T) {
-	signer := rot.NewDeterministic("sw1", []byte("pool-signer"))
-	jobs, _ := poolCorpus(t, signer, 60)
-	// Re-present every chain three times (nonce-less so replay protection
-	// does not interfere) — the memoized pass must agree with the serial
-	// appraiser on all of them.
-	var repeated []Job
-	for round := 0; round < 3; round++ {
-		for _, j := range jobs {
-			repeated = append(repeated, Job{Subject: j.Subject, Evidence: j.Evidence})
-		}
+// describe renders a result's outcome for comparison.
+func describe(r Result) string {
+	if r.Err != nil {
+		return "error " + r.Err.Error()
 	}
-
-	serial := AppraiseParallel(poolAppraiser(signer), repeated, 1)
-
-	memoed := poolAppraiser(signer)
-	memoed.EnableMemo(0)
-	parallel := AppraiseParallel(memoed, repeated, 4)
-
-	for i := range repeated {
-		if serial[i].Certificate.Verdict != parallel[i].Certificate.Verdict {
-			t.Fatalf("job %d: verdict mismatch with memo", i)
-		}
-	}
-	st := memoed.MemoStats()
-	if st.Hits == 0 {
-		t.Fatalf("memo recorded no hits over %d re-presented chains: %+v", len(repeated), st)
-	}
-	if st.HitRate() < 0.5 {
-		t.Fatalf("memo hit rate %.2f, want >= 0.5 over 3x re-presented corpus: %+v", st.HitRate(), st)
-	}
+	return verdictString(r.Certificate.Verdict) + " " + r.Certificate.Reason
 }
 
 // TestPoolNonceOrdering submits many jobs sharing one nonce and checks
 // exactly the first submission wins the replay check, deterministically,
 // at every pool width.
 func TestPoolNonceOrdering(t *testing.T) {
-	signer := rot.NewDeterministic("sw1", []byte("pool-signer"))
+	signer := rot.NewDeterministic("sw1", []byte(poolSeed))
 	val := rot.Sum([]byte("golden"))
 	nonce := []byte("shared-nonce")
 	m := evidence.Measurement(signer.Name(), "prog", signer.Name(), evidence.DetailProgram, val, nil)
@@ -153,8 +215,8 @@ func TestPoolNonceOrdering(t *testing.T) {
 // TestPoolSubmitStream exercises the streaming Submit/OnResult/Close path
 // under contention from multiple producers.
 func TestPoolSubmitStream(t *testing.T) {
-	signer := rot.NewDeterministic("sw1", []byte("pool-signer"))
-	jobs, good := poolCorpus(t, signer, 100)
+	signer := rot.NewDeterministic("sw1", []byte(poolSeed))
+	jobs, good := poolCorpus(t, signer, 20)
 
 	p := NewPool(poolAppraiser(signer), 4)
 	var mu sync.Mutex

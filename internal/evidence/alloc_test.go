@@ -72,3 +72,35 @@ func TestDecodeSharedDoesNotAliasInput(t *testing.T) {
 		t.Fatal("decode round-trip changed the encoding")
 	}
 }
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestMemoHitZeroAlloc pins the allocation-free memo hit: a lookup of a
+// memoized triple, and a VerifySignaturesMemo walk whose every signature
+// is memoized, allocate nothing.
+func TestMemoHitZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	ev, r := allocEvidence(t)
+	pub := r.Public()
+	keys := KeyMap{"sw1": pub}
+	memo := NewVerifyMemo(0)
+	msg := AppendSigMessage(nil, ev.Signer, ev.Left)
+	if !memo.Verify(pub, msg, ev.Signature) {
+		t.Fatal("honest signature rejected")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		memo.Verify(pub, msg, ev.Signature)
+	}); allocs != 0 {
+		t.Fatalf("memo hit allocated %.1f/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := VerifySignaturesMemo(ev, keys, memo); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("all-hit VerifySignaturesMemo walk allocated %.1f/op, want 0", allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package evidence
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -71,4 +72,31 @@ func TestDecodeDeepNesting(t *testing.T) {
 	if _, err := Decode(data); err == nil {
 		t.Fatal("over-deep tree decoded")
 	}
+}
+
+// FuzzDecode feeds hostile bytes to both decoders. Decode and
+// DecodeShared must accept exactly the same inputs, and every accepted
+// input must re-encode byte for byte, with EncodedSize equal to its
+// length: the encoding is canonical, so one tree has one byte string.
+// The seed corpus in testdata/fuzz/FuzzDecode also runs under plain
+// go test.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ev, err := Decode(data)
+		shared, serr := DecodeShared(data)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("Decode error %v, DecodeShared error %v", err, serr)
+		}
+		if err != nil {
+			return
+		}
+		for _, e := range []*Evidence{ev, shared} {
+			if enc := Encode(e); !bytes.Equal(enc, data) {
+				t.Fatalf("accepted %x re-encodes as %x", data, enc)
+			}
+			if n := EncodedSize(e); n != len(data) {
+				t.Fatalf("accepted %d bytes, EncodedSize %d", len(data), n)
+			}
+		}
+	})
 }

@@ -94,11 +94,13 @@ func NewVerifyMemo(capacity int) *VerifyMemo {
 // pool every memo lookup — hit or miss — would allocate.
 var memoHashPool = sync.Pool{New: func() any { return &memoHasher{h: sha256.New()} }}
 
-// memoHasher pairs a hasher with a sum buffer so key computation stays
-// allocation-free: summing into a stack array forces it to escape, while
-// the pooled buffer is already on the heap.
+// memoHasher pairs a hasher with its length-prefix and sum buffers so
+// key computation stays allocation-free: a stack array passed to the
+// hash.Hash interface escapes, while the pooled buffers are already on
+// the heap.
 type memoHasher struct {
 	h   hash.Hash
+	lp  [4]byte
 	sum [sha256.Size]byte
 }
 
@@ -108,12 +110,11 @@ func memoKeyOf(pub ed25519.PublicKey, message, sig []byte) memoKey {
 	mh := memoHashPool.Get().(*memoHasher)
 	h := mh.h
 	h.Reset()
-	var lp [4]byte
-	binary.BigEndian.PutUint32(lp[:], uint32(len(pub)))
-	h.Write(lp[:])
+	binary.BigEndian.PutUint32(mh.lp[:], uint32(len(pub)))
+	h.Write(mh.lp[:])
 	h.Write(pub)
-	binary.BigEndian.PutUint32(lp[:], uint32(len(sig)))
-	h.Write(lp[:])
+	binary.BigEndian.PutUint32(mh.lp[:], uint32(len(sig)))
+	h.Write(mh.lp[:])
 	h.Write(sig)
 	h.Write(message)
 	var k memoKey
@@ -154,17 +155,19 @@ func (m *VerifyMemo) store(k memoKey, verdict bool) {
 	s.pos = (s.pos + 1) % m.perShard
 }
 
-// auditInsert records one full (non-memoized) verification on the ledger.
-func (m *VerifyMemo) auditInsert(verdict bool, note string) {
-	aud := m.aud.Load()
-	if aud == nil {
-		return
+// insert counts one full (non-memoized) verification as a miss, records
+// it on the ledger and stores its verdict under k.
+func (m *VerifyMemo) insert(k memoKey, verdict bool) {
+	m.misses.Add(1)
+	if aud := m.aud.Load(); aud != nil {
+		v := "PASS"
+		if !verdict {
+			v = "FAIL"
+		}
+		aud.Emit(auditlog.Record{Event: auditlog.EventMemoInsert, Verdict: v,
+			Note: "full signature verification (memo miss)"})
 	}
-	v := "PASS"
-	if !verdict {
-		v = "FAIL"
-	}
-	aud.Emit(auditlog.Record{Event: auditlog.EventMemoInsert, Verdict: v, Note: note})
+	m.store(k, verdict)
 }
 
 // Verify checks the detached rot.Sign-style signature under pub, consulting
@@ -180,39 +183,68 @@ func (m *VerifyMemo) Verify(pub ed25519.PublicKey, message, sig []byte) bool {
 		m.hits.Add(1)
 		return v
 	}
-	m.misses.Add(1)
 	v := rot.Verify(pub, message, sig)
-	m.auditInsert(v, "full signature verification (memo miss)")
-	m.store(k, v)
+	m.insert(k, v)
 	return v
 }
 
-// Seed records an externally computed verdict for the triple — the memo
-// transport batch verification uses: a batch prewarm checks its
-// signatures together, seeds the verdicts here, and the unchanged appraisal logic
-// then consumes them as ordinary memo hits, which is what keeps batched
-// and per-item verdicts bit-identical.
-func (m *VerifyMemo) Seed(pub ed25519.PublicKey, message, sig []byte, verdict bool, note string) {
-	if m == nil {
-		return
-	}
-	k := memoKeyOf(pub, message, sig)
-	if _, ok := m.lookup(k); ok {
-		return
-	}
-	m.misses.Add(1)
-	m.auditInsert(verdict, note)
-	m.store(k, verdict)
+// prewarmScratch is Prewarm's pooled working set: the chain's signature
+// nodes, their keys, and one rot.SigPrefix‖message buffer.
+type prewarmScratch struct {
+	sigs []*Evidence
+	pubs []ed25519.PublicKey
+	msg  []byte
 }
 
-// Known reports whether a verdict for the triple is already memoized,
-// without counting a hit or a miss. Batch gatherers use it to skip
-// triples that need no verification.
-func (m *VerifyMemo) Known(pub ed25519.PublicKey, message, sig []byte) (verdict, ok bool) {
+var prewarmPool = sync.Pool{New: func() any { return new(prewarmScratch) }}
+
+// Prewarm verifies every signature in e whose triple the memo does not
+// know yet, one at a time with crypto/ed25519 (exactly the check
+// rot.Verify makes), and stores the verdicts. Each new triple costs one
+// miss and one memo_insert record; the VerifySignaturesMemo walk that
+// follows then answers it as a hit without building a prefixed message.
+// A chain with an unknown signer or a malformed node seeds nothing: the
+// walk reports it. A nil memo does nothing.
+func (m *VerifyMemo) Prewarm(e *Evidence, keys KeyResolver) {
 	if m == nil {
-		return false, false
+		return
 	}
-	return m.lookup(memoKeyOf(pub, message, sig))
+	s := prewarmPool.Get().(*prewarmScratch)
+	if s.collect(e, keys) {
+		for i, ev := range s.sigs {
+			pub := s.pubs[i]
+			s.msg = AppendSigMessage(append(s.msg[:0], rot.SigPrefix...), ev.Signer, ev.Left)
+			k := memoKeyOf(pub, s.msg[len(rot.SigPrefix):], ev.Signature)
+			if _, ok := m.lookup(k); !ok {
+				m.insert(k, len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, s.msg, ev.Signature))
+			}
+		}
+	}
+	clear(s.sigs) // do not pin the chain in the pool
+	s.sigs, s.pubs = s.sigs[:0], s.pubs[:0]
+	prewarmPool.Put(s)
+}
+
+// collect appends e's signature nodes and their keys in walk order. It
+// reports false for an unknown signer or a malformed node.
+func (s *prewarmScratch) collect(e *Evidence, keys KeyResolver) bool {
+	if e == nil {
+		return false
+	}
+	switch e.Kind {
+	case KindEmpty, KindNonce, KindMeasurement, KindHash:
+		return true
+	case KindSig:
+		pub, ok := keys.KeyFor(e.Signer)
+		if !ok {
+			return false
+		}
+		s.sigs, s.pubs = append(s.sigs, e), append(s.pubs, pub)
+		return s.collect(e.Left, keys)
+	case KindSeq, KindPar:
+		return s.collect(e.Left, keys) && s.collect(e.Right, keys)
+	}
+	return false
 }
 
 // Check returns the memoized verdict for (pub, message, sig), calling
@@ -228,10 +260,8 @@ func (m *VerifyMemo) Check(pub ed25519.PublicKey, message, sig []byte, verify fu
 		m.hits.Add(1)
 		return v
 	}
-	m.misses.Add(1)
 	v := verify()
-	m.auditInsert(v, "full signature verification (memo miss)")
-	m.store(k, v)
+	m.insert(k, v)
 	return v
 }
 

@@ -150,8 +150,8 @@ func TestAuditLedgerEndToEnd(t *testing.T) {
 			}
 		}
 		if len(fromTracer) == 0 {
-			// Pseudo-flows (e.g. "batch" for shared flush spans) carry
-			// only envelope spans and have no ledger timeline to match.
+			// Flows that carry only envelope spans have no ledger
+			// timeline to match.
 			continue
 		}
 		if len(fromTracer) != len(fromLedger) {

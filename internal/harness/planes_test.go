@@ -74,9 +74,8 @@ var differByDesign = map[string]carriers{
 	"memo_insert":  {ledger: true, why: "the memo records outside any packet's recorder"},
 	"cache_expire": {ledger: true, why: "expiry is found on reaping, not in a stage"},
 	// Tracer-only envelope spans: tree structure around the stages.
-	"hop":         {tracer: true, why: "envelope of a switch's stages"},
-	"attest":      {tracer: true, why: "envelope of an attester's stages"},
-	"batch_flush": {tracer: true, why: "shared batch-verify span, linked not parented"},
+	"hop":    {tracer: true, why: "envelope of a switch's stages"},
+	"attest": {tracer: true, why: "envelope of an attester's stages"},
 	// Compose is an uncounted instant: no registry series.
 	"compose": {ledger: true, tracer: true, why: "no registry series"},
 	// The appraiser's own verify stage on the pool path: only its

@@ -555,20 +555,7 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 		if cfg.VerifyIncoming != nil {
 			s.met.verifyOps.Inc()
 			m := rec.Begin(telemetry.StageVerify)
-			var err error
-			if cfg.VerifyMemo != nil {
-				// Batch path: gather the chain's signatures, settle them
-				// with one batch equation (or per-item fallback), seed the
-				// memo, then walk as usual — verdicts and error text are
-				// identical to the unbatched stage.
-				bv := switchBatchPool.Get().(*evidence.BatchVerifier)
-				bv.Reset(cfg.VerifyMemo)
-				_, err = evidence.VerifySignaturesBatched(hdr.Evidence, cfg.VerifyIncoming, cfg.VerifyMemo, bv)
-				switchBatchPool.Put(bv)
-			} else {
-				_, err = evidence.VerifySignaturesMemo(hdr.Evidence, cfg.VerifyIncoming, nil)
-			}
-			if err != nil {
+			if _, err := evidence.VerifySignaturesMemo(hdr.Evidence, cfg.VerifyIncoming, cfg.VerifyMemo); err != nil {
 				s.met.verifyFails.Inc()
 				rec.End(m, telemetry.StageEvent{
 					Stage: telemetry.StageVerifyFail, Note: err.Error(),
@@ -688,10 +675,6 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 	rec.Close(telemetry.StageEvent{})
 	return emissions, nil
 }
-
-// switchBatchPool reuses BatchVerifier state (signature arenas, item
-// lists) across the Verify stage's per-frame batch passes.
-var switchBatchPool = sync.Pool{New: func() any { return evidence.NewBatchVerifier(nil) }}
 
 // obligationOutcome is what one obligation did at this hop.
 type obligationOutcome uint8

@@ -252,9 +252,9 @@ func (r *RoT) Quote(nonce []byte, pcrSelect ...int) (*Quote, error) {
 }
 
 // SigPrefix is the domain-separation prefix Sign prepends to every
-// message before the Ed25519 operation. Batch verifiers that feed raw
-// triples to crypto/ed25519 (or the batch equation) must build
-// SigPrefix‖message themselves to match what Sign actually signed.
+// message before the Ed25519 operation. Verifiers that feed raw triples
+// to crypto/ed25519 must build SigPrefix‖message themselves to match
+// what Sign actually signed.
 const SigPrefix = "PERA-SIG-V1\x00"
 
 // Sign signs an arbitrary message under the AIK with domain separation from

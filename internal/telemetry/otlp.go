@@ -52,12 +52,6 @@ type otlpSpan struct {
 	StartTimeUnixNano string         `json:"startTimeUnixNano"`
 	EndTimeUnixNano   string         `json:"endTimeUnixNano"`
 	Attributes        []otlpKeyValue `json:"attributes,omitempty"`
-	Links             []otlpLink     `json:"links,omitempty"`
-}
-
-type otlpLink struct {
-	TraceID string `json:"traceId"`
-	SpanID  string `json:"spanId"`
 }
 
 const otlpSpanKindInternal = 1
@@ -86,9 +80,6 @@ func OTLPExport(service string, spans []Span) any {
 		}
 		if s.Note != "" {
 			os.Attributes = append(os.Attributes, otlpKeyValue{Key: "pera.note", Value: otlpValue{StringValue: s.Note}})
-		}
-		for _, l := range s.Links {
-			os.Links = append(os.Links, otlpLink{TraceID: s.TraceID, SpanID: l})
 		}
 		out = append(out, os)
 	}

@@ -101,9 +101,6 @@ func spanLine(s *Span) string {
 	if s.Note != "" {
 		line += fmt.Sprintf("  %q", s.Note)
 	}
-	if len(s.Links) > 0 {
-		line += fmt.Sprintf("  → %v", s.Links)
-	}
 	return line
 }
 

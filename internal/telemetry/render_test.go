@@ -17,7 +17,7 @@ func testTraceSpans() []Span {
 		{Seq: 3, TraceID: "t1", SpanID: "sig", ParentID: "att", Flow: "f1", Place: "sw1",
 			Stage: StageSign, Start: base + 2e6, Dur: 2 * time.Millisecond},
 		{Seq: 4, TraceID: "t1", SpanID: "app", ParentID: "root", Flow: "f1", Place: "Appraiser",
-			Stage: StageAppraise, Start: base + 6e6, Dur: 3 * time.Millisecond, Links: []string{"flush"}},
+			Stage: StageAppraise, Start: base + 6e6, Dur: 3 * time.Millisecond},
 	}
 }
 

@@ -46,7 +46,6 @@ type StageEvent struct {
 	Verdict string // PASS or FAIL: the envelope rendered a verdict
 	Err     string // the envelope failed operationally (e.g. nonce replay)
 	Note    string
-	Link    string     // span ID of a shared batch-flush span the stage rode
 	Prov    Provenance // the clause that decided; Clause == "" means none
 }
 
@@ -76,7 +75,7 @@ type StageSink interface {
 var stageOrder = [...]Stage{
 	StageSign, StageEvidence, StageCompose, StageCacheHit, StageCacheMiss,
 	StageVerify, StageVerifyFail, StageAppraise, StageHop, StageAttest,
-	StageGuardReject, StageVerdict, StageChallenge, StageAppraisal, StageProbe, StageBatchFlush,
+	StageGuardReject, StageVerdict, StageChallenge, StageAppraisal, StageProbe,
 }
 
 const numStages = len(stageOrder) + 1
@@ -122,11 +121,6 @@ func (p *Planes) Init(place string, labeled ...Stage) {
 		p.prof[stageIndex(s)] = NewProfRegion(s, place)
 	}
 }
-
-// Region returns the place's pprof region for a stage (nil when the
-// stage is not labeled here), for batch work that runs outside any
-// recorder.
-func (p *Planes) Region(s Stage) *ProfRegion { return p.prof[stageIndex(s)] }
 
 // SetTracer attaches the flow tracer; nil detaches.
 func (p *Planes) SetTracer(tr *FlowTracer) {
@@ -397,11 +391,7 @@ func (r *StageRecorder) publish(ev *StageEvent, kind spanKind) {
 			}
 			tr.RecordChild(r.ctx, r.flow, ev.Place, ev.Stage, ev.Start, ev.Dur, note)
 		case envelopeSpan:
-			if ev.Link != "" {
-				tr.RecordSpan(r.ctx, r.parent, r.flow, ev.Place, ev.Stage, ev.Start, ev.Dur, ev.Note, ev.Link)
-			} else {
-				tr.RecordSpan(r.ctx, r.parent, r.flow, ev.Place, ev.Stage, ev.Start, ev.Dur, ev.Note)
-			}
+			tr.RecordSpan(r.ctx, r.parent, r.flow, ev.Place, ev.Stage, ev.Start, ev.Dur, ev.Note)
 			if ev.Verdict != "" || ev.Err != "" {
 				note := ev.Verdict
 				if ev.Err != "" {

@@ -25,12 +25,11 @@ const (
 	StageAppraise   Stage = "appraise"    // full appraisal of a chain
 	StageVerdict    Stage = "verdict"     // appraisal outcome (note carries PASS/FAIL)
 
-	StageHop        Stage = "hop"         // whole-pipeline span of one switch hop
-	StageAttest     Stage = "attest"      // attester servicing one RATS challenge
-	StageChallenge  Stage = "challenge"   // relying party's challenge round trip
-	StageAppraisal  Stage = "appraisal"   // relying party's appraise round trip
-	StageProbe      Stage = "probe"       // freshness re-attestation probe (full loop)
-	StageBatchFlush Stage = "batch_flush" // shared batch-verify flush (link target)
+	StageHop       Stage = "hop"       // whole-pipeline span of one switch hop
+	StageAttest    Stage = "attest"    // attester servicing one RATS challenge
+	StageChallenge Stage = "challenge" // relying party's challenge round trip
+	StageAppraisal Stage = "appraisal" // relying party's appraise round trip
+	StageProbe     Stage = "probe"     // freshness re-attestation probe (full loop)
 
 	StageGuardReject Stage = "guard_reject" // obligation skipped by a failed ▶ test (a point: no span)
 )
@@ -52,9 +51,6 @@ type Span struct {
 	Start    int64         `json:"start_ns"` // wall clock, unix nanoseconds
 	Dur      time.Duration `json:"dur_ns"`
 	Note     string        `json:"note,omitempty"`
-	// Links names spans causally related but not parents — e.g. the
-	// shared batch-verify flush span each batched appraisal rode.
-	Links []string `json:"links,omitempty"`
 }
 
 // End returns the span's wall-clock end instant in unix nanoseconds.
@@ -212,7 +208,7 @@ func (t *FlowTracer) Record(flow, place string, stage Stage, dur time.Duration, 
 		return
 	}
 	ctx := SpanContext{TraceID: TraceIDFromFlow(flow), SpanID: NewSpanID()}
-	t.push(ctx, SpanContext{}, flow, place, stage, time.Now().Add(-dur), dur, note, nil)
+	t.push(ctx, SpanContext{}, flow, place, stage, time.Now().Add(-dur), dur, note)
 }
 
 // RecordChild records a span under parent and returns its context so
@@ -222,22 +218,22 @@ func (t *FlowTracer) RecordChild(parent SpanContext, flow, place string, stage S
 	if !ctx.Valid() {
 		return SpanContext{}
 	}
-	t.push(ctx, parent, flow, place, stage, start, dur, note, nil)
+	t.push(ctx, parent, flow, place, stage, start, dur, note)
 	return ctx
 }
 
 // RecordSpan records a span with a pre-allocated context (NewContext /
-// ChildContext), its parent, and optional span links. Spans under an
-// invalid context are dropped — the unsampled-flow fast path.
-func (t *FlowTracer) RecordSpan(ctx, parent SpanContext, flow, place string, stage Stage, start time.Time, dur time.Duration, note string, links ...string) {
+// ChildContext) and its parent. Spans under an invalid context are
+// dropped — the unsampled-flow fast path.
+func (t *FlowTracer) RecordSpan(ctx, parent SpanContext, flow, place string, stage Stage, start time.Time, dur time.Duration, note string) {
 	if t == nil || !ctx.Valid() {
 		return
 	}
-	t.push(ctx, parent, flow, place, stage, start, dur, note, links)
+	t.push(ctx, parent, flow, place, stage, start, dur, note)
 }
 
 // push is the single ring writer.
-func (t *FlowTracer) push(ctx, parent SpanContext, flow, place string, stage Stage, start time.Time, dur time.Duration, note string, links []string) {
+func (t *FlowTracer) push(ctx, parent SpanContext, flow, place string, stage Stage, start time.Time, dur time.Duration, note string) {
 	if start.IsZero() {
 		start = time.Now()
 	}
@@ -245,9 +241,6 @@ func (t *FlowTracer) push(ctx, parent SpanContext, flow, place string, stage Sta
 		Seq: t.seq.Add(1), TraceID: ctx.TraceID, SpanID: ctx.SpanID,
 		ParentID: parent.SpanID, Flow: flow, Place: place, Stage: stage,
 		Start: start.UnixNano(), Dur: dur, Note: note,
-	}
-	if len(links) > 0 {
-		s.Links = append([]string(nil), links...)
 	}
 	t.recorded.Add(1)
 	t.mu.Lock()

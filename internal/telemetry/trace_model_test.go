@@ -69,7 +69,7 @@ func TestRecordSpanTree(t *testing.T) {
 	if !child.Valid() {
 		t.Fatal("sampled RecordChild returned zero context")
 	}
-	tr.RecordSpan(root, SpanContext{}, "f1", "rp", StageChallenge, time.Now(), 2*time.Millisecond, "", "link-1")
+	tr.RecordSpan(root, SpanContext{}, "f1", "rp", StageChallenge, time.Now(), 2*time.Millisecond, "")
 
 	spans := tr.Trace(root.TraceID)
 	if len(spans) != 2 {
@@ -78,7 +78,7 @@ func TestRecordSpanTree(t *testing.T) {
 	if spans[0].ParentID != root.SpanID || spans[0].SpanID != child.SpanID {
 		t.Fatalf("child span: %+v", spans[0])
 	}
-	if spans[1].ParentID != "" || len(spans[1].Links) != 1 || spans[1].Links[0] != "link-1" {
+	if spans[1].ParentID != "" || spans[1].SpanID != root.SpanID {
 		t.Fatalf("root span: %+v", spans[1])
 	}
 	if spans[0].Start <= 0 || spans[0].End() != spans[0].Start+int64(spans[0].Dur) {
@@ -118,7 +118,7 @@ func TestOTLPExportShape(t *testing.T) {
 	tr := NewFlowTracer(16)
 	tr.SetSampleEvery(1)
 	root := tr.NewContext("f1")
-	tr.RecordSpan(root, SpanContext{}, "f1", "rp", StageChallenge, time.Now(), time.Millisecond, "note", "aabbccdd00112233")
+	tr.RecordSpan(root, SpanContext{}, "f1", "rp", StageChallenge, time.Now(), time.Millisecond, "note")
 
 	var buf bytes.Buffer
 	if err := WriteOTLP(&buf, "pera-test", tr.Spans()); err != nil {
@@ -142,10 +142,6 @@ func TestOTLPExportShape(t *testing.T) {
 					Name         string `json:"name"`
 					Start        string `json:"startTimeUnixNano"`
 					End          string `json:"endTimeUnixNano"`
-					Links        []struct {
-						TraceID string `json:"traceId"`
-						SpanID  string `json:"spanId"`
-					} `json:"links"`
 				} `json:"spans"`
 			} `json:"scopeSpans"`
 		} `json:"resourceSpans"`
@@ -175,9 +171,6 @@ func TestOTLPExportShape(t *testing.T) {
 	// OTLP-JSON requires uint64 nanos as STRINGS.
 	if sp.Start == "" || sp.End == "" || sp.Start >= sp.End {
 		t.Fatalf("span times: %+v", sp)
-	}
-	if len(sp.Links) != 1 || sp.Links[0].SpanID != "aabbccdd00112233" || sp.Links[0].TraceID != root.TraceID {
-		t.Fatalf("links: %+v", sp.Links)
 	}
 }
 

@@ -1,10 +1,12 @@
 #!/bin/sh
 # bench_quick.sh — allocation-regression guard for the hot path.
 #
-# Runs BenchmarkThroughput_EndToEnd a handful of iterations and fails if
-# allocs/op exceeds the checked-in budget (bench_budget.txt). allocs/op
-# from -benchmem is an exact runtime counter, not a timing, so a short
-# run is deterministic enough to gate CI on.
+# Runs BenchmarkThroughput_EndToEnd a handful of iterations at
+# GOMAXPROCS 2 and fails if allocs/op exceeds the checked-in budget
+# (bench_budget.txt). allocs/op from -benchmem is an exact runtime
+# counter, not a timing, so a short run is deterministic enough to gate
+# CI on. The count grows with GOMAXPROCS (the pool sizes itself to it),
+# so -cpu 2 keeps it independent of the runner's core count.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,7 +17,7 @@ if [ -z "$budget" ]; then
     exit 2
 fi
 
-out=$(${GO:-go} test -run '^$' -bench 'BenchmarkThroughput_EndToEnd' -benchmem -benchtime 5x .)
+out=$(${GO:-go} test -run '^$' -bench 'BenchmarkThroughput_EndToEnd' -benchmem -benchtime 5x -cpu 2 .)
 echo "$out"
 
 allocs=$(echo "$out" | awk '/BenchmarkThroughput_EndToEnd/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')

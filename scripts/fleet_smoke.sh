@@ -31,6 +31,7 @@ go build -o "$TMP/attestctl" ./cmd/attestctl
 # clock keeps the coverage stable for assertions.
 start_sim() {
     name=$1; shift
+    : >"$TMP/$name.err" # wait_url may poll before the redirect creates it
     "$TMP/perasim" -slo "$@" -telemetry 127.0.0.1:0 -telemetry-hold \
         >"$TMP/$name.out" 2>"$TMP/$name.err" &
     PIDS="$PIDS $!"
@@ -61,6 +62,7 @@ URL1=$(wait_url sim1); URL2=$(wait_url sim2); URL3=$(wait_url sim3)
 echo "fleet-smoke: members at $URL1 $URL2 $URL3"
 
 INTERVAL_MS=300
+: >"$TMP/fleetd.out" # polled below, maybe before the redirect creates it
 "$TMP/fleetd" -targets "sim1=$URL1,sim2=$URL2,sim3=$URL3" \
     -interval ${INTERVAL_MS}ms -listen 127.0.0.1:0 \
     >"$TMP/fleetd.out" 2>"$TMP/fleetd.err" &

@@ -25,6 +25,10 @@ echo "observe-smoke: building perasim and attestctl"
 go build -o "$TMP/perasim" ./cmd/perasim
 go build -o "$TMP/attestctl" ./cmd/attestctl
 
+# The poll below may run before the background redirect creates the
+# log, so create it first.
+: >"$TMP/stderr"
+
 # :0 picks a free port; -telemetry-hold keeps the collector's
 # /observatory.json up after the run, and the "run complete" stderr line
 # carries the bound URL.

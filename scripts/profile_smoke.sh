@@ -24,6 +24,10 @@ echo "profile-smoke: building perasim and attestctl"
 go build -o "$TMP/perasim" ./cmd/perasim
 go build -o "$TMP/attestctl" ./cmd/attestctl
 
+# The poll below may run before the background redirect creates the
+# log, so create it first.
+: >"$TMP/stderr"
+
 # Unique chains (packets == flows, memo off) keep ed25519 verification
 # genuinely hot for the whole timed phase — the corpus the profiler is
 # supposed to attribute.

@@ -26,6 +26,9 @@ echo "recorder-smoke: building perasim and attestctl"
 go build -o "$TMP/perasim" ./cmd/perasim
 go build -o "$TMP/attestctl" ./cmd/attestctl
 
+# The poll below may run before the background redirect creates the
+# log, so create it first.
+: >"$TMP/stderr"
 "$TMP/perasim" -observe -observe-hops 4 -observe-packets 96 \
     -audit "$TMP/trail.jsonl" -recorder "$TMP/incidents" \
     -telemetry 127.0.0.1:0 -telemetry-hold \

@@ -25,6 +25,10 @@ echo "slo-smoke: building perasim and attestctl"
 go build -o "$TMP/perasim" ./cmd/perasim
 go build -o "$TMP/attestctl" ./cmd/attestctl
 
+# The poll below may run before the background redirect creates the
+# log, so create it first.
+: >"$TMP/stderr"
+
 # -slo-recover -1 leaves the alert firing and the place lapsed; :0 picks
 # a free port and -telemetry-hold keeps /coverage.json and /alerts.json
 # up after the run. The "run complete" stderr line carries the URL.

@@ -20,6 +20,10 @@ trap cleanup EXIT INT TERM
 echo "telemetry-smoke: building perasim"
 go build -o "$TMP/perasim" ./cmd/perasim
 
+# The poll below may run before the background redirect creates the
+# log, so create it first.
+: >"$TMP/stderr"
+
 # :0 picks a free port; -telemetry-hold keeps serving after the run and
 # prints the bound URL to stderr, so waiting for that line both finds
 # the port and guarantees the run (and its metrics) is complete.

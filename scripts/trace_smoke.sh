@@ -40,6 +40,9 @@ extract() { # file pattern
     printf '%s' "$_out"
 }
 
+# extract may poll a log before the background redirect creates it.
+: >"$TMP/attestd.out"
+: >"$TMP/appraised.out"
 "$TMP/attestd" -listen 127.0.0.1:0 -name sw1 -program firewall \
     -telemetry 127.0.0.1:0 -trace 1 >"$TMP/attestd.out" 2>&1 &
 ATT_PID=$!
