@@ -59,14 +59,17 @@ perabench-test:
 	cd perabench && $(GO) vet . && $(GO) test -race .
 
 # Native fuzz targets, one after another, FUZZTIME each: the RATS wire
-# decoder, the evidence decoders, the PERA header pop, and the policy
-# parser. Their seeds already run as plain tests under `go test`.
+# decoder, the evidence decoders, the PERA header pop, the policy
+# parser, and the certificate and quote decoders. Their seeds already
+# run as plain tests under `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rats
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/evidence
 	$(GO) test -run '^$$' -fuzz '^FuzzPop$$' -fuzztime $(FUZZTIME) ./internal/pera
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/copland
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCertificate$$' -fuzztime $(FUZZTIME) ./internal/appraiser
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQuote$$' -fuzztime $(FUZZTIME) ./internal/rot
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -77,10 +80,10 @@ bench:
 bench-quick:
 	GO=$(GO) sh scripts/bench_quick.sh
 
-# Just the concurrent-appraisal families (the BENCH_throughput.json
-# source); see README "Performance".
+# Just the concurrent-appraisal families and the Sign and Verify memo
+# rows (the BENCH_throughput.json source); see README "Performance".
 bench-throughput:
-	$(GO) test -bench 'BenchmarkThroughput|BenchmarkVerifyMemo' -benchmem -run '^$$' .
+	$(GO) test -bench 'BenchmarkThroughput|BenchmarkVerifyMemo|BenchmarkSignStage' -benchmem -run '^$$' .
 
 # End-to-end observability check: run perasim with a live endpoint,
 # scrape /metrics, assert the per-stage histograms are populated.

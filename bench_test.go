@@ -232,7 +232,8 @@ func BenchmarkFig2_OutOfBand(b *testing.B) {
 
 // BenchmarkFig3_PipelineStages times each cumulative stage configuration
 // of the Fig. 3 switch: the gap between successive sub-benchmarks is the
-// cost of the added evidence stage.
+// cost of the added evidence stage. Every iteration carries its own
+// nonce, so the signing stages never re-sign a chain.
 func BenchmarkFig3_PipelineStages(b *testing.B) {
 	for _, stage := range harness.Fig3Stages {
 		b.Run(stage, func(b *testing.B) {
@@ -240,13 +241,13 @@ func BenchmarkFig3_PipelineStages(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var inband []byte
+			var inband [][]byte
 			if stage == "+inband-header" {
-				inband = harness.Fig3InbandFrame(sw, frame)
+				inband = harness.Fig3InbandFrames(sw, frame, b.N)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := harness.RunFig3Stage(stage, sw, frame, inband); err != nil {
+				if err := harness.RunFig3Stage(stage, sw, frame, inband, i); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -699,6 +700,39 @@ func BenchmarkVerifyMemo(b *testing.B) {
 	})
 }
 
+// BenchmarkSignStage is the Sign layer row: one switch Attest of the
+// program claim per op, a cost the Sign stage dominates. "fresh" attests
+// under a new nonce every op, so every Sign is a real Ed25519 operation;
+// "repeat" attests one chain over and over, so after the first op the
+// switch's Sign-stage memo answers every Sign.
+func BenchmarkSignStage(b *testing.B) {
+	for _, repeat := range []bool{false, true} {
+		name := "fresh"
+		if repeat {
+			name = "repeat"
+		}
+		b.Run(name, func(b *testing.B) {
+			sw, _, err := harness.NewFig3Switch()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nonce := harness.Fig3Nonce(i)
+				if repeat {
+					nonce = harness.Fig3Nonce(0)
+				}
+				if _, err := sw.Attest(nonce, evidence.DetailProgram); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			st := sw.Stats()
+			b.ReportMetric(float64(st.SignMemoHits)/float64(st.SignOps), "memoHit")
+		})
+	}
+}
+
 // --- Supporting micro-benchmarks: the primitives the stages are built
 // from, for the ablation discussion in EXPERIMENTS.md. ---
 
@@ -890,7 +924,8 @@ func BenchmarkAblation_PolicyCompile(b *testing.B) {
 // BenchmarkAblation_SignerOffload contrasts the Sign stage executed on
 // the local RoT with the disaggregated variant (§5.2's remotely-invoked
 // primitive) over an in-memory transport: the offload round trip is the
-// price of moving crypto off the ASIC.
+// price of moving crypto off the ASIC. Every iteration attests under its
+// own nonce, so both arms sign every time.
 func BenchmarkAblation_SignerOffload(b *testing.B) {
 	b.Run("local", func(b *testing.B) {
 		sw, _, err := harness.NewFig3Switch()
@@ -899,7 +934,7 @@ func BenchmarkAblation_SignerOffload(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sw.Attest(nil, evidence.DetailProgram); err != nil {
+			if _, err := sw.Attest(harness.Fig3Nonce(i), evidence.DetailProgram); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -918,7 +953,7 @@ func BenchmarkAblation_SignerOffload(b *testing.B) {
 		sw.SetSigner(pera.NewRemoteSigner(sw.Name(), cc))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sw.Attest(nil, evidence.DetailProgram); err != nil {
+			if _, err := sw.Attest(harness.Fig3Nonce(i), evidence.DetailProgram); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -105,13 +105,13 @@ func fig3() error {
 		if err != nil {
 			return err
 		}
-		var inband []byte
+		var inband [][]byte
 		if stage == "+inband-header" {
-			inband = harness.Fig3InbandFrame(sw, frame)
+			inband = harness.Fig3InbandFrames(sw, frame, iters)
 		}
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			if err := harness.RunFig3Stage(stage, sw, frame, inband); err != nil {
+			if err := harness.RunFig3Stage(stage, sw, frame, inband, i); err != nil {
 				return err
 			}
 		}

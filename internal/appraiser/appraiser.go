@@ -75,7 +75,9 @@ func (c *Certificate) Encode() []byte {
 	return appendLV(b, c.Signature)
 }
 
-// DecodeCertificate parses a certificate from its wire form.
+// DecodeCertificate parses a certificate from its wire form. The form is
+// canonical: a verdict byte other than 0 or 1, or any byte after the
+// signature field, is rejected, so one certificate has one encoding.
 func DecodeCertificate(data []byte) (*Certificate, error) {
 	read := func(off int) ([]byte, int, error) {
 		if off+4 > len(data) {
@@ -116,6 +118,9 @@ func DecodeCertificate(data []byte) (*Certificate, error) {
 	if off >= len(data) {
 		return nil, fmt.Errorf("%w: truncated verdict", ErrBadCertificate)
 	}
+	if data[off] > 1 {
+		return nil, fmt.Errorf("%w: verdict byte %d", ErrBadCertificate, data[off])
+	}
 	c.Verdict = data[off] == 1
 	off++
 	if f, off, err = read(off); err != nil {
@@ -127,8 +132,11 @@ func DecodeCertificate(data []byte) (*Certificate, error) {
 	}
 	c.Serial = binary.BigEndian.Uint64(data[off:])
 	off += 8
-	if f, _, err = read(off); err != nil {
+	if f, off, err = read(off); err != nil {
 		return nil, err
+	}
+	if off != len(data) {
+		return nil, fmt.Errorf("%w: trailing bytes", ErrBadCertificate)
 	}
 	c.Signature = append([]byte(nil), f...)
 	return c, nil

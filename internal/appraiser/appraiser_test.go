@@ -189,6 +189,30 @@ func TestDecodeCertificateGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeCertificateCanonical: a certificate has one wire form. Bytes
+// appended after the signature field, or a verdict byte other than 0 or
+// 1, are rejected rather than decoded into a certificate that still
+// passes VerifyCertificate.
+func TestDecodeCertificateCanonical(t *testing.T) {
+	r := attesterRoT()
+	a := newAppraiser(r)
+	cert, _ := a.Appraise("sw1", goodEvidence(r, []byte("canon")), []byte("canon"))
+	enc := cert.Encode()
+	if _, err := DecodeCertificate(append(enc[:len(enc):len(enc)], 0)); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("trailing byte: %v", err)
+	}
+	verdictAt := len("PERA-RESULT-V1\x00") + 4 + len(cert.Issuer) + 4 + len(cert.Subject) +
+		4 + len(cert.Nonce) + rot.DigestSize
+	if enc[verdictAt] != 1 {
+		t.Fatalf("verdict byte at %d is %d, want 1", verdictAt, enc[verdictAt])
+	}
+	two := append([]byte(nil), enc...)
+	two[verdictAt] = 2
+	if _, err := DecodeCertificate(two); !errors.Is(err, ErrBadCertificate) {
+		t.Fatalf("verdict byte 2: %v", err)
+	}
+}
+
 func TestStoreRetrieve(t *testing.T) {
 	r := attesterRoT()
 	a := newAppraiser(r)

@@ -7,6 +7,7 @@
 package harness
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -337,9 +338,19 @@ func NewFig3Switch() (*pera.Switch, []byte, error) {
 	return sw, frame, nil
 }
 
-// RunFig3Stage executes one iteration of the named stage configuration;
-// used by both the benchmark and the figures printer.
-func RunFig3Stage(stage string, sw *pera.Switch, frame []byte, inbandFrame []byte) error {
+// Fig3Nonce returns iteration i's session nonce. Every iteration of a
+// Fig. 3 run carries its own, as every packet does in the paper, so each
+// Sign is a real Ed25519 operation: a chain the switch signed before
+// would be answered by its Sign-stage memo instead.
+func Fig3Nonce(i int) []byte {
+	return binary.BigEndian.AppendUint64([]byte("fig3-"), uint64(i))
+}
+
+// RunFig3Stage executes iteration i of the named stage configuration;
+// used by both the benchmark and the figures printer. inband holds the
+// "+inband-header" stage's frames, one per iteration (Fig3InbandFrames);
+// the other stages ignore it.
+func RunFig3Stage(stage string, sw *pera.Switch, frame []byte, inband [][]byte, i int) error {
 	switch stage {
 	case "parse":
 		pkt := pisa.NewPacket(frame, 1)
@@ -368,31 +379,36 @@ func RunFig3Stage(stage string, sw *pera.Switch, frame []byte, inbandFrame []byt
 		if _, err := sw.Instance().Process(frame, 1); err != nil {
 			return err
 		}
-		_, err := sw.Attest(nil, evidence.DetailProgram)
+		_, err := sw.Attest(Fig3Nonce(i), evidence.DetailProgram)
 		return err
 	case "+inband-header":
-		_, err := sw.Receive(1, inbandFrame)
+		_, err := sw.Receive(1, inband[i])
 		return err
 	default:
 		return fmt.Errorf("harness: unknown stage %q", stage)
 	}
 }
 
-// Fig3InbandFrame wraps frame for the "+inband-header" stage and sets the
-// switch to in-band chained mode with a signing obligation.
-func Fig3InbandFrame(sw *pera.Switch, frame []byte) []byte {
+// Fig3InbandFrames sets sw to in-band chained mode with a signing
+// obligation and wraps frame n times, iteration i's copy under
+// Fig3Nonce(i), for the "+inband-header" stage.
+func Fig3InbandFrames(sw *pera.Switch, frame []byte, n int) [][]byte {
 	cfg := sw.Config()
 	cfg.InBand = true
 	cfg.Composition = evidence.Chained
 	sw.SetConfig(cfg)
-	pol := &pera.Policy{
-		ID: 3, Nonce: []byte("fig3"),
-		Obls: []pera.Obligation{{
-			Claims:       []evidence.Detail{evidence.DetailProgram},
-			SignEvidence: true,
-		}},
+	frames := make([][]byte, n)
+	for i := range frames {
+		pol := &pera.Policy{
+			ID: 3, Nonce: Fig3Nonce(i),
+			Obls: []pera.Obligation{{
+				Claims:       []evidence.Detail{evidence.DetailProgram},
+				SignEvidence: true,
+			}},
+		}
+		frames[i] = pera.WrapFrame(pol, frame)
 	}
-	return pera.WrapFrame(pol, frame)
+	return frames
 }
 
 // Fig4Config is one point in the design space.
@@ -407,7 +423,7 @@ type Fig4Row struct {
 	Config        Fig4Config
 	Packets       uint64
 	EvidenceCount uint64  // obligations executed (post sampling)
-	Signatures    uint64  // RoT sign operations
+	Signatures    uint64  // Sign-stage operations, memo hits included
 	EvidenceBytes uint64  // evidence bytes produced
 	CacheHitRate  float64 // inertia cache effectiveness
 }

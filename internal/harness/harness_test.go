@@ -84,18 +84,23 @@ func TestFig3StagesAllRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var inband []byte
+		var inband [][]byte
 		if stage == "+inband-header" {
-			inband = Fig3InbandFrame(sw, frame)
+			inband = Fig3InbandFrames(sw, frame, 3)
 		}
 		for i := 0; i < 3; i++ {
-			if err := RunFig3Stage(stage, sw, frame, inband); err != nil {
+			if err := RunFig3Stage(stage, sw, frame, inband, i); err != nil {
 				t.Fatalf("%s: %v", stage, err)
 			}
 		}
+		// Each iteration signs a chain of its own, so the Sign stage
+		// times Ed25519, not the switch's Sign-stage memo.
+		if hits := sw.Stats().SignMemoHits; hits != 0 {
+			t.Fatalf("%s: %d sign memo hits, want every iteration to sign afresh", stage, hits)
+		}
 	}
 	sw, frame, _ := NewFig3Switch()
-	if err := RunFig3Stage("ghost", sw, frame, nil); err == nil {
+	if err := RunFig3Stage("ghost", sw, frame, nil, 0); err == nil {
 		t.Fatal("unknown stage ran")
 	}
 }

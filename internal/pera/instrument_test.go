@@ -35,7 +35,9 @@ func TestInstrumentStatsParity(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.Packets != 3 || st.Attested != 3 || st.SignOps != 4 {
+	// The three frames carry one chain, so the second and third signs
+	// are answered by the sign memo.
+	if st.Packets != 3 || st.Attested != 3 || st.SignOps != 4 || st.SignMemoHits != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
 	snap := reg.Snapshot()
@@ -47,6 +49,7 @@ func TestInstrumentStatsParity(t *testing.T) {
 		{"pera_packets_total", st.Packets},
 		{"pera_attested_total", st.Attested},
 		{"pera_sign_ops_total", st.SignOps},
+		{"pera_sign_memo_hits_total", st.SignMemoHits},
 		{"pera_evidence_bytes_total", st.EvidenceBytes},
 		{"pera_inband_bytes_total", st.InBandBytes},
 		{"pera_oob_msgs_total", st.OutOfBandMsgs},

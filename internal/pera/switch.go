@@ -78,7 +78,8 @@ type Config struct {
 type Stats struct {
 	Packets       uint64 // frames processed
 	Attested      uint64 // frames for which evidence was produced
-	SignOps       uint64 // RoT signature operations
+	SignOps       uint64 // Sign-stage operations, memo hits included
+	SignMemoHits  uint64 // Sign-stage operations answered by the sign memo
 	EvidenceBytes uint64 // evidence bytes emitted (in-band + out-of-band)
 	InBandBytes   uint64 // header bytes carried on egress frames
 	OutOfBandMsgs uint64 // sink emissions
@@ -104,6 +105,7 @@ type switchMetrics struct {
 	packets       telemetry.Counter
 	attested      telemetry.Counter
 	signOps       telemetry.Counter
+	signMemoHits  telemetry.Counter
 	evidenceBytes telemetry.Counter
 	inBandBytes   telemetry.Counter
 	outOfBandMsgs telemetry.Counter
@@ -125,6 +127,7 @@ func (m *switchMetrics) init(name string) {
 	m.packets.Init("pera_packets_total", sw)
 	m.attested.Init("pera_attested_total", sw)
 	m.signOps.Init("pera_sign_ops_total", sw)
+	m.signMemoHits.Init("pera_sign_memo_hits_total", sw)
 	m.evidenceBytes.Init("pera_evidence_bytes_total", sw)
 	m.inBandBytes.Init("pera_inband_bytes_total", sw)
 	m.outOfBandMsgs.Init("pera_oob_msgs_total", sw)
@@ -141,9 +144,9 @@ func (m *switchMetrics) init(name string) {
 
 func (m *switchMetrics) instruments() []telemetry.Instrument {
 	return []telemetry.Instrument{
-		&m.packets, &m.attested, &m.signOps, &m.evidenceBytes, &m.inBandBytes,
-		&m.outOfBandMsgs, &m.guardRejects, &m.sampleSkips, &m.verifyOps,
-		&m.verifyFails, &m.hopSpans, &m.hopSpanBytes, &m.hopSpanDrops,
+		&m.packets, &m.attested, &m.signOps, &m.signMemoHits, &m.evidenceBytes,
+		&m.inBandBytes, &m.outOfBandMsgs, &m.guardRejects, &m.sampleSkips,
+		&m.verifyOps, &m.verifyFails, &m.hopSpans, &m.hopSpanBytes, &m.hopSpanDrops,
 		&m.signSeconds, &m.verifySeconds,
 	}
 }
@@ -153,6 +156,7 @@ func (m *switchMetrics) snapshot() Stats {
 		Packets:       m.packets.Value(),
 		Attested:      m.attested.Value(),
 		SignOps:       m.signOps.Value(),
+		SignMemoHits:  m.signMemoHits.Value(),
 		EvidenceBytes: m.evidenceBytes.Value(),
 		InBandBytes:   m.inBandBytes.Value(),
 		OutOfBandMsgs: m.outOfBandMsgs.Value(),
@@ -170,6 +174,7 @@ func (m *switchMetrics) reset() {
 	m.packets.Reset()
 	m.attested.Reset()
 	m.signOps.Reset()
+	m.signMemoHits.Reset()
 	m.evidenceBytes.Reset()
 	m.inBandBytes.Reset()
 	m.outOfBandMsgs.Reset()
@@ -197,7 +202,7 @@ type Switch struct {
 	aud    atomic.Pointer[auditlog.Writer]
 
 	mu     sync.RWMutex
-	signer evidence.Signer // defaults to the local RoT; see SetSigner
+	signer *signMemo // the local RoT by default; see SetSigner
 	inst   *pisa.Instance
 	cfg    Config
 	sink   Sink
@@ -212,8 +217,9 @@ func New(name string, prog *p4ir.Program, cfg Config) (*Switch, error) {
 		return nil, err
 	}
 	r := rot.NewDeterministic(name, []byte("pera:"+name))
-	s := &Switch{name: name, rot: r, signer: r, inst: inst, cfg: cfg}
+	s := &Switch{name: name, rot: r, inst: inst, cfg: cfg}
 	s.met.init(name)
+	s.signer = &signMemo{inner: r, hits: &s.met.signMemoHits}
 	s.planes.Init(name, telemetry.StageSign, telemetry.StageEvidence, telemetry.StageCompose, telemetry.StageVerify)
 	if cfg.Sampler == nil {
 		s.cfg.Sampler = evidence.NewSampler(evidence.SamplerConfig{Mode: evidence.SamplePerPacket})
@@ -240,15 +246,17 @@ func (s *Switch) RoT() *rot.RoT { return s.rot }
 // SetSigner replaces the Sign-stage backend — e.g. with a RemoteSigner
 // when the crypto primitive is disaggregated onto a neighbouring device
 // (§5.2). The signer's Name must resolve to a key the appraiser trusts
-// for this switch. Quotes still come from the local RoT.
+// for this switch. Quotes still come from the local RoT. The new signer
+// gets a Sign-stage memo of its own, starting empty.
 func (s *Switch) SetSigner(signer evidence.Signer) {
+	m := &signMemo{inner: signer, hits: &s.met.signMemoHits}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.signer = signer
+	s.signer = m
 }
 
-// currentSigner returns the active Sign-stage backend.
-func (s *Switch) currentSigner() evidence.Signer {
+// currentSigner returns the active Sign-stage backend, behind its memo.
+func (s *Switch) currentSigner() *signMemo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.signer

@@ -257,13 +257,31 @@ func (r *RoT) Quote(nonce []byte, pcrSelect ...int) (*Quote, error) {
 // what Sign actually signed.
 const SigPrefix = "PERA-SIG-V1\x00"
 
+// sigBufPool recycles the SigPrefix‖message scratch Sign and Verify
+// build: ed25519 keeps no reference to the message, so the buffer is free
+// again once the call returns.
+var sigBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// prefixedMessage builds SigPrefix‖message in pooled scratch; the caller
+// hands the buffer back with releaseMessage.
+func prefixedMessage(message []byte) (*[]byte, []byte) {
+	bp := sigBufPool.Get().(*[]byte)
+	return bp, append(append((*bp)[:0], SigPrefix...), message...)
+}
+
+func releaseMessage(bp *[]byte, msg []byte) {
+	*bp = msg[:0]
+	sigBufPool.Put(bp)
+}
+
 // Sign signs an arbitrary message under the AIK with domain separation from
-// quotes. PERA's dataplane Sign stage uses this for evidence chunks.
+// quotes. PERA's dataplane Sign stage uses this for evidence chunks. It
+// takes no lock: only the constructors write the AIK.
 func (r *RoT) Sign(message []byte) []byte {
-	msg := append([]byte(SigPrefix), message...)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return ed25519.Sign(r.aik, msg)
+	bp, msg := prefixedMessage(message)
+	sig := ed25519.Sign(r.aik, msg)
+	releaseMessage(bp, msg)
+	return sig
 }
 
 // AuditKey derives the platform's audit-ledger MAC key from the AIK
@@ -287,8 +305,10 @@ func Verify(pub ed25519.PublicKey, message, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize {
 		return false
 	}
-	msg := append([]byte(SigPrefix), message...)
-	return ed25519.Verify(pub, msg, sig)
+	bp, msg := prefixedMessage(message)
+	ok := ed25519.Verify(pub, msg, sig)
+	releaseMessage(bp, msg)
+	return ok
 }
 
 func normalizeSelection(sel []int) []int {

@@ -58,6 +58,7 @@ for metric in \
     pera_packets_total \
     pera_attested_total \
     pera_sign_ops_total \
+    pera_sign_memo_hits_total \
     pera_sign_seconds_bucket \
     pera_verify_seconds_count \
     pera_appraise_seconds_count \
