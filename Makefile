@@ -59,14 +59,15 @@ perabench-test:
 	cd perabench && $(GO) vet . && $(GO) test -race .
 
 # Native fuzz targets, one after another, FUZZTIME each: the RATS wire
-# decoder, the evidence decoders, the PERA header pop, the policy
-# parser, and the certificate and quote decoders. Their seeds already
+# decoder, the evidence decoders, the PERA header pop and policy
+# decoder, the policy parser, and the certificate and quote decoders. Their seeds already
 # run as plain tests under `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rats
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/evidence
 	$(GO) test -run '^$$' -fuzz '^FuzzPop$$' -fuzztime $(FUZZTIME) ./internal/pera
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePolicy$$' -fuzztime $(FUZZTIME) ./internal/pera
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/copland
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCertificate$$' -fuzztime $(FUZZTIME) ./internal/appraiser
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQuote$$' -fuzztime $(FUZZTIME) ./internal/rot

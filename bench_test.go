@@ -303,27 +303,25 @@ func BenchmarkFig4_Composition(b *testing.B) {
 
 // --- Throughput: the concurrent appraisal pipeline ---
 
-// benchThroughputPool times pool appraisal of a pre-generated UC1 corpus
-// at one width, reporting pkts/sec. Corpus generation and pool setup stay
-// outside the timer.
+// benchThroughputPool times pool appraisal of a pre-walked UC1 corpus at
+// one width, reporting pkts/sec: each op Submits every job to a fresh
+// pool on the same appraiser and Closes it. The walk stays outside the
+// timer.
 func benchThroughputPool(b *testing.B, workers int, memo bool) {
 	const packets, flows = 256, 16
-	jobs, tb, _, err := harness.ThroughputCorpus(packets, flows)
+	jobs, tb, _, err := harness.ThroughputCorpus(harness.ThroughputOptions{Packets: packets, Flows: flows, Memo: memo})
 	if err != nil {
 		b.Fatal(err)
 	}
 	a := tb.Appraiser
-	if memo {
-		a.EnableMemo(0)
-	}
-	pool := appraiser.NewPool(a, workers)
-	defer pool.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range pool.AppraiseAll(jobs) {
-			if r.Err != nil || !r.Certificate.Verdict {
-				b.Fatalf("job %d: err=%v verdict=%v", r.Index, r.Err, r.Certificate != nil && r.Certificate.Verdict)
-			}
+		pool := appraiser.NewPool(a, workers)
+		for _, j := range jobs {
+			pool.Submit(j)
+		}
+		if st := pool.Close(); st.Pass != packets {
+			b.Fatalf("pool stats %+v, want %d passes", st, packets)
 		}
 	}
 	b.StopTimer()
@@ -359,17 +357,24 @@ func BenchmarkThroughput_WorkersMemo(b *testing.B) {
 }
 
 // BenchmarkThroughput_EndToEnd measures harness.RunThroughput whole —
-// corpus generation on the testbed plus pooled appraisal — at the default
-// production configuration (memo on, GOMAXPROCS workers).
+// testbed setup, 128 packets walked over 8 flows and their pooled
+// appraisal — at the default production configuration (memo on,
+// GOMAXPROCS workers). ns/op and allocs/op cover the whole run; pkts/sec
+// is the harness's own timed appraisal phase.
 func BenchmarkThroughput_EndToEnd(b *testing.B) {
+	var appraising time.Duration
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunThroughput(0, 128, 8)
+		res, err := harness.RunThroughput(harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if res.Pass != 128 {
 			b.Fatalf("pass=%d, want 128", res.Pass)
 		}
+		appraising += res.Elapsed
+	}
+	if s := appraising.Seconds(); s > 0 {
+		b.ReportMetric(float64(b.N*128)/s, "pkts/sec")
 	}
 }
 
@@ -393,7 +398,7 @@ func BenchmarkThroughput_Audit(b *testing.B) {
 				}
 				o.Audit = w
 			}
-			res, err := harness.RunThroughputOpts(o)
+			res, err := harness.RunThroughput(o)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -425,7 +430,7 @@ func BenchmarkThroughput_Observe(b *testing.B) {
 				o.Spans = pera.SpanConfig{Enabled: true, SampleEvery: sampleEvery}
 				o.Collector = observatory.New("bench", observatory.Config{})
 			}
-			res, err := harness.RunThroughputOpts(o)
+			res, err := harness.RunThroughput(o)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -458,8 +463,8 @@ func BenchmarkThroughput_Trace(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true, Tracer: tr}
-			res, err := harness.RunThroughputOpts(o)
+			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true, Planes: harness.Planes{Tracer: tr}}
+			res, err := harness.RunThroughput(o)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -493,7 +498,7 @@ func BenchmarkThroughput_SLO(b *testing.B) {
 				o.Collector = observatory.New("bench", observatory.Config{})
 				o.Watchdog = freshness.New("bench", freshness.Config{})
 			}
-			res, err := harness.RunThroughputOpts(o)
+			res, err := harness.RunThroughput(o)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -537,8 +542,8 @@ func BenchmarkThroughput_Recorder(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true,
-				Registry: reg, Recorder: rec}
-			res, err := harness.RunThroughputOpts(o)
+				Planes: harness.Planes{Registry: reg}, Recorder: rec}
+			res, err := harness.RunThroughput(o)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -609,8 +614,8 @@ func BenchmarkThroughput_FleetScrape(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true, Registry: reg}
-			res, err := harness.RunThroughputOpts(o)
+			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true, Planes: harness.Planes{Registry: reg}}
+			res, err := harness.RunThroughput(o)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -634,7 +639,7 @@ func BenchmarkThroughput_FleetScrape(b *testing.B) {
 // does. Each iteration is NOT wrapped in its own capture: pprof's
 // start/stop flush costs a fixed ~200ms, which production amortizes
 // across a whole window and a per-iteration capture would bill to every
-// 3ms run (see BENCH_throughput.json profiler_overhead).
+// ~12ms run (see BENCH_throughput.json profiler_overhead).
 func BenchmarkThroughput_Profile(b *testing.B) {
 	run := func(b *testing.B, profiled bool) {
 		var p *profiler.Profiler
@@ -648,7 +653,7 @@ func BenchmarkThroughput_Profile(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true}
-			res, err := harness.RunThroughputOpts(o)
+			res, err := harness.RunThroughput(o)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -459,13 +459,11 @@ func runThroughput() error {
 	}
 	fmt.Fprintf(os.Stderr, "corpus: %d packets over %d flows (chained UC1 path evidence), GOMAXPROCS=%d, memo=%v\n",
 		*packets, *flows, runtime.GOMAXPROCS(0), !*memoOff)
-	rows, err := harness.RunThroughputSweepOpts(counts, harness.ThroughputOptions{
+	rows, err := harness.RunThroughputSweep(counts, harness.ThroughputOptions{
 		Packets:  *packets,
 		Flows:    *flows,
 		Memo:     !*memoOff,
-		Registry: pl.Registry,
-		Tracer:   pl.Tracer,
-		Audit:    pl.Audit,
+		Planes:   harness.Planes{Registry: pl.Registry, Tracer: pl.Tracer, Audit: pl.Audit},
 		Recorder: pl.Recorder,
 		Profiler: pl.Profiler,
 	})

@@ -88,10 +88,8 @@ type Pool struct {
 }
 
 type poolTask struct {
-	job  Job
-	idx  int
-	res  *Result         // AppraiseAll: slot to fill
-	done *sync.WaitGroup // AppraiseAll: completion signal
+	job Job
+	idx int
 }
 
 // NewPool starts workers goroutines appraising against a. workers <= 0
@@ -201,14 +199,8 @@ func (p *Pool) worker(id int, queue <-chan poolTask) {
 		default:
 			p.fail.Add(1)
 		}
-		if t.res != nil {
-			*t.res = r
-		}
 		if p.OnResult != nil {
 			p.OnResult(r)
-		}
-		if t.done != nil {
-			t.done.Done()
 		}
 	}
 }
@@ -227,85 +219,10 @@ func (p *Pool) route(job *Job, idx int) chan poolTask {
 // Submit enqueues a job and returns its submission index. It blocks only
 // when the routed worker's queue is full (natural backpressure on the
 // producer). Submit must not be called after Close.
-func (p *Pool) Submit(job Job) int { return p.submit(job, nil, nil) }
-
-// submit enqueues one task; AppraiseAll passes a result slot and its
-// completion group.
-func (p *Pool) submit(job Job, res *Result, done *sync.WaitGroup) int {
+func (p *Pool) Submit(job Job) int {
 	idx := int(p.next.Add(1) - 1)
-	p.route(&job, idx) <- poolTask{job: job, idx: idx, res: res, done: done}
+	p.route(&job, idx) <- poolTask{job: job, idx: idx}
 	return idx
-}
-
-// AppraiseAll runs every job through the pool and returns results in
-// submission order. It may be interleaved with concurrent Submit calls;
-// only the jobs passed here are waited on.
-//
-// Identical nonce-less jobs — same subject, same evidence tree — are
-// coalesced: one appraisal runs and every duplicate receives its
-// certificate. High-inertia evidence re-presented across the packets of
-// one call is pointer-identical (the switch caches the frame), so
-// re-appraising it per packet proves nothing the first appraisal didn't.
-// Jobs with a nonce are never coalesced: replay semantics require each
-// submission to be appraised.
-//
-// Coalesced duplicates still count in Stats and still trigger OnResult
-// (from this goroutine, not a worker); their Result.Index is the
-// leader's.
-func (p *Pool) AppraiseAll(jobs []Job) []Result {
-	results := make([]Result, len(jobs))
-	var done sync.WaitGroup
-
-	type dupKey struct {
-		subject string
-		ev      *evidence.Evidence
-	}
-	leader := make(map[dupKey]int, len(jobs))
-	leaderOf := make([]int, len(jobs)) // -1 = this job runs; else index of its leader
-	dups := 0
-	for i := range jobs {
-		leaderOf[i] = -1
-		if len(jobs[i].Nonce) != 0 {
-			continue
-		}
-		k := dupKey{jobs[i].Subject, jobs[i].Evidence}
-		if l, ok := leader[k]; ok {
-			leaderOf[i] = l
-			dups++
-		} else {
-			leader[k] = i
-		}
-	}
-
-	done.Add(len(jobs) - dups)
-	for i := range jobs {
-		if leaderOf[i] == -1 {
-			p.submit(jobs[i], &results[i], &done)
-		}
-	}
-	done.Wait()
-
-	for i := range jobs {
-		l := leaderOf[i]
-		if l == -1 {
-			continue
-		}
-		r := results[l]
-		results[i] = r
-		p.jobs.Add(1)
-		switch {
-		case r.Err != nil:
-			p.errors.Add(1)
-		case r.Certificate != nil && r.Certificate.Verdict:
-			p.pass.Add(1)
-		default:
-			p.fail.Add(1)
-		}
-		if p.OnResult != nil {
-			p.OnResult(r)
-		}
-	}
-	return results
 }
 
 // Stats returns a snapshot of the aggregate verdict counters.
@@ -336,14 +253,4 @@ func (p *Pool) Close() PoolStats {
 		}
 	}
 	return p.Stats()
-}
-
-// AppraiseParallel is the one-shot form: it appraises jobs on a temporary
-// pool of the given width and returns results in submission order. The
-// serial appraiser is the workers == 1 case, so differential tests can
-// compare widths directly.
-func AppraiseParallel(a *Appraiser, jobs []Job, workers int) []Result {
-	p := NewPool(a, workers)
-	defer p.Close()
-	return p.AppraiseAll(jobs)
 }

@@ -98,15 +98,15 @@ func TestPoolDifferential(t *testing.T) { poolDifferential(t, false) }
 // the serial path would not reach, and re-presented chains must hit.
 func TestPoolDifferentialMemo(t *testing.T) { poolDifferential(t, true) }
 
-// poolDifferential requires every pool path to render exactly the plain
-// serial appraiser's verdict, reason and error for every job: 1, 2, 4 and
-// 8 workers × AppraiseParallel and Submit, on an appraiser with the memo
-// on or off. Each case appraises every chain kind on its own, then the
-// whole corpus followed by two nonce-less re-presentations of it
-// (coalesced by AppraiseAll, memo hits with the memo on). The torsion
-// kind pins one signature semantics: a cofactored check over a window of
-// torsion chains would PASS what crypto/ed25519 rejects, and with the
-// memo on that PASS would outlive the pool.
+// poolDifferential requires the pool to render exactly the plain serial
+// appraiser's verdict, reason and error for every job submitted to it:
+// 1, 2, 4 and 8 workers, on an appraiser with the memo on or off. Each
+// case appraises every chain kind on its own, then the whole corpus
+// followed by two nonce-less re-presentations of it (each appraised
+// again; memo hits with the memo on). The torsion kind pins one
+// signature semantics: a cofactored check over a window of torsion
+// chains would PASS what crypto/ed25519 rejects, and with the memo on
+// that PASS would outlive the pool.
 func poolDifferential(t *testing.T, memo bool) {
 	signer := rot.NewDeterministic("sw1", []byte(poolSeed))
 	const n = 8
@@ -139,42 +139,35 @@ func poolDifferential(t *testing.T, memo bool) {
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, path := range []string{"AppraiseParallel", "Submit"} {
-			t.Run(fmt.Sprintf("workers=%d/%s", workers, path), func(t *testing.T) {
-				for _, run := range order {
-					a := poolAppraiser(signer)
-					if memo {
-						a.EnableMemo(0)
-					}
-					jobs := runs[run]
-					var got []Result
-					if path == "Submit" {
-						got = submitAll(a, jobs, workers)
-					} else {
-						got = AppraiseParallel(a, jobs, workers)
-					}
-					for i := range jobs {
-						if w, g := describe(want[run][i]), describe(got[i]); w != g {
-							t.Fatalf("%s job %d: serial %s, pool %s", run, i, w, g)
-						}
-					}
-					if !memo {
-						continue
-					}
-					// The memo must not carry a verdict the serial path
-					// would not reach.
-					for _, j := range runs["torsion"] {
-						c, err := a.Appraise(j.Subject, j.Evidence, nil)
-						if got := describe(Result{Certificate: c, Err: err}); !strings.HasPrefix(got, "FAIL") {
-							t.Fatalf("%s: torsion chain re-appraised after the pool: %s", run, got)
-						}
-					}
-					if st := a.MemoStats(); run == "all" && st.HitRate() < 0.5 {
-						t.Fatalf("memo hit rate %.2f over the re-presented corpus, want >= 0.5: %+v", st.HitRate(), st)
+		t.Run(fmt.Sprintf("workers=%d/Submit", workers), func(t *testing.T) {
+			for _, run := range order {
+				a := poolAppraiser(signer)
+				if memo {
+					a.EnableMemo(0)
+				}
+				jobs := runs[run]
+				got := submitAll(a, jobs, workers)
+				for i := range jobs {
+					if w, g := describe(want[run][i]), describe(got[i]); w != g {
+						t.Fatalf("%s job %d: serial %s, pool %s", run, i, w, g)
 					}
 				}
-			})
-		}
+				if !memo {
+					continue
+				}
+				// The memo must not carry a verdict the serial path
+				// would not reach.
+				for _, j := range runs["torsion"] {
+					c, err := a.Appraise(j.Subject, j.Evidence, nil)
+					if got := describe(Result{Certificate: c, Err: err}); !strings.HasPrefix(got, "FAIL") {
+						t.Fatalf("%s: torsion chain re-appraised after the pool: %s", run, got)
+					}
+				}
+				if st := a.MemoStats(); run == "all" && st.HitRate() < 0.5 {
+					t.Fatalf("memo hit rate %.2f over the re-presented corpus, want >= 0.5: %+v", st.HitRate(), st)
+				}
+			}
+		})
 	}
 }
 
@@ -200,7 +193,7 @@ func TestPoolNonceOrdering(t *testing.T) {
 		jobs[i] = Job{Subject: "sw", Evidence: ev, Nonce: nonce}
 	}
 	for _, workers := range []int{1, 4} {
-		results := AppraiseParallel(poolAppraiser(signer), jobs, workers)
+		results := submitAll(poolAppraiser(signer), jobs, workers)
 		if results[0].Err != nil {
 			t.Fatalf("workers=%d: first submission should win the replay check: %v", workers, results[0].Err)
 		}

@@ -46,9 +46,9 @@ func runAuditedThroughput(t *testing.T, packets, flows int) (string, *telemetry.
 	tr.SetSampleEvery(1)
 	// One worker: appraisals run sequentially, so the ledger's total
 	// order and the tracer's span order can be compared exactly.
-	res, err := RunThroughputOpts(ThroughputOptions{
+	res, err := RunThroughput(ThroughputOptions{
 		Workers: 1, Packets: packets, Flows: flows, Memo: true,
-		Tracer: tr, Audit: w,
+		Planes: Planes{Tracer: tr, Audit: w},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pera/internal/auditlog"
+	"pera/internal/observatory"
 	"pera/internal/telemetry"
 	"pera/internal/usecases"
 )
@@ -20,7 +21,7 @@ func runLedgered(t *testing.T, o ThroughputOptions) ([]auditlog.Record, *Through
 		t.Fatal(err)
 	}
 	o.Audit = w
-	res, err := RunThroughputOpts(o)
+	res, err := RunThroughput(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,23 +135,42 @@ func histCount(snap telemetry.Snapshot, name, key, value string) float64 {
 }
 
 // TestPlanesAgree is the cross-plane consistency check: one UC1 run
-// with a registry, a 1-in-1 tracer and the ledger attached, and for
-// every (stage, place) the run emits, the three planes count it alike.
-// Packets == Flows, so AppraiseAll coalesces no duplicate jobs and every
-// job is appraised (and recorded) once.
+// with a registry, a 1-in-1 tracer, the ledger and a collector
+// attached, and for every (stage, place) the run emits, the three
+// planes count it alike. Each of the 4 flows carries 4 packets, so
+// chains repeat, and still every packet is appraised, and counted,
+// once: by the pool, the appraise histograms, the ledger's verdict
+// records and the collector.
 func TestPlanesAgree(t *testing.T) {
-	const packets = 8
+	const packets, flows = 16, 4
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewFlowTracer(1 << 14)
 	tr.SetSampleEvery(1)
+	col := observatory.New("planes", observatory.Config{})
 	recs, res := runLedgered(t, ThroughputOptions{
-		Workers: 2, Packets: packets, Flows: packets, Memo: true,
-		Registry: reg, Tracer: tr,
+		Workers: 2, Packets: packets, Flows: flows, Memo: true,
+		Planes: Planes{Registry: reg, Tracer: tr, Collector: col},
 	})
 	if res.Pass != packets {
 		t.Fatalf("run: %+v", res)
 	}
 	snap := reg.Snapshot()
+	verdicts := 0
+	for _, r := range recs {
+		if r.Event == auditlog.EventVerdict {
+			verdicts++
+		}
+	}
+	for plane, n := range map[string]float64{
+		"pera_pool_jobs_total":        snap.Value("pera_pool_jobs_total"),
+		"pera_appraise_seconds_count": histCount(snap, "pera_appraise_seconds", "", ""),
+		"ledger verdict records":      float64(verdicts),
+		"collector verdicts":          float64(col.Snapshot().Verdicts),
+	} {
+		if n != packets {
+			t.Errorf("%s = %v, want %d", plane, n, packets)
+		}
+	}
 
 	type pair struct{ stage, place string }
 	ledger, tracer := map[pair]float64{}, map[pair]float64{}

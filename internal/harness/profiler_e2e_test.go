@@ -39,12 +39,12 @@ func TestProfilerE2EStageAttribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling e2e needs a real CPU window")
 	}
-	// Unique chains (Packets == Flows) with the memo off: AppraiseAll
-	// coalesces duplicate (subject, evidence) jobs, so only distinct
-	// chains keep the verify stage genuinely hot for the whole phase.
+	// Unique chains (Packets == Flows) with the memo off: every job
+	// pays its own signature checks, so the verify stage stays
+	// genuinely hot for the whole phase.
 	const n = 1600
 	p := profiler.New(profiler.Options{Service: "tp-e2e"})
-	res, err := RunThroughputOpts(ThroughputOptions{
+	res, err := RunThroughput(ThroughputOptions{
 		Workers: 2, Packets: n, Flows: n, Memo: false, Profiler: p,
 	})
 	if err != nil {

@@ -8,13 +8,13 @@ import (
 	"pera/internal/telemetry"
 )
 
-// TestRunThroughput checks the end-to-end harness: every replicated
-// chain must appraise to a passing verdict, and with the memo enabled
-// the re-presented per-flow chains must produce a substantial hit rate
+// TestRunThroughput checks the end-to-end harness: every walked packet
+// must appraise to a passing verdict, and with the memo enabled the
+// re-presented per-flow chains must produce a substantial hit rate
 // (the acceptance criterion for the verification memo).
 func TestRunThroughput(t *testing.T) {
 	const packets, flows = 60, 3
-	res, err := RunThroughput(4, packets, flows)
+	res, err := RunThroughput(ThroughputOptions{Workers: 4, Packets: packets, Flows: flows, Memo: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +32,15 @@ func TestRunThroughput(t *testing.T) {
 	}
 }
 
-// TestRunThroughputMemoDifferential ensures the memo changes cost, never
+// TestThroughputMemoDifferential ensures the memo changes cost, never
 // verdicts: memo-on and memo-off runs over identical corpora must agree.
-func TestRunThroughputMemoDifferential(t *testing.T) {
+func TestThroughputMemoDifferential(t *testing.T) {
 	const packets, flows = 40, 2
-	on, err := RunThroughputMemo(2, packets, flows, true)
+	on, err := RunThroughput(ThroughputOptions{Workers: 2, Packets: packets, Flows: flows, Memo: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := RunThroughputMemo(2, packets, flows, false)
+	off, err := RunThroughput(ThroughputOptions{Workers: 2, Packets: packets, Flows: flows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRunThroughputMemoDifferential(t *testing.T) {
 // they are gated on GOMAXPROCS.
 func TestRunThroughputSweep(t *testing.T) {
 	const packets, flows = 40, 2
-	rows, err := RunThroughputSweep([]int{1, 2, 4}, packets, flows, true)
+	rows, err := RunThroughputSweep([]int{1, 2, 4}, ThroughputOptions{Packets: packets, Flows: flows, Memo: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +90,15 @@ func TestRunThroughputSweep(t *testing.T) {
 // TestRunThroughputInstrumented drives a fully-wired run: every pipeline
 // stage reports into the registry, and the result carries the snapshot.
 // This is the acceptance check that the per-stage histograms (sign,
-// verify, appraise) come back with non-zero counts.
+// verify, appraise) come back with non-zero counts, and that the verify
+// and appraise stages ran once per walked packet.
 func TestRunThroughputInstrumented(t *testing.T) {
 	const packets, flows, workers = 40, 2, 2
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewFlowTracer(256)
-	res, err := RunThroughputOpts(ThroughputOptions{
+	res, err := RunThroughput(ThroughputOptions{
 		Workers: workers, Packets: packets, Flows: flows, Memo: true,
-		Registry: reg, Tracer: tr,
+		Planes: Planes{Registry: reg, Tracer: tr},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,19 +122,15 @@ func TestRunThroughputInstrumented(t *testing.T) {
 	if n := histCount("pera_sign_seconds", telemetry.L("switch", "sw1")); n == 0 {
 		t.Fatal("sign histogram empty for sw1")
 	}
-	// The pool coalesces identical nonce-less jobs, so the verify and
-	// appraise stages run once per unique chain (>= flows), not once per
-	// packet — that is the point of certificate coalescing. The verdict
-	// counters below still account for every packet.
-	if n := histCount("pera_verify_seconds", telemetry.L("appraiser", "Appraiser")); n < flows || n > packets {
-		t.Fatalf("verify histogram count = %d, want between %d and %d", n, flows, packets)
+	if n := histCount("pera_verify_seconds", telemetry.L("appraiser", "Appraiser")); n != packets {
+		t.Fatalf("verify histogram count = %d, want %d", n, packets)
 	}
 	var appraised uint64
 	for w := 0; w < workers; w++ {
 		appraised += histCount("pera_appraise_seconds", telemetry.L("worker", strconv.Itoa(w)))
 	}
-	if appraised < flows || appraised > packets {
-		t.Fatalf("appraise histograms total %d, want between %d and %d", appraised, flows, packets)
+	if appraised != packets {
+		t.Fatalf("appraise histograms total %d, want %d", appraised, packets)
 	}
 
 	// Pool, cache and memo counters agree with the result struct.

@@ -1,6 +1,7 @@
 package pera
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -65,6 +66,24 @@ func TestPolicyDecodeRandomBytes(t *testing.T) {
 			_ = p.Encode()
 		}
 	}
+}
+
+// FuzzDecodePolicy feeds hostile bytes to the policy decoder every hop's
+// Pop runs on a policy-cache miss. It must never panic, and every input
+// it accepts must re-encode byte for byte: the wire form is canonical,
+// so the cache and the evidence each policy binds see one encoding. The
+// seed corpus in testdata/fuzz/FuzzDecodePolicy also runs under plain
+// go test.
+func FuzzDecodePolicy(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodePolicy(data)
+		if err != nil {
+			return
+		}
+		if enc := p.Encode(); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %x re-encodes as %x", data, enc)
+		}
+	})
 }
 
 // A switch receiving mutated in-band frames must either forward, drop,

@@ -89,6 +89,13 @@ func TestPolicyDecodeGarbage(t *testing.T) {
 		t.Error("invalid detail decoded")
 	}
 	_ = bad
+	// Obligation flag bits Encode never writes: the flags byte sits
+	// just before the empty appraiser LV.
+	stray := append([]byte(nil), good...)
+	stray[len(stray)-5] = 0xF3
+	if _, err := DecodePolicy(stray); err == nil {
+		t.Error("stray obligation flags decoded")
+	}
 }
 
 func TestHeaderPushPop(t *testing.T) {

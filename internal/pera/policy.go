@@ -288,6 +288,11 @@ func parsePolicy(data []byte) (*Policy, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Encode writes only the hash (1) and sign (2) bits; rejecting
+		// any other keeps one encoding per policy.
+		if flags&^3 != 0 {
+			return nil, fmt.Errorf("%w: obligation flags %#x", ErrPolicyDecode, flags)
+		}
 		o.HashEvidence = flags&1 != 0
 		o.SignEvidence = flags&2 != 0
 		ap, err := r.lv()

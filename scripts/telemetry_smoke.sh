@@ -1,9 +1,10 @@
 #!/bin/sh
 # Telemetry smoke test: run the throughput use case with a live endpoint,
-# scrape /metrics, and assert every pipeline stage reported in. This is
-# the end-to-end proof that the observability wiring (switch counters,
-# stage histograms, pool/cache/memo/netsim metrics, tracer) is intact —
-# run via `make telemetry-smoke` (part of tier-1 `make test`).
+# scrape /metrics, and assert every pipeline stage reported in and every
+# walked packet was appraised once. This is the end-to-end proof that the
+# observability wiring (switch counters, stage histograms,
+# pool/cache/memo/netsim metrics, tracer) is intact — run via
+# `make telemetry-smoke` (part of tier-1 `make test`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,7 +28,8 @@ go build -o "$TMP/perasim" ./cmd/perasim
 # :0 picks a free port; -telemetry-hold keeps serving after the run and
 # prints the bound URL to stderr, so waiting for that line both finds
 # the port and guarantees the run (and its metrics) is complete.
-"$TMP/perasim" -uc throughput -packets 1000 -flows 8 -workers 2 \
+PACKETS=1000
+"$TMP/perasim" -uc throughput -packets $PACKETS -flows 8 -workers 2 \
     -trace 4 -telemetry 127.0.0.1:0 -telemetry-hold \
     >"$TMP/stdout" 2>"$TMP/stderr" &
 PID=$!
@@ -78,6 +80,20 @@ done
 for hist in pera_sign_seconds pera_verify_seconds pera_appraise_seconds; do
     awk -v m="${hist}_count" '$1 ~ "^"m && $2+0 > 0 { found = 1 } END { exit !found }' "$TMP/metrics" || {
         echo "telemetry-smoke: FAIL — $hist has no observations"
+        exit 1
+    }
+done
+
+# The planes agree with the pool: the pool's job count, the summed
+# appraise histograms, the appraiser's verify histogram and sw1's packet
+# count each equal the packets walked, though the 8 flows repeat their
+# chains.
+for series in 'pera_pool_jobs_total' 'pera_appraise_seconds_count{' \
+    'pera_verify_seconds_count{' 'pera_packets_total{switch="sw1"}'
+do
+    n=$(awk -v s="$series" 'index($1, s) == 1 { n += $2 } END { printf "%d", n }' "$TMP/metrics")
+    [ "$n" = "$PACKETS" ] || {
+        echo "telemetry-smoke: FAIL — $series counts $n, want $PACKETS"
         exit 1
     }
 done
