@@ -60,8 +60,9 @@ perabench-test:
 
 # Native fuzz targets, one after another, FUZZTIME each: the RATS wire
 # decoder, the evidence decoders, the PERA header pop and policy
-# decoder, the policy parser, and the certificate and quote decoders. Their seeds already
-# run as plain tests under `go test`.
+# decoder, the policy parser, the certificate and quote decoders, and
+# the NetKAT and P4-lite source parsers. Their seeds already run as
+# plain tests under `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rats
@@ -71,6 +72,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/copland
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCertificate$$' -fuzztime $(FUZZTIME) ./internal/appraiser
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQuote$$' -fuzztime $(FUZZTIME) ./internal/rot
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/netkat
+	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime $(FUZZTIME) ./internal/p4ir
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -2,6 +2,7 @@ package evidence
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"pera/internal/rot"
@@ -102,5 +103,61 @@ func TestMemoHitZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("all-hit VerifySignaturesMemo walk allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// TestByteChainMatchesTree pins the byte helpers a PERA hop extends its
+// chain with to the tree path: AppendSeq and SignEncoded over an
+// encoding give exactly the encodings of Seq and Sign over its tree.
+func TestByteChainMatchesTree(t *testing.T) {
+	ev, r := allocEvidence(t)
+	for _, l := range []*Evidence{Nonce([]byte("n")), ev, sampleTree(r)} {
+		local := Hash(sampleMeasurement())
+		seq := AppendSeq([]byte("prefix"), Encode(l), local)
+		if want := AppendEncode([]byte("prefix"), Seq(l, local)); !bytes.Equal(seq, want) {
+			t.Fatalf("AppendSeq\n%x\nwant\n%x", seq, want)
+		}
+		if got, want := SignEncoded(r, Encode(l)), Encode(Sign(r, l)); !bytes.Equal(got, want) {
+			t.Fatalf("SignEncoded\n%x\nwant\n%x", got, want)
+		}
+	}
+}
+
+// TestScanZeroAlloc pins the hop's chain check: Scan over a well-formed
+// chain allocates nothing.
+func TestScanZeroAlloc(t *testing.T) {
+	ev, _ := allocEvidence(t)
+	wire := Encode(Seq(Nonce([]byte("n")), ev))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := Scan(wire); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Scan allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// TestDecodeSharedExactArena pins DecodeShared's two allocations, the
+// slab and a node arena of exactly the tree's size: a one-node tree
+// takes a few hundred bytes, not a fixed block of nodes.
+func TestDecodeSharedExactArena(t *testing.T) {
+	wire := Encode(Nonce([]byte("nonce-1")))
+	decode := func() {
+		if _, err := DecodeShared(wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 2 {
+		t.Fatalf("DecodeShared allocated %.1f times/op, want 2", allocs)
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 512 {
+		t.Fatalf("DecodeShared of one node allocated %d B/op, want at most 512", perOp)
 	}
 }

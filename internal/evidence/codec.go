@@ -63,14 +63,31 @@ func appendEvidence(b []byte, e *Evidence) []byte {
 	case KindHash:
 		b = append(b, e.Digest[:]...)
 	case KindSig:
-		b = appendString(b, e.Signer)
-		b = appendBytes(b, e.Signature)
+		b = appendSigFields(b, e.Signer, e.Signature)
 		b = appendEvidence(b, e.Left)
 	case KindSeq, KindPar:
 		b = appendEvidence(b, e.Left)
 		b = appendEvidence(b, e.Right)
 	}
 	return b
+}
+
+// appendSigFields appends a sig node's fields, the signer and the
+// signature, which sit between its kind byte and its child.
+func appendSigFields(b []byte, signer string, sig []byte) []byte {
+	b = appendString(b, signer)
+	return appendBytes(b, sig)
+}
+
+// AppendSeq appends the canonical encoding of seq(l, r) to buf, given l
+// as its canonical encoding: the kind byte, then l's bytes as they are,
+// then r. This is how a hop extends the chain it received without
+// decoding it; the result is byte for byte AppendEncode(buf, Seq(l', r))
+// for the tree l' that l encodes.
+func AppendSeq(buf, l []byte, r *Evidence) []byte {
+	buf = append(buf, byte(KindSeq))
+	buf = append(buf, l...)
+	return appendEvidence(buf, r)
 }
 
 func appendString(b []byte, s string) []byte {
@@ -98,26 +115,97 @@ func Decode(data []byte) (*Evidence, error) {
 	return e, nil
 }
 
-// DecodeShared parses a canonical encoding with shared backing storage:
-// the input is copied ONCE into a private slab, every decoded byte field
-// aliases that slab (capacity-clamped, so appending to a field reallocates
-// instead of clobbering a sibling), node structs come from chunked arenas,
-// and string fields go through a bounded intern table (measurer, place and
-// signer names recur on every packet of a flow). The result never aliases
-// data — callers may reuse or mutate their buffer freely — but the nodes
-// of one tree share storage: treat a DecodeShared tree as immutable, or
-// replace fields wholesale rather than writing into their byte slices.
+// DecodeShared parses a canonical encoding with shared backing storage.
+// Scan checks the input first and counts its nodes, so a malformed input
+// allocates nothing but its error. The input is then copied ONCE into a
+// private slab, every decoded byte field aliases that slab
+// (capacity-clamped, so appending to a field reallocates instead of
+// clobbering a sibling), the node structs come from one arena of exactly
+// the tree's size, and string fields go through a bounded intern table
+// (measurer, place and signer names recur on every packet of a flow).
+// The result never aliases data — callers may reuse or mutate their
+// buffer freely — but the nodes of one tree share storage: treat a
+// DecodeShared tree as immutable, or replace fields wholesale rather than
+// writing into their byte slices.
 func DecodeShared(data []byte) (*Evidence, error) {
-	slab := append([]byte(nil), data...)
-	d := decoder{buf: slab, shared: true}
-	e, err := d.evidence()
+	nodes, _, err := Scan(data)
 	if err != nil {
 		return nil, err
 	}
-	if d.off != len(slab) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(slab)-d.off)
+	d := decoder{buf: append([]byte(nil), data...), shared: true, arena: make([]Evidence, nodes)}
+	return d.evidence()
+}
+
+// Scan checks that data is exactly one canonical encoding, by the rules
+// Decode applies, without building the tree: it accepts data exactly when
+// Decode does, and on failure returns an error wrapping ErrDecode. It
+// returns the tree's node count, Size(tree), and its first non-empty
+// nonce, FirstNonce(tree), which aliases data. Scan allocates nothing
+// when data is well formed; a PERA hop uses it to check the chain it
+// extends as bytes.
+func Scan(data []byte) (nodes int, nonce []byte, err error) {
+	off := 0
+	// The encoding is a preorder walk, so one counter of the subtrees
+	// still to read replaces the decoder's recursion.
+	for pending := 1; pending > 0; pending-- {
+		nodes++
+		if nodes > maxNodes {
+			return 0, nil, errTooManyNodes
+		}
+		if off >= len(data) {
+			return 0, nil, errTruncated
+		}
+		k := Kind(data[off])
+		off++
+		switch k {
+		case KindEmpty:
+		case KindNonce:
+			var v []byte
+			if v, off, err = readField(data, off); err != nil {
+				return 0, nil, err
+			}
+			if nonce == nil && len(v) > 0 {
+				nonce = v
+			}
+		case KindMeasurement:
+			for i := 0; i < 3; i++ { // measurer, target, place
+				if _, off, err = readField(data, off); err != nil {
+					return 0, nil, err
+				}
+			}
+			if off >= len(data) {
+				return 0, nil, errTruncated
+			}
+			if db := data[off]; !Detail(db).Valid() {
+				return 0, nil, fmt.Errorf("%w: invalid detail %d", ErrDecode, db)
+			}
+			if off, err = skipDigest(data, off+1); err != nil {
+				return 0, nil, err
+			}
+			if _, off, err = readField(data, off); err != nil { // claims
+				return 0, nil, err
+			}
+		case KindHash:
+			if off, err = skipDigest(data, off); err != nil {
+				return 0, nil, err
+			}
+		case KindSig:
+			for i := 0; i < 2; i++ { // signer, signature
+				if _, off, err = readField(data, off); err != nil {
+					return 0, nil, err
+				}
+			}
+			pending++
+		case KindSeq, KindPar:
+			pending += 2
+		default:
+			return 0, nil, fmt.Errorf("%w: unknown kind %d", ErrDecode, uint8(k))
+		}
 	}
-	return e, nil
+	if off != len(data) {
+		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(data)-off)
+	}
+	return nodes, nonce, nil
 }
 
 // internTab deduplicates decoded strings across packets. The table is
@@ -175,21 +263,20 @@ type decoder struct {
 	nodes int
 
 	// shared-mode state (DecodeShared): fields alias buf, nodes come from
-	// arena chunks, strings are interned.
+	// an arena Scan sized to the tree, strings are interned.
 	shared bool
 	arena  []Evidence
 }
 
-// arenaChunk sizes the node arena: typical per-packet chains are a few
-// dozen nodes, so one chunk covers a whole decode.
-const arenaChunk = 32
+// Decoding errors that carry no detail of the input.
+var (
+	errTooManyNodes = fmt.Errorf("%w: tree exceeds %d nodes", ErrDecode, maxNodes)
+	errTruncated    = fmt.Errorf("%w: truncated", ErrDecode)
+)
 
 func (d *decoder) node(k Kind) *Evidence {
 	if !d.shared {
 		return &Evidence{Kind: k}
-	}
-	if len(d.arena) == 0 {
-		d.arena = make([]Evidence, arenaChunk)
 	}
 	e := &d.arena[0]
 	d.arena = d.arena[1:]
@@ -200,7 +287,7 @@ func (d *decoder) node(k Kind) *Evidence {
 func (d *decoder) evidence() (*Evidence, error) {
 	d.nodes++
 	if d.nodes > maxNodes {
-		return nil, fmt.Errorf("%w: tree exceeds %d nodes", ErrDecode, maxNodes)
+		return nil, errTooManyNodes
 	}
 	k, err := d.byte()
 	if err != nil {
@@ -266,7 +353,7 @@ func (d *decoder) evidence() (*Evidence, error) {
 
 func (d *decoder) byte() (byte, error) {
 	if d.off >= len(d.buf) {
-		return 0, fmt.Errorf("%w: truncated", ErrDecode)
+		return 0, errTruncated
 	}
 	b := d.buf[d.off]
 	d.off++
@@ -274,36 +361,54 @@ func (d *decoder) byte() (byte, error) {
 }
 
 func (d *decoder) digest(out *rot.Digest) error {
-	if d.off+rot.DigestSize > len(d.buf) {
-		return fmt.Errorf("%w: truncated digest", ErrDecode)
+	end, err := skipDigest(d.buf, d.off)
+	if err != nil {
+		return err
 	}
-	copy(out[:], d.buf[d.off:d.off+rot.DigestSize])
-	d.off += rot.DigestSize
+	copy(out[:], d.buf[d.off:end])
+	d.off = end
 	return nil
 }
 
 func (d *decoder) bytes() ([]byte, error) {
-	if d.off+4 > len(d.buf) {
-		return nil, fmt.Errorf("%w: truncated length", ErrDecode)
+	v, off, err := readField(d.buf, d.off)
+	if err != nil {
+		return nil, err
 	}
-	n := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	if n > maxFieldLen {
-		return nil, fmt.Errorf("%w: field of %d bytes exceeds limit", ErrDecode, n)
+	d.off = off
+	if len(v) == 0 {
+		return nil, nil
 	}
-	if d.off+int(n) > len(d.buf) {
-		return nil, fmt.Errorf("%w: truncated field", ErrDecode)
+	if !d.shared {
+		v = append([]byte(nil), v...)
 	}
-	var v []byte
-	if n > 0 {
-		if d.shared {
-			v = d.buf[d.off : d.off+int(n) : d.off+int(n)]
-		} else {
-			v = append([]byte(nil), d.buf[d.off:d.off+int(n)]...)
-		}
-	}
-	d.off += int(n)
 	return v, nil
+}
+
+// readField reads the u32 length-prefixed field at buf[off:] and returns
+// it, capacity-clamped and aliasing buf, with the offset past it.
+func readField(buf []byte, off int) ([]byte, int, error) {
+	if off+4 > len(buf) {
+		return nil, 0, fmt.Errorf("%w: truncated length", ErrDecode)
+	}
+	n := binary.BigEndian.Uint32(buf[off:])
+	off += 4
+	if n > maxFieldLen {
+		return nil, 0, fmt.Errorf("%w: field of %d bytes exceeds limit", ErrDecode, n)
+	}
+	end := off + int(n)
+	if end > len(buf) {
+		return nil, 0, fmt.Errorf("%w: truncated field", ErrDecode)
+	}
+	return buf[off:end:end], end, nil
+}
+
+// skipDigest returns the offset past the digest at buf[off:].
+func skipDigest(buf []byte, off int) (int, error) {
+	if off+rot.DigestSize > len(buf) {
+		return 0, fmt.Errorf("%w: truncated digest", ErrDecode)
+	}
+	return off + rot.DigestSize, nil
 }
 
 func (d *decoder) string() (string, error) {

@@ -175,17 +175,38 @@ func Sign(s Signer, e *Evidence) *Evidence {
 	return &Evidence{Kind: KindSig, Signer: s.Name(), Signature: sig, Left: e}
 }
 
+// SignEncoded is Sign over a tree given as its canonical encoding enc:
+// it signs the same message Sign would and returns the canonical encoding
+// of the signed node, byte for byte Encode(Sign(s, tree)). A PERA hop
+// signs the chain it extended as bytes this way, without decoding it.
+func SignEncoded(s Signer, enc []byte) []byte {
+	name := s.Name()
+	bp := encBufPool.Get().(*[]byte)
+	msg := append(appendSigPrefix((*bp)[:0], name), enc...)
+	sig := s.Sign(msg)
+	*bp = msg[:0]
+	encBufPool.Put(bp)
+	out := make([]byte, 0, 1+4+len(name)+4+len(sig)+len(enc))
+	out = appendSigFields(append(out, byte(KindSig)), name, sig)
+	return append(out, enc...)
+}
+
 const sigDomain = "PERA-EVSIG\x00"
+
+// appendSigPrefix appends what a signature message carries before the
+// signed tree's encoding: the domain tag, the signer name and a NUL.
+func appendSigPrefix(buf []byte, signer string) []byte {
+	buf = append(buf, sigDomain...)
+	buf = append(buf, signer...)
+	return append(buf, 0)
+}
 
 // AppendSigMessage appends the exact byte string a signature over e by
 // signer covers — domain tag, signer name, NUL, canonical encoding — to
 // buf in a single pass, and returns the extended slice. It is the
 // allocation-free form of the old two-buffer sigMessage construction.
 func AppendSigMessage(buf []byte, signer string, e *Evidence) []byte {
-	buf = append(buf, sigDomain...)
-	buf = append(buf, signer...)
-	buf = append(buf, 0)
-	return appendEvidence(buf, e)
+	return appendEvidence(appendSigPrefix(buf, signer), e)
 }
 
 // SigMessageSize returns len(AppendSigMessage(nil, signer, e)) without
@@ -349,7 +370,9 @@ func HasNonce(e *Evidence, nonce []byte) bool {
 	return found
 }
 
-// FirstNonce returns the first nonce node's value in e, or nil.
+// FirstNonce returns the value of the first nonce node in e that is not
+// empty, or nil. It is the flow ID rule every plane shares: the switch's
+// pera.FlowID, the appraiser's and the pool's trace correlation.
 func FirstNonce(e *Evidence) []byte {
 	var out []byte
 	var walk func(*Evidence)
@@ -359,7 +382,9 @@ func FirstNonce(e *Evidence) []byte {
 		}
 		switch ev.Kind {
 		case KindNonce:
-			out = ev.Nonce
+			if len(ev.Nonce) > 0 {
+				out = ev.Nonce
+			}
 		case KindSig:
 			walk(ev.Left)
 		case KindSeq, KindPar:

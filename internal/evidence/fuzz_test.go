@@ -2,6 +2,7 @@ package evidence
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -74,21 +75,32 @@ func TestDecodeDeepNesting(t *testing.T) {
 	}
 }
 
-// FuzzDecode feeds hostile bytes to both decoders. Decode and
-// DecodeShared must accept exactly the same inputs, and every accepted
-// input must re-encode byte for byte, with EncodedSize equal to its
-// length: the encoding is canonical, so one tree has one byte string.
-// The seed corpus in testdata/fuzz/FuzzDecode also runs under plain
-// go test.
+// FuzzDecode feeds hostile bytes to both decoders and to Scan, the
+// walker a PERA hop checks its chain with. All three must accept exactly
+// the same inputs, and every accepted input must re-encode byte for
+// byte, with EncodedSize equal to its length: the encoding is canonical,
+// so one tree has one byte string. Scan must count the tree's nodes and
+// find its first nonce as the tree functions do. The seed corpus in
+// testdata/fuzz/FuzzDecode also runs under plain go test.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ev, err := Decode(data)
 		shared, serr := DecodeShared(data)
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("Decode error %v, DecodeShared error %v", err, serr)
+		nodes, nonce, scanErr := Scan(data)
+		if (err == nil) != (serr == nil) || (err == nil) != (scanErr == nil) {
+			t.Fatalf("Decode error %v, DecodeShared error %v, Scan error %v", err, serr, scanErr)
 		}
 		if err != nil {
+			if !errors.Is(scanErr, ErrDecode) {
+				t.Fatalf("Scan error %v does not wrap ErrDecode", scanErr)
+			}
 			return
+		}
+		if n := Size(ev); nodes != n {
+			t.Fatalf("Scan counted %d nodes, the tree has %d", nodes, n)
+		}
+		if first := FirstNonce(ev); !bytes.Equal(nonce, first) || (nonce == nil) != (first == nil) {
+			t.Fatalf("Scan's first nonce %x, FirstNonce %x", nonce, first)
 		}
 		for _, e := range []*Evidence{ev, shared} {
 			if enc := Encode(e); !bytes.Equal(enc, data) {

@@ -138,3 +138,25 @@ func TestPropertyPolicyStringRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzParsePolicy feeds arbitrary source to the NetKAT parser. It must
+// never panic, and a policy it accepts must print as source that parses
+// again and prints the same: String is the parser's inverse on what it
+// accepts. The seed corpus in testdata/fuzz/FuzzParsePolicy also runs
+// under plain go test.
+func FuzzParsePolicy(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := ParsePolicy(src)
+		if err != nil {
+			return
+		}
+		printed := p.String()
+		again, err := ParsePolicy(printed)
+		if err != nil {
+			t.Fatalf("%q prints as %q, which does not parse: %v", src, printed, err)
+		}
+		if reprinted := again.String(); reprinted != printed {
+			t.Fatalf("%q prints as %q, which reprints as %q", src, printed, reprinted)
+		}
+	})
+}

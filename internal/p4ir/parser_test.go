@@ -219,3 +219,27 @@ ingress { }`
 		}
 	}
 }
+
+// FuzzParseProgram feeds arbitrary source to the P4-lite parser. It must
+// never panic, and a program it accepts must format as source that
+// parses again, formats the same and keeps its digest. The seed corpus
+// in testdata/fuzz/FuzzParseProgram also runs under plain go test.
+func FuzzParseProgram(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := ParseProgram(src)
+		if err != nil {
+			return
+		}
+		formatted := Format(p)
+		again, err := ParseProgram(formatted)
+		if err != nil {
+			t.Fatalf("formatted source does not parse: %v\n%s", err, formatted)
+		}
+		if reformatted := Format(again); reformatted != formatted {
+			t.Fatalf("format is not a fixed point:\n%s\nreformats as\n%s", formatted, reformatted)
+		}
+		if again.Digest() != p.Digest() {
+			t.Fatalf("digest drift through format/parse:\n%s", formatted)
+		}
+	})
+}

@@ -2,7 +2,10 @@ package pera
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pera/internal/evidence"
@@ -105,5 +108,47 @@ func TestSwitchReceiveMutatedFrames(t *testing.T) {
 	outs, err := s.Receive(1, testFrame(t, s))
 	if err != nil || len(outs) != 1 {
 		t.Fatalf("switch wedged after fuzzing: %v %v", outs, err)
+	}
+}
+
+// TestReceiveRejectsMalformedChain sends evidence sections that Decode
+// rejects. The hop checks its chain without decoding it, and must reject
+// each one as Decode would: an error wrapping evidence.ErrDecode, no
+// frame out and nothing signed.
+func TestReceiveRejectsMalformedChain(t *testing.T) {
+	nonce := evidence.Encode(evidence.Nonce([]byte("n")))
+	msmt := evidence.Encode(evidence.Measurement("sw0", "prog", "sw0", evidence.DetailProgram, [32]byte{}, nil))
+	badDetail := append([]byte(nil), msmt...)
+	badDetail[1+(4+3)+(4+4)+(4+3)] = 9 // after the kind, measurer, target and place
+	sections := map[string][]byte{
+		"truncated":   nonce[:len(nonce)-1],
+		"kind 7":      {7},
+		"detail 9":    badDetail,
+		"trailing":    append(append([]byte(nil), nonce...), 0),
+		"field >1MiB": binary.BigEndian.AppendUint32([]byte{byte(evidence.KindNonce)}, 1<<20+1),
+	}
+	if _, err := evidence.Decode(badDetail); err == nil || !strings.Contains(err.Error(), "invalid detail") {
+		t.Fatalf("detail case does not hit the detail check: %v", err)
+	}
+	s := newSwitch(t, "sw1", Config{InBand: true, Composition: evidence.Chained})
+	pol := (&Policy{Nonce: []byte("n"), Obls: []Obligation{{
+		Claims: []evidence.Detail{evidence.DetailProgram}, SignEvidence: true,
+	}}}).Encode()
+	for name, evb := range sections {
+		if _, err := evidence.Decode(evb); err == nil {
+			t.Fatalf("%s: Decode accepts the section", name)
+		}
+		frame := append([]byte(nil), headerMagic[:]...)
+		frame = append(frame, headerVersion)
+		frame = appendLV(frame, pol)
+		frame = appendLV(frame, evb)
+		frame = append(frame, testFrame(t, s)...)
+		emits, err := s.Receive(1, frame)
+		if !errors.Is(err, evidence.ErrDecode) || len(emits) != 0 {
+			t.Errorf("%s: %d emissions, error %v; want none and evidence.ErrDecode", name, len(emits), err)
+		}
+	}
+	if ops := s.Stats().SignOps; ops != 0 {
+		t.Fatalf("%d signs over malformed chains", ops)
 	}
 }

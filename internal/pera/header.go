@@ -49,6 +49,12 @@ type Header struct {
 	// honor the section byte budget — the trace is a prefix, not a lie.
 	SpansTruncated bool
 
+	// chain is the evidence section as its canonical encoding, valid only
+	// while Evidence is nil: a switch's Receive checks the section with
+	// evidence.Scan and extends it as bytes instead of decoding it. It
+	// may alias the received frame, so it never leaves Receive.
+	chain []byte
+
 	// rawPolicy caches the encoded policy bytes recovered by Pop, valid
 	// while Policy still points at rawPolicyOf. The policy travels the
 	// whole path unchanged, so every per-hop Push would otherwise
@@ -65,6 +71,22 @@ func (h *Header) encodedPolicy() []byte {
 		return h.rawPolicy
 	}
 	return h.Policy.Encode()
+}
+
+// evidenceSize is the encoded size of the evidence section.
+func (h *Header) evidenceSize() int {
+	if h.Evidence == nil && h.chain != nil {
+		return len(h.chain)
+	}
+	return evidence.EncodedSize(h.Evidence)
+}
+
+// appendEvidence appends the evidence section's canonical encoding.
+func (h *Header) appendEvidence(b []byte) []byte {
+	if h.Evidence == nil && h.chain != nil {
+		return append(b, h.chain...)
+	}
+	return evidence.AppendEncode(b, h.Evidence)
 }
 
 // Errors from header codec.
@@ -84,7 +106,7 @@ func HasHeader(frame []byte) bool {
 // allocation) rather than via an intermediate Encode slice.
 func Push(h *Header, inner []byte) []byte {
 	pol := h.encodedPolicy()
-	evSize := evidence.EncodedSize(h.Evidence)
+	evSize := h.evidenceSize()
 	withSpans := len(h.Spans) > 0 || h.SpansTruncated
 	size := 4 + 1 + 4 + len(pol) + 4 + evSize + len(inner)
 	spanSize := 0
@@ -102,7 +124,7 @@ func Push(h *Header, inner []byte) []byte {
 	out = binary.BigEndian.AppendUint32(out, uint32(len(pol)))
 	out = append(out, pol...)
 	out = binary.BigEndian.AppendUint32(out, uint32(evSize))
-	out = evidence.AppendEncode(out, h.Evidence)
+	out = h.appendEvidence(out)
 	if withSpans {
 		out = binary.BigEndian.AppendUint32(out, uint32(spanSize))
 		out = appendSpanSection(out, h.Spans, h.SpansTruncated)
@@ -111,7 +133,39 @@ func Push(h *Header, inner []byte) []byte {
 }
 
 // Pop parses and removes the header, returning it and the inner frame.
+// The evidence section is decoded with evidence.DecodeShared; neither
+// the header nor its evidence aliases frame, so callers may reuse the
+// buffer after Pop returns. Only the inner frame is a slice of it.
 func Pop(frame []byte) (*Header, []byte, error) {
+	h, inner, err := popSections(frame)
+	if err != nil {
+		return nil, nil, err
+	}
+	ev, err := evidence.DecodeShared(h.chain)
+	if err != nil {
+		return nil, nil, err
+	}
+	h.Evidence, h.chain = ev, nil
+	return h, inner, nil
+}
+
+// popChain is Pop for a switch's Receive: it checks the evidence section
+// with evidence.Scan, which accepts exactly what DecodeShared does, and
+// keeps it as bytes in the header's chain, aliasing frame.
+func popChain(frame []byte) (*Header, []byte, error) {
+	h, inner, err := popSections(frame)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, _, err := evidence.Scan(h.chain); err != nil {
+		return nil, nil, err
+	}
+	return h, inner, nil
+}
+
+// popSections parses the header's sections and returns the header with
+// its evidence section unchecked in chain, still aliasing frame.
+func popSections(frame []byte) (*Header, []byte, error) {
 	if !HasHeader(frame) {
 		return nil, nil, ErrNoHeader
 	}
@@ -147,20 +201,13 @@ func Pop(frame []byte) (*Header, []byte, error) {
 	}
 	// The policy travels the path unchanged, so hops share one decode per
 	// unique wire encoding; raw is the cache's canonical copy (never the
-	// frame), kept for the egress Push to replay. The evidence section
-	// changes at every attesting hop — DecodeShared copies it once into a
-	// private slab instead of once per field. Neither result aliases
-	// frame: callers may reuse the buffer after Pop returns.
+	// frame), kept for the egress Push to replay.
 	policy, raw, err := decodePolicyCached(pol)
 	if err != nil {
 		return nil, nil, err
 	}
-	ev, err := evidence.DecodeShared(evb)
-	if err != nil {
-		return nil, nil, err
-	}
 	return &Header{
-		Policy: policy, Evidence: ev,
+		Policy: policy, chain: evb,
 		Spans: spans, SpansTruncated: truncated,
 		rawPolicy: raw, rawPolicyOf: policy,
 	}, frame[off:], nil
@@ -181,7 +228,7 @@ func lv(frame []byte, off int) ([]byte, int, error) {
 // HeaderOverhead returns the wire bytes the header adds to a frame — the
 // quantity the Fig. 2/Fig. 4 harnesses report as in-band overhead.
 func HeaderOverhead(h *Header) int {
-	n := 4 + 1 + 4 + len(h.encodedPolicy()) + 4 + evidence.EncodedSize(h.Evidence)
+	n := 4 + 1 + 4 + len(h.encodedPolicy()) + 4 + h.evidenceSize()
 	if len(h.Spans) > 0 || h.SpansTruncated {
 		n += 4 + SpanSectionSize(h.Spans)
 	}

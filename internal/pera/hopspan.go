@@ -259,14 +259,21 @@ func (d *spanDecoder) str() string {
 }
 
 // FlowID exposes the header's trace correlation ID — the hex of the
-// first nonce in the in-band chain, "-" for nonce-less traffic. The
-// collector uses the same derivation as the switch and the appraiser,
-// so spans, tracer records, ledger records and verdicts all key alike.
+// in-band chain's evidence.FirstNonce, "-" for traffic without a
+// non-empty nonce. The collector uses the same derivation as the switch
+// and the appraiser, so spans, tracer records, ledger records and
+// verdicts all key alike.
 func FlowID(hdr *Header) string {
-	if hdr != nil && hdr.Evidence != nil {
-		if ns := evidence.Nonces(hdr.Evidence); len(ns) > 0 {
-			return hex.EncodeToString(ns[0])
-		}
+	var nonce []byte
+	switch {
+	case hdr == nil:
+	case hdr.Evidence != nil:
+		nonce = evidence.FirstNonce(hdr.Evidence)
+	default:
+		_, nonce, _ = evidence.Scan(hdr.chain) // a malformed chain has none
 	}
-	return "-"
+	if len(nonce) == 0 {
+		return "-"
+	}
+	return hex.EncodeToString(nonce)
 }

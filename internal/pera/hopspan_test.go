@@ -226,3 +226,36 @@ func TestSpanSamplingSkipsUnsampledFlows(t *testing.T) {
 		t.Fatalf("unsampled flow carried spans: %+v", hdr.Spans)
 	}
 }
+
+// TestFlowIDFirstNonEmptyNonce pins the one flow-ID rule the planes
+// share: the hex of evidence.FirstNonce, the first non-empty nonce, else
+// "-". The switch reads it from the chain's bytes, the collector from a
+// popped tree, and the appraiser and the pool from FirstNonce itself.
+func TestFlowIDFirstNonEmptyNonce(t *testing.T) {
+	cases := []struct {
+		ev   *evidence.Evidence
+		want string
+	}{
+		{evidence.Seq(evidence.Nonce(nil), evidence.Nonce([]byte("abc"))), "616263"},
+		{evidence.Seq(&evidence.Evidence{Kind: evidence.KindNonce, Nonce: []byte{}}, evidence.Nonce([]byte("abc"))), "616263"},
+		{evidence.Nonce(nil), "-"},
+		{evidence.Empty(), "-"},
+		{evidence.Seq(evidence.Nonce([]byte("n1")), evidence.Nonce([]byte("n2"))), "6e31"},
+	}
+	pol := &Policy{Obls: []Obligation{{Claims: []evidence.Detail{evidence.DetailProgram}}}}
+	for _, c := range cases {
+		if got := FlowID(&Header{Evidence: c.ev}); got != c.want {
+			t.Errorf("FlowID(%v) = %q, want %q", c.ev, got, c.want)
+		}
+		hdr, _, err := popChain(Push(&Header{Policy: pol, Evidence: c.ev}, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FlowID(hdr); got != c.want {
+			t.Errorf("FlowID of the chain bytes of %v = %q, want %q", c.ev, got, c.want)
+		}
+	}
+	if got := FlowID(nil); got != "-" {
+		t.Errorf("FlowID(nil) = %q", got)
+	}
+}

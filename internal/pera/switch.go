@@ -540,7 +540,7 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 	evBefore := 0
 	inner := frame
 	if cfg.InBand && HasHeader(frame) {
-		h, rest, err := Pop(frame)
+		h, rest, err := popChain(frame)
 		if err != nil {
 			return nil, err
 		}
@@ -553,17 +553,22 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 		if cfg.Spans.Enabled && cfg.Spans.Sampled(flow) {
 			sp = &HopSpan{Place: s.name}
 			spanStart = time.Now()
-			evBefore = evidence.EncodedSize(hdr.Evidence)
+			evBefore = hdr.evidenceSize()
 			rec.Tally() // sp reads this hop's stages off the recorder
 		}
 		// The Verify half of the Sign/Verify stage (Fig. 3): inspect the
 		// incoming chain before doing any work on its behalf; a frame
 		// whose evidence does not verify is dropped here, so upstream
-		// tampering cannot ride further along the path.
+		// tampering cannot ride further along the path. The chain is
+		// decoded for the check alone and stays bytes for the hop.
 		if cfg.VerifyIncoming != nil {
 			s.met.verifyOps.Inc()
 			m := rec.Begin(telemetry.StageVerify)
-			if _, err := evidence.VerifySignaturesMemo(hdr.Evidence, cfg.VerifyIncoming, cfg.VerifyMemo); err != nil {
+			ev, err := evidence.DecodeShared(hdr.chain)
+			if err == nil {
+				_, err = evidence.VerifySignaturesMemo(ev, cfg.VerifyIncoming, cfg.VerifyMemo)
+			}
+			if err != nil {
 				s.met.verifyFails.Inc()
 				rec.End(m, telemetry.StageEvent{
 					Stage: telemetry.StageVerifyFail, Note: err.Error(),
@@ -650,7 +655,7 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 		sp.CacheMisses = uint16(rec.Count(telemetry.StageCacheMiss))
 		sp.GuardRejects = uint16(outcomes[obligationGuarded])
 		sp.SampleSkips = uint16(outcomes[obligationSkipped])
-		if grown := evidence.EncodedSize(hdr.Evidence) - evBefore; grown > 0 {
+		if grown := hdr.evidenceSize() - evBefore; grown > 0 {
 			sp.EvBytes = uint32(grown)
 		}
 		sp.TotalNS = uint64(time.Since(spanStart))
@@ -715,23 +720,26 @@ func (s *Switch) applyObligation(rec *telemetry.StageRecorder, o *Obligation, cf
 		s.met.sampleSkips.Inc()
 		return obligationSkipped, nil
 	}
-	ev, err := s.obligationEvidence(rec, o, inner, hdr)
+	local, err := s.localEvidence(rec, o, inner)
 	if err != nil {
 		return obligationAttested, err
 	}
-	switch {
-	case hdr != nil && cfg.Composition == evidence.Chained:
-		hdr.Evidence = ev
-	default:
-		// Pointwise (or no header to thread through): out-of-band.
-		s.emitOOB(sink, o.Appraiser, ev)
+	if hdr != nil && cfg.Composition == evidence.Chained {
+		s.extendChain(rec, o, hdr, local)
+		return obligationAttested, nil
 	}
+	// Pointwise (or no header to thread through): out-of-band.
+	if o.SignEvidence {
+		local = s.signEvidence(rec, local)
+	}
+	s.met.evidenceBytes.Add(uint64(evidence.EncodedSize(local)))
+	s.emitOOB(sink, o.Appraiser, local)
 	return obligationAttested, nil
 }
 
-// obligationEvidence builds the evidence one obligation demands,
-// composing with the header chain when chained.
-func (s *Switch) obligationEvidence(rec *telemetry.StageRecorder, o *Obligation, frame []byte, hdr *Header) (*evidence.Evidence, error) {
+// localEvidence builds this hop's own evidence for one obligation: its
+// claims in sequence, hashed when the obligation asks.
+func (s *Switch) localEvidence(rec *telemetry.StageRecorder, o *Obligation, frame []byte) (*evidence.Evidence, error) {
 	// Obligations carry one claim in the common case; fold incrementally
 	// so no parts slice is materialized.
 	var local *evidence.Evidence
@@ -752,25 +760,26 @@ func (s *Switch) obligationEvidence(rec *telemetry.StageRecorder, o *Obligation,
 	if o.HashEvidence {
 		local = evidence.Hash(local)
 	}
-	cfg := s.Config()
-	if hdr != nil && cfg.Composition == evidence.Chained {
-		// Thread the incoming chain through this hop: local evidence is
-		// sequenced after everything accumulated so far, and the switch
-		// signs the whole chain, committing to its position on the path.
-		m := rec.Begin(telemetry.StageCompose)
-		composed := evidence.Seq(hdr.Evidence, local)
-		rec.End(m, telemetry.StageEvent{Note: "chained"})
-		if o.SignEvidence {
-			composed = s.signEvidence(rec, composed)
-		}
-		s.met.evidenceBytes.Add(uint64(evidence.EncodedSize(composed)))
-		return composed, nil
-	}
-	if o.SignEvidence {
-		local = s.signEvidence(rec, local)
-	}
-	s.met.evidenceBytes.Add(uint64(evidence.EncodedSize(local)))
 	return local, nil
+}
+
+// extendChain threads the incoming chain through this hop: local
+// evidence is sequenced after everything accumulated so far, and the
+// switch signs the whole chain, committing to its position on the path.
+// The chain stays in its wire form throughout: compose appends
+// seq(chain, local) as bytes and Sign signs that exact encoding.
+func (s *Switch) extendChain(rec *telemetry.StageRecorder, o *Obligation, hdr *Header, local *evidence.Evidence) {
+	m := rec.Begin(telemetry.StageCompose)
+	composed := make([]byte, 0, 1+len(hdr.chain)+evidence.EncodedSize(local))
+	hdr.chain = evidence.AppendSeq(composed, hdr.chain, local)
+	rec.End(m, telemetry.StageEvent{Note: "chained"})
+	if o.SignEvidence {
+		s.met.signOps.Inc()
+		m := rec.Begin(telemetry.StageSign)
+		hdr.chain = evidence.SignEncoded(s.currentSigner(), hdr.chain)
+		rec.End(m, telemetry.StageEvent{})
+	}
+	s.met.evidenceBytes.Add(uint64(len(hdr.chain)))
 }
 
 // signEvidence is the Sign stage: one signature op counted and reported.

@@ -133,7 +133,9 @@ func TestPopRandomSlicesNoAliasing(t *testing.T) {
 
 // FuzzPop drives the header parser with arbitrary bytes: it must never
 // panic, and any frame it accepts must re-encode to a frame it accepts
-// again with an identical header section.
+// again with an identical header section. The hop's own pop, which keeps
+// the evidence section as bytes, must accept exactly the frames Pop
+// accepts and push the same bytes.
 func FuzzPop(f *testing.F) {
 	f.Add(Push(zcHeader(false), []byte("seed")))
 	f.Add(Push(zcHeader(true), []byte("seed-v2")))
@@ -141,10 +143,17 @@ func FuzzPop(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, rest, err := Pop(data)
+		raw, rawRest, rawErr := popChain(data)
+		if (err == nil) != (rawErr == nil) {
+			t.Fatalf("Pop error %v, popChain error %v", err, rawErr)
+		}
 		if err != nil {
 			return
 		}
 		reenc := Push(hdr, rest)
+		if got := Push(raw, rawRest); !bytes.Equal(got, reenc) {
+			t.Fatalf("popChain pushes\n%x\nPop pushes\n%x", got, reenc)
+		}
 		hdr2, rest2, err := Pop(reenc)
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)

@@ -168,6 +168,11 @@ func FlowID(nonce []byte) string {
 // wire, bounding allocation on receipt.
 const MaxMessageSize = 4 << 20
 
+// readChunk is the most a message's length prefix alone makes Read
+// allocate: the body buffer starts at this size, or the claimed length
+// if smaller, and doubles only as the body's bytes arrive.
+const readChunk = 64 << 10
+
 // Errors from codec and transport.
 var (
 	ErrMessageTooLarge = errors.New("rats: message exceeds size limit")
@@ -367,13 +372,27 @@ func (c *Conn) Read() (*Message, error) {
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxMessageSize {
+	size := binary.BigEndian.Uint32(hdr[:])
+	if size > MaxMessageSize {
 		return nil, ErrMessageTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return nil, err
+	n := int(size)
+	buf := make([]byte, min(n, readChunk))
+	for read := 0; ; {
+		m, err := io.ReadFull(c.r, buf[read:])
+		read += m
+		if err != nil {
+			if err == io.EOF && read > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if read == n {
+			break
+		}
+		grown := make([]byte, min(2*len(buf), n))
+		copy(grown, buf)
+		buf = grown
 	}
 	return Decode(buf)
 }

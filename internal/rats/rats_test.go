@@ -2,8 +2,10 @@ package rats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -197,6 +199,50 @@ func TestWriteTooLarge(t *testing.T) {
 	big := &Message{Type: MsgEvidence, Body: make([]byte, MaxMessageSize+1)}
 	if err := a.Write(big); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("oversize write: %v", err)
+	}
+}
+
+// TestReadOverClaimBounded is a peer that claims the largest message,
+// sends 100 bytes and hangs up: Read must fail with io.ErrUnexpectedEOF
+// having allocated a bounded chunk, not the claimed 4 MiB.
+func TestReadOverClaimBounded(t *testing.T) {
+	stream := binary.BigEndian.AppendUint32(nil, MaxMessageSize)
+	stream = append(stream, make([]byte, 100)...)
+	c := NewConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(stream), io.Discard})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.Read()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Read error %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Fatalf("an over-claiming peer made Read allocate %d bytes", got)
+	}
+}
+
+// TestReadGrowsAcrossChunks reads messages that fill one read chunk
+// exactly, overflow it by a byte, and span several chunks.
+func TestReadGrowsAcrossChunks(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewConn(&buf)
+	fill := readChunk - len(Encode(sampleMsg())) + len(sampleMsg().Body)
+	for _, size := range []int{0, fill, fill + 1, 3*readChunk + 1} {
+		m := sampleMsg()
+		m.Body = bytes.Repeat([]byte{0xA5}, size)
+		if err := c.Write(m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Read()
+		if err != nil {
+			t.Fatalf("body of %d bytes: %v", size, err)
+		}
+		if !msgEqual(got, m) {
+			t.Fatalf("body of %d bytes did not round-trip", size)
+		}
 	}
 }
 
