@@ -59,10 +59,10 @@ perabench-test:
 	cd perabench && $(GO) vet . && $(GO) test -race .
 
 # Native fuzz targets, one after another, FUZZTIME each: the RATS wire
-# decoder, the evidence decoders, the PERA header pop and policy
-# decoder, the policy parser, the certificate and quote decoders, and
-# the NetKAT and P4-lite source parsers. Their seeds already run as
-# plain tests under `go test`.
+# decoder, the evidence decoder, the PERA header pop and policy
+# decoder, the policy parser, the certificate and quote decoders, the
+# NetKAT and P4-lite source parsers, and the fleet target list parser.
+# Their seeds already run as plain tests under `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rats
@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQuote$$' -fuzztime $(FUZZTIME) ./internal/rot
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/netkat
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime $(FUZZTIME) ./internal/p4ir
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTargets$$' -fuzztime $(FUZZTIME) ./internal/fleetscope
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

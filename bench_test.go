@@ -448,7 +448,7 @@ func BenchmarkThroughput_Observe(b *testing.B) {
 // end-to-end throughput run: "off" is BenchmarkThroughput_EndToEnd's
 // configuration (tracer nil — the zero-alloc fast path); "sample8"
 // attaches a flow tracer at the production 1-in-8 sampling rate to every
-// switch and the appraisal pool; "sample1" traces every flow — the
+// switch and the appraiser the pool runs on; "sample1" traces every flow — the
 // worst case, every packet paying span assembly and exemplar stores
 // (see BENCH_throughput.json trace_overhead).
 func BenchmarkThroughput_Trace(b *testing.B) {
@@ -484,11 +484,11 @@ func BenchmarkThroughput_Trace(b *testing.B) {
 
 // BenchmarkThroughput_SLO measures what the trust-decay watchdog costs
 // on top of the full observatory configuration: "off" is the end_to_end
-// baseline; "watchdog" additionally wires a freshness watchdog into all
-// three feeds (cache events, span trails via the collector's path sink,
-// appraisal verdicts with a tee to the collector), so every packet pays
-// the coverage bookkeeping and both alert-rule evaluations (see
-// BENCH_throughput.json slo_overhead).
+// baseline; "watchdog" additionally enables hop spans on every flow, a
+// collector and a freshness watchdog on both of its feeds (cache events,
+// appraisal verdicts naming their verified signers, which the collector
+// reads too), so every packet pays the coverage bookkeeping and both
+// alert-rule evaluations (see BENCH_throughput.json slo_overhead).
 func BenchmarkThroughput_SLO(b *testing.B) {
 	run := func(b *testing.B, watched bool) {
 		for i := 0; i < b.N; i++ {

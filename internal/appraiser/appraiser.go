@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -192,11 +193,12 @@ type Appraiser struct {
 	memo *evidence.VerifyMemo
 
 	// planes carries the observability planes the appraise and verify
-	// stages report to: the verify-latency histogram (Instrument), the
-	// flow tracer, and the appraise envelope's sinks — the audit
-	// ledger's appraise/verdict records and every verdict reader
-	// (Subscribe). The signature/quote walk is its own verify stage, so
-	// stage-attributed CPU separates the relying party's two halves.
+	// stages report to: the appraise- and verify-latency histograms
+	// (Instrument), the flow tracer, and the appraise envelope's sinks —
+	// the audit ledger's appraise/verdict records and every verdict
+	// reader (Subscribe). The signature/quote walk is its own verify
+	// stage, so stage-attributed CPU separates the relying party's two
+	// halves.
 	planes telemetry.Planes
 
 	// aud, when attached, receives the policy binding and the memo's
@@ -254,14 +256,17 @@ func (a *Appraiser) MemoStats() evidence.MemoStats {
 	return m.Stats()
 }
 
-// Instrument registers the appraiser's Verify-stage latency histogram
-// (pera_verify_seconds, labelled with the appraiser name) with reg and
-// subscribes it to the verify stage. The memo, when enabled, is
-// exported too.
+// Instrument registers the appraiser's latency histograms, labelled with
+// its name, with reg: pera_appraise_seconds times each appraise envelope
+// (pooled or not) and pera_verify_seconds its signature walk. The memo,
+// when enabled, is exported too.
 func (a *Appraiser) Instrument(reg *telemetry.Registry) {
-	h := telemetry.NewHistogram("pera_verify_seconds", nil, telemetry.L("appraiser", a.name))
-	reg.Register(h)
-	a.planes.SetHistogram(h, telemetry.StageVerify, telemetry.StageVerifyFail)
+	appraise := telemetry.NewHistogram("pera_appraise_seconds", nil, telemetry.L("appraiser", a.name))
+	verify := telemetry.NewHistogram("pera_verify_seconds", nil, telemetry.L("appraiser", a.name))
+	reg.Register(appraise)
+	reg.Register(verify)
+	a.planes.SetHistogram(appraise, telemetry.StageAppraise)
+	a.planes.SetHistogram(verify, telemetry.StageVerify, telemetry.StageVerifyFail)
 	a.mu.RLock()
 	m := a.memo
 	a.mu.RUnlock()
@@ -321,9 +326,9 @@ func (a *Appraiser) policy() string {
 
 // SetTracer attaches the distributed-tracing span recorder: appraise,
 // verify and verdict spans for sampled flows, parented under the
-// requester's propagated context. Deployments embedding the appraiser in
-// a Pool leave this unset (the pool records the spans with worker
-// attribution instead). Nil detaches.
+// requester's propagated context. A Pool's appraisals are the
+// appraiser's own, so they are traced here too, their notes naming the
+// worker. Nil detaches.
 func (a *Appraiser) SetTracer(tr *telemetry.FlowTracer) {
 	a.planes.SetTracer(tr)
 }
@@ -444,8 +449,8 @@ func (a *Appraiser) AppraiseCtx(parent telemetry.SpanContext, subject string, ev
 
 // appraiseNoted additionally threads an attribution note (e.g. "worker
 // 3") stamped on the audit records. The whole appraisal is one appraise
-// stage: the sinks see its start and its verdict, the tracer records its
-// span and a verdict child.
+// stage: the sinks see its start and its verdict with the signers it
+// verified, the tracer records its span and a verdict child.
 func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte, note string) (*Certificate, error) {
 	rec := a.planes.Recorder()
 	flow, nonceHex := "", ""
@@ -475,7 +480,7 @@ func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, 
 			return nil, ErrNonceReplayed
 		}
 	}
-	verdict, reason, prov := a.check(&rec, ev, nonce)
+	verdict, reason, prov := a.check(&rec, &stage, ev, nonce)
 	c := &Certificate{
 		Issuer:         a.name,
 		Subject:        subject,
@@ -537,8 +542,10 @@ func rejectAt(stage, clause, place, reason string) auditlog.Provenance {
 
 // check runs the verification pipeline and renders a verdict together
 // with the provenance naming the exact policy clause that decided. The
-// signature walk is reported on rec as the appraisal's verify stage.
-func (a *Appraiser) check(rec *telemetry.StageRecorder, ev *evidence.Evidence, nonce []byte) (bool, string, auditlog.Provenance) {
+// signature walk is reported on rec as the appraisal's verify stage;
+// once it passes, and a plane reads details, stage names the signers it
+// verified — the places the verdict covers.
+func (a *Appraiser) check(rec *telemetry.StageRecorder, stage *telemetry.StageEvent, ev *evidence.Evidence, nonce []byte) (bool, string, auditlog.Provenance) {
 	if err := evidence.Validate(ev); err != nil {
 		return false, err.Error(), reject("structure", clauseStructure, err.Error())
 	}
@@ -561,6 +568,9 @@ func (a *Appraiser) check(rec *telemetry.StageRecorder, ev *evidence.Evidence, n
 		return false, err.Error(), reject("signature", clauseSignature, err.Error())
 	}
 	rec.End(m, telemetry.StageEvent{})
+	if rec.Detailed() {
+		stage.Signers = pathSigners(ev)
+	}
 	if requireNonce && len(nonce) > 0 && !evidence.HasNonce(ev, nonce) {
 		return false, ErrNonceMissing.Error(), reject("nonce", clauseNonce, ErrNonceMissing.Error())
 	}
@@ -639,6 +649,33 @@ func (a *Appraiser) check(rec *telemetry.StageRecorder, ev *evidence.Evidence, n
 	return true, reason, auditlog.Provenance{
 		Clause: clauseAppraise, Stage: "accept", Accept: true, Reason: reason,
 	}
+}
+
+// pathSigners returns the distinct signers of ev in path order — a
+// signature after everything it covers, so the first hop to sign comes
+// first — in one allocation of exactly their number. check calls it on
+// verified chains only, where every signer holds a registered key.
+func pathSigners(ev *evidence.Evidence) []string {
+	var buf [8]string // most paths fit without growing
+	found := appendSigners(buf[:0], ev)
+	if len(found) == 0 {
+		return nil
+	}
+	return append(make([]string, 0, len(found)), found...)
+}
+
+// appendSigners appends the signers in e that out lacks, in path order.
+func appendSigners(out []string, e *evidence.Evidence) []string {
+	switch e.Kind {
+	case evidence.KindSig:
+		out = appendSigners(out, e.Left)
+		if !slices.Contains(out, e.Signer) {
+			out = append(out, e.Signer)
+		}
+	case evidence.KindSeq, evidence.KindPar:
+		out = appendSigners(appendSigners(out, e.Left), e.Right)
+	}
+	return out
 }
 
 // okReason renders the acceptance reason without fmt (two Sprintf calls

@@ -6,7 +6,6 @@
 package appraiser
 
 import (
-	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -77,10 +76,6 @@ type Pool struct {
 	fail   atomic.Uint64
 	errors atomic.Uint64
 
-	// planes[i] carries worker i's appraise stage to its latency
-	// histogram and the flow tracer; notes[i] is its attribution.
-	planes []telemetry.Planes
-	notes  []string
 	// aud, when attached, receives the pool_drained summary record at
 	// Close (per-job appraise/verdict records come from the Appraiser
 	// itself, with worker attribution in their notes).
@@ -98,16 +93,11 @@ func NewPool(a *Appraiser, workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{
-		a: a, workers: workers, queues: make([]chan poolTask, workers),
-		planes: make([]telemetry.Planes, workers), notes: make([]string, workers),
-	}
+	p := &Pool{a: a, workers: workers, queues: make([]chan poolTask, workers)}
 	for i := range p.queues {
-		p.planes[i].Init(a.Name())
-		p.notes[i] = "worker " + strconv.Itoa(i)
 		p.queues[i] = make(chan poolTask, 64)
 		p.wg.Add(1)
-		go p.worker(i, p.queues[i])
+		go p.worker("worker "+strconv.Itoa(i), p.queues[i])
 	}
 	return p
 }
@@ -115,13 +105,10 @@ func NewPool(a *Appraiser, workers int) *Pool {
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Instrument registers the pool's verdict counters, live queue depth and
-// per-worker appraisal-latency histograms (pera_appraise_seconds with a
-// worker label) with reg.
+// Instrument registers the pool's verdict counters and live queue depth
+// with reg. The appraisal latency is the appraiser's own
+// (Appraiser.Instrument).
 func (p *Pool) Instrument(reg *telemetry.Registry) {
-	for i := range p.planes {
-		p.planes[i].SetHistogram(reg.Histogram("pera_appraise_seconds", nil, telemetry.L("worker", strconv.Itoa(i))), telemetry.StageAppraise)
-	}
 	reg.RegisterFunc("pera_pool_jobs_total", telemetry.KindCounter,
 		func() float64 { return float64(p.jobs.Load()) })
 	reg.RegisterFunc("pera_pool_pass_total", telemetry.KindCounter,
@@ -141,54 +128,18 @@ func (p *Pool) Instrument(reg *telemetry.Registry) {
 	})
 }
 
-// SetTracer attaches a flow tracer recording appraise/verdict spans for
-// sampled flows. Call before the first Submit.
-func (p *Pool) SetTracer(tr *telemetry.FlowTracer) {
-	for i := range p.planes {
-		p.planes[i].SetTracer(tr)
-	}
-}
+// SetTracer attaches tr to the pool's appraiser (Appraiser.SetTracer).
+func (p *Pool) SetTracer(tr *telemetry.FlowTracer) { p.a.SetTracer(tr) }
 
-// SetAudit attaches the audit ledger for the pool's lifecycle records
-// and arms worker attribution on per-job records. Call before the first
-// Submit.
+// SetAudit attaches the audit ledger for the pool's lifecycle records.
+// Call before the first Submit.
 func (p *Pool) SetAudit(w *auditlog.Writer) { p.aud = w }
 
-// jobFlowID is the trace correlation ID the appraisal side can see: the
-// job nonce (hex) when present — matching the switch side's in-band
-// nonce ID — else the first nonce inside the evidence, else the subject.
-func jobFlowID(job *Job) string {
-	if len(job.Nonce) > 0 {
-		return hex.EncodeToString(job.Nonce)
-	}
-	if n := evidence.FirstNonce(job.Evidence); n != nil {
-		return hex.EncodeToString(n)
-	}
-	return job.Subject
-}
-
-func (p *Pool) worker(id int, queue <-chan poolTask) {
+// worker appraises its queue's jobs, noting itself on each appraisal.
+func (p *Pool) worker(note string, queue <-chan poolTask) {
 	defer p.wg.Done()
-	planes := &p.planes[id]
 	for t := range queue {
-		rec := planes.Recorder()
-		flow := ""
-		if rec.Detailed() {
-			flow = jobFlowID(&t.job)
-		}
-		rec.Open(telemetry.StageEvent{Stage: telemetry.StageAppraise, Flow: flow, Parent: t.job.Trace})
-		attr := ""
-		if p.aud != nil {
-			attr = p.notes[id]
-		}
-		cert, err := p.a.appraiseNoted(t.job.Trace, t.job.Subject, t.job.Evidence, t.job.Nonce, attr)
-		done := telemetry.StageEvent{Note: p.notes[id]}
-		if err != nil {
-			done.Err = err.Error()
-		} else {
-			done.Verdict = verdictString(cert.Verdict)
-		}
-		rec.Close(done)
+		cert, err := p.a.appraiseNoted(t.job.Trace, t.job.Subject, t.job.Evidence, t.job.Nonce, note)
 		r := Result{Index: t.idx, Certificate: cert, Err: err}
 		p.jobs.Add(1)
 		switch {

@@ -2,6 +2,7 @@ package appraiser
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"pera/internal/evidence"
 	"pera/internal/rot"
+	"pera/internal/telemetry"
 )
 
 // poolSeed derives the pool tests' signer key: rot.NewDeterministic("sw1",
@@ -242,5 +244,33 @@ func TestPoolSubmitStream(t *testing.T) {
 	}
 	if int(st.Pass) > good {
 		t.Fatalf("pass=%d exceeds good corpus size %d", st.Pass, good)
+	}
+}
+
+// TestPoolTracesOneAppraisal: a pooled appraisal is the appraiser's own
+// appraise envelope, traced once. With a 1-in-1 tracer set through both
+// the pool and the appraiser, one nonce-less job records one verify, one
+// appraise and one verdict span, all under the flow every plane derives
+// from the chain ("-" without a nonce), none under the job's subject.
+func TestPoolTracesOneAppraisal(t *testing.T) {
+	signer := rot.NewDeterministic("sw1", []byte(poolSeed))
+	a := poolAppraiser(signer)
+	tr := telemetry.NewFlowTracer(64)
+	tr.SetSampleEvery(1)
+	p := NewPool(a, 1)
+	p.SetTracer(tr)
+	a.SetTracer(tr)
+	m := evidence.Measurement(signer.Name(), "prog", signer.Name(), evidence.DetailProgram, rot.Sum([]byte("golden")), nil)
+	p.Submit(Job{Subject: "client", Evidence: evidence.Sign(signer, m)})
+	if st := p.Close(); st.Pass != 1 {
+		t.Fatalf("pool: %+v", st)
+	}
+	got := map[string]int{}
+	for _, s := range tr.Spans() {
+		got[string(s.Stage)+" under "+s.Flow]++
+	}
+	want := map[string]int{"verify under -": 1, "appraise under -": 1, "verdict under -": 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("spans %v, want %v", got, want)
 	}
 }

@@ -28,7 +28,8 @@ func (s *endedSink) StageEnded(ev telemetry.StageEvent) {
 }
 
 // TestSubscribeFeedsEverySink: each subscribed sink sees one appraise
-// end per appraisal, all with the same verdict and provenance. A
+// end per appraisal, all with the same verdict, provenance and verified
+// signers. A
 // replayed nonce reaches them with Err set, and the collector and the
 // watchdog, which read only rendered verdicts, do not count it.
 func TestSubscribeFeedsEverySink(t *testing.T) {
@@ -75,13 +76,14 @@ func TestSubscribeFeedsEverySink(t *testing.T) {
 		t.Fatalf("sinks disagree:\n%+v\n%+v", s1.ended, s2.ended)
 	}
 	pass, fail, replay := s1.ended[0], s1.ended[1], s1.ended[2]
-	if pass.Verdict != "PASS" || pass.Err != "" || pass.Prov.Stage != "accept" {
+	sw1 := []string{"sw1"}
+	if pass.Verdict != "PASS" || pass.Err != "" || pass.Prov.Stage != "accept" || !reflect.DeepEqual(pass.Signers, sw1) {
 		t.Fatalf("pass: %+v", pass)
 	}
-	if fail.Verdict != "FAIL" || fail.Err != "" || fail.Prov.Place != "sw1" || fail.Prov.Stage != "golden" {
+	if fail.Verdict != "FAIL" || fail.Err != "" || fail.Prov.Place != "sw1" || fail.Prov.Stage != "golden" || !reflect.DeepEqual(fail.Signers, sw1) {
 		t.Fatalf("fail: %+v", fail)
 	}
-	if replay.Err != ErrNonceReplayed.Error() || replay.Prov.Stage != "nonce" {
+	if replay.Err != ErrNonceReplayed.Error() || replay.Prov.Stage != "nonce" || replay.Signers != nil {
 		t.Fatalf("replay: %+v", replay)
 	}
 	if got := col.Snapshot(); !reflect.DeepEqual(got, colBefore) {
@@ -89,5 +91,28 @@ func TestSubscribeFeedsEverySink(t *testing.T) {
 	}
 	if got := wd.Coverage(); got.Evaluations != wdBefore.Evaluations || !reflect.DeepEqual(got.Places, wdBefore.Places) {
 		t.Fatalf("replay moved the watchdog:\n%+v\n%+v", wdBefore, got)
+	}
+}
+
+// TestPathSigners: the envelope's signers are the chain's distinct
+// signers in path order — a signature after everything it covers, so
+// the first hop to sign comes first, once even when it signs again — in
+// one allocation.
+func TestPathSigners(t *testing.T) {
+	sw1, sw2 := rot.NewDeterministic("sw1", []byte("s1")), rot.NewDeterministic("sw2", []byte("s2"))
+	claim := func(place string) *evidence.Evidence {
+		return evidence.Measurement(place, "prog", place, evidence.DetailProgram, rot.Digest{}, nil)
+	}
+	hop1 := evidence.Sign(sw1, evidence.Seq(evidence.Nonce([]byte("n")), claim("sw1")))
+	hop2 := evidence.Sign(sw2, evidence.Seq(hop1, claim("sw2")))
+	loop := evidence.Sign(sw1, evidence.Seq(hop2, claim("sw1")))
+	if got, want := pathSigners(loop), []string{"sw1", "sw2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("signers %v, want %v", got, want)
+	}
+	if got := pathSigners(claim("sw1")); got != nil {
+		t.Fatalf("unsigned chain: signers %v, want none", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pathSigners(loop) }); allocs != 1 {
+		t.Fatalf("pathSigners allocated %.1f times, want 1", allocs)
 	}
 }

@@ -51,13 +51,13 @@ func TestSigMessageMatchesAppend(t *testing.T) {
 	}
 }
 
-// TestDecodeSharedDoesNotAliasInput is the zero-copy decoding contract:
-// DecodeShared copies the wire bytes into one private slab, so zeroing
-// the input after decode must leave the tree untouched.
-func TestDecodeSharedDoesNotAliasInput(t *testing.T) {
+// TestDecodeDoesNotAliasInput is the zero-copy decoding contract: Decode
+// copies the wire bytes into one private slab, so zeroing the input after
+// decode must leave the tree untouched.
+func TestDecodeDoesNotAliasInput(t *testing.T) {
 	ev, _ := allocEvidence(t)
 	wire := Encode(ev)
-	dec, err := DecodeShared(wire)
+	dec, err := Decode(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,18 +137,18 @@ func TestScanZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestDecodeSharedExactArena pins DecodeShared's two allocations, the
-// slab and a node arena of exactly the tree's size: a one-node tree
-// takes a few hundred bytes, not a fixed block of nodes.
-func TestDecodeSharedExactArena(t *testing.T) {
+// TestDecodeExactArena pins Decode's two allocations, the slab and a
+// node arena of exactly the tree's size: a one-node tree takes a few
+// hundred bytes, not a fixed block of nodes.
+func TestDecodeExactArena(t *testing.T) {
 	wire := Encode(Nonce([]byte("nonce-1")))
 	decode := func() {
-		if _, err := DecodeShared(wire); err != nil {
+		if _, err := Decode(wire); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, decode); allocs != 2 {
-		t.Fatalf("DecodeShared allocated %.1f times/op, want 2", allocs)
+		t.Fatalf("Decode allocated %.1f times/op, want 2", allocs)
 	}
 	const runs = 1000
 	var before, after runtime.MemStats
@@ -158,6 +158,6 @@ func TestDecodeSharedExactArena(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 512 {
-		t.Fatalf("DecodeShared of one node allocated %d B/op, want at most 512", perOp)
+		t.Fatalf("Decode of one node allocated %d B/op, want at most 512", perOp)
 	}
 }

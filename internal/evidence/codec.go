@@ -31,6 +31,12 @@ const (
 // ErrDecode wraps all decoding failures.
 var ErrDecode = errors.New("evidence: decode error")
 
+// Decoding errors that carry no detail of the input.
+var (
+	errTooManyNodes = fmt.Errorf("%w: tree exceeds %d nodes", ErrDecode, maxNodes)
+	errTruncated    = fmt.Errorf("%w: truncated", ErrDecode)
+)
+
 // Encode serializes e into its canonical binary form. A nil tree encodes
 // as the empty node.
 func Encode(e *Evidence) []byte {
@@ -100,45 +106,30 @@ func appendBytes(b, v []byte) []byte {
 	return append(b, v...)
 }
 
-// Decode parses a canonical encoding back into a tree. It rejects trailing
-// bytes, oversized fields, and trees beyond maxNodes. Each field gets its
-// own copy of the input bytes; for the per-packet path prefer DecodeShared.
+// Decode parses a canonical encoding back into a tree. It rejects what
+// Scan rejects — unknown kinds, invalid details, fields over 1 MiB, trees
+// beyond 65,536 nodes, trailing bytes — and allocates nothing but the
+// error for such input. An accepted input is copied ONCE into a private
+// slab, every decoded byte field aliases that slab (capacity-clamped, so
+// appending to a field reallocates instead of clobbering a sibling), the
+// node structs come from one arena of exactly the tree's size, and string
+// fields go through a bounded intern table (measurer, place and signer
+// names recur on every packet of a flow). The result never aliases data
+// — callers may reuse or mutate their buffer freely — but the nodes of
+// one tree share storage: treat a decoded tree as immutable, or replace
+// fields wholesale rather than appending to their byte slices.
 func Decode(data []byte) (*Evidence, error) {
-	d := decoder{buf: data}
-	e, err := d.evidence()
-	if err != nil {
-		return nil, err
-	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(data)-d.off)
-	}
-	return e, nil
-}
-
-// DecodeShared parses a canonical encoding with shared backing storage.
-// Scan checks the input first and counts its nodes, so a malformed input
-// allocates nothing but its error. The input is then copied ONCE into a
-// private slab, every decoded byte field aliases that slab
-// (capacity-clamped, so appending to a field reallocates instead of
-// clobbering a sibling), the node structs come from one arena of exactly
-// the tree's size, and string fields go through a bounded intern table
-// (measurer, place and signer names recur on every packet of a flow).
-// The result never aliases data — callers may reuse or mutate their
-// buffer freely — but the nodes of one tree share storage: treat a
-// DecodeShared tree as immutable, or replace fields wholesale rather than
-// writing into their byte slices.
-func DecodeShared(data []byte) (*Evidence, error) {
 	nodes, _, err := Scan(data)
 	if err != nil {
 		return nil, err
 	}
-	d := decoder{buf: append([]byte(nil), data...), shared: true, arena: make([]Evidence, nodes)}
-	return d.evidence()
+	d := decoder{buf: append([]byte(nil), data...), arena: make([]Evidence, nodes)}
+	return d.evidence(), nil
 }
 
-// Scan checks that data is exactly one canonical encoding, by the rules
-// Decode applies, without building the tree: it accepts data exactly when
-// Decode does, and on failure returns an error wrapping ErrDecode. It
+// Scan checks that data is exactly one canonical encoding without
+// building the tree: Decode accepts exactly what it accepts, and on
+// failure it returns an error wrapping ErrDecode. It
 // returns the tree's node count, Size(tree), and its first non-empty
 // nonce, FirstNonce(tree), which aliases data. Scan allocates nothing
 // when data is well formed; a PERA hop uses it to check the chain it
@@ -245,145 +236,57 @@ func internString(b []byte) string {
 	return s
 }
 
-// DecodePrefix parses one evidence tree from the front of data and returns
-// it with the number of bytes consumed, for streaming contexts (in-band
-// headers carrying evidence followed by payload).
-func DecodePrefix(data []byte) (*Evidence, int, error) {
-	d := decoder{buf: data}
-	e, err := d.evidence()
-	if err != nil {
-		return nil, 0, err
-	}
-	return e, d.off, nil
-}
-
+// decoder builds the tree of an encoding Scan has accepted, so no read
+// can fail: fields alias buf and nodes come from an arena of exactly the
+// tree's size.
 type decoder struct {
 	buf   []byte
 	off   int
-	nodes int
-
-	// shared-mode state (DecodeShared): fields alias buf, nodes come from
-	// an arena Scan sized to the tree, strings are interned.
-	shared bool
-	arena  []Evidence
+	arena []Evidence
 }
 
-// Decoding errors that carry no detail of the input.
-var (
-	errTooManyNodes = fmt.Errorf("%w: tree exceeds %d nodes", ErrDecode, maxNodes)
-	errTruncated    = fmt.Errorf("%w: truncated", ErrDecode)
-)
-
-func (d *decoder) node(k Kind) *Evidence {
-	if !d.shared {
-		return &Evidence{Kind: k}
-	}
+func (d *decoder) evidence() *Evidence {
 	e := &d.arena[0]
 	d.arena = d.arena[1:]
-	e.Kind = k
+	e.Kind = Kind(d.buf[d.off])
+	d.off++
+	switch e.Kind {
+	case KindNonce:
+		e.Nonce = d.bytes()
+	case KindMeasurement:
+		e.Measurer, e.Target, e.Place = d.string(), d.string(), d.string()
+		e.Detail = Detail(d.buf[d.off])
+		d.off++
+		d.digest(&e.Value)
+		e.Claims = d.bytes()
+	case KindHash:
+		d.digest(&e.Digest)
+	case KindSig:
+		e.Signer = d.string()
+		e.Signature = d.bytes()
+		e.Left = d.evidence()
+	case KindSeq, KindPar:
+		e.Left = d.evidence()
+		e.Right = d.evidence()
+	}
 	return e
 }
 
-func (d *decoder) evidence() (*Evidence, error) {
-	d.nodes++
-	if d.nodes > maxNodes {
-		return nil, errTooManyNodes
-	}
-	k, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	e := d.node(Kind(k))
-	switch e.Kind {
-	case KindEmpty:
-	case KindNonce:
-		if e.Nonce, err = d.bytes(); err != nil {
-			return nil, err
-		}
-	case KindMeasurement:
-		if e.Measurer, err = d.string(); err != nil {
-			return nil, err
-		}
-		if e.Target, err = d.string(); err != nil {
-			return nil, err
-		}
-		if e.Place, err = d.string(); err != nil {
-			return nil, err
-		}
-		db, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		e.Detail = Detail(db)
-		if !e.Detail.Valid() {
-			return nil, fmt.Errorf("%w: invalid detail %d", ErrDecode, db)
-		}
-		if err := d.digest(&e.Value); err != nil {
-			return nil, err
-		}
-		if e.Claims, err = d.bytes(); err != nil {
-			return nil, err
-		}
-	case KindHash:
-		if err := d.digest(&e.Digest); err != nil {
-			return nil, err
-		}
-	case KindSig:
-		if e.Signer, err = d.string(); err != nil {
-			return nil, err
-		}
-		if e.Signature, err = d.bytes(); err != nil {
-			return nil, err
-		}
-		if e.Left, err = d.evidence(); err != nil {
-			return nil, err
-		}
-	case KindSeq, KindPar:
-		if e.Left, err = d.evidence(); err != nil {
-			return nil, err
-		}
-		if e.Right, err = d.evidence(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrDecode, k)
-	}
-	return e, nil
+func (d *decoder) digest(out *rot.Digest) {
+	d.off += copy(out[:], d.buf[d.off:])
 }
 
-func (d *decoder) byte() (byte, error) {
-	if d.off >= len(d.buf) {
-		return 0, errTruncated
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *decoder) digest(out *rot.Digest) error {
-	end, err := skipDigest(d.buf, d.off)
-	if err != nil {
-		return err
-	}
-	copy(out[:], d.buf[d.off:end])
-	d.off = end
-	return nil
-}
-
-func (d *decoder) bytes() ([]byte, error) {
-	v, off, err := readField(d.buf, d.off)
-	if err != nil {
-		return nil, err
-	}
+// bytes returns the next field, nil when it is empty.
+func (d *decoder) bytes() []byte {
+	v, off, _ := readField(d.buf, d.off)
 	d.off = off
 	if len(v) == 0 {
-		return nil, nil
+		return nil
 	}
-	if !d.shared {
-		v = append([]byte(nil), v...)
-	}
-	return v, nil
+	return v
 }
+
+func (d *decoder) string() string { return internString(d.bytes()) }
 
 // readField reads the u32 length-prefixed field at buf[off:] and returns
 // it, capacity-clamped and aliasing buf, with the offset past it.
@@ -409,17 +312,6 @@ func skipDigest(buf []byte, off int) (int, error) {
 		return 0, fmt.Errorf("%w: truncated digest", ErrDecode)
 	}
 	return off + rot.DigestSize, nil
-}
-
-func (d *decoder) string() (string, error) {
-	b, err := d.bytes()
-	if err != nil {
-		return "", err
-	}
-	if d.shared {
-		return internString(b), nil
-	}
-	return string(b), nil
 }
 
 // EncodedSize returns len(Encode(e)) without building the encoding, used

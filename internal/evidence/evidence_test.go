@@ -100,21 +100,6 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestDecodePrefix(t *testing.T) {
-	e := Nonce([]byte("abc"))
-	data := append(Encode(e), []byte("payload")...)
-	dec, n, err := DecodePrefix(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(e, dec) {
-		t.Fatal("prefix decode mismatch")
-	}
-	if string(data[n:]) != "payload" {
-		t.Fatalf("consumed %d bytes, remainder %q", n, data[n:])
-	}
-}
-
 func TestEncodedSizeMatches(t *testing.T) {
 	s := testSigner("sw1")
 	trees := []*Evidence{Empty(), Nonce([]byte("xyz")), sampleMeasurement(), sampleTree(s), Hash(Empty())}

@@ -75,20 +75,19 @@ func TestDecodeDeepNesting(t *testing.T) {
 	}
 }
 
-// FuzzDecode feeds hostile bytes to both decoders and to Scan, the
-// walker a PERA hop checks its chain with. All three must accept exactly
-// the same inputs, and every accepted input must re-encode byte for
-// byte, with EncodedSize equal to its length: the encoding is canonical,
-// so one tree has one byte string. Scan must count the tree's nodes and
-// find its first nonce as the tree functions do. The seed corpus in
+// FuzzDecode feeds hostile bytes to Decode and to Scan, the walker a
+// PERA hop checks its chain with. Both must accept exactly the same
+// inputs, and every accepted input must re-encode byte for byte, with
+// EncodedSize equal to its length: the encoding is canonical, so one tree
+// has one byte string. Scan must count the tree's nodes and find its
+// first nonce as the tree functions do. The seed corpus in
 // testdata/fuzz/FuzzDecode also runs under plain go test.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ev, err := Decode(data)
-		shared, serr := DecodeShared(data)
 		nodes, nonce, scanErr := Scan(data)
-		if (err == nil) != (serr == nil) || (err == nil) != (scanErr == nil) {
-			t.Fatalf("Decode error %v, DecodeShared error %v, Scan error %v", err, serr, scanErr)
+		if (err == nil) != (scanErr == nil) {
+			t.Fatalf("Decode error %v, Scan error %v", err, scanErr)
 		}
 		if err != nil {
 			if !errors.Is(scanErr, ErrDecode) {
@@ -102,13 +101,11 @@ func FuzzDecode(f *testing.F) {
 		if first := FirstNonce(ev); !bytes.Equal(nonce, first) || (nonce == nil) != (first == nil) {
 			t.Fatalf("Scan's first nonce %x, FirstNonce %x", nonce, first)
 		}
-		for _, e := range []*Evidence{ev, shared} {
-			if enc := Encode(e); !bytes.Equal(enc, data) {
-				t.Fatalf("accepted %x re-encodes as %x", data, enc)
-			}
-			if n := EncodedSize(e); n != len(data) {
-				t.Fatalf("accepted %d bytes, EncodedSize %d", len(data), n)
-			}
+		if enc := Encode(ev); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted %x re-encodes as %x", data, enc)
+		}
+		if n := EncodedSize(ev); n != len(data) {
+			t.Fatalf("accepted %d bytes, EncodedSize %d", len(data), n)
 		}
 	})
 }

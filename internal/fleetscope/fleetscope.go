@@ -37,6 +37,7 @@ package fleetscope
 
 import (
 	"fmt"
+	"net/url"
 	"os"
 	"sort"
 	"strings"
@@ -62,8 +63,11 @@ type Target struct {
 
 // ParseTargets parses a comma-separated target list. Each entry is
 // either "name=url" or a bare URL (the name then defaults to the URL's
-// host:port). Entries are trimmed; empty entries are skipped; a
-// duplicate name is an error because it would silently shadow a target.
+// host:port). A URL without a scheme is http; it must be an http or
+// https URL with a host and no query or fragment, and it is kept
+// without trailing slashes, so the scrape paths append to it. Entries
+// are trimmed; empty entries are skipped; a duplicate name is an error
+// because it would silently shadow a target.
 func ParseTargets(s string) ([]Target, error) {
 	var out []Target
 	seen := make(map[string]bool)
@@ -87,21 +91,30 @@ func ParseTargets(s string) ([]Target, error) {
 
 // parseTarget parses one "name=url" or bare-URL entry.
 func parseTarget(entry string) (Target, error) {
-	name, url := "", entry
+	name, raw := "", entry
 	if i := strings.Index(entry, "="); i >= 0 {
-		name, url = strings.TrimSpace(entry[:i]), strings.TrimSpace(entry[i+1:])
+		name, raw = strings.TrimSpace(entry[:i]), strings.TrimSpace(entry[i+1:])
 	}
-	url = strings.TrimSuffix(url, "/")
-	if url == "" {
-		return Target{}, fmt.Errorf("target %q: empty URL", entry)
+	if !strings.Contains(raw, "://") {
+		raw = "http://" + raw
 	}
-	if !strings.Contains(url, "://") {
-		url = "http://" + url
+	u, err := url.Parse(raw)
+	if err != nil {
+		return Target{}, fmt.Errorf("target %q: %v", entry, err)
+	}
+	if u.Scheme != "http" && u.Scheme != "https" || u.Hostname() == "" {
+		return Target{}, fmt.Errorf("target %q: not an http or https URL with a host", entry)
+	}
+	if strings.ContainsAny(raw, "?#") {
+		return Target{}, fmt.Errorf("target %q: a base URL takes no query or fragment", entry)
 	}
 	if name == "" {
-		name = strings.TrimPrefix(strings.TrimPrefix(url, "http://"), "https://")
+		name = u.Host
 	}
-	return Target{Name: name, URL: url}, nil
+	if strings.Contains(name, "=") {
+		return Target{}, fmt.Errorf("target %q: name %q contains '='", entry, name)
+	}
+	return Target{Name: name, URL: strings.TrimRight(u.String(), "/")}, nil
 }
 
 // LoadTargetsFile reads a targets file: one target per line in the same

@@ -1,8 +1,10 @@
 package fleetscope
 
 import (
+	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -48,10 +50,45 @@ func TestParseTargetsDuplicateName(t *testing.T) {
 	}
 }
 
+// TestParseTargetsEmptyURL: an empty URL, or one that names no host, is
+// refused rather than turned into a scheme-only or path-only URL.
 func TestParseTargetsEmptyURL(t *testing.T) {
-	if _, err := ParseTargets("name="); err == nil {
-		t.Fatal("empty URL not rejected")
+	for _, in := range []string{"name=", "x=https://", "a=//", "a=http://:9464", "a=ftp://x:1", "a=http://x/%zz"} {
+		if got, err := ParseTargets(in); err == nil {
+			t.Errorf("ParseTargets(%q) = %+v, want an error", in, got)
+		}
 	}
+}
+
+// FuzzParseTargets feeds arbitrary target lists to ParseTargets. It must
+// never panic; every target it accepts is an http or https URL with a
+// host and no trailing slash; names are unique; and the list rendered as
+// "name=url,..." parses back to the same list. The seed corpus in
+// testdata/fuzz/FuzzParseTargets also runs under plain go test.
+func FuzzParseTargets(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseTargets(s)
+		if err != nil {
+			return
+		}
+		names := map[string]bool{}
+		rendered := make([]string, len(got))
+		for i, tg := range got {
+			u, err := url.Parse(tg.URL)
+			if err != nil || u.Scheme != "http" && u.Scheme != "https" || u.Hostname() == "" || strings.HasSuffix(tg.URL, "/") {
+				t.Fatalf("%q: accepted target %+v is not an http(s) URL with a host and no trailing slash (%v)", s, tg, err)
+			}
+			if names[tg.Name] {
+				t.Fatalf("%q: name %q accepted twice", s, tg.Name)
+			}
+			names[tg.Name] = true
+			rendered[i] = tg.Name + "=" + tg.URL
+		}
+		again, err := ParseTargets(strings.Join(rendered, ","))
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("%q parses to %+v, whose rendering %q parses to %+v, %v", s, got, strings.Join(rendered, ","), again, err)
+		}
+	})
 }
 
 func TestLoadTargetsFile(t *testing.T) {

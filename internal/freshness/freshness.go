@@ -5,25 +5,23 @@
 // the strength of its last good measurement until someone notices. The
 // watchdog is that someone.
 //
-// It consumes three existing feeds:
+// It consumes two existing feeds:
 //
 //   - evidence-cache lifecycle events (evidence.Cache.SetNotify): every
 //     Put stamps a candidate freshness instant for the producing place;
 //     Hit/Expire events track how hard the inertia window is working.
 //   - appraiser verdicts (it is a telemetry.StageSink subscribed to the
 //     appraiser's appraise envelope with Appraiser.Subscribe, beside
-//     the audit ledger and the observatory collector): a clean verdict
-//     over a flow *commits* the pending freshness of every place on
-//     that flow's path — evidence is only "fresh trust" once it has
-//     appraised clean.
-//   - observatory span trails (observatory.Collector.SetPathSink): the
-//     flow → hop-places map that tells the watchdog which places a
-//     verdict actually covered.
+//     the audit ledger and the observatory collector): a verdict covers
+//     exactly the places whose signatures the appraiser verified (the
+//     envelope's Signers), and a clean one *commits* their pending
+//     freshness — evidence is only "fresh trust" once it has appraised
+//     clean.
 //
 // From these it maintains per-(place, policy) freshness state, a
 // coverage map classifying every place fresh / stale / lapsed /
 // never-attested against a staleness budget derived from the Fig. 4
-// Inertia knobs (cache TTL × SampleEvery), and an alert rules engine
+// Inertia knob (the cache TTL), and an alert rules engine
 // (threshold + burn-rate with hysteresis) whose firing alerts trigger
 // active re-attestation probes over the RATS Fig. 1 machinery. An alert
 // resolves only after fresh evidence appraises clean.
@@ -35,7 +33,6 @@ import (
 	"time"
 
 	"pera/internal/evidence"
-	"pera/internal/pera"
 	"pera/internal/telemetry"
 )
 
@@ -64,22 +61,18 @@ type Budget struct {
 	LapsedAfter time.Duration
 }
 
-// DeriveBudget maps the Fig. 4 Inertia knobs onto a staleness budget.
-// A healthy place re-produces evidence every ttl (the cache expiry
-// forces fresh measurement) but only on sampled flows, so the expected
-// refresh period is ttl × sampleEvery. FreshFor allows one period plus
-// half again for scheduling jitter; LapsedAfter is two missed refresh
-// periods beyond that — a place that quiet is no longer merely late.
-func DeriveBudget(ttl time.Duration, sampleEvery uint32) Budget {
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
-	period := ttl * time.Duration(sampleEvery)
-	return Budget{FreshFor: period * 3 / 2, LapsedAfter: period * 3}
+// DeriveBudget maps the Fig. 4 Inertia knob onto a staleness budget. A
+// healthy place re-produces evidence every ttl (the cache expiry forces
+// fresh measurement), and every verdict over its signature commits it.
+// FreshFor allows one period plus half again for scheduling jitter;
+// LapsedAfter is two missed refresh periods beyond that — a place that
+// quiet is no longer merely late.
+func DeriveBudget(ttl time.Duration) Budget {
+	return Budget{FreshFor: ttl * 3 / 2, LapsedAfter: ttl * 3}
 }
 
 // Config tunes the watchdog. The zero value is usable: budget derived
-// from DetailTables inertia at SampleEvery 1, AP1 policy, real clock.
+// from DetailTables inertia, AP1 policy, real clock.
 type Config struct {
 	// Policy names the appraisal policy this watchdog guards (label on
 	// rows, metrics, and alert records). Default "AP1".
@@ -90,9 +83,6 @@ type Config struct {
 	// TTL is the effective cache inertia window for Detail (mirror of
 	// evidence.Cache.SetTTL). Zero uses Detail.Inertia().
 	TTL time.Duration
-	// SampleEvery is the Fig. 4 flow-sampling knob feeding the budget
-	// derivation. Default 1.
-	SampleEvery uint32
 	// Budget overrides the derived staleness budget when non-zero.
 	Budget Budget
 	// Clock drives all age arithmetic; default time.Now. Simulations
@@ -122,8 +112,6 @@ type Config struct {
 	// ProbeEvery re-probes a still-firing alert every N evaluations
 	// (the first probe goes out on the firing transition). Default 8.
 	ProbeEvery int
-	// MaxFlows bounds the pending flow → hops map. Default 1024.
-	MaxFlows int
 }
 
 func (c Config) withDefaults() Config {
@@ -136,11 +124,8 @@ func (c Config) withDefaults() Config {
 	if c.TTL <= 0 {
 		c.TTL = c.Detail.Inertia()
 	}
-	if c.SampleEvery < 1 {
-		c.SampleEvery = 1
-	}
 	if c.Budget == (Budget{}) {
-		c.Budget = DeriveBudget(c.TTL, c.SampleEvery)
+		c.Budget = DeriveBudget(c.TTL)
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -169,9 +154,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 8
 	}
-	if c.MaxFlows <= 0 {
-		c.MaxFlows = 1024
-	}
 	return c
 }
 
@@ -196,19 +178,17 @@ type row struct {
 
 // Watchdog is the trust-decay watchdog. Construct with New; it is safe
 // for concurrent use by the cache notify hook, the appraiser's verdict
-// feed, the collector path sink, and telemetry scrapes.
+// feed, and telemetry scrapes.
 type Watchdog struct {
 	name string
 
-	mu      sync.Mutex
-	cfg     Config
-	rows    map[string]*row
-	rowSeq  []string // first-seen order
-	flows   map[string][]string
-	flowSeq []string
-	evals   uint64
-	sinks   []Sink
-	prober  Prober
+	mu     sync.Mutex
+	cfg    Config
+	rows   map[string]*row
+	rowSeq []string // first-seen order
+	evals  uint64
+	sinks  []Sink
+	prober Prober
 
 	// alert engine state (see alerts.go)
 	states        map[stateKey]*alertState
@@ -234,7 +214,6 @@ func New(name string, cfg Config) *Watchdog {
 		name:   name,
 		cfg:    cfg.withDefaults(),
 		rows:   make(map[string]*row),
-		flows:  make(map[string][]string),
 		states: make(map[stateKey]*alertState),
 	}
 }
@@ -326,57 +305,28 @@ func (w *Watchdog) CacheEvent(e evidence.CacheEvent) {
 	}
 }
 
-// IngestPath records a reassembled span trail's hop places for its
-// flow; wire it with collector.SetPathSink(wd.IngestPath). The pending
-// map is bounded by Config.MaxFlows.
-func (w *Watchdog) IngestPath(flow string, hops []pera.HopSpan, truncated bool) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	places := make([]string, len(hops))
-	for i := range hops {
-		places[i] = hops[i].Place
-		w.rowLocked(hops[i].Place)
-	}
-	if _, ok := w.flows[flow]; !ok {
-		w.flowSeq = append(w.flowSeq, flow)
-		for len(w.flowSeq) > w.cfg.MaxFlows {
-			old := w.flowSeq[0]
-			w.flowSeq = w.flowSeq[1:]
-			delete(w.flows, old)
-		}
-	}
-	w.flows[flow] = places
-	w.mu.Unlock()
-	w.flushRegistrations()
-}
-
 // StageOpened implements telemetry.StageSink; an appraisal's start
 // carries nothing the watchdog reads.
 func (w *Watchdog) StageOpened(telemetry.StageEvent) {}
 
 // StageEnded implements telemetry.StageSink for the appraiser's appraise
-// envelope. A clean verdict commits the pending freshness of every place
-// on the flow's recorded path — this is the moment cached evidence
-// becomes committed trust. Every verdict also drives one evaluation of
-// the alert rules. An appraisal that failed operationally (Err, e.g. a
-// nonce replay) rendered no verdict and is skipped.
+// envelope. The verdict covers the places whose signatures the
+// appraiser verified (ev.Signers); a clean one commits their pending
+// freshness — this is the moment cached evidence becomes committed
+// trust. Every verdict also drives one evaluation of the alert rules.
+// An appraisal that failed operationally (Err, e.g. a nonce replay)
+// rendered no verdict and is skipped.
 func (w *Watchdog) StageEnded(ev telemetry.StageEvent) {
 	if w == nil || ev.Err != "" || ev.Verdict == "" {
 		return
 	}
 	verdict, failPlace := ev.Verdict == "PASS", ev.Prov.Place
 	w.mu.Lock()
-	hops, traced := w.flows[ev.Flow]
-	if traced {
-		delete(w.flows, ev.Flow)
-		for _, place := range hops {
-			r := w.rowLocked(place)
-			r.verdicts++
-			if verdict && r.pending.After(r.lastFresh) {
-				r.lastFresh = r.pending
-			}
+	for _, place := range ev.Signers {
+		r := w.rowLocked(place)
+		r.verdicts++
+		if verdict && r.pending.After(r.lastFresh) {
+			r.lastFresh = r.pending
 		}
 	}
 	if !verdict && failPlace != "" {

@@ -11,36 +11,27 @@ import (
 
 	"pera/internal/auditlog"
 	"pera/internal/evidence"
-	"pera/internal/pera"
 	"pera/internal/telemetry"
 )
 
 // feedVerdict feeds w one appraisal's end the way Appraiser.Subscribe
-// delivers it: the appraise envelope with the verdict and provenance.
-func feedVerdict(w *Watchdog, flow string, pass bool, place, stage, reason string) {
+// delivers it: the appraise envelope with the verdict, its provenance
+// and the signers the appraiser verified.
+func feedVerdict(w *Watchdog, signers []string, pass bool, place, stage, reason string) {
 	v := "FAIL"
 	if pass {
 		v = "PASS"
 	}
 	w.StageEnded(telemetry.StageEvent{
-		Stage: telemetry.StageAppraise, Flow: flow, Verdict: v,
+		Stage: telemetry.StageAppraise, Verdict: v, Signers: signers,
 		Prov: telemetry.Provenance{Place: place, Stage: stage, Reason: reason},
 	})
 }
 
 func TestDeriveBudget(t *testing.T) {
-	b := DeriveBudget(16*time.Second, 1)
+	b := DeriveBudget(16 * time.Second)
 	if b.FreshFor != 24*time.Second || b.LapsedAfter != 48*time.Second {
 		t.Fatalf("budget = %+v, want 24s/48s", b)
-	}
-	// SampleEvery scales the refresh period (Fig. 4): 1-in-4 sampling
-	// quadruples the expected gap between refreshes.
-	b = DeriveBudget(time.Minute, 4)
-	if b.FreshFor != 6*time.Minute || b.LapsedAfter != 12*time.Minute {
-		t.Fatalf("sampled budget = %+v, want 6m/12m", b)
-	}
-	if b = DeriveBudget(time.Second, 0); b != DeriveBudget(time.Second, 1) {
-		t.Fatal("sampleEvery 0 must clamp to 1")
 	}
 }
 
@@ -268,9 +259,8 @@ func TestCacheCommitFlow(t *testing.T) {
 		t.Fatalf("pending evidence counted as committed: %+v", cov.Places[0])
 	}
 
-	// …and a clean verdict over a traced path commits it.
-	w.IngestPath("flow-1", []pera.HopSpan{{Place: "sw1"}}, false)
-	feedVerdict(w, "flow-1", true, "", "accept", "")
+	// …and a clean verdict over its signature commits it.
+	feedVerdict(w, []string{"sw1"}, true, "", "accept", "")
 	cov = w.Coverage()
 	if cov.Places[0].Status != StatusFresh {
 		t.Fatalf("clean verdict did not commit pending trust: %+v", cov.Places[0])
@@ -285,8 +275,7 @@ func TestCacheCommitFlow(t *testing.T) {
 		Kind: evidence.CachePut, Place: "sw2", Target: "tables",
 		Detail: evidence.DetailTables, TTL: 16 * time.Second, At: clk.Now(),
 	})
-	w.IngestPath("flow-2", []pera.HopSpan{{Place: "sw2"}}, false)
-	feedVerdict(w, "flow-2", false, "sw2", "golden", "hash mismatch")
+	feedVerdict(w, []string{"sw2"}, false, "sw2", "golden", "hash mismatch")
 	for _, p := range w.Coverage().Places {
 		if p.Place == "sw2" && p.Status != StatusNever {
 			t.Fatalf("failing verdict committed trust: %+v", p)

@@ -17,21 +17,22 @@ type Planes struct {
 	Tracer   *telemetry.FlowTracer
 	Audit    *auditlog.Writer
 	// Collector shadows the client host, reassembling in-band span
-	// trails, and reads every verdict.
+	// trails for per-hop timing, and reads every verdict.
 	Collector *observatory.Collector
-	// Watchdog consumes the cache's events, the collector's span trails
-	// and every verdict.
+	// Watchdog consumes the cache's events and every verdict.
 	Watchdog *freshness.Watchdog
 }
 
-// Attach wires each plane once onto a testbed: every switch reports to
-// the registry, the tracer and the ledger; the network, the evidence
-// cache (nil when the testbed has none), the tracer's and the ledger's
-// own health report to the registry; the cache's expiries go to the
-// ledger; the collector and watchdog get their feeds; and the appraiser
-// reports to the registry and, bound to Table 1's AP1 term (UC1 path
-// attestation), to the ledger. The watchdog, the collector and then the
-// ledger subscribe to the appraiser's verdicts, in that order, so the
+// Attach wires each plane once onto a testbed: every switch and the
+// appraiser report to the registry, the tracer and the ledger; the
+// network, the evidence cache (nil when the testbed has none), the
+// tracer's and the ledger's own health report to the registry; the
+// cache's expiries go to the ledger; the collector and watchdog get
+// their feeds; and the appraiser is bound to Table 1's AP1 term (UC1
+// path attestation) on the ledger. Every plane reads a verdict from the
+// appraiser's one appraise envelope, pooled or not, and the places it
+// covers from the signers that envelope verified. The watchdog, the
+// collector and then the ledger subscribe to it, in that order, so the
 // alert records a verdict causes precede the verdict's own record. Call
 // it before traffic flows and after EnableMemo, so the memo's counters
 // are exported too.
@@ -43,6 +44,7 @@ func (p Planes) Attach(tb *usecases.Testbed, cache *evidence.Cache) {
 		sw.SetTracer(p.Tracer)
 		sw.SetAudit(p.Audit)
 	}
+	tb.Appraiser.SetTracer(p.Tracer)
 	cache.SetAudit(p.Audit)
 	if p.Registry != nil {
 		tb.Net.Instrument(p.Registry)
@@ -65,9 +67,6 @@ func (p Planes) Attach(tb *usecases.Testbed, cache *evidence.Cache) {
 	if p.Collector != nil {
 		p.Collector.AttachHost(tb.Client)
 		tb.Appraiser.Subscribe(p.Collector)
-		if p.Watchdog != nil {
-			p.Collector.SetPathSink(p.Watchdog.IngestPath)
-		}
 	}
 	if p.Audit != nil {
 		tb.Appraiser.SetAudit(p.Audit)

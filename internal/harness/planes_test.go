@@ -79,10 +79,9 @@ var differByDesign = map[string]carriers{
 	"attest": {tracer: true, why: "envelope of an attester's stages"},
 	// Compose is an uncounted instant: no registry series.
 	"compose": {ledger: true, tracer: true, why: "no registry series"},
-	// The appraiser's own verify stage on the pool path: only its
-	// histogram sees it (the pool, not the appraiser, holds the tracer,
-	// and the ledger records the appraisal, not its halves).
-	"verify@" + usecases.AppraiserName: {registry: true, why: "pera_verify_seconds{appraiser} only"},
+	// The appraiser's own verify stage: its histogram and the tracer see
+	// it, but the ledger records the appraisal, not its halves.
+	"verify@" + usecases.AppraiserName: {tracer: true, registry: true, why: "the ledger records the appraisal, not its halves"},
 }
 
 // registryCount is the registry's count for a stage at a place. The

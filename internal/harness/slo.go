@@ -52,7 +52,7 @@ type SLOOptions struct {
 	// knob, evidence.Cache.SetTTL). Default 16s.
 	CacheTTL time.Duration
 	// Budget overrides the derived staleness budget (default: derived
-	// from CacheTTL at SampleEvery 1 → fresh < 24s, lapsed ≥ 48s).
+	// from CacheTTL → fresh < 24s, lapsed ≥ 48s).
 	Budget freshness.Budget
 	// Memo enables the appraiser's verification memo.
 	Memo bool
@@ -134,8 +134,8 @@ type SLOResult struct {
 }
 
 // RunSLO builds the linear testbed on a simulated clock, wires the
-// watchdog into all three of its feeds plus the RATS probe loop, and
-// drives the traffic/freeze/recovery scenario.
+// watchdog into both of its feeds plus the RATS probe loop, and drives
+// the traffic/freeze/recovery scenario.
 func RunSLO(o SLOOptions) (*SLOResult, error) {
 	o = o.withDefaults()
 	clk := freshness.NewSimClock(time.Unix(1_700_000_000, 0))
@@ -156,15 +156,14 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 
 	budget := o.Budget
 	if budget == (freshness.Budget{}) {
-		budget = freshness.DeriveBudget(o.CacheTTL, 1)
+		budget = freshness.DeriveBudget(o.CacheTTL)
 	}
 	wcfg := freshness.Config{
-		Policy:      "AP1",
-		Detail:      evidence.DetailTables,
-		TTL:         o.CacheTTL,
-		SampleEvery: 1,
-		Budget:      budget,
-		Clock:       clk.Now,
+		Policy: "AP1",
+		Detail: evidence.DetailTables,
+		TTL:    o.CacheTTL,
+		Budget: budget,
+		Clock:  clk.Now,
 	}
 	wd := o.Watchdog
 	if wd == nil {
@@ -228,16 +227,15 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 	}
 	wd.SetProber(prober)
 
-	// The watchdog's three feeds: the cache lifecycle (evidence age per
-	// place), span trails via the collector's reassembly, and verdicts.
-	// The appraiser is instrumented before EnableMemo: the probe path's
-	// memo stays unexported.
+	// The watchdog's two feeds: the cache lifecycle (evidence age per
+	// place) and verdicts, each naming the places whose signatures it
+	// verified — in-band packets and probes alike. The appraiser is
+	// instrumented before EnableMemo: the probe path's memo stays
+	// unexported.
 	Planes{
 		Registry: o.Registry, Tracer: o.Tracer, Audit: o.Audit,
 		Collector: col, Watchdog: wd,
 	}.Attach(tb, cache)
-	// Probes appraise directly (no pool), so the appraiser traces itself.
-	tb.Appraiser.SetTracer(o.Tracer)
 	if o.Memo {
 		tb.Appraiser.EnableMemo(0)
 	}

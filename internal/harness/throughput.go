@@ -60,10 +60,10 @@ type ThroughputOptions struct {
 	Memo    bool
 
 	// Planes are attached before the first packet, so they cover the
-	// walk (the on-switch half) and the appraisal both; the pool reports
-	// to the registry, the tracer and the ledger too. With a Registry
-	// the result carries the run's final snapshot. The caller owns the
-	// ledger writer and must Close it to flush the chain.
+	// walk (the on-switch half) and the pooled appraisal both; the pool
+	// adds its counters and its drain record. With a Registry the result
+	// carries the run's final snapshot. The caller owns the ledger writer
+	// and must Close it to flush the chain.
 	Planes
 	// Spans enables in-band hop spans on every switch — the observatory
 	// overhead the BenchmarkThroughput_Observe variants measure.
@@ -141,7 +141,6 @@ func RunThroughput(o ThroughputOptions) (*ThroughputResult, error) {
 	if o.Registry != nil {
 		pool.Instrument(o.Registry)
 	}
-	pool.SetTracer(o.Tracer)
 	pool.SetAudit(o.Audit)
 	var st appraiser.PoolStats
 	var elapsed time.Duration

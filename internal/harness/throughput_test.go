@@ -2,7 +2,6 @@ package harness
 
 import (
 	"runtime"
-	"strconv"
 	"testing"
 
 	"pera/internal/telemetry"
@@ -125,12 +124,8 @@ func TestRunThroughputInstrumented(t *testing.T) {
 	if n := histCount("pera_verify_seconds", telemetry.L("appraiser", "Appraiser")); n != packets {
 		t.Fatalf("verify histogram count = %d, want %d", n, packets)
 	}
-	var appraised uint64
-	for w := 0; w < workers; w++ {
-		appraised += histCount("pera_appraise_seconds", telemetry.L("worker", strconv.Itoa(w)))
-	}
-	if appraised != packets {
-		t.Fatalf("appraise histograms total %d, want %d", appraised, packets)
+	if n := histCount("pera_appraise_seconds", telemetry.L("appraiser", "Appraiser")); n != packets {
+		t.Fatalf("appraise histogram count = %d, want %d", n, packets)
 	}
 
 	// Pool, cache and memo counters agree with the result struct.

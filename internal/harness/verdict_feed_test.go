@@ -46,14 +46,30 @@ func TestSLOOneHopSpanPerPlace(t *testing.T) {
 // watchdog, and sw2's program swapped mid-run. For every place, the
 // FAIL verdicts attributed to it agree across the ledger's verdict
 // provenance, the collector's per-place fails and the watchdog's
-// coverage fails; every place also saw each verdict once in both the
-// collector and the watchdog.
+// coverage fails; every place on the path also saw each verdict once in
+// both the collector and the watchdog. Both read the places a verdict
+// covers from the signers the appraiser verified, so that holds with
+// hop spans off, and a forged span trail naming a place off the path
+// (sw9) gives it no verdict, no freshness and no watchdog row.
 func TestVerdictFeedAgrees(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		spans, forge bool
+	}{
+		{"spans", true, false},
+		{"spans-off", false, false},
+		{"forged-trail", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { verdictFeedAgrees(t, tc.spans, tc.forge) })
+	}
+}
+
+func verdictFeedAgrees(t *testing.T, spans, forge bool) {
 	const packets, swapAt = 48, 16
 	cache := evidence.NewCache()
 	tb, err := usecases.NewLinearTestbed(4, pera.Config{
 		InBand: true, Composition: evidence.Chained, Cache: cache,
-		Spans: pera.SpanConfig{Enabled: true},
+		Spans: pera.SpanConfig{Enabled: spans},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +94,11 @@ func TestVerdictFeedAgrees(t *testing.T) {
 		hdr, err := usecases.SendUC1(tb, nonce, true, 40000+uint64(i), []byte("agree"))
 		if err != nil {
 			t.Fatalf("packet %d: %v", i, err)
+		}
+		if forge {
+			// The trail the verdict joins names only sw9: any hop can
+			// write spans, and none of them is signed.
+			col.IngestPath(pera.FlowID(hdr), []pera.HopSpan{{Place: "sw9", Flags: pera.SpanAttested}}, false)
 		}
 		cert, err := tb.Appraiser.Appraise("bank→client path", hdr.Evidence, nonce)
 		if err != nil {
@@ -113,13 +134,21 @@ func TestVerdictFeedAgrees(t *testing.T) {
 		}
 		seen[p.Place] = p.Observed
 	}
+	var rows []string
 	for _, p := range cov.Places {
+		rows = append(rows, p.Place)
 		if p.Fails > 0 {
 			watchdog[p.Place] = p.Fails
 		}
 		if p.Verdicts != seen[p.Place] || p.Verdicts != packets {
 			t.Errorf("%s: watchdog saw %d verdicts, collector %d, want %d", p.Place, p.Verdicts, seen[p.Place], packets)
 		}
+	}
+	if want := tb.PathSwitchNames(); !reflect.DeepEqual(rows, want) {
+		t.Errorf("watchdog rows %v, want the path %v", rows, want)
+	}
+	if n, ok := seen["sw9"]; forge && (!ok || n != 0) {
+		t.Errorf("collector: sw9 observed %d verdicts (row present: %v), want its span row and no verdict", n, ok)
 	}
 	if verdicts != packets || snap.Verdicts != packets {
 		t.Fatalf("verdicts: ledger %d, collector %d, want %d", verdicts, snap.Verdicts, packets)

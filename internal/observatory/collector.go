@@ -15,17 +15,20 @@
 //     per-place and per-link health.
 //   - Compromise localization: the Collector is a telemetry.StageSink
 //     subscribed to the appraiser's appraise envelope
-//     (Appraiser.Subscribe), so every verdict's place attribution (which
-//     switch's claim failed the golden comparison) trains a rolling
-//     window per place; the first place whose failure rate departs its
-//     baseline is flagged — a UC1 program swap is attributed to the
-//     specific switch, not just "path failed".
+//     (Appraiser.Subscribe), so every verdict trains a rolling window at
+//     each place whose signature the appraiser verified, failing only
+//     the place its provenance names (which switch's claim failed the
+//     golden comparison); the first place whose failure rate departs
+//     its baseline is flagged — a UC1 program swap is attributed to the
+//     specific switch, not just "path failed". The span trail gives
+//     per-hop timing, link health and the trace's verdict join, never
+//     attribution: it is unsigned, and sampled.
 package observatory
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"pera/internal/netsim"
 	"pera/internal/pera"
@@ -120,8 +123,6 @@ type Collector struct {
 	pushes   uint64 // stats/audit/memo pushes
 	frames   uint64 // frames inspected
 	loc      *Localization
-
-	pathSink atomic.Pointer[func(flow string, hops []pera.HopSpan, truncated bool)]
 }
 
 // New creates a collector. The name is its netsim node identity.
@@ -174,31 +175,6 @@ func (c *Collector) IngestFrame(frame []byte) bool {
 // each hop's span into that place's health. Exposed for out-of-band
 // span transports; in-band callers use IngestFrame.
 func (c *Collector) IngestPath(flow string, hops []pera.HopSpan, truncated bool) {
-	c.ingestPath(flow, hops, truncated)
-	// The sink runs after c.mu is released so a subscriber (the
-	// freshness watchdog) may take its own locks — or call back into
-	// the collector — without deadlocking.
-	if fn := c.pathSink.Load(); fn != nil {
-		(*fn)(flow, append([]pera.HopSpan(nil), hops...), truncated)
-	}
-}
-
-// SetPathSink subscribes a downstream consumer to every reassembled span
-// trail the collector ingests. The hook is invoked outside the
-// collector's lock with its own copy of the hops. Single slot; nil
-// detaches.
-func (c *Collector) SetPathSink(fn func(flow string, hops []pera.HopSpan, truncated bool)) {
-	if c == nil {
-		return
-	}
-	if fn == nil {
-		c.pathSink.Store(nil)
-		return
-	}
-	c.pathSink.Store(&fn)
-}
-
-func (c *Collector) ingestPath(flow string, hops []pera.HopSpan, truncated bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
@@ -239,11 +215,13 @@ func (c *Collector) StageOpened(telemetry.StageEvent) {}
 
 // StageEnded implements telemetry.StageSink for the appraiser's appraise
 // envelope: the verdict joins the pending path trace for its flow, and
-// every hop on that path receives an appraisal outcome — a failure is
-// attributed only to the place the verdict's provenance names, which is
-// what trains the per-place anomaly windows to localize rather than
-// blame the whole path. An appraisal that failed operationally (Err,
-// e.g. a nonce replay) rendered no verdict and is skipped.
+// every place whose signature the appraiser verified (ev.Signers)
+// receives an appraisal outcome — a failure is attributed only to the
+// place the verdict's provenance names, which is what trains the
+// per-place anomaly windows to localize rather than blame the whole
+// path. The named place learns of its failure even when its signature
+// is not among them. An appraisal that failed operationally (Err, e.g.
+// a nonce replay) rendered no verdict and is skipped.
 func (c *Collector) StageEnded(ev telemetry.StageEvent) {
 	if ev.Err != "" || ev.Verdict == "" {
 		return
@@ -253,8 +231,7 @@ func (c *Collector) StageEnded(ev telemetry.StageEvent) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.verdicts++
-	pt := c.byFlow[ev.Flow]
-	if pt != nil {
+	if pt := c.byFlow[ev.Flow]; pt != nil {
 		delete(c.byFlow, ev.Flow)
 		pt.Verdict = ev.Verdict
 		if !verdict {
@@ -263,25 +240,14 @@ func (c *Collector) StageEnded(ev telemetry.StageEvent) {
 			pt.Reason = reason
 		}
 	}
-	var hops []string
-	if pt != nil {
-		for i := range pt.Hops {
-			hops = append(hops, pt.Hops[i].Place)
-		}
-	} else if failPlace != "" {
-		// No trace for this flow (unsampled or out-of-band evidence):
-		// the attributed place still learns of its failure.
-		hops = []string{failPlace}
-	}
-	for _, h := range hops {
-		p := c.place(h)
-		fail := !verdict && h == failPlace
+	observe := func(name string, fail bool) {
+		p := c.place(name)
 		p.observe(fail, c.cfg)
 		if p.flagged && p.flaggedAt == 0 {
 			p.flaggedAt = c.verdicts
 			if c.loc == nil {
 				c.loc = &Localization{
-					Place:        h,
+					Place:        name,
 					AtVerdict:    c.verdicts,
 					AtPathSeq:    c.seq,
 					WindowRate:   p.windowRate(),
@@ -291,6 +257,12 @@ func (c *Collector) StageEnded(ev telemetry.StageEvent) {
 				}
 			}
 		}
+	}
+	for _, name := range ev.Signers {
+		observe(name, !verdict && name == failPlace)
+	}
+	if !verdict && failPlace != "" && !slices.Contains(ev.Signers, failPlace) {
+		observe(failPlace, true)
 	}
 }
 

@@ -12,14 +12,15 @@ import (
 )
 
 // feedVerdict feeds c one appraisal's end the way Appraiser.Subscribe
-// delivers it: the appraise envelope with the verdict and provenance.
-func feedVerdict(c *Collector, flow string, pass bool, place, stage, reason string) {
+// delivers it: the appraise envelope with the verdict, its provenance
+// and the signers the appraiser verified.
+func feedVerdict(c *Collector, flow string, signers []string, pass bool, place, stage, reason string) {
 	v := "FAIL"
 	if pass {
 		v = "PASS"
 	}
 	c.StageEnded(telemetry.StageEvent{
-		Stage: telemetry.StageAppraise, Flow: flow, Verdict: v,
+		Stage: telemetry.StageAppraise, Flow: flow, Verdict: v, Signers: signers,
 		Prov: telemetry.Provenance{Place: place, Stage: stage, Reason: reason},
 	})
 }
@@ -76,7 +77,7 @@ func TestCollectorPathRingBounded(t *testing.T) {
 func TestVerdictJoinsTrace(t *testing.T) {
 	c := New("collector", Config{})
 	c.IngestPath("f1", pathHops("sw1", "sw2"), false)
-	feedVerdict(c, "f1", false, "sw2", "golden", "measurement mismatch")
+	feedVerdict(c, "f1", []string{"sw1", "sw2"}, false, "sw2", "golden", "measurement mismatch")
 	s := c.Snapshot()
 	pt := s.Paths[0]
 	if pt.Verdict != "FAIL" || pt.FailPlace != "sw2" || pt.FailStage != "golden" {
@@ -101,13 +102,11 @@ func TestLocalizationFlagsCompromisedPlace(t *testing.T) {
 	flow := 0
 	send := func(verdict bool, failPlace string) {
 		flow++
-		f := fmt.Sprintf("flow%d", flow)
-		c.IngestPath(f, pathHops(hops...), false)
 		stage, reason := "accept", "ok"
 		if !verdict {
 			stage, reason = "golden", "measurement mismatch: "+failPlace+"/fwd_v1.p4"
 		}
-		feedVerdict(c, f, verdict, failPlace, stage, reason)
+		feedVerdict(c, fmt.Sprintf("flow%d", flow), hops, verdict, failPlace, stage, reason)
 	}
 	for i := 0; i < 16; i++ {
 		send(true, "")
@@ -168,7 +167,7 @@ func TestStatsAndHealthPushes(t *testing.T) {
 func TestSnapshotHTTPAndRender(t *testing.T) {
 	c := New("collector", Config{})
 	c.IngestPath("f1", pathHops("sw1", "sw2"), false)
-	feedVerdict(c, "f1", true, "", "accept", "ok")
+	feedVerdict(c, "f1", []string{"sw1", "sw2"}, true, "", "accept", "ok")
 
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -196,16 +195,16 @@ func TestSnapshotHTTPAndRender(t *testing.T) {
 	}
 }
 
-// TestVerdictWithoutTrace: out-of-band or unsampled flows still train
-// the attributed place's window.
+// TestVerdictWithoutTrace: verdicts train their signers' windows with
+// no span trail at all, and a FAIL reaches the place its provenance
+// names even when no verified signature is that place's.
 func TestVerdictWithoutTrace(t *testing.T) {
 	c := New("collector", Config{Baseline: 4, MinFails: 2})
 	for i := 0; i < 4; i++ {
-		c.IngestPath(fmt.Sprintf("w%d", i), pathHops("sw1"), false)
-		feedVerdict(c, fmt.Sprintf("w%d", i), true, "", "accept", "ok")
+		feedVerdict(c, fmt.Sprintf("w%d", i), []string{"sw1"}, true, "", "accept", "ok")
 	}
 	for i := 0; i < 4; i++ {
-		feedVerdict(c, fmt.Sprintf("x%d", i), false, "sw1", "golden", "mismatch")
+		feedVerdict(c, fmt.Sprintf("x%d", i), nil, false, "sw1", "golden", "mismatch")
 	}
 	if loc := c.Localized(); loc == nil || loc.Place != "sw1" {
 		t.Fatalf("localization: %+v", loc)

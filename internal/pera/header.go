@@ -133,7 +133,7 @@ func Push(h *Header, inner []byte) []byte {
 }
 
 // Pop parses and removes the header, returning it and the inner frame.
-// The evidence section is decoded with evidence.DecodeShared; neither
+// The evidence section is decoded with evidence.Decode; neither
 // the header nor its evidence aliases frame, so callers may reuse the
 // buffer after Pop returns. Only the inner frame is a slice of it.
 func Pop(frame []byte) (*Header, []byte, error) {
@@ -141,7 +141,7 @@ func Pop(frame []byte) (*Header, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ev, err := evidence.DecodeShared(h.chain)
+	ev, err := evidence.Decode(h.chain)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -150,7 +150,7 @@ func Pop(frame []byte) (*Header, []byte, error) {
 }
 
 // popChain is Pop for a switch's Receive: it checks the evidence section
-// with evidence.Scan, which accepts exactly what DecodeShared does, and
+// with evidence.Scan, which accepts exactly what Decode does, and
 // keeps it as bytes in the header's chain, aliasing frame.
 func popChain(frame []byte) (*Header, []byte, error) {
 	h, inner, err := popSections(frame)

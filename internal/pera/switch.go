@@ -564,7 +564,7 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 		if cfg.VerifyIncoming != nil {
 			s.met.verifyOps.Inc()
 			m := rec.Begin(telemetry.StageVerify)
-			ev, err := evidence.DecodeShared(hdr.chain)
+			ev, err := evidence.Decode(hdr.chain)
 			if err == nil {
 				_, err = evidence.VerifySignaturesMemo(ev, cfg.VerifyIncoming, cfg.VerifyMemo)
 			}

@@ -47,6 +47,10 @@ type StageEvent struct {
 	Err     string // the envelope failed operationally (e.g. nonce replay)
 	Note    string
 	Prov    Provenance // the clause that decided; Clause == "" means none
+	// Signers names the places whose signatures the appraisal verified,
+	// innermost first (path order); set on an appraise envelope whose
+	// signature walk passed, when a sink or the tracer reads it.
+	Signers []string
 }
 
 // Provenance names the exact Copland/NetKAT clause that accepted or
