@@ -61,7 +61,8 @@ perabench-test:
 # Native fuzz targets, one after another, FUZZTIME each: the RATS wire
 # decoder, the evidence decoder, the PERA header pop and policy
 # decoder, the policy parser, the certificate and quote decoders, the
-# NetKAT and P4-lite source parsers, and the fleet target list parser.
+# NetKAT and P4-lite source parsers, the fleet target list parser, the
+# audit ledger reader and the pprof profile reader.
 # Their seeds already run as plain tests under `go test`.
 FUZZTIME ?= 10s
 fuzz:
@@ -75,6 +76,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime $(FUZZTIME) ./internal/netkat
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime $(FUZZTIME) ./internal/p4ir
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTargets$$' -fuzztime $(FUZZTIME) ./internal/fleetscope
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime $(FUZZTIME) ./internal/auditlog
+	$(GO) test -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime $(FUZZTIME) ./internal/profiler
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

@@ -7,6 +7,7 @@
 package appraiser
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"encoding/hex"
@@ -42,15 +43,37 @@ type Certificate struct {
 	Reason         string
 	Serial         uint64
 	Signature      []byte
+	// Batch is nil for a certificate signed on its own. A pool worker
+	// that certifies several results at once sets it: Signature then
+	// signs the batch's Merkle root, and Batch proves this certificate
+	// is one of its leaves (see batch.go).
+	Batch *BatchProof
 }
 
+// certMagic opens the message a single certificate's signature signs and
+// its wire form; batchWireMagic opens a batched certificate's wire form.
+const (
+	certMagic      = "PERA-RESULT-V1\x00"
+	batchWireMagic = "PERA-RESULT-BATCHED-V1\x00"
+)
+
+// certMessage is what a single certificate's signature signs: the magic
+// and the certified fields.
 func certMessage(c *Certificate) []byte {
-	size := len("PERA-RESULT-V1\x00") + 4 + len(c.Issuer) + 4 + len(c.Subject) +
-		4 + len(c.Nonce) + rot.DigestSize + 1 + 4 + len(c.Reason) + 8
 	// One exact-size allocation; Encode appends the signature LV after,
 	// so leave room for it too.
-	b := make([]byte, 0, size+4+len(c.Signature))
-	b = append(b, "PERA-RESULT-V1\x00"...)
+	b := make([]byte, 0, len(certMagic)+certFieldsSize(c)+4+len(c.Signature))
+	return appendCertFields(append(b, certMagic...), c)
+}
+
+func certFieldsSize(c *Certificate) int {
+	return 4 + len(c.Issuer) + 4 + len(c.Subject) + 4 + len(c.Nonce) +
+		rot.DigestSize + 1 + 4 + len(c.Reason) + 8
+}
+
+// appendCertFields appends the certified fields: everything a signature
+// covers after the magic.
+func appendCertFields(b []byte, c *Certificate) []byte {
 	b = appendLV(b, []byte(c.Issuer))
 	b = appendLV(b, []byte(c.Subject))
 	b = appendLV(b, c.Nonce)
@@ -61,8 +84,7 @@ func certMessage(c *Certificate) []byte {
 		b = append(b, 0)
 	}
 	b = appendLV(b, []byte(c.Reason))
-	b = binary.BigEndian.AppendUint64(b, c.Serial)
-	return b
+	return binary.BigEndian.AppendUint64(b, c.Serial)
 }
 
 func appendLV(b, v []byte) []byte {
@@ -71,83 +93,144 @@ func appendLV(b, v []byte) []byte {
 }
 
 // Encode serializes the certificate (including signature) for transport.
+// A single certificate is its signed message followed by the signature.
+// A batched one opens with batchWireMagic, and its proof (u32 index, u32
+// size, a path-length byte and the path digests) sits between the
+// certified fields and the signature.
 func (c *Certificate) Encode() []byte {
-	b := certMessage(c)
+	p := c.Batch
+	if p == nil {
+		return appendLV(certMessage(c), c.Signature)
+	}
+	b := make([]byte, 0, len(batchWireMagic)+certFieldsSize(c)+9+
+		len(p.Path)*rot.DigestSize+4+len(c.Signature))
+	b = appendCertFields(append(b, batchWireMagic...), c)
+	b = binary.BigEndian.AppendUint32(b, p.Index)
+	b = binary.BigEndian.AppendUint32(b, p.Size)
+	b = append(b, byte(len(p.Path)))
+	for i := range p.Path {
+		b = append(b, p.Path[i][:]...)
+	}
 	return appendLV(b, c.Signature)
 }
 
-// DecodeCertificate parses a certificate from its wire form. The form is
-// canonical: a verdict byte other than 0 or 1, or any byte after the
-// signature field, is rejected, so one certificate has one encoding.
-func DecodeCertificate(data []byte) (*Certificate, error) {
-	read := func(off int) ([]byte, int, error) {
-		if off+4 > len(data) {
-			return nil, 0, fmt.Errorf("%w: truncated", ErrBadCertificate)
-		}
-		n := binary.BigEndian.Uint32(data[off:])
-		off += 4
-		if off+int(n) > len(data) {
-			return nil, 0, fmt.Errorf("%w: truncated field", ErrBadCertificate)
-		}
-		return data[off : off+int(n)], off + int(n), nil
+// certReader walks a certificate's wire form; the first short read sets
+// err and every later read returns nil.
+type certReader struct {
+	data []byte
+	off  int
+	err  error
+}
+
+func (r *certReader) next(n int, what string) []byte {
+	if r.err != nil {
+		return nil
 	}
-	magic := "PERA-RESULT-V1\x00"
-	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+	if n < 0 || n > len(r.data)-r.off {
+		r.err = fmt.Errorf("%w: truncated %s", ErrBadCertificate, what)
+		return nil
+	}
+	b := r.data[r.off : r.off+n]
+	r.off += n
+	return b
+}
+
+func (r *certReader) lv(what string) []byte {
+	n := r.next(4, what)
+	if n == nil {
+		return nil
+	}
+	return r.next(int(binary.BigEndian.Uint32(n)), what)
+}
+
+// DecodeCertificate parses a certificate from either wire form. Both are
+// canonical: a verdict byte other than 0 or 1, a batch proof that does
+// not fit RFC 9162 (a size below 2, an index outside it, a path of the
+// wrong length) or any byte after the signature field is rejected, so
+// one certificate has one encoding.
+func DecodeCertificate(data []byte) (*Certificate, error) {
+	r := certReader{data: data}
+	batched := false
+	switch {
+	case bytes.HasPrefix(data, []byte(certMagic)):
+		r.off = len(certMagic)
+	case bytes.HasPrefix(data, []byte(batchWireMagic)):
+		r.off, batched = len(batchWireMagic), true
+	default:
 		return nil, fmt.Errorf("%w: bad magic", ErrBadCertificate)
 	}
-	off := len(magic)
 	c := &Certificate{}
-	var f []byte
-	var err error
-	if f, off, err = read(off); err != nil {
-		return nil, err
+	c.Issuer = string(r.lv("field"))
+	c.Subject = string(r.lv("field"))
+	c.Nonce = append([]byte(nil), r.lv("field")...)
+	copy(c.EvidenceDigest[:], r.next(rot.DigestSize, "digest"))
+	if v := r.next(1, "verdict"); v != nil {
+		if v[0] > 1 {
+			return nil, fmt.Errorf("%w: verdict byte %d", ErrBadCertificate, v[0])
+		}
+		c.Verdict = v[0] == 1
 	}
-	c.Issuer = string(f)
-	if f, off, err = read(off); err != nil {
-		return nil, err
+	c.Reason = string(r.lv("field"))
+	if s := r.next(8, "serial"); s != nil {
+		c.Serial = binary.BigEndian.Uint64(s)
 	}
-	c.Subject = string(f)
-	if f, off, err = read(off); err != nil {
-		return nil, err
+	if batched {
+		c.Batch = r.proof()
 	}
-	c.Nonce = append([]byte(nil), f...)
-	if off+rot.DigestSize > len(data) {
-		return nil, fmt.Errorf("%w: truncated digest", ErrBadCertificate)
+	sig := r.lv("signature")
+	if r.err != nil {
+		return nil, r.err
 	}
-	copy(c.EvidenceDigest[:], data[off:])
-	off += rot.DigestSize
-	if off >= len(data) {
-		return nil, fmt.Errorf("%w: truncated verdict", ErrBadCertificate)
-	}
-	if data[off] > 1 {
-		return nil, fmt.Errorf("%w: verdict byte %d", ErrBadCertificate, data[off])
-	}
-	c.Verdict = data[off] == 1
-	off++
-	if f, off, err = read(off); err != nil {
-		return nil, err
-	}
-	c.Reason = string(f)
-	if off+8 > len(data) {
-		return nil, fmt.Errorf("%w: truncated serial", ErrBadCertificate)
-	}
-	c.Serial = binary.BigEndian.Uint64(data[off:])
-	off += 8
-	if f, off, err = read(off); err != nil {
-		return nil, err
-	}
-	if off != len(data) {
+	if r.off != len(data) {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrBadCertificate)
 	}
-	c.Signature = append([]byte(nil), f...)
+	c.Signature = append([]byte(nil), sig...)
 	return c, nil
 }
 
+// proof reads a batched certificate's proof, setting err when it does not
+// fit RFC 9162.
+func (r *certReader) proof() *BatchProof {
+	head := r.next(9, "batch proof")
+	if head == nil {
+		return nil
+	}
+	p := &BatchProof{
+		Index: binary.BigEndian.Uint32(head),
+		Size:  binary.BigEndian.Uint32(head[4:]),
+	}
+	if p.Size < 2 || p.Index >= p.Size || int(head[8]) != pathLen(p.Index, p.Size) {
+		r.err = fmt.Errorf("%w: batch proof %d/%d with a %d-digest path",
+			ErrBadCertificate, p.Index, p.Size, head[8])
+		return nil
+	}
+	path := r.next(int(head[8])*rot.DigestSize, "batch path")
+	p.Path = make([]rot.Digest, len(path)/rot.DigestSize)
+	for i := range p.Path {
+		copy(p.Path[i][:], path[i*rot.DigestSize:])
+	}
+	return p
+}
+
 // VerifyCertificate checks the certificate's signature under the issuing
-// appraiser's public key.
+// appraiser's public key. A batched certificate verifies on its own: its
+// leaf and audit path must rebuild the root its signature signs.
 func VerifyCertificate(pub ed25519.PublicKey, c *Certificate) error {
-	if len(pub) != ed25519.PublicKeySize ||
-		!ed25519.Verify(pub, certMessage(c), c.Signature) {
+	if len(pub) != ed25519.PublicKeySize {
+		return ErrBadCertificate
+	}
+	var msg []byte
+	if p := c.Batch; p != nil {
+		leaf, scratch := leafHash(nil, c)
+		root, ok := rootFromPath(leaf, p)
+		if !ok {
+			return ErrBadCertificate
+		}
+		msg = appendBatchMessage(scratch[:0], p.Size, root)
+	} else {
+		msg = certMessage(c)
+	}
+	if !ed25519.Verify(pub, msg, c.Signature) {
 		return ErrBadCertificate
 	}
 	return nil
@@ -423,7 +506,7 @@ func (a *Appraiser) AllowHash(d rot.Digest) {
 // operational failures (nonce replay); verification failures are reported
 // through the certificate so they remain attributable and storable.
 func (a *Appraiser) Appraise(subject string, ev *evidence.Evidence, nonce []byte) (*Certificate, error) {
-	return a.appraiseNoted(telemetry.SpanContext{}, subject, ev, nonce, "")
+	return a.appraise(telemetry.SpanContext{}, subject, ev, nonce)
 }
 
 // appraisalFlowID correlates appraisal-side audit records with the
@@ -444,44 +527,71 @@ func appraisalFlowID(ev *evidence.Evidence, nonce []byte) string {
 // rats trace-context field), joining the challenge's cross-process
 // trace.
 func (a *Appraiser) AppraiseCtx(parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte) (*Certificate, error) {
-	return a.appraiseNoted(parent, subject, ev, nonce, "")
+	return a.appraise(parent, subject, ev, nonce)
 }
 
-// appraiseNoted additionally threads an attribution note (e.g. "worker
-// 3") stamped on the audit records. The whole appraisal is one appraise
-// stage: the sinks see its start and its verdict with the signers it
-// verified, the tracer records its span and a verdict child.
-func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte, note string) (*Certificate, error) {
-	rec := a.planes.Recorder()
+// appraise decides one appraisal, signs its certificate on its own and
+// closes its envelope.
+func (a *Appraiser) appraise(parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte) (*Certificate, error) {
+	var d decision
+	a.decide(&d, parent, subject, ev, nonce, "")
+	if d.cert != nil {
+		a.sign(d.cert)
+	}
+	d.rec.Close(d.stage)
+	return d.cert, d.err
+}
+
+// decision is one appraisal decided and not yet certified: its open
+// appraise envelope, its certificate with every field but the signature
+// (nil after an operational error), and whether deciding it ran a new
+// Ed25519 verification.
+type decision struct {
+	rec   telemetry.StageRecorder
+	stage telemetry.StageEvent
+	cert  *Certificate
+	err   error
+	fresh bool
+}
+
+// decide runs an appraisal up to its signature: it opens the appraise
+// envelope, refuses a replayed nonce, runs check and fills in the
+// certificate, serial included. note (e.g. "worker 3") is stamped on the
+// audit records. The envelope stays open until the certificate is
+// signed, so the sinks see each appraisal start and end once, its
+// verdict with the signers it verified, and the tracer records its span
+// and a verdict child.
+func (a *Appraiser) decide(d *decision, parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte, note string) {
+	*d = decision{rec: a.planes.Recorder()}
 	flow, nonceHex := "", ""
-	if rec.Detailed() {
+	if d.rec.Detailed() {
 		flow = appraisalFlowID(ev, nonce)
 		if len(nonce) > 0 {
 			nonceHex = flow // appraisalFlowID is the nonce hex when there is one
 		}
 	}
-	stage := telemetry.StageEvent{
+	d.stage = telemetry.StageEvent{
 		Stage: telemetry.StageAppraise, Flow: flow, Parent: parent,
 		Target: subject, Nonce: nonceHex, Policy: a.policy(), Note: note,
 	}
-	rec.Open(stage)
+	d.rec.Open(d.stage)
 	if len(nonce) > 0 {
 		a.nonceMu.Lock()
 		replayed := a.used[string(nonce)]
 		a.used[string(nonce)] = true
 		a.nonceMu.Unlock()
 		if replayed {
-			stage.Verdict, stage.Err = "FAIL", ErrNonceReplayed.Error()
-			stage.Prov = telemetry.Provenance{
-				Policy: stage.Policy, Clause: clauseNonce, Stage: "nonce",
+			d.err = ErrNonceReplayed
+			d.stage.Verdict, d.stage.Err = "FAIL", ErrNonceReplayed.Error()
+			d.stage.Prov = telemetry.Provenance{
+				Policy: d.stage.Policy, Clause: clauseNonce, Stage: "nonce",
 				Reason: ErrNonceReplayed.Error(),
 			}
-			rec.Close(stage)
-			return nil, ErrNonceReplayed
+			return
 		}
 	}
-	verdict, reason, prov := a.check(&rec, &stage, ev, nonce)
-	c := &Certificate{
+	verdict, reason, prov := a.check(d, ev, nonce)
+	d.cert = &Certificate{
 		Issuer:         a.name,
 		Subject:        subject,
 		Nonce:          append([]byte(nil), nonce...),
@@ -490,14 +600,16 @@ func (a *Appraiser) appraiseNoted(parent telemetry.SpanContext, subject string, 
 		Reason:         reason,
 		Serial:         a.serial.Add(1),
 	}
-	// Signing happens outside every lock: concurrent appraisal workers
-	// must not serialize their Ed25519 work behind shared state.
+	d.stage.Verdict = verdictString(verdict)
+	d.stage.Prov = prov
+	d.stage.Prov.Policy = d.stage.Policy
+}
+
+// sign certifies c on its own. Signing happens outside every lock:
+// concurrent appraisal workers must not serialize their Ed25519 work
+// behind shared state.
+func (a *Appraiser) sign(c *Certificate) {
 	c.Signature = ed25519.Sign(a.key, certMessage(c))
-	stage.Verdict = verdictString(verdict)
-	stage.Prov = prov
-	stage.Prov.Policy = stage.Policy
-	rec.Close(stage)
-	return c, nil
 }
 
 // verdictString renders a verdict the way records and spans carry it.
@@ -542,10 +654,12 @@ func rejectAt(stage, clause, place, reason string) auditlog.Provenance {
 
 // check runs the verification pipeline and renders a verdict together
 // with the provenance naming the exact policy clause that decided. The
-// signature walk is reported on rec as the appraisal's verify stage;
-// once it passes, and a plane reads details, stage names the signers it
-// verified — the places the verdict covers.
-func (a *Appraiser) check(rec *telemetry.StageRecorder, stage *telemetry.StageEvent, ev *evidence.Evidence, nonce []byte) (bool, string, auditlog.Provenance) {
+// signature walk is reported on d's recorder as the appraisal's verify
+// stage; once it passes, and a sink reads the envelope, d's stage names
+// the signers it verified — the places the verdict covers. d.fresh
+// records whether any signature or quote needed a full Ed25519
+// verification: one the memo could not answer.
+func (a *Appraiser) check(d *decision, ev *evidence.Evidence, nonce []byte) (bool, string, auditlog.Provenance) {
 	if err := evidence.Validate(ev); err != nil {
 		return false, err.Error(), reject("structure", clauseStructure, err.Error())
 	}
@@ -557,19 +671,22 @@ func (a *Appraiser) check(rec *telemetry.StageRecorder, stage *telemetry.StageEv
 	memo := a.memo
 	a.mu.RUnlock()
 
-	m := rec.Begin(telemetry.StageVerify)
+	m := d.rec.Begin(telemetry.StageVerify)
 	// With a memo, the prewarm verifies the chain's new signatures into
 	// it and the walk answers every node from it; without one the walk
 	// verifies each signature in full.
-	memo.Prewarm(ev, keys)
+	d.fresh = memo.Prewarm(ev, keys) > 0
 	nsigs, err := evidence.VerifySignaturesMemo(ev, keys, memo)
+	if memo == nil {
+		d.fresh = nsigs > 0 || errors.Is(err, evidence.ErrBadSignature)
+	}
 	if err != nil {
-		rec.End(m, telemetry.StageEvent{Stage: telemetry.StageVerifyFail, Note: err.Error()})
+		d.rec.End(m, telemetry.StageEvent{Stage: telemetry.StageVerifyFail, Note: err.Error()})
 		return false, err.Error(), reject("signature", clauseSignature, err.Error())
 	}
-	rec.End(m, telemetry.StageEvent{})
-	if rec.Detailed() {
-		stage.Signers = pathSigners(ev)
+	d.rec.End(m, telemetry.StageEvent{})
+	if d.rec.Feeds(telemetry.StageAppraise) {
+		d.stage.Signers = pathSigners(ev)
 	}
 	if requireNonce && len(nonce) > 0 && !evidence.HasNonce(ev, nonce) {
 		return false, ErrNonceMissing.Error(), reject("nonce", clauseNonce, ErrNonceMissing.Error())
@@ -616,6 +733,7 @@ func (a *Appraiser) check(rec *telemetry.StageRecorder, stage *telemetry.StageEv
 			// byte-identical, so the serialized claim bytes key the
 			// memoized verdict.
 			ok = memo.Check(pub, m.Claims, q.Signature, func() bool {
+				d.fresh = true
 				return rot.VerifyQuote(pub, q, nil) == nil
 			})
 			if !ok {

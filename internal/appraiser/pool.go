@@ -50,7 +50,9 @@ type PoolStats struct {
 	Errors uint64 // operational errors (e.g. nonce replay)
 }
 
-// Pool appraises evidence on a fixed set of worker goroutines.
+// Pool appraises evidence on a fixed set of worker goroutines. A worker
+// certifies the memo-answered jobs queued behind each other with one
+// signature (see worker), so a pooled certificate may be batched.
 //
 // Dispatch preserves per-nonce ordering: every job is routed to a worker
 // chosen by hashing its nonce, so two submissions with the same nonce are
@@ -136,22 +138,55 @@ func (p *Pool) SetTracer(tr *telemetry.FlowTracer) { p.a.SetTracer(tr) }
 func (p *Pool) SetAudit(w *auditlog.Writer) { p.aud = w }
 
 // worker appraises its queue's jobs, noting itself on each appraisal.
+// Once it has decided a job whose check ran no new Ed25519 verification
+// (the memo answered every signature and quote, or the job was rejected
+// before any), it takes the next job already queued, without waiting
+// for one, up to maxBatch; the first job that verifies something closes
+// the batch. It then certifies the batch with one signature (certify)
+// and delivers its results in queue order. A job that verified
+// something is always the last of its batch, so a result waits for at
+// most one full check besides its own.
 func (p *Pool) worker(note string, queue <-chan poolTask) {
 	defer p.wg.Done()
+	var (
+		ds      [maxBatch]decision
+		idx     [maxBatch]int
+		scratch batchScratch
+	)
 	for t := range queue {
-		cert, err := p.a.appraiseNoted(t.job.Trace, t.job.Subject, t.job.Evidence, t.job.Nonce, note)
-		r := Result{Index: t.idx, Certificate: cert, Err: err}
-		p.jobs.Add(1)
-		switch {
-		case err != nil:
-			p.errors.Add(1)
-		case cert.Verdict:
-			p.pass.Add(1)
-		default:
-			p.fail.Add(1)
+		n := 0
+		for {
+			p.a.decide(&ds[n], t.job.Trace, t.job.Subject, t.job.Evidence, t.job.Nonce, note)
+			idx[n] = t.idx
+			n++
+			if n == maxBatch || ds[n-1].fresh {
+				break
+			}
+			var ok bool
+			select {
+			case t, ok = <-queue:
+			default:
+			}
+			if !ok {
+				break
+			}
 		}
-		if p.OnResult != nil {
-			p.OnResult(r)
+		p.a.certify(ds[:n], &scratch)
+		for i := range ds[:n] {
+			r := Result{Index: idx[i], Certificate: ds[i].cert, Err: ds[i].err}
+			ds[i] = decision{} // do not pin the job's certificate while idle
+			p.jobs.Add(1)
+			switch {
+			case r.Err != nil:
+				p.errors.Add(1)
+			case r.Certificate.Verdict:
+				p.pass.Add(1)
+			default:
+				p.fail.Add(1)
+			}
+			if p.OnResult != nil {
+				p.OnResult(r)
+			}
 		}
 	}
 }

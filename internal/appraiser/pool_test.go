@@ -3,6 +3,7 @@ package appraiser
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -101,14 +102,19 @@ func TestPoolDifferential(t *testing.T) { poolDifferential(t, false) }
 func TestPoolDifferentialMemo(t *testing.T) { poolDifferential(t, true) }
 
 // poolDifferential requires the pool to render exactly the plain serial
-// appraiser's verdict, reason and error for every job submitted to it:
-// 1, 2, 4 and 8 workers, on an appraiser with the memo on or off. Each
-// case appraises every chain kind on its own, then the whole corpus
-// followed by two nonce-less re-presentations of it (each appraised
-// again; memo hits with the memo on). The torsion kind pins one
-// signature semantics: a cofactored check over a window of torsion
-// chains would PASS what crypto/ed25519 rejects, and with the memo on
-// that PASS would outlive the pool.
+// appraiser's verdict, reason, error, subject, nonce and evidence digest
+// for every job submitted to it, and the same set of serials: 1, 2, 4
+// and 8 workers, on an appraiser with the memo on or off. Each case
+// appraises every chain kind on its own, then the whole corpus followed
+// by two nonce-less re-presentations of it (each appraised again; memo
+// hits with the memo on). Certificate bytes may differ, since a worker
+// certifies the memo-answered jobs queued behind each other with one
+// signature, but every pooled certificate must verify under the
+// appraiser's key, and with the memo on the re-presented corpus must
+// yield batched certificates. The torsion kind pins one signature
+// semantics: a cofactored check over a window of torsion chains would
+// PASS what crypto/ed25519 rejects, and with the memo on that PASS
+// would outlive the pool.
 func poolDifferential(t *testing.T, memo bool) {
 	signer := rot.NewDeterministic("sw1", []byte(poolSeed))
 	const n = 8
@@ -149,13 +155,28 @@ func poolDifferential(t *testing.T, memo bool) {
 				}
 				jobs := runs[run]
 				got := submitAll(a, jobs, workers)
+				batched := 0
 				for i := range jobs {
 					if w, g := describe(want[run][i]), describe(got[i]); w != g {
 						t.Fatalf("%s job %d: serial %s, pool %s", run, i, w, g)
 					}
+					if c := got[i].Certificate; c != nil {
+						if err := VerifyCertificate(a.Public(), c); err != nil {
+							t.Fatalf("%s job %d: pooled certificate: %v", run, i, err)
+						}
+						if c.Batch != nil {
+							batched++
+						}
+					}
+				}
+				if w, g := serials(want[run]), serials(got); !reflect.DeepEqual(w, g) {
+					t.Fatalf("%s: serial serials %v, pool serials %v", run, w, g)
 				}
 				if !memo {
 					continue
+				}
+				if run == "all" && batched == 0 {
+					t.Fatalf("no batched certificate over the re-presented corpus")
 				}
 				// The memo must not carry a verdict the serial path
 				// would not reach.
@@ -173,12 +194,97 @@ func poolDifferential(t *testing.T, memo bool) {
 	}
 }
 
-// describe renders a result's outcome for comparison.
+// describe renders a result's outcome and what its certificate
+// certifies, but for the serial, for comparison.
 func describe(r Result) string {
 	if r.Err != nil {
 		return "error " + r.Err.Error()
 	}
-	return verdictString(r.Certificate.Verdict) + " " + r.Certificate.Reason
+	c := r.Certificate
+	return fmt.Sprintf("%s %s (subject %q, nonce %x, evidence %x)",
+		verdictString(c.Verdict), c.Reason, c.Subject, c.Nonce, c.EvidenceDigest[:])
+}
+
+// serials lists the results' certificate serials in ascending order.
+func serials(rs []Result) []uint64 {
+	var out []uint64
+	for _, r := range rs {
+		if r.Certificate != nil {
+			out = append(out, r.Certificate.Serial)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// queuedBatchSizes submits a blocker job to a one-worker pool, holds
+// the worker in OnResult until every job is queued behind it, and
+// returns the batch size each job was certified in (1 for a single
+// certificate).
+func queuedBatchSizes(t *testing.T, a *Appraiser, blocker Job, jobs []Job) []uint32 {
+	t.Helper()
+	p := NewPool(a, 1)
+	blocked, release := make(chan struct{}), make(chan struct{})
+	sizes := make([]uint32, len(jobs)+1)
+	p.OnResult = func(r Result) {
+		if r.Index == 0 {
+			close(blocked)
+			<-release
+		}
+		if r.Err != nil || !r.Certificate.Verdict {
+			t.Errorf("job %d: %s", r.Index, describe(r))
+			return
+		}
+		if err := VerifyCertificate(a.Public(), r.Certificate); err != nil {
+			t.Errorf("job %d: %v", r.Index, err)
+		}
+		sizes[r.Index] = 1
+		if b := r.Certificate.Batch; b != nil {
+			sizes[r.Index] = b.Size
+		}
+	}
+	p.Submit(blocker)
+	<-blocked
+	for _, j := range jobs {
+		p.Submit(j)
+	}
+	close(release)
+	p.Close()
+	return sizes[1:]
+}
+
+// TestPoolBatchRule: a worker certifies the memo-answered jobs queued
+// behind each other with one signature, up to maxBatch of them, and a
+// job whose check verified a signature closes its batch, so chains new
+// to the memo are never batched behind each other.
+func TestPoolBatchRule(t *testing.T) {
+	signer := rot.NewDeterministic("sw1", []byte(poolSeed))
+	val := rot.Sum([]byte("golden"))
+	chain := func(nonce string) Job {
+		m := evidence.Measurement(signer.Name(), "prog", signer.Name(), evidence.DetailProgram, val, nil)
+		return Job{Subject: "sw", Evidence: evidence.Sign(signer, evidence.Seq(evidence.Nonce([]byte(nonce)), m))}
+	}
+	a := poolAppraiser(signer)
+	a.EnableMemo(0)
+	blocker := chain("blocker")
+	fresh := make([]Job, 2*maxBatch)
+	for i := range fresh {
+		fresh[i] = chain("fresh-" + strconv.Itoa(i))
+	}
+	sizes := func(jobs []Job) string { return fmt.Sprint(queuedBatchSizes(t, a, blocker, jobs)) }
+	repeat := func(size int) string {
+		return strings.TrimSuffix(strings.Repeat(strconv.Itoa(size)+" ", len(fresh)), " ")
+	}
+	if got, want := sizes(fresh), "["+repeat(1)+"]"; got != want {
+		t.Fatalf("chains new to the memo: batch sizes %s, want %s", got, want)
+	}
+	if got, want := sizes(fresh), "["+repeat(maxBatch)+"]"; got != want {
+		t.Fatalf("re-presented chains: batch sizes %s, want %s", got, want)
+	}
+	mixed := []Job{fresh[0], fresh[1], fresh[2], chain("new"), fresh[3], fresh[4], fresh[5]}
+	if got, want := sizes(mixed), "[4 4 4 4 3 3 3]"; got != want {
+		t.Fatalf("a new chain among re-presented ones: batch sizes %s, want %s", got, want)
+	}
 }
 
 // TestPoolNonceOrdering submits many jobs sharing one nonce and checks

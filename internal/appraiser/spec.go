@@ -1,7 +1,6 @@
 package appraiser
 
 import (
-	"crypto/ed25519"
 	"fmt"
 
 	"pera/internal/evidence"
@@ -48,7 +47,7 @@ func (a *Appraiser) AppraiseWith(spec Spec, ev *evidence.Evidence, nonce []byte)
 		c.Reason = reason
 		// Re-sign the amended certificate under a fresh serial.
 		c.Serial = a.serial.Add(1)
-		c.Signature = ed25519.Sign(a.key, certMessage(&c))
+		a.sign(&c)
 		return &c, nil
 	}
 

@@ -1,8 +1,10 @@
 package appraiser
 
 import (
+	"encoding/hex"
 	"errors"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -114,5 +116,49 @@ func TestPathSigners(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { pathSigners(loop) }); allocs != 1 {
 		t.Fatalf("pathSigners allocated %.1f times, want 1", allocs)
+	}
+}
+
+// nopSink reads nothing.
+type nopSink struct{}
+
+func (nopSink) StageOpened(telemetry.StageEvent) {}
+func (nopSink) StageEnded(telemetry.StageEvent)  {}
+
+// TestTracerOnlyBuildsNoSigners: the envelope's signers are built for
+// sinks alone. With only a 1-in-8 flow tracer attached, appraising an
+// unsampled flow allocates what a bare appraiser does plus the flow ID
+// the tracer samples by; a subscribed sink adds the signer list.
+func TestTracerOnlyBuildsNoSigners(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	r := attesterRoT()
+	a := newAppraiser(r)
+	tr := telemetry.NewFlowTracer(64)
+	tr.SetSampleEvery(8)
+	nonce := []byte("flow-0")
+	for i := 1; tr.Sampled(hex.EncodeToString(nonce)); i++ {
+		nonce = []byte("flow-" + strconv.Itoa(i))
+	}
+	ev := goodEvidence(r, nonce)
+	appraise := func() {
+		if c, err := a.Appraise("sw1", ev, nil); err != nil || !c.Verdict {
+			t.Fatalf("appraise: %+v, %v", c, err)
+		}
+	}
+	bare := testing.AllocsPerRun(50, appraise)
+	flowID := testing.AllocsPerRun(50, func() { appraisalFlowID(ev, nil) })
+	a.SetTracer(tr)
+	traced := testing.AllocsPerRun(50, appraise)
+	if traced != bare+flowID {
+		t.Fatalf("tracer only: %.0f allocations, want %.0f (bare) + %.0f (the flow ID)", traced, bare, flowID)
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("the unsampled flow recorded %d spans", tr.Len())
+	}
+	a.Subscribe(nopSink{})
+	if sunk := testing.AllocsPerRun(50, appraise); sunk != traced+1 {
+		t.Fatalf("with a sink: %.0f allocations, want %.0f (traced) + 1 (the signers)", sunk, traced)
 	}
 }

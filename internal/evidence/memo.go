@@ -204,10 +204,11 @@ var prewarmPool = sync.Pool{New: func() any { return new(prewarmScratch) }}
 // miss and one memo_insert record; the VerifySignaturesMemo walk that
 // follows then answers it as a hit without building a prefixed message.
 // A chain with an unknown signer or a malformed node seeds nothing: the
-// walk reports it. A nil memo does nothing.
-func (m *VerifyMemo) Prewarm(e *Evidence, keys KeyResolver) {
+// walk reports it. It returns how many signatures it verified in full.
+// A nil memo does nothing.
+func (m *VerifyMemo) Prewarm(e *Evidence, keys KeyResolver) (verified int) {
 	if m == nil {
-		return
+		return 0
 	}
 	s := prewarmPool.Get().(*prewarmScratch)
 	if s.collect(e, keys) {
@@ -217,12 +218,14 @@ func (m *VerifyMemo) Prewarm(e *Evidence, keys KeyResolver) {
 			k := memoKeyOf(pub, s.msg[len(rot.SigPrefix):], ev.Signature)
 			if _, ok := m.lookup(k); !ok {
 				m.insert(k, len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, s.msg, ev.Signature))
+				verified++
 			}
 		}
 	}
 	clear(s.sigs) // do not pin the chain in the pool
 	s.sigs, s.pubs = s.sigs[:0], s.pubs[:0]
 	prewarmPool.Put(s)
+	return verified
 }
 
 // collect appends e's signature nodes and their keys in walk order. It

@@ -6,8 +6,9 @@ import (
 )
 
 // TestMemoPrewarm pins the prewarm's accounting: each new signature
-// costs one miss and the walk that follows answers it as one hit; known
-// triples cost nothing; a chain with an unknown signer seeds nothing.
+// costs one miss (and counts in what Prewarm returns) and the walk that
+// follows answers it as one hit; known triples cost nothing; a chain
+// with an unknown signer seeds nothing.
 func TestMemoPrewarm(t *testing.T) {
 	s1, s2, s3 := testSigner("sw1"), testSigner("sw2"), testSigner("sw3")
 	keys := KeyMap{"sw1": s1.Public(), "sw2": s2.Public(), "sw3": s3.Public()}
@@ -15,14 +16,18 @@ func TestMemoPrewarm(t *testing.T) {
 	memo := NewVerifyMemo(0)
 	(*VerifyMemo)(nil).Prewarm(chain, keys) // nil-safe
 
-	memo.Prewarm(chain, keys)
+	if n := memo.Prewarm(chain, keys); n != 3 {
+		t.Fatalf("first prewarm verified %d signatures, want 3", n)
+	}
 	if st := memo.Stats(); st.Misses != 3 || st.Hits != 0 || st.Entries != 3 {
 		t.Fatalf("after prewarm: %+v, want 3 misses, 0 hits, 3 entries", st)
 	}
 	if n, err := VerifySignaturesMemo(chain, keys, memo); n != 3 || err != nil {
 		t.Fatalf("walk: %d, %v", n, err)
 	}
-	memo.Prewarm(chain, keys)
+	if n := memo.Prewarm(chain, keys); n != 0 {
+		t.Fatalf("second prewarm verified %d signatures, want 0", n)
+	}
 	if st := memo.Stats(); st.Misses != 3 || st.Hits != 3 {
 		t.Fatalf("after walk and a second prewarm: %+v, want 3 misses, 3 hits", st)
 	}
@@ -32,7 +37,9 @@ func TestMemoPrewarm(t *testing.T) {
 	forged := *chain
 	forged.Signature = append([]byte(nil), chain.Signature...)
 	forged.Signature[40] ^= 1
-	memo.Prewarm(&forged, keys)
+	if n := memo.Prewarm(&forged, keys); n != 1 {
+		t.Fatalf("forged prewarm verified %d signatures, want 1", n)
+	}
 	if _, err := VerifySignaturesMemo(&forged, keys, memo); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("forged walk: %v", err)
 	}
@@ -43,7 +50,9 @@ func TestMemoPrewarm(t *testing.T) {
 	// An unknown signer anywhere seeds nothing, not even the known inner
 	// signature.
 	stranger := Sign(testSigner("sw9"), Sign(s1, Nonce([]byte("fresh"))))
-	memo.Prewarm(stranger, keys)
+	if n := memo.Prewarm(stranger, keys); n != 0 {
+		t.Fatalf("unknown-signer prewarm verified %d signatures, want 0", n)
+	}
 	if st := memo.Stats(); st.Misses != 4 || st.Entries != 4 {
 		t.Fatalf("unknown signer seeded: %+v", st)
 	}

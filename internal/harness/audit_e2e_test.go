@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"pera/internal/auditlog"
@@ -139,8 +140,13 @@ func TestAuditLedgerEndToEnd(t *testing.T) {
 		var fromTracer, fromLedger []step
 		// Envelope spans (hop/attest/appraisal/...) are trace-only tree
 		// structure with no ledger counterpart, and so is the appraiser's
-		// verify half (differByDesign); compare the shared set.
-		for _, s := range tr.Flow(flow) {
+		// verify half (differByDesign); compare the shared set. The
+		// ledger records an appraisal when it opens, the tracer when it
+		// closes, and the appraisals a worker certifies in one batch
+		// overlap, so the spans are compared in the order they started.
+		spans := tr.Flow(flow)
+		sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+		for _, s := range spans {
 			if c, ok := differByDesign[string(s.Stage)+"@"+s.Place]; ok && !c.ledger {
 				continue
 			}

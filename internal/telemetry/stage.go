@@ -49,7 +49,7 @@ type StageEvent struct {
 	Prov    Provenance // the clause that decided; Clause == "" means none
 	// Signers names the places whose signatures the appraisal verified,
 	// innermost first (path order); set on an appraise envelope whose
-	// signature walk passed, when a sink or the tracer reads it.
+	// signature walk passed, when a sink is subscribed to it.
 	Signers []string
 }
 
@@ -243,6 +243,22 @@ func (p *Planes) Recorder() StageRecorder {
 // flow IDs and other text nobody would read.
 func (r *StageRecorder) Detailed() bool {
 	return r.set != nil && (r.set.tracer != nil || len(r.set.sinks) > 0)
+}
+
+// Feeds reports whether a sink is subscribed to stage s. Sites use it
+// to skip building fields only sinks read, such as an appraisal's
+// signers, when the tracer is the only plane that would see the event.
+func (r *StageRecorder) Feeds(s Stage) bool {
+	if r.set == nil {
+		return false
+	}
+	i := stageIndex(s)
+	for _, sub := range r.set.sinks {
+		if sub.stages[i] {
+			return true
+		}
+	}
+	return false
 }
 
 // Tally counts the stages that end after this call and sums their
