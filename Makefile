@@ -62,7 +62,8 @@ perabench-test:
 # decoder, the evidence decoder, the PERA header pop and policy
 # decoder, the policy parser, the certificate and quote decoders, the
 # NetKAT and P4-lite source parsers, the fleet target list parser, the
-# audit ledger reader and the pprof profile reader.
+# audit ledger reader, the pprof profile reader and the incident bundle
+# reader.
 # Their seeds already run as plain tests under `go test`.
 FUZZTIME ?= 10s
 fuzz:
@@ -78,6 +79,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTargets$$' -fuzztime $(FUZZTIME) ./internal/fleetscope
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime $(FUZZTIME) ./internal/auditlog
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime $(FUZZTIME) ./internal/profiler
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenBundle$$' -fuzztime $(FUZZTIME) ./internal/recorder
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

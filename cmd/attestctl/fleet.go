@@ -18,13 +18,8 @@ package main
 // first), targets (scrape health). All take -watch/-json/-interval.
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"pera/internal/fleetscope"
@@ -54,78 +49,24 @@ func runFleet(args []string) {
 	}
 
 	view := func() (fleetscope.FleetView, error) {
-		if *fleetURL != "" {
-			return fetchFleetView(*fleetURL)
+		if *endpoints != "" {
+			return scrapeFleetView(*endpoints, *timeout)
 		}
-		return scrapeFleetView(*endpoints, *timeout)
-	}
-	render := func() error {
-		v, err := view()
-		if err != nil {
-			return err
+		var v fleetscope.FleetView
+		bases := parseEndpoints(*fleetURL)
+		if len(bases) != 1 {
+			return v, fmt.Errorf("-fleet wants exactly one base URL, got %q", *fleetURL)
 		}
-		switch verb {
-		case "top":
-			fleetscope.RenderTrust(os.Stdout, v)
-		case "targets":
-			fleetscope.RenderTargets(os.Stdout, v)
-		default:
-			fleetscope.RenderStatus(os.Stdout, v)
-		}
-		return nil
+		return v, get(bases[0], fleetscope.FleetPath, &v)
 	}
-
-	if *jsonOut {
-		v, err := view()
-		if err != nil {
-			fatal("%v", err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(v)
-		return
+	render := fleetscope.RenderStatus
+	switch verb {
+	case "top":
+		render = fleetscope.RenderTrust
+	case "targets":
+		render = fleetscope.RenderTargets
 	}
-	if !*watch {
-		if err := render(); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	for i := 0; ; i++ {
-		if i > 0 {
-			// ANSI clear+home, so the table refreshes in place like top.
-			fmt.Print("\033[H\033[2J")
-		}
-		if err := render(); err != nil {
-			fatal("%v", err)
-		}
-		select {
-		case <-sig:
-			return
-		case <-time.After(*interval):
-		}
-	}
-}
-
-// fetchFleetView pulls /fleet.json from a running fleetd.
-func fetchFleetView(base string) (fleetscope.FleetView, error) {
-	var v fleetscope.FleetView
-	bases := parseEndpoints(base)
-	if len(bases) != 1 {
-		return v, fmt.Errorf("-fleet wants exactly one base URL, got %q", base)
-	}
-	url := bases[0] + fleetscope.FleetPath
-	resp, err := http.Get(url)
-	if err != nil {
-		return v, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return v, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return v, json.NewDecoder(resp.Body).Decode(&v)
+	show(view, *jsonOut, frames(*watch), *interval, render)
 }
 
 // scrapeFleetView runs one in-process scrape round over the endpoints

@@ -59,7 +59,9 @@
 //	attestctl profile top  -file incidents/<bundle>/cpu.pprof
 //	attestctl profile diff -collector http://127.0.0.1:9464
 //
-// Running `attestctl <unknown>` prints the command list.
+// Every live verb reads its surface with a 2s timeout per request and
+// one retry, so a stalled daemon ends it with an error. Running
+// `attestctl <unknown>` prints the command list.
 package main
 
 import (

@@ -1,20 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"os/signal"
-	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"pera/internal/profiler"
-	"pera/internal/telemetry"
 )
 
 // runProfile dispatches the continuous-profiler subcommands (see
@@ -28,7 +22,8 @@ import (
 // `top` renders the stage-attributed CPU breakdown and the flat
 // top-function table — live from a -profile process's /profile.json, or
 // offline from a raw pprof artifact (an incident bundle's cpu.pprof)
-// decoded by the same zero-dependency reader the profiler uses.
+// attributed by profiler.Summarize, the step the live profiler runs on
+// each capture.
 // `diff` renders the pinned-baseline comparison and any regression
 // findings. `watch` refreshes `top` in place like top(1).
 func runProfile(args []string) {
@@ -57,149 +52,35 @@ func runProfile(args []string) {
 		if sub != "top" {
 			fatal("-file only applies to `profile top`")
 		}
-		s, err := summarizeFile(*file)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if *jsonOut {
-			json.NewEncoder(os.Stdout).Encode(s)
-			return
-		}
-		renderProfileSummary(os.Stdout, s)
+		show(func() (profiler.Summary, error) { return summarizeFile(*file) }, *jsonOut, 1, 0, renderProfileSummary)
 		return
 	}
-
-	get := func(out any) error {
-		url := strings.TrimSuffix(*collectorURL, "/") + profiler.ProfilePath
-		if *window > 0 {
-			url += "?window=" + window.String()
-		}
-		resp, err := http.Get(url)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-			return fmt.Errorf("GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(body)))
-		}
-		return json.NewDecoder(resp.Body).Decode(out)
+	path := profiler.ProfilePath
+	if *window > 0 {
+		path += "?window=" + window.String()
 	}
-	if *jsonOut {
-		var raw json.RawMessage
-		if err := get(&raw); err != nil {
-			fatal("%v", err)
-		}
-		os.Stdout.Write(raw)
-		fmt.Println()
-		return
+	render, n := renderProfileSummary, 1
+	switch sub {
+	case "diff":
+		render = renderProfileDiff
+	case "watch":
+		n = 0
 	}
-
-	render := func() error {
-		var s profiler.Summary
-		if err := get(&s); err != nil {
-			return err
-		}
-		if sub == "diff" {
-			renderProfileDiff(os.Stdout, s)
-		} else {
-			renderProfileSummary(os.Stdout, s)
-		}
-		return nil
-	}
-	if sub != "watch" {
-		if err := render(); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	for i := 0; ; i++ {
-		if i > 0 {
-			fmt.Print("\033[H\033[2J")
-		}
-		if err := render(); err != nil {
-			fatal("%v", err)
-		}
-		select {
-		case <-sig:
-			return
-		case <-time.After(*interval):
-		}
-	}
+	show(surface[profiler.Summary](*collectorURL, path), *jsonOut, n, *interval, render)
 }
 
-// summarizeFile rebuilds the stage/function attribution from a raw pprof
-// artifact on disk — the exact computation the live profiler runs on
-// each capture, applied offline to an exported cpu.pprof.
+// summarizeFile attributes a raw pprof artifact on disk, such as an
+// incident bundle's cpu.pprof, with the live profiler's own step.
 func summarizeFile(path string) (profiler.Summary, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return profiler.Summary{}, err
 	}
-	prof, err := profiler.ParseProfile(data)
+	s, err := profiler.Summarize(data)
 	if err != nil {
-		return profiler.Summary{}, fmt.Errorf("%s: %w", path, err)
+		return s, fmt.Errorf("%s: %w", path, err)
 	}
-	vi := prof.ValueIndex("cpu")
-	unit := 1.0
-	if vi >= 0 && vi < len(prof.SampleTypes) && prof.SampleTypes[vi].Unit == "nanoseconds" {
-		unit = 1e-9
-	}
-
-	s := profiler.Summary{
-		Service:    path,
-		CapturedNS: prof.TimeNanos,
-		WindowNS:   prof.DurationNS,
-		Captures:   1,
-	}
-	type stageKey struct{ stage, place string }
-	stages := map[stageKey]float64{}
-	funcs := map[string]float64{}
-	for i := range prof.Samples {
-		sm := &prof.Samples[i]
-		if vi >= len(sm.Values) {
-			continue
-		}
-		secs := float64(sm.Values[vi]) * unit
-		s.Samples++
-		s.TotalSeconds += secs
-		funcs[prof.LeafFunction(sm)] += secs
-		if stage := sm.Labels[telemetry.ProfStageKey]; stage != "" {
-			s.LabeledSeconds += secs
-			stages[stageKey{stage, sm.Labels[telemetry.ProfPlaceKey]}] += secs
-		}
-	}
-	if s.TotalSeconds > 0 {
-		s.LabeledShare = s.LabeledSeconds / s.TotalSeconds
-	}
-	for k, secs := range stages {
-		s.Stages = append(s.Stages, profiler.StageCost{
-			Stage: k.stage, Place: k.place, Seconds: secs, Share: secs / s.TotalSeconds,
-		})
-	}
-	sort.Slice(s.Stages, func(i, j int) bool {
-		if s.Stages[i].Seconds != s.Stages[j].Seconds {
-			return s.Stages[i].Seconds > s.Stages[j].Seconds
-		}
-		return s.Stages[i].Stage+s.Stages[i].Place < s.Stages[j].Stage+s.Stages[j].Place
-	})
-	for name, secs := range funcs {
-		s.Top = append(s.Top, profiler.FuncCost{Name: name, Seconds: secs, Share: secs / s.TotalSeconds})
-	}
-	sort.Slice(s.Top, func(i, j int) bool {
-		if s.Top[i].Seconds != s.Top[j].Seconds {
-			return s.Top[i].Seconds > s.Top[j].Seconds
-		}
-		return s.Top[i].Name < s.Top[j].Name
-	})
-	if len(s.Top) > 10 {
-		s.Top = s.Top[:10]
-	}
-	if len(s.Top) > 0 {
-		s.Hotspot, s.HotspotShare = s.Top[0].Name, s.Top[0].Share
-	}
+	s.Service = path
 	return s, nil
 }
 

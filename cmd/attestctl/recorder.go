@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"pera/internal/fleetscope"
 	"pera/internal/recorder"
 )
 
@@ -51,41 +52,33 @@ func runHistory(args []string) {
 	pos := parseMixed(fs, args)
 	metric := posArg(pos, 0)
 
-	url := strings.TrimSuffix(*collectorURL, "/") + recorder.HistoryPath
-	sep := "?"
-	if metric != "" {
-		url += sep + "metric=" + metric
-		sep = "&"
+	q := url.Values{}
+	for key, v := range map[string]string{"metric": metric, "since": *since, "step": *step} {
+		if v != "" {
+			q.Set(key, v)
+		}
 	}
-	if *since != "" {
-		url += sep + "since=" + *since
-		sep = "&"
+	path := recorder.HistoryPath
+	if len(q) > 0 {
+		path += "?" + q.Encode()
 	}
-	if *step != "" {
-		url += sep + "step=" + *step
-	}
-	resp, err := http.Get(url)
-	if err != nil {
+	var raw json.RawMessage
+	switch err := get(*collectorURL, path, &raw); {
+	case metric != "" && fleetscope.IsNotServed(err):
+		// The recorder answers 404 for a metric it does not hold.
+		fatal("no history for metric %q (is the process running with -recorder?)", metric)
+	case err != nil:
 		fatal("%v", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fatal("GET %s: %s", url, resp.Status)
-	}
 	if *jsonOut {
-		var raw json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-			fatal("%v", err)
-		}
-		os.Stdout.Write(raw)
-		fmt.Println()
+		printJSON(raw)
 		return
 	}
 	if metric == "" {
 		var idx struct {
 			Series []recorder.SeriesInfo `json:"series"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&idx); err != nil {
+		if err := json.Unmarshal(raw, &idx); err != nil {
 			fatal("%v", err)
 		}
 		if len(idx.Series) == 0 {
@@ -101,11 +94,8 @@ func runHistory(args []string) {
 	var out struct {
 		Series []recorder.Series `json:"series"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(raw, &out); err != nil {
 		fatal("%v", err)
-	}
-	if len(out.Series) == 0 {
-		fatal("no history for metric %q (is the process running with -recorder?)", metric)
 	}
 	for _, s := range out.Series {
 		if *table {
@@ -134,9 +124,7 @@ func runIncident(args []string) {
 		fs.Parse(rest)
 		infos := recorder.ListBundles(*dir)
 		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			enc.Encode(infos)
+			printJSON(infos)
 			return
 		}
 		recorder.FormatBundleList(os.Stdout, infos)

@@ -13,10 +13,8 @@ package main
 // names the same trace.
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 
 	"pera/internal/telemetry"
@@ -39,22 +37,22 @@ func runTrace(args []string) {
 	var groups [][]telemetry.Span
 	var fetched int
 	for _, base := range parseEndpoints(*endpoints) {
-		spans, err := fetchTrace(base, traceID)
-		if err != nil {
+		var dump struct {
+			Spans []telemetry.Span `json:"spans"`
+		}
+		if err := get(base, "/trace?trace="+traceID, &dump); err != nil {
 			fmt.Fprintf(os.Stderr, "attestctl: %s: %v (skipping)\n", base, err)
 			continue
 		}
 		fetched++
-		groups = append(groups, spans)
+		groups = append(groups, dump.Spans)
 	}
 	if fetched == 0 {
 		fatal("no endpoint answered")
 	}
 	merged := telemetry.MergeSpans(groups...)
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(merged)
+		printJSON(merged)
 		return
 	}
 	if n := telemetry.RenderTrace(os.Stdout, merged); n > 0 {
@@ -75,22 +73,4 @@ func isTraceID(s string) bool {
 		}
 	}
 	return true
-}
-
-func fetchTrace(base, traceID string) ([]telemetry.Span, error) {
-	resp, err := http.Get(base + "/trace?trace=" + traceID)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /trace: %s", resp.Status)
-	}
-	var dump struct {
-		Spans []telemetry.Span `json:"spans"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		return nil, err
-	}
-	return dump.Spans, nil
 }

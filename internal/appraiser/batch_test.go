@@ -234,21 +234,3 @@ func TestSignBatchAllocations(t *testing.T) {
 		}
 	}
 }
-
-// TestAppraiseWithSignsSingle: AppraiseWith's re-signed certificate, like
-// every certificate outside the pool, is in the single form.
-func TestAppraiseWithSignsSingle(t *testing.T) {
-	r := attesterRoT()
-	a := newAppraiser(r)
-	nonce := []byte("spec-single")
-	cert, err := a.AppraiseWith(Spec{Subject: "sw1", MinSignatures: 5}, goodEvidence(r, nonce), nonce)
-	if err != nil || cert.Verdict || !strings.HasPrefix(cert.Reason, "spec:") {
-		t.Fatalf("spec failure: %+v, %v", cert, err)
-	}
-	if cert.Batch != nil || !bytes.HasPrefix(cert.Encode(), []byte(certMagic)) {
-		t.Fatalf("re-signed certificate is batched: %+v", cert.Batch)
-	}
-	if err := VerifyCertificate(a.Public(), cert); err != nil {
-		t.Fatalf("re-signed certificate: %v", err)
-	}
-}

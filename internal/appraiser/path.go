@@ -1,97 +1,14 @@
 package appraiser
 
 import (
-	"errors"
-	"fmt"
-
 	"pera/internal/evidence"
 	"pera/internal/rot"
 )
 
-// Path appraisal for UC2 (path evidence as an authentication factor) and
-// UC3 (path evidence as an authorization tag): a relying party states
-// what the path must have looked like — which places processed the
-// traffic, running what — and the appraiser checks chained path evidence
-// against that expectation.
-
-// ErrPathMismatch reports a failed path expectation.
-var ErrPathMismatch = errors.New("appraiser: path expectation not met")
-
-// Expectation describes one required hop property.
-type Expectation struct {
-	// Place that must appear ("" = any place).
-	Place string
-	// Target that must have been measured there ("" = any).
-	Target string
-	// Detail level required for the measurement.
-	Detail evidence.Detail
-	// Value pins the measurement digest; ignored when AnyValue.
-	Value    rot.Digest
-	AnyValue bool
-}
-
-func (e Expectation) matches(m *evidence.Evidence) bool {
-	if e.Place != "" && e.Place != m.Place {
-		return false
-	}
-	if e.Target != "" && e.Target != m.Target {
-		return false
-	}
-	if e.Detail != m.Detail {
-		return false
-	}
-	if !e.AnyValue && e.Value != m.Value {
-		return false
-	}
-	return true
-}
-
-// CheckPath verifies that the measurements of ev contain the expectations
-// in order. With exact set, the measurement list must match the
-// expectations one-to-one; otherwise expectations may be interleaved with
-// extra measurements (a subsequence match), which tolerates non-attesting
-// elements adding nothing and attesting elements adding more detail.
-func CheckPath(ev *evidence.Evidence, expect []Expectation, exact bool) error {
-	ms := evidence.Measurements(ev)
-	if exact {
-		if len(ms) != len(expect) {
-			return fmt.Errorf("%w: %d measurements, want %d", ErrPathMismatch, len(ms), len(expect))
-		}
-		for i, e := range expect {
-			if !e.matches(ms[i]) {
-				return fmt.Errorf("%w: hop %d (%s/%s) does not satisfy expectation %d",
-					ErrPathMismatch, i, ms[i].Place, ms[i].Target, i)
-			}
-		}
-		return nil
-	}
-	i := 0
-	for _, m := range ms {
-		if i < len(expect) && expect[i].matches(m) {
-			i++
-		}
-	}
-	if i != len(expect) {
-		return fmt.Errorf("%w: matched %d of %d expectations", ErrPathMismatch, i, len(expect))
-	}
-	return nil
-}
-
-// CheckSigners verifies the distinct signer sequence of chained path
-// evidence equals want — i.e., the evidence really traversed exactly
-// those attesting elements in that order.
-func CheckSigners(ev *evidence.Evidence, want []string) error {
-	got := evidence.Signers(ev)
-	if len(got) != len(want) {
-		return fmt.Errorf("%w: signers %v, want %v", ErrPathMismatch, got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("%w: signer %d is %q, want %q", ErrPathMismatch, i, got[i], want[i])
-		}
-	}
-	return nil
-}
+// Path evidence for UC2 (an authentication factor) and UC3 (an
+// authorization tag): PathTag condenses what appraised chained path
+// evidence says about the path — which places processed the traffic,
+// running what — into one digest.
 
 // PathTag derives an authorization tag from appraised path evidence: a
 // digest over the ordered (place, target, value) triples of its

@@ -1,8 +1,6 @@
 package appraiser
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
 	"pera/internal/evidence"
@@ -23,73 +21,6 @@ func pathEvidence(t *testing.T) *evidence.Evidence {
 		hopMeasurement("sw3", "fwd_v1.p4", "fwd"),
 	)
 	return ev
-}
-
-func TestCheckPathExactMatch(t *testing.T) {
-	ev := pathEvidence(t)
-	expect := []Expectation{
-		{Place: "sw1", Target: "firewall_v5.p4", Detail: evidence.DetailProgram, Value: rot.Sum([]byte("fw"))},
-		{Place: "sw2", Target: "ACL_v3.p4", Detail: evidence.DetailProgram, Value: rot.Sum([]byte("acl"))},
-		{Place: "sw3", Target: "fwd_v1.p4", Detail: evidence.DetailProgram, Value: rot.Sum([]byte("fwd"))},
-	}
-	if err := CheckPath(ev, expect, true); err != nil {
-		t.Fatalf("exact: %v", err)
-	}
-	// Wrong order fails exact matching.
-	expect[0], expect[1] = expect[1], expect[0]
-	if err := CheckPath(ev, expect, true); !errors.Is(err, ErrPathMismatch) {
-		t.Fatalf("reorder: %v", err)
-	}
-}
-
-func TestCheckPathSubsequence(t *testing.T) {
-	ev := pathEvidence(t)
-	// Only require the firewall and the forwarder, anywhere on the path.
-	expect := []Expectation{
-		{Target: "firewall_v5.p4", Detail: evidence.DetailProgram, AnyValue: true},
-		{Target: "fwd_v1.p4", Detail: evidence.DetailProgram, AnyValue: true},
-	}
-	if err := CheckPath(ev, expect, false); err != nil {
-		t.Fatalf("subsequence: %v", err)
-	}
-	// Requiring a scrubber that never appeared fails.
-	expect = append(expect, Expectation{Target: "scrubber.p4", Detail: evidence.DetailProgram, AnyValue: true})
-	if err := CheckPath(ev, expect, false); !errors.Is(err, ErrPathMismatch) {
-		t.Fatalf("missing appliance: %v", err)
-	}
-}
-
-func TestCheckPathLengthMismatch(t *testing.T) {
-	ev := pathEvidence(t)
-	if err := CheckPath(ev, nil, true); !errors.Is(err, ErrPathMismatch) {
-		t.Fatalf("length: %v", err)
-	}
-	if err := CheckPath(ev, nil, false); err != nil {
-		t.Fatalf("empty subsequence should pass: %v", err)
-	}
-}
-
-func TestCheckPathDetailMismatch(t *testing.T) {
-	ev := hopMeasurement("sw1", "p", "v")
-	e := []Expectation{{Place: "sw1", Target: "p", Detail: evidence.DetailTables, AnyValue: true}}
-	if err := CheckPath(ev, e, false); !errors.Is(err, ErrPathMismatch) {
-		t.Fatalf("detail: %v", err)
-	}
-}
-
-func TestCheckSigners(t *testing.T) {
-	r1 := rot.NewDeterministic("sw1", []byte("1"))
-	r2 := rot.NewDeterministic("sw2", []byte("2"))
-	ev := evidence.Sign(r2, evidence.Seq(evidence.Sign(r1, evidence.Empty()), evidence.Empty()))
-	if err := CheckSigners(ev, []string{"sw2", "sw1"}); err != nil {
-		t.Fatalf("signers: %v", err)
-	}
-	if err := CheckSigners(ev, []string{"sw1", "sw2"}); !errors.Is(err, ErrPathMismatch) {
-		t.Fatalf("order: %v", err)
-	}
-	if err := CheckSigners(ev, []string{"sw2"}); !errors.Is(err, ErrPathMismatch) {
-		t.Fatalf("length: %v", err)
-	}
 }
 
 func TestPathTagStableAndDiscriminating(t *testing.T) {
@@ -114,98 +45,5 @@ func TestPathTagStableAndDiscriminating(t *testing.T) {
 	)
 	if PathTag(a) == PathTag(d) {
 		t.Fatal("reordered path shares a tag")
-	}
-}
-
-func TestAppraiseWithSpec(t *testing.T) {
-	r1 := rot.NewDeterministic("sw1", []byte("1"))
-	r2 := rot.NewDeterministic("sw2", []byte("2"))
-	a := New("Appraiser", []byte("spec"))
-	a.RegisterKey("sw1", r1.Public())
-	a.RegisterKey("sw2", r2.Public())
-
-	nonce := []byte("spec-nonce")
-	chain := evidence.Sign(r2, evidence.Seq(
-		evidence.Sign(r1, evidence.Seq(evidence.Nonce(nonce), hopMeasurement("sw1", "firewall_v5.p4", "fw"))),
-		hopMeasurement("sw2", "fwd_v1.p4", "fwd"),
-	))
-
-	spec := Spec{
-		Subject:         "path",
-		RequiredSigners: []string{"sw2", "sw1"},
-		MinSignatures:   2,
-		RequireNonce:    true,
-		Expectations: []Expectation{
-			{Place: "sw1", Target: "firewall_v5.p4", Detail: evidence.DetailProgram, AnyValue: true},
-			{Place: "sw2", Target: "fwd_v1.p4", Detail: evidence.DetailProgram, AnyValue: true},
-		},
-	}
-	cert, err := a.AppraiseWith(spec, chain, nonce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cert.Verdict {
-		t.Fatalf("spec-conformant evidence rejected: %s", cert.Reason)
-	}
-	if err := VerifyCertificate(a.Public(), cert); err != nil {
-		t.Fatal(err)
-	}
-
-	// Each requirement, violated in turn, flips the verdict with a
-	// signed certificate explaining why.
-	cases := []struct {
-		name  string
-		mut   func() (Spec, *evidence.Evidence, []byte)
-		wants string
-	}{
-		{"wrong signer order", func() (Spec, *evidence.Evidence, []byte) {
-			s := spec
-			s.RequireNonce = false // isolate the signer requirement
-			s.RequiredSigners = []string{"sw1", "sw2"}
-			return s, chain, []byte("s1")
-		}, "signer"},
-		{"too few signatures", func() (Spec, *evidence.Evidence, []byte) {
-			s := spec
-			s.RequireNonce = false
-			s.RequiredSigners = nil
-			s.MinSignatures = 3
-			return s, chain, []byte("s2")
-		}, "need at least"},
-		{"missing hop", func() (Spec, *evidence.Evidence, []byte) {
-			s := spec
-			s.RequireNonce = false
-			s.Expectations = append(s.Expectations,
-				Expectation{Place: "sw9", Detail: evidence.DetailProgram, AnyValue: true})
-			return s, chain, []byte("s3")
-		}, "expectation"},
-		{"missing nonce", func() (Spec, *evidence.Evidence, []byte) {
-			s := spec
-			return s, chain, []byte("other-nonce")
-		}, "nonce"},
-	}
-	for _, tc := range cases {
-		s, ev, n := tc.mut()
-		cert, err := a.AppraiseWith(s, ev, n)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if cert.Verdict {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(cert.Reason, tc.wants) {
-			t.Errorf("%s: reason %q missing %q", tc.name, cert.Reason, tc.wants)
-		}
-		if err := VerifyCertificate(a.Public(), cert); err != nil {
-			t.Errorf("%s: failed-spec certificate unsigned: %v", tc.name, err)
-		}
-	}
-
-	// Base-check failures short-circuit (unknown signer).
-	r3 := rot.NewDeterministic("sw3", []byte("3"))
-	foreign := evidence.Sign(r3, evidence.Empty())
-	cert, err = a.AppraiseWith(Spec{Subject: "x"}, foreign, []byte("s4"))
-	if err != nil || cert.Verdict {
-		t.Fatalf("foreign signer: %+v %v", cert, err)
 	}
 }

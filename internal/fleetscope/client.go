@@ -1,6 +1,7 @@
 package fleetscope
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -226,8 +227,8 @@ func IsNotServed(err error) bool {
 	return ok
 }
 
-// getJSON fetches base+path into out, retrying transport errors once.
-func (c *Client) getJSON(ctx context.Context, base, path string, out any) error {
+// GetJSON fetches base+path into out, retrying a transport error once.
+func (c *Client) GetJSON(ctx context.Context, base, path string, out any) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 {
@@ -253,7 +254,7 @@ func (c *Client) getJSON(ctx context.Context, base, path string, out any) error 
 				lastErr = errNotServed{path}
 			case resp.StatusCode != http.StatusOK:
 				body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-				lastErr = fmt.Errorf("GET %s: %s: %s", path, resp.Status, body)
+				lastErr = fmt.Errorf("GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(body))
 			default:
 				lastErr = json.NewDecoder(resp.Body).Decode(out)
 			}
@@ -292,41 +293,41 @@ func (c *Client) ScrapeTarget(ctx context.Context, t Target, clock func() time.T
 	s := &Scrape{Series: -1}
 
 	var ms MetricsSnapshot
-	if err := c.getJSON(ctx, t.URL, MetricsPath, &ms); err != nil {
+	if err := c.GetJSON(ctx, t.URL, MetricsPath, &ms); err != nil {
 		return nil, fmt.Errorf("%s: %w", t.Name, err)
 	}
 	s.Metrics = &ms
 
 	var cov Coverage
-	switch err := c.getJSON(ctx, t.URL, CoveragePath, &cov); {
+	switch err := c.GetJSON(ctx, t.URL, CoveragePath, &cov); {
 	case err == nil:
 		s.Coverage = &cov
 	case !IsNotServed(err):
 		s.EndpointErrs++
 	}
 	var al AlertsSnapshot
-	switch err := c.getJSON(ctx, t.URL, AlertsPath, &al); {
+	switch err := c.GetJSON(ctx, t.URL, AlertsPath, &al); {
 	case err == nil:
 		s.Alerts = &al
 	case !IsNotServed(err):
 		s.EndpointErrs++
 	}
 	var obs Observatory
-	switch err := c.getJSON(ctx, t.URL, ObservatoryPath, &obs); {
+	switch err := c.GetJSON(ctx, t.URL, ObservatoryPath, &obs); {
 	case err == nil:
 		s.Observatory = &obs
 	case !IsNotServed(err):
 		s.EndpointErrs++
 	}
 	var hist HistoryIndex
-	switch err := c.getJSON(ctx, t.URL, HistoryPath, &hist); {
+	switch err := c.GetJSON(ctx, t.URL, HistoryPath, &hist); {
 	case err == nil:
 		s.Series = len(hist.Series)
 	case !IsNotServed(err):
 		s.EndpointErrs++
 	}
 	var prof ProfileSummary
-	switch err := c.getJSON(ctx, t.URL, ProfilePath, &prof); {
+	switch err := c.GetJSON(ctx, t.URL, ProfilePath, &prof); {
 	case err == nil:
 		s.Profile = &prof
 	case !IsNotServed(err):

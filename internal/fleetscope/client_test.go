@@ -39,7 +39,7 @@ func TestCoverageRoundTrip(t *testing.T) {
 
 	var got Coverage
 	c := NewClient(2 * time.Second)
-	if err := c.getJSON(context.Background(), srv.URL, "", &got); err != nil {
+	if err := c.GetJSON(context.Background(), srv.URL, "", &got); err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
 	want := w.Coverage()
@@ -81,7 +81,7 @@ func TestAlertsRoundTrip(t *testing.T) {
 
 	var got AlertsSnapshot
 	c := NewClient(2 * time.Second)
-	if err := c.getJSON(context.Background(), srv.URL, "", &got); err != nil {
+	if err := c.GetJSON(context.Background(), srv.URL, "", &got); err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
 	want := w.Alerts()
@@ -118,7 +118,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 
 	var got MetricsSnapshot
 	c := NewClient(2 * time.Second)
-	if err := c.getJSON(context.Background(), srv.URL, MetricsPath, &got); err != nil {
+	if err := c.GetJSON(context.Background(), srv.URL, MetricsPath, &got); err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
 	if v := got.Value("pera_pool_pass_total"); v != 7 {
@@ -179,7 +179,7 @@ func TestProfileRoundTrip(t *testing.T) {
 
 	var got ProfileSummary
 	c := NewClient(2 * time.Second)
-	if err := c.getJSON(context.Background(), srv.URL, ProfilePath, &got); err != nil {
+	if err := c.GetJSON(context.Background(), srv.URL, ProfilePath, &got); err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
 	if got.Service != "prof-rt" || got.Captures != want.Captures {
@@ -309,7 +309,7 @@ func TestGetJSONRetriesTransportErrors(t *testing.T) {
 
 	var out MetricsSnapshot
 	c := NewClient(2 * time.Second)
-	if err := c.getJSON(context.Background(), srv.URL, "", &out); err != nil {
+	if err := c.GetJSON(context.Background(), srv.URL, "", &out); err != nil {
 		t.Fatalf("retry did not recover: %v", err)
 	}
 	if calls.Load() != 2 {

@@ -72,52 +72,6 @@ type Policy struct {
 	ID    uint64
 	Nonce []byte
 	Obls  []Obligation
-
-	// wild/byPlace form the dispatch index built by DecodePolicy: byPlace
-	// lists, per concrete place named by any obligation, the indices of
-	// obligations applying there (place-less obligations merged in
-	// obligation order); wild holds just the place-less indices, for
-	// places no obligation names explicitly. byPlace != nil marks the
-	// index as built — hand-constructed policies fall back to a scan.
-	wild    []uint16
-	byPlace map[string][]uint16
-}
-
-// dispatch precomputes the per-place obligation index. The wire caps
-// obligations at maxPolicyObls (1024), so uint16 indices suffice.
-func (p *Policy) dispatch() {
-	p.byPlace = make(map[string][]uint16, 4)
-	for i := range p.Obls {
-		if p.Obls[i].Place == "" {
-			p.wild = append(p.wild, uint16(i))
-		}
-	}
-	for i := range p.Obls {
-		pl := p.Obls[i].Place
-		if pl == "" || p.byPlace[pl] != nil {
-			continue
-		}
-		var l []uint16
-		for j := range p.Obls {
-			if o := &p.Obls[j]; o.Place == "" || o.Place == pl {
-				l = append(l, uint16(j))
-			}
-		}
-		p.byPlace[pl] = l
-	}
-}
-
-// forPlace returns the indices of obligations applying at place, in
-// obligation order, when the dispatch index is available; ok=false means
-// the caller must scan Obls with AppliesAt.
-func (p *Policy) forPlace(place string) (idx []uint16, ok bool) {
-	if p.byPlace == nil {
-		return nil, false
-	}
-	if l, ok := p.byPlace[place]; ok {
-		return l, true
-	}
-	return p.wild, true
 }
 
 // Errors from policy codec.
@@ -167,16 +121,11 @@ func appendLV(b, v []byte) []byte {
 }
 
 // DecodePolicy parses an encoded policy. The result never aliases data
-// (the bytes are copied once up front) and carries a precomputed
-// per-place dispatch index; byte fields of the returned policy alias that
-// private copy, so treat the decoded policy as immutable.
+// (the bytes are copied once up front); byte fields of the returned
+// policy alias that private copy, so treat the decoded policy as
+// immutable.
 func DecodePolicy(data []byte) (*Policy, error) {
-	p, err := parsePolicy(append([]byte(nil), data...))
-	if err != nil {
-		return nil, err
-	}
-	p.dispatch()
-	return p, nil
+	return parsePolicy(append([]byte(nil), data...))
 }
 
 // policyCache memoizes decoded policies by wire bytes. A policy travels
@@ -212,7 +161,6 @@ func decodePolicyCached(data []byte) (*Policy, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p.dispatch()
 	policyCache.Lock()
 	if policyCache.m == nil || len(policyCache.m) >= policyCacheCap {
 		policyCache.m = make(map[string]*policyCacheEntry, 64)

@@ -592,46 +592,29 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 	}
 
 	// Evidence stage: obligations come from the standing config and any
-	// in-band policy. The two sources are iterated in place — standing
-	// first, then the policy's precomputed per-place index — instead of
-	// concatenating them into a fresh slice per packet.
+	// in-band policy. The two sources are scanned in place — standing
+	// first, then the policy's in order — instead of concatenating them
+	// into a fresh slice per packet.
 	pkt := outs[0].Packet
 	if hdr == nil && rec.Detailed() {
 		rec.Open(telemetry.StageEvent{Stage: telemetry.StageHop, Flow: strconv.FormatUint(pkt.FlowHash(), 16)})
 	}
 	var outcomes [obligationOutcomes]int
-	for i := range cfg.Standing {
-		o := &cfg.Standing[i]
-		if !o.AppliesAt(s.name) {
-			continue
-		}
-		out, err := s.applyObligation(&rec, o, &cfg, sink, pkt, inner, hdr)
-		if err != nil {
-			return nil, err
-		}
-		outcomes[out]++
-	}
+	obls := [2][]Obligation{cfg.Standing}
 	if hdr != nil {
-		if idx, ok := hdr.Policy.forPlace(s.name); ok {
-			for _, i := range idx {
-				out, err := s.applyObligation(&rec, &hdr.Policy.Obls[i], &cfg, sink, pkt, inner, hdr)
-				if err != nil {
-					return nil, err
-				}
-				outcomes[out]++
+		obls[1] = hdr.Policy.Obls
+	}
+	for _, src := range obls {
+		for i := range src {
+			o := &src[i]
+			if !o.AppliesAt(s.name) {
+				continue
 			}
-		} else {
-			for i := range hdr.Policy.Obls {
-				o := &hdr.Policy.Obls[i]
-				if !o.AppliesAt(s.name) {
-					continue
-				}
-				out, err := s.applyObligation(&rec, o, &cfg, sink, pkt, inner, hdr)
-				if err != nil {
-					return nil, err
-				}
-				outcomes[out]++
+			out, err := s.applyObligation(&rec, o, &cfg, sink, pkt, inner, hdr)
+			if err != nil {
+				return nil, err
 			}
+			outcomes[out]++
 		}
 	}
 	attested := outcomes[obligationAttested] > 0

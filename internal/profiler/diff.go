@@ -124,19 +124,7 @@ func (p *Profiler) Summary(lookback time.Duration) Summary {
 		}
 		w = mergeWindows(p.windows[lo:])
 	}
-	s.CapturedNS = w.tsNS
-	s.WindowNS = w.durNS
-	s.Samples = w.samples
-	s.TotalSeconds = w.total
-	s.LabeledSeconds = w.labeled
-	if w.total > 0 {
-		s.LabeledShare = w.labeled / w.total
-	}
-	s.Stages = sortedStages(&w)
-	s.Top = sortedFuncs(&w, p.opts.TopN)
-	if len(s.Top) > 0 {
-		s.Hotspot, s.HotspotShare = s.Top[0].Name, s.Top[0].Share
-	}
+	w.fill(&s, p.opts.TopN)
 	for _, kind := range Kinds {
 		if len(p.artifacts[kind]) > 0 {
 			s.Kinds = append(s.Kinds, kind)
@@ -150,6 +138,33 @@ func (p *Profiler) Summary(lookback time.Duration) Summary {
 		s.Regressions = append([]Finding(nil), p.findings...)
 	}
 	return s
+}
+
+// Summarize attributes a raw CPU profile, such as an exported cpu.pprof,
+// with the steps a live capture runs (attribute in ingestCPU, fill in
+// Summary, the default top-n), so its summary equals the live one.
+func Summarize(data []byte) (Summary, error) {
+	w, err := attribute(data)
+	s := Summary{Captures: 1}
+	w.fill(&s, Options{}.withDefaults().TopN)
+	return s, err
+}
+
+// fill writes a window's time span, totals, stage and top-n tables.
+func (w *window) fill(s *Summary, topN int) {
+	s.CapturedNS = w.tsNS
+	s.WindowNS = w.durNS
+	s.Samples = w.samples
+	s.TotalSeconds = w.total
+	s.LabeledSeconds = w.labeled
+	if w.total > 0 {
+		s.LabeledShare = w.labeled / w.total
+	}
+	s.Stages = sortedStages(w)
+	s.Top = sortedFuncs(w, topN)
+	if len(s.Top) > 0 {
+		s.Hotspot, s.HotspotShare = s.Top[0].Name, s.Top[0].Share
+	}
 }
 
 // Diff renders the full baseline comparison against the newest window,

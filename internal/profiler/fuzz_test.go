@@ -12,9 +12,11 @@ import (
 // an incident bundle carries. It must never panic, the accessors the
 // profiler calls on a parsed profile must not either, and a raw input
 // must parse exactly as its gzip-compressed form does: the package has
-// no encoder, so the gzip path is the round trip. The seed corpus in
-// testdata/fuzz/FuzzParseProfile (a labelled two-sample profile, raw
-// and gzipped, and malformed variants) also runs under plain go test.
+// no encoder, so the gzip path is the round trip. Summarize, which
+// attestctl runs on an operator's file, must not panic either. The seed
+// corpus in testdata/fuzz/FuzzParseProfile (a labelled two-sample
+// profile, raw and gzipped, one sample with no sample type, and
+// malformed variants) also runs under plain go test.
 func FuzzParseProfile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ParseProfile(data)
@@ -23,6 +25,7 @@ func FuzzParseProfile(f *testing.F) {
 			for i := range p.Samples {
 				p.LeafFunction(&p.Samples[i])
 			}
+			Summarize(data)
 		}
 		if bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
 			return

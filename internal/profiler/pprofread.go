@@ -11,6 +11,7 @@ package profiler
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -185,9 +186,18 @@ func ParseProfile(data []byte) (*Profile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("profiler: gunzip: %w", err)
 		}
-		raw, err := io.ReadAll(zr)
-		if err != nil {
+		// The trailer's size, which the reader checks at EOF, sizes the one
+		// buffer: past the cap, or short of the stream's end, it is refused.
+		size := binary.LittleEndian.Uint32(data[len(data)-4:])
+		if size > maxProfileBytes {
+			return nil, fmt.Errorf("profiler: gunzip: profile exceeds %d bytes decompressed", maxProfileBytes)
+		}
+		raw := make([]byte, size)
+		if _, err := io.ReadFull(zr, raw); err != nil {
 			return nil, fmt.Errorf("profiler: gunzip: %w", err)
+		}
+		if n, err := zr.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			return nil, fmt.Errorf("profiler: gunzip: stream does not end at the trailer's %d bytes", size)
 		}
 		data = raw
 	}
@@ -376,6 +386,10 @@ func ParseProfile(data []byte) (*Profile, error) {
 	}
 	return p, nil
 }
+
+// maxProfileBytes caps a profile's decompressed size; a 2s CPU window
+// on 64 CPUs with 64-frame stacks is about 2.5 MB.
+const maxProfileBytes = 8 << 20
 
 // ValueIndex returns the index of the sample-type named typ, or the last
 // index when absent — for CPU profiles the convention is

@@ -2,8 +2,12 @@ package profiler
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -111,7 +115,14 @@ func TestParseProfileHeap(t *testing.T) {
 }
 
 func TestParseProfileErrors(t *testing.T) {
+	// A valid 6-byte profile whose gzip trailer claims only 4 bytes.
+	var short bytes.Buffer
+	zw := gzip.NewWriter(&short)
+	zw.Write([]byte{0x12, 0x02, 0x10, 0x05, 0x32, 0x00})
+	zw.Close()
+	short.Bytes()[short.Len()-4] = 4
 	cases := map[string][]byte{
+		"short trailer": short.Bytes(),
 		"empty":         nil,
 		"garbage":       {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 		"bad gzip":      {0x1f, 0x8b, 0x00, 0x01, 0x02},
@@ -122,6 +133,31 @@ func TestParseProfileErrors(t *testing.T) {
 		if _, err := ParseProfile(data); err == nil {
 			t.Errorf("%s: ParseProfile accepted malformed input", name)
 		}
+	}
+}
+
+// TestParseProfileCapsDecompressedSize: a gzip of zeros four times the
+// cap is refused with an error naming the cap, after allocating at most
+// about twice the cap.
+func TestParseProfileCapsDecompressedSize(t *testing.T) {
+	var z bytes.Buffer
+	zw := gzip.NewWriter(&z)
+	zeros := make([]byte, 1<<20)
+	for i := 0; i < 4*maxProfileBytes/len(zeros); i++ {
+		zw.Write(zeros)
+	}
+	zw.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseProfile(z.Bytes())
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxProfileBytes)) {
+		t.Fatalf("ParseProfile(%d-byte gzip of zeros) = %v, want an error naming the %d-byte cap",
+			z.Len(), err, maxProfileBytes)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*maxProfileBytes+1<<20 {
+		t.Fatalf("allocated %d bytes, want at most about %d", got, 2*maxProfileBytes)
 	}
 }
 

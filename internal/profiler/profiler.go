@@ -307,18 +307,17 @@ func (p *Profiler) Artifact(kind string) (data []byte, tsNS int64, ok bool) {
 	return a.data, a.tsNS, true
 }
 
-// ingestCPU decodes one CPU window, attributes its samples to stages via
-// the pera_stage/pera_place labels, folds the window into the ring and
-// cumulative metrics, and runs the baseline diff.
-func (p *Profiler) ingestCPU(data []byte, startNS, endNS int64) error {
+// attribute decodes one raw CPU profile into a window: samples go to
+// stages by their pera_stage/pera_place labels and to leaf functions.
+func attribute(data []byte) (window, error) {
 	prof, err := ParseProfile(data)
 	if err != nil {
-		return err
+		return window{}, err
 	}
 	vi := prof.ValueIndex("cpu")
 	w := window{
-		tsNS:   endNS,
-		durNS:  endNS - startNS,
+		tsNS:   prof.TimeNanos,
+		durNS:  prof.DurationNS,
 		stages: make(map[stageKey]float64),
 		funcs:  make(map[string]float64),
 	}
@@ -336,6 +335,17 @@ func (p *Profiler) ingestCPU(data []byte, startNS, endNS int64) error {
 			w.stages[stageKey{stage, s.Labels[telemetry.ProfPlaceKey]}] += sec
 		}
 	}
+	return w, nil
+}
+
+// ingestCPU attributes one CPU window, timed by the capture's clock,
+// folds it into the ring and cumulative metrics, and runs the diff.
+func (p *Profiler) ingestCPU(data []byte, startNS, endNS int64) error {
+	w, err := attribute(data)
+	if err != nil {
+		return err
+	}
+	w.tsNS, w.durNS = endNS, endNS-startNS
 
 	p.mu.Lock()
 	p.windows = append(p.windows, w)

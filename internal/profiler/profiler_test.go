@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -65,10 +66,15 @@ func TestCaptureWhileAttributesStages(t *testing.T) {
 			t.Fatalf("Artifact(%q) missing after capture", kind)
 		}
 	}
-	// The artifact round-trips through the zero-dep reader.
+	// The artifact summarized offline gives the live window's tables.
 	data, _, _ := p.Artifact("cpu")
-	if _, err := ParseProfile(data); err != nil {
-		t.Fatalf("reparse cpu artifact: %v", err)
+	off, err := Summarize(data)
+	if err != nil {
+		t.Fatalf("summarize cpu artifact: %v", err)
+	}
+	if !reflect.DeepEqual(off.Stages, sum.Stages) || !reflect.DeepEqual(off.Top, sum.Top) {
+		t.Fatalf("offline summary differs from live:\nstages %+v\nlive   %+v\ntop  %+v\nlive %+v",
+			off.Stages, sum.Stages, off.Top, sum.Top)
 	}
 
 	// The registry carries the profiler series, including the lazily

@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -317,51 +318,81 @@ type Bundle struct {
 	Files    map[string][]byte
 }
 
-// OpenBundle reads and parses one bundle archive. The manifest must be
-// the first entry; the remaining entries are loaded whole (bundles are
-// bounded by the ring sizes, so whole-file reads stay small).
+// maxBundleBytes caps a bundle's decompressed size. The largest bundle
+// the recorder writes holds a full history store (512 series of 300
+// fine and 360 coarse points, about 22 MB of JSON), a 4,096-span trace
+// export (about 1 MB), a 512-record ledger tail and the newest
+// profiles; 64 MiB is past that, and is the bundler's default disk
+// budget.
+const maxBundleBytes = 64 << 20
+
+// OpenBundle reads and parses one bundle archive: a gzip'd tar with the
+// manifest first, each entry name once, and at most maxBundleBytes (64
+// MiB) once decompressed.
 func OpenBundle(path string) (*Bundle, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("recorder: %w", err)
 	}
 	defer f.Close()
-	gz, err := gzip.NewReader(f)
+	b, err := readBundle(f)
 	if err != nil {
 		return nil, fmt.Errorf("recorder: %s: %w", path, err)
 	}
-	defer gz.Close()
-	tr := tar.NewReader(gz)
-	b := &Bundle{Path: path, Files: make(map[string][]byte)}
-	first := true
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("recorder: %s: %w", path, err)
-		}
-		data, err := io.ReadAll(tr)
-		if err != nil {
-			return nil, fmt.Errorf("recorder: %s: read %s: %w", path, hdr.Name, err)
-		}
-		if first {
-			if hdr.Name != ManifestName {
-				return nil, fmt.Errorf("recorder: %s: first entry is %q, want %s", path, hdr.Name, ManifestName)
-			}
-			if err := json.Unmarshal(data, &b.Manifest); err != nil {
-				return nil, fmt.Errorf("recorder: %s: parse manifest: %w", path, err)
-			}
-			first = false
-			continue
-		}
-		b.Files[hdr.Name] = data
-	}
-	if first {
-		return nil, fmt.Errorf("recorder: %s: empty archive", path)
-	}
+	b.Path = path
 	return b, nil
+}
+
+// errBundleTooBig refuses an archive past maxBundleBytes.
+var errBundleTooBig = fmt.Errorf("archive exceeds %d bytes decompressed", maxBundleBytes)
+
+// readBundle parses a bundle archive from r, loading every entry whole.
+// Both the archive and the entries it unpacks to (a sparse entry unpacks
+// to more than it takes) may hold at most maxBundleBytes.
+func readBundle(r io.Reader) (*Bundle, error) {
+	gz, err := gzip.NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	defer gz.Close()
+	lim := &io.LimitedReader{R: gz, N: maxBundleBytes + 1}
+	tr := tar.NewReader(lim)
+	left := int64(maxBundleBytes)
+	b := &Bundle{Files: make(map[string][]byte)}
+	for first := true; ; first = false {
+		hdr, err := tr.Next()
+		var data []byte
+		if err == nil {
+			if hdr.Size > left {
+				return nil, errBundleTooBig
+			}
+			left -= hdr.Size
+			data = make([]byte, hdr.Size)
+			if _, rerr := io.ReadFull(tr, data); rerr != nil {
+				err = fmt.Errorf("read %s: %w", hdr.Name, rerr)
+			}
+		}
+		switch {
+		case lim.N == 0:
+			return nil, errBundleTooBig
+		case err == io.EOF && first:
+			return nil, errors.New("empty archive")
+		case err == io.EOF:
+			return b, nil
+		case err != nil:
+			return nil, err
+		case first && hdr.Name != ManifestName:
+			return nil, fmt.Errorf("first entry is %q, want %s", hdr.Name, ManifestName)
+		case first:
+			if err := json.Unmarshal(data, &b.Manifest); err != nil {
+				return nil, fmt.Errorf("parse manifest: %w", err)
+			}
+		case hdr.Name == ManifestName || b.Files[hdr.Name] != nil: // stored entries are never nil
+			return nil, fmt.Errorf("duplicate entry %q", hdr.Name)
+		default:
+			b.Files[hdr.Name] = data
+		}
+	}
 }
 
 // Verify checks every archived file against its manifest digest and,

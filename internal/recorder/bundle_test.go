@@ -1,10 +1,16 @@
 package recorder
 
 import (
+	"archive/tar"
+	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -197,6 +203,77 @@ func TestBundleLedgerErrorCaptured(t *testing.T) {
 	}
 	if _, err := b.Verify(nil); err != nil {
 		t.Fatalf("verify: %v", err)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// entry is one tar entry for tarGz: its bytes, then zeros more zero
+// bytes.
+type entry struct {
+	name  string
+	data  []byte
+	zeros int64
+}
+
+// tarGz builds a gzip'd tar of the entries in order.
+func tarGz(t *testing.T, entries ...entry) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := tar.NewWriter(zw)
+	chunk := make([]byte, 1<<20)
+	for _, e := range entries {
+		if err := tw.WriteHeader(&tar.Header{Name: e.name, Mode: 0o644, Size: int64(len(e.data)) + e.zeros}); err != nil {
+			t.Fatal(err)
+		}
+		tw.Write(e.data)
+		for n := e.zeros; n > 0; n -= int64(len(chunk)) {
+			tw.Write(chunk[:min(n, int64(len(chunk)))])
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOpenBundleCapsDecompressedSize: an archive of zeros four times the
+// cap, in the manifest or spread over entries, is refused with an error
+// naming the cap, after allocating at most about twice the cap.
+func TestOpenBundleCapsDecompressedSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("compressing the zeros takes about 17s under -race; the reader runs on one goroutine")
+	}
+	spread := []entry{{name: ManifestName, data: []byte("{}")}}
+	for i := 0; i < 8; i++ {
+		spread = append(spread, entry{name: fmt.Sprintf("part%d", i), zeros: maxBundleBytes / 2})
+	}
+	for name, entries := range map[string][]entry{
+		"manifest": {{name: ManifestName, zeros: 4 * maxBundleBytes}},
+		"spread":   spread,
+	} {
+		path := filepath.Join(t.TempDir(), "incident.tar.gz")
+		if err := os.WriteFile(path, tarGz(t, entries...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := OpenBundle(path)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxBundleBytes)) {
+			t.Fatalf("%s: OpenBundle = %v, want an error naming the %d-byte cap", name, err, maxBundleBytes)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*maxBundleBytes {
+			t.Fatalf("%s: allocated %d bytes, want at most about %d", name, got, 2*maxBundleBytes)
+		}
 	}
 }
 
