@@ -62,8 +62,9 @@ perabench-test:
 # decoder, the evidence decoder, the PERA header pop and policy
 # decoder, the policy parser, the certificate and quote decoders, the
 # NetKAT and P4-lite source parsers, the fleet target list parser, the
-# audit ledger reader, the pprof profile reader and the incident bundle
-# reader.
+# audit ledger reader, the pprof profile reader, the incident bundle
+# reader, and the PISA pipeline (frame bytes through every library
+# program, compiled and reference side by side).
 # Their seeds already run as plain tests under `go test`.
 FUZZTIME ?= 10s
 fuzz:
@@ -80,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime $(FUZZTIME) ./internal/auditlog
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime $(FUZZTIME) ./internal/profiler
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenBundle$$' -fuzztime $(FUZZTIME) ./internal/recorder
+	$(GO) test -run '^$$' -fuzz '^FuzzProcess$$' -fuzztime $(FUZZTIME) ./internal/pisa
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

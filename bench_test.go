@@ -24,6 +24,7 @@ import (
 	"pera/internal/observatory"
 	"pera/internal/p4ir"
 	"pera/internal/pera"
+	"pera/internal/pisa"
 	"pera/internal/profiler"
 	"pera/internal/rats"
 	"pera/internal/recorder"
@@ -812,6 +813,33 @@ func BenchmarkHeaderPushPop(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = pera.Push(hdr, rest)
+	}
+}
+
+// BenchmarkPisaProcess is the PISA pipeline's layer row: one Process
+// (parse, ingress and egress tables, deparse) per op of a bank→client
+// frame with a 64 B payload, on each UC1 switch's program with the
+// entries the testbed installs.
+func BenchmarkPisaProcess(b *testing.B) {
+	tb, err := usecases.NewTestbed(pera.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{usecases.SwFirewall, usecases.SwACL, usecases.SwEdge} {
+		b.Run(name, func(b *testing.B) {
+			inst := tb.Switches[name].Instance()
+			frame, err := pisa.IPFrame(inst.Program(), usecases.AddrBank, usecases.AddrClient, 40000, 443, make([]byte, 64))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if outs, err := inst.Process(frame, 1); err != nil || len(outs) != 1 {
+					b.Fatalf("process: %v %v", outs, err)
+				}
+			}
+		})
 	}
 }
 

@@ -53,11 +53,16 @@
 // In throughput mode all progress text goes to stderr, so stdout is
 // clean Prometheus text (-telemetry), JSON (-json) or the results table.
 //
+// -observe and -slo are shorthands for -uc observe and -uc slo; the two
+// together, or either with an explicit -uc naming another use case, exit
+// 2 without running anything.
+//
 // -cpuprofile / -memprofile write pprof profiles for any use case.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -117,13 +122,33 @@ var (
 	watchdog  *freshness.Watchdog
 )
 
+// resolveScenario applies the -observe and -slo shorthands to -uc. The
+// two shorthands together, or one with an explicit -uc naming another
+// use case, would each silently drop the other's flags, so they are
+// refused.
+func resolveScenario() error {
+	explicit := false
+	flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "uc" })
+	switch {
+	case *observe && *slo:
+		return errors.New("-observe conflicts with -slo")
+	case *observe && explicit && *uc != "observe":
+		return fmt.Errorf("-observe conflicts with -uc %s", *uc)
+	case *slo && explicit && *uc != "slo":
+		return fmt.Errorf("-slo conflicts with -uc %s", *uc)
+	case *observe:
+		*uc = "observe"
+	case *slo:
+		*uc = "slo"
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
-	if *observe {
-		*uc = "observe"
-	}
-	if *slo {
-		*uc = "slo"
+	if err := resolveScenario(); err != nil {
+		fmt.Fprintln(os.Stderr, "perasim:", err)
+		os.Exit(2)
 	}
 
 	if *uc == "observe" || *uc == "slo" {

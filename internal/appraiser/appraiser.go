@@ -565,9 +565,18 @@ func (a *Appraiser) decide(d *decision, parent telemetry.SpanContext, subject st
 	*d = decision{rec: a.planes.Recorder()}
 	flow, nonceHex := "", ""
 	if d.rec.Detailed() {
-		flow = appraisalFlowID(ev, nonce)
-		if len(nonce) > 0 {
-			nonceHex = flow // appraisalFlowID is the nonce hex when there is one
+		// The flow ID is the hex of the session nonce or, without one,
+		// of the chain's first nonce: built only for a sink or a sampled
+		// flow, never just for the tracer to decide it is not sampled.
+		id := nonce
+		if len(id) == 0 {
+			id = evidence.FirstNonce(ev)
+		}
+		if d.rec.WantsFlow(id) {
+			flow = appraisalFlowID(ev, nonce)
+			if len(nonce) > 0 {
+				nonceHex = flow // appraisalFlowID is the nonce hex when there is one
+			}
 		}
 	}
 	d.stage = telemetry.StageEvent{

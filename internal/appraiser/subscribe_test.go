@@ -126,9 +126,10 @@ func (nopSink) StageOpened(telemetry.StageEvent) {}
 func (nopSink) StageEnded(telemetry.StageEvent)  {}
 
 // TestTracerOnlyBuildsNoSigners: the envelope's signers are built for
-// sinks alone. With only a 1-in-8 flow tracer attached, appraising an
-// unsampled flow allocates what a bare appraiser does plus the flow ID
-// the tracer samples by; a subscribed sink adds the signer list.
+// sinks alone, and its flow ID for sinks and sampled flows. With only a
+// 1-in-8 flow tracer attached, appraising an unsampled flow allocates
+// what a bare appraiser does; a subscribed sink adds the flow ID and the
+// signer list.
 func TestTracerOnlyBuildsNoSigners(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -151,14 +152,30 @@ func TestTracerOnlyBuildsNoSigners(t *testing.T) {
 	flowID := testing.AllocsPerRun(50, func() { appraisalFlowID(ev, nil) })
 	a.SetTracer(tr)
 	traced := testing.AllocsPerRun(50, appraise)
-	if traced != bare+flowID {
-		t.Fatalf("tracer only: %.0f allocations, want %.0f (bare) + %.0f (the flow ID)", traced, bare, flowID)
+	if traced != bare {
+		t.Fatalf("tracer only: %.0f allocations, want %.0f (bare)", traced, bare)
 	}
 	if tr.Len() != 0 {
 		t.Fatalf("the unsampled flow recorded %d spans", tr.Len())
 	}
+	// A sampled flow is still traced under its nonce's hex.
+	sampled := []byte("flow-0")
+	for i := 1; !tr.Sampled(hex.EncodeToString(sampled)); i++ {
+		sampled = []byte("flow-" + strconv.Itoa(i))
+	}
+	if c, err := a.Appraise("sw1", goodEvidence(r, sampled), nil); err != nil || !c.Verdict {
+		t.Fatalf("appraise the sampled flow: %+v, %v", c, err)
+	}
+	if tr.Len() == 0 {
+		t.Fatal("the sampled flow recorded no spans")
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Flow != hex.EncodeToString(sampled) {
+			t.Fatalf("span %s under flow %q, want %q", sp.Stage, sp.Flow, hex.EncodeToString(sampled))
+		}
+	}
 	a.Subscribe(nopSink{})
-	if sunk := testing.AllocsPerRun(50, appraise); sunk != traced+1 {
-		t.Fatalf("with a sink: %.0f allocations, want %.0f (traced) + 1 (the signers)", sunk, traced)
+	if sunk := testing.AllocsPerRun(50, appraise); sunk != traced+flowID+1 {
+		t.Fatalf("with a sink: %.0f allocations, want %.0f (traced) + %.0f (the flow ID) + 1 (the signers)", sunk, traced, flowID)
 	}
 }

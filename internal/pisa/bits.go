@@ -5,53 +5,43 @@
 // cycle-accurate, which is what the paper's Fig. 3 pipeline claims need.
 package pisa
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // ErrTruncated is returned when the parser runs off the end of a packet.
 var ErrTruncated = errors.New("pisa: packet truncated during parse")
 
-// bitReader extracts big-endian bit fields from a byte slice.
-type bitReader struct {
-	data []byte
-	off  int // bit offset
-}
-
-// read extracts the next n bits (1..64) as a big-endian unsigned value.
-func (r *bitReader) read(n int) (uint64, error) {
-	if n < 1 || n > 64 {
-		return 0, fmt.Errorf("pisa: bad field width %d", n)
-	}
-	if r.off+n > len(r.data)*8 {
-		return 0, ErrTruncated
-	}
+// readField returns the bits-wide (1..64) big-endian field at bit offset
+// off of data; the caller has checked that it lies within data. A field
+// that starts and ends on byte boundaries is read as a run of bytes, any
+// other bit by bit.
+func readField(data []byte, off, bits int) uint64 {
 	var v uint64
-	for i := 0; i < n; i++ {
-		byteIdx := (r.off + i) / 8
-		bitIdx := 7 - (r.off+i)%8
-		v = v<<1 | uint64(r.data[byteIdx]>>bitIdx&1)
-	}
-	r.off += n
-	return v, nil
-}
-
-// bitWriter appends big-endian bit fields to a buffer.
-type bitWriter struct {
-	data []byte
-	off  int // bit offset into data (always == bits written)
-}
-
-// write appends the low n bits of v.
-func (w *bitWriter) write(v uint64, n int) {
-	for i := n - 1; i >= 0; i-- {
-		if w.off%8 == 0 {
-			w.data = append(w.data, 0)
+	if (off|bits)&7 == 0 {
+		for _, b := range data[off>>3 : (off+bits)>>3] {
+			v = v<<8 | uint64(b)
 		}
-		bit := byte(v >> uint(i) & 1)
-		w.data[w.off/8] |= bit << (7 - w.off%8)
-		w.off++
+		return v
+	}
+	for i := off; i < off+bits; i++ {
+		v = v<<1 | uint64(data[i>>3]>>(7-i&7)&1)
+	}
+	return v
+}
+
+// writeField stores the low bits of v big-endian at bit offset off of
+// data, where data is still zero: whole bytes when the field is
+// byte-aligned, bit by bit otherwise.
+func writeField(data []byte, off, bits int, v uint64) {
+	if (off|bits)&7 == 0 {
+		for i := (off+bits)>>3 - 1; i >= off>>3; i-- {
+			data[i] = byte(v)
+			v >>= 8
+		}
+		return
+	}
+	for i := off + bits - 1; i >= off; i-- {
+		data[i>>3] |= byte(v&1) << (7 - i&7)
+		v >>= 1
 	}
 }
 

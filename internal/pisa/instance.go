@@ -20,13 +20,7 @@ import (
 // packets, and PERA attests its digests.
 type Instance struct {
 	prog *p4ir.Program
-
-	// qnames maps each header type to its fields' qualified names
-	// ("eth.dst"), precomputed at Load so the per-packet parser never
-	// concatenates strings. fieldHint sizes each packet's field map: the
-	// program's total declared fields plus room for metadata.
-	qnames    map[string][]string
-	fieldHint int
+	lay  *layout // prog compiled; shared by every instance of prog
 
 	parsedN atomic.Uint64 // packets parsed, for stats
 
@@ -34,15 +28,26 @@ type Instance struct {
 	// installs are control-plane rare, digest reads are per-attestation.
 	tablesDigest atomic.Pointer[rot.Digest]
 
-	mu     sync.RWMutex
-	tables map[string]*tableState
-	regs   map[string][]uint64
-	counts map[string][]uint64
+	mu      sync.RWMutex
+	tables  map[string]*tableState
+	ingress []*tableState // prog.Ingress's tables, in order
+	egress  []*tableState
+	regs    [][]uint64 // by register index in prog.Registers
+	counts  [][]uint64
 }
 
 type tableState struct {
 	decl    *p4ir.Table
+	plan    *tablePlan
 	entries []p4ir.Entry
+	acts    []entryAction // entries[i]'s action, resolved at install
+}
+
+// entryAction is an installed entry's action and its parameter values
+// in the action's declared order.
+type entryAction struct {
+	act    *actPlan
+	params []uint64
 }
 
 // Errors from instance operations.
@@ -53,84 +58,71 @@ var (
 	ErrUnknownAction = errors.New("pisa: unknown action")
 )
 
-// progMeta is the load-time metadata derived from an immutable Program:
-// validation outcome and the precomputed qualified field names. Several
-// instances routinely load the same shared *Program (every forwarding
-// switch in a testbed), so the derivation is cached per program pointer.
-type progMeta struct {
-	qnames    map[string][]string
-	fieldHint int
-}
-
+// Several instances routinely load the same shared *Program (every
+// forwarding switch in a testbed), so validation and the compiled
+// layout are cached per program pointer.
 var (
-	progMetaMu sync.Mutex
-	progMetas  = map[*p4ir.Program]*progMeta{}
+	layoutMu sync.Mutex
+	layouts  = map[*p4ir.Program]*layout{}
 )
 
-const progMetaCap = 64
+const layoutCap = 64
 
-// metaFor validates prog and returns its cached load metadata. Programs
-// are treated as immutable after construction (nothing in the repo
-// mutates a Program once built), so both the validation verdict and the
-// derived name tables are safe to reuse for the program's lifetime.
-func metaFor(prog *p4ir.Program) (*progMeta, error) {
-	progMetaMu.Lock()
-	m, ok := progMetas[prog]
-	progMetaMu.Unlock()
+// metaFor validates prog and returns its cached layout. Programs are
+// treated as immutable after construction (nothing in the repo mutates
+// a Program once built), so both the validation verdict and the layout
+// are safe to reuse for the program's lifetime.
+func metaFor(prog *p4ir.Program) (*layout, error) {
+	layoutMu.Lock()
+	l, ok := layouts[prog]
+	layoutMu.Unlock()
 	if ok {
-		return m, nil
+		return l, nil
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	m = &progMeta{qnames: make(map[string][]string, len(prog.Headers))}
-	nfields := 0
-	for _, h := range prog.Headers {
-		qn := make([]string, len(h.Fields))
-		for i, f := range h.Fields {
-			qn[i] = p4ir.QName(h.Name, f.Name)
-		}
-		m.qnames[h.Name] = qn
-		nfields += len(h.Fields)
-	}
-	m.fieldHint = nfields + 8 // declared fields + metadata slots
-	progMetaMu.Lock()
-	if ex, ok := progMetas[prog]; ok {
-		m = ex
+	l = compile(prog)
+	layoutMu.Lock()
+	if ex, ok := layouts[prog]; ok {
+		l = ex
 	} else {
-		if len(progMetas) >= progMetaCap {
-			progMetas = make(map[*p4ir.Program]*progMeta, progMetaCap)
+		if len(layouts) >= layoutCap {
+			layouts = make(map[*p4ir.Program]*layout, layoutCap)
 		}
-		progMetas[prog] = m
+		layouts[prog] = l
 	}
-	progMetaMu.Unlock()
-	return m, nil
+	layoutMu.Unlock()
+	return l, nil
 }
 
 // Load validates prog and returns a fresh instance with empty tables and
 // zeroed registers.
 func Load(prog *p4ir.Program) (*Instance, error) {
-	meta, err := metaFor(prog)
+	l, err := metaFor(prog)
 	if err != nil {
 		return nil, err
 	}
 	in := &Instance{
-		prog:      prog,
-		qnames:    meta.qnames,
-		fieldHint: meta.fieldHint,
-		tables:    make(map[string]*tableState, len(prog.Ingress)+len(prog.Egress)),
-		regs:      make(map[string][]uint64, len(prog.Registers)),
-		counts:    make(map[string][]uint64, len(prog.Registers)),
+		prog:   prog,
+		lay:    l,
+		tables: make(map[string]*tableState, len(prog.Ingress)+len(prog.Egress)),
+		regs:   make([][]uint64, len(prog.Registers)),
+		counts: make([][]uint64, len(prog.Registers)),
 	}
 	for _, t := range prog.Ingress {
-		in.tables[t.Name] = &tableState{decl: t}
+		ts := &tableState{decl: t, plan: l.tables[t]}
+		in.tables[t.Name] = ts
+		in.ingress = append(in.ingress, ts)
 	}
 	for _, t := range prog.Egress {
-		in.tables[t.Name] = &tableState{decl: t}
+		ts := &tableState{decl: t, plan: l.tables[t]}
+		in.tables[t.Name] = ts
+		in.egress = append(in.egress, ts)
 	}
-	for _, r := range prog.Registers {
-		in.regs[r.Name] = make([]uint64, r.Size)
-		in.counts[r.Name] = make([]uint64, r.Size)
+	for i, r := range prog.Registers {
+		in.regs[i] = make([]uint64, r.Size)
+		in.counts[i] = make([]uint64, r.Size)
 	}
 	return in, nil
 }
@@ -155,10 +147,12 @@ func (in *Instance) InstallEntry(table string, e p4ir.Entry) error {
 	if !actionPermitted(ts.decl, e.Action) {
 		return fmt.Errorf("%w: %q not permitted in table %q", ErrUnknownAction, e.Action, table)
 	}
-	if _, ok := in.prog.Action(e.Action); !ok {
+	act, ok := in.lay.actions[e.Action]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownAction, e.Action)
 	}
 	ts.entries = append(ts.entries, e)
+	ts.acts = append(ts.acts, entryAction{act, act.bind(e.Params)})
 	in.tablesDigest.Store(nil)
 	return nil
 }
@@ -183,7 +177,7 @@ func (in *Instance) ClearTable(table string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTable, table)
 	}
-	ts.entries = nil
+	ts.entries, ts.acts = nil, nil
 	in.tablesDigest.Store(nil)
 	return nil
 }
@@ -200,14 +194,16 @@ func (in *Instance) Entries(table string) ([]p4ir.Entry, error) {
 }
 
 // lookup finds the best-matching entry for the current packet field
-// values. Selection: all keys must match; among matching entries the one
-// with the highest (priority, total LPM prefix length) wins; ties go to
-// the earliest installed.
-func (in *Instance) lookup(ts *tableState, pkt *Packet) (p4ir.Entry, bool) {
+// values and returns its index. Selection: all keys must match; among
+// matching entries the one with the highest (priority, total LPM prefix
+// length) wins; ties go to the earliest installed. pkt must be bound to
+// the instance's layout.
+func (in *Instance) lookup(ts *tableState, pkt *Packet) (int, bool) {
 	bestIdx := -1
 	bestPrio, bestPfx := 0, -1
-	for i, e := range ts.entries {
-		pfx, ok := entryMatches(ts.decl, e, pkt)
+	for i := range ts.entries {
+		e := &ts.entries[i]
+		pfx, ok := entryMatches(ts.plan.keys, e, pkt)
 		if !ok {
 			continue
 		}
@@ -215,33 +211,26 @@ func (in *Instance) lookup(ts *tableState, pkt *Packet) (p4ir.Entry, bool) {
 			bestIdx, bestPrio, bestPfx = i, e.Priority, pfx
 		}
 	}
-	if bestIdx < 0 {
-		return p4ir.Entry{}, false
-	}
-	return ts.entries[bestIdx], true
+	return bestIdx, bestIdx >= 0
 }
 
 // entryMatches checks e against pkt, returning the total prefix length
 // used for LPM tie-breaking.
-func entryMatches(decl *p4ir.Table, e p4ir.Entry, pkt *Packet) (int, bool) {
+func entryMatches(keys []keyPlan, e *p4ir.Entry, pkt *Packet) (int, bool) {
 	pfxTotal := 0
-	for i, k := range decl.Keys {
-		v := pkt.Get(k.Field)
-		m := e.Matches[i]
-		switch k.Kind {
+	for i, k := range keys {
+		v := pkt.get(k.slot)
+		m := &e.Matches[i]
+		switch k.kind {
 		case p4ir.MatchExact:
 			if v != m.Value {
 				return 0, false
 			}
 		case p4ir.MatchLPM:
-			bits := k.Bits
-			if bits == 0 {
-				bits = 64
-			}
-			if m.PrefixLen > bits {
+			if m.PrefixLen > k.bits {
 				return 0, false
 			}
-			shift := uint(bits - m.PrefixLen)
+			shift := uint(k.bits - m.PrefixLen)
 			if m.PrefixLen > 0 && v>>shift != m.Value>>shift {
 				return 0, false
 			}
@@ -258,34 +247,58 @@ func entryMatches(decl *p4ir.Table, e p4ir.Entry, pkt *Packet) (int, bool) {
 // RegRead returns register reg[idx] (zero for out-of-range reads, like
 // hardware returning an undefined lane — we choose zero for determinism).
 func (in *Instance) RegRead(reg string, idx uint64) uint64 {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	arr := in.regs[reg]
-	if int(idx) >= len(arr) {
-		return 0
+	if r, ok := in.lay.regIdx[reg]; ok {
+		return in.regRead(r, idx)
 	}
-	return arr[idx]
+	return 0
 }
 
 // RegWrite sets register reg[idx]; out-of-range writes are ignored.
 func (in *Instance) RegWrite(reg string, idx, v uint64) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	arr := in.regs[reg]
-	if int(idx) < len(arr) {
-		arr[idx] = v
+	if r, ok := in.lay.regIdx[reg]; ok {
+		in.regWrite(r, idx, v)
 	}
 }
 
 // CounterValue returns counter reg[idx].
 func (in *Instance) CounterValue(reg string, idx uint64) uint64 {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	arr := in.counts[reg]
-	if int(idx) >= len(arr) {
+	r, ok := in.lay.regIdx[reg]
+	if !ok {
 		return 0
 	}
-	return arr[idx]
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	if arr := in.counts[r]; idx < uint64(len(arr)) {
+		return arr[idx]
+	}
+	return 0
+}
+
+// regRead, regWrite and count address registers by their index in the
+// program. An index past the end reads 0 and writes nothing.
+func (in *Instance) regRead(r int, idx uint64) uint64 {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	if arr := in.regs[r]; idx < uint64(len(arr)) {
+		return arr[idx]
+	}
+	return 0
+}
+
+func (in *Instance) regWrite(r int, idx, v uint64) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if arr := in.regs[r]; idx < uint64(len(arr)) {
+		arr[idx] = v
+	}
+}
+
+func (in *Instance) count(r int, idx uint64) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if arr := in.counts[r]; idx < uint64(len(arr)) {
+		arr[idx]++
+	}
 }
 
 // PacketsParsed reports how many packets this instance has parsed.
@@ -328,20 +341,15 @@ func (in *Instance) TablesDigest() rot.Digest {
 func (in *Instance) StateDigest() rot.Digest {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	names := make([]string, 0, len(in.regs))
-	for n := range in.regs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	h := sha256.New()
 	var buf [8]byte
-	for _, n := range names {
-		h.Write([]byte(n))
-		for _, v := range in.regs[n] {
+	for _, r := range in.lay.regOrder {
+		h.Write([]byte(in.prog.Registers[r].Name))
+		for _, v := range in.regs[r] {
 			binary.BigEndian.PutUint64(buf[:], v)
 			h.Write(buf[:])
 		}
-		for _, v := range in.counts[n] {
+		for _, v := range in.counts[r] {
 			binary.BigEndian.PutUint64(buf[:], v)
 			h.Write(buf[:])
 		}

@@ -14,7 +14,7 @@ import (
 // refLookup is a deliberately naive re-implementation of the selection
 // rule: all keys must match; highest priority wins, then longest total
 // prefix, then earliest installed.
-func refLookup(decl *p4ir.Table, entries []p4ir.Entry, pkt *Packet) (p4ir.Entry, bool) {
+func refLookup(decl *p4ir.Table, entries []p4ir.Entry, pkt interface{ Get(string) uint64 }) (p4ir.Entry, bool) {
 	best := -1
 	bestPrio, bestPfx := 0, -1
 	for i, e := range entries {
@@ -115,7 +115,12 @@ func TestPropertyLookupMatchesReference(t *testing.T) {
 			}
 			wantE, wantOK := refLookup(tbl, entries, pkt)
 			ts := inst.tables["ipv4_fwd"]
-			gotE, gotOK := inst.lookup(ts, pkt)
+			pkt.bind(inst.lay)
+			got, gotOK := inst.lookup(ts, pkt)
+			var gotE p4ir.Entry
+			if gotOK {
+				gotE = ts.entries[got]
+			}
 			if wantOK != gotOK {
 				t.Fatalf("trial %d: hit disagreement (ref %v, got %v) pkt %s", trial, wantOK, gotOK, pkt)
 			}

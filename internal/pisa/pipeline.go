@@ -12,7 +12,8 @@ import (
 // The stages mirror the paper's Fig. 3 switch diagram. Evidence-handling
 // stages (Sign/Verify, Create/Inspect/Compose) are layered on top by
 // internal/pera; this file is the plain PISA forwarding substrate those
-// stages extend.
+// stages extend. Every stage runs on the program's compiled layout
+// (layout.go): fields are slots, not names.
 
 // Errors from pipeline execution.
 var (
@@ -31,78 +32,66 @@ type Output struct {
 	Mirror bool // true if this output came from a mirror/clone
 }
 
-// Parse runs the parser state machine over pkt.Data, populating
-// pkt.Fields. The first declared state is the start state.
+// Parse runs the parser state machine over pkt.Data, setting the
+// extracted header fields. The first declared state is the start state.
 func (in *Instance) Parse(pkt *Packet) error {
-	if len(in.prog.Parser) == 0 {
+	l := in.lay
+	if len(l.states) == 0 {
 		return ErrNoParserStart
 	}
-	r := bitReader{data: pkt.Data}
-	state := in.prog.Parser[0]
+	pkt.bind(l)
+	data, off := pkt.Data, 0
+	st := &l.states[0]
 	for steps := 0; steps < maxParserSteps; steps++ {
-		if state.Extract != "" {
-			hdr, _ := in.prog.Header(state.Extract)
-			qnames := in.qnames[hdr.Name]
-			for i, f := range hdr.Fields {
-				v, err := r.read(f.Bits)
-				if err != nil {
-					return fmt.Errorf("extracting %s.%s: %w", hdr.Name, f.Name, err)
+		if h := st.hdr; h != nil {
+			for _, f := range h.fields {
+				if off+f.bits > len(data)*8 {
+					return fmt.Errorf("extracting %s: %w", l.names[f.slot], ErrTruncated)
 				}
-				pkt.Fields[qnames[i]] = v
+				pkt.set(f.slot, readField(data, off, f.bits))
+				off += f.bits
 			}
-			pkt.extracted = append(pkt.extracted, hdr.Name)
+			pkt.ext = append(pkt.ext, h)
 		}
-		next := state.Default
-		if state.SelectField != "" {
-			v := pkt.Get(state.SelectField)
-			for _, tr := range state.Transitions {
-				if tr.Value == v {
-					next = tr.Next
+		next := st.def
+		if st.sel >= 0 {
+			v := pkt.get(st.sel)
+			for _, tr := range st.trans {
+				if tr.value == v {
+					next = tr.next
 					break
 				}
 			}
 		}
 		switch next {
-		case p4ir.StateAccept:
-			pkt.payloadOff = r.off
+		case stateAccept:
+			pkt.payloadOff = off
 			in.parsedN.Add(1)
 			return nil
-		case p4ir.StateReject:
+		case stateReject:
 			return ErrParseReject
 		}
-		ns, ok := in.prog.State(next)
-		if !ok {
-			return fmt.Errorf("pisa: parser transition to unknown state %q", next)
-		}
-		state = ns
+		st = &l.states[next]
 	}
 	return fmt.Errorf("pisa: parser exceeded %d steps", maxParserSteps)
 }
 
 // applyTables runs a pipeline of tables in order. Processing stops early
 // if the packet is dropped.
-func (in *Instance) applyTables(tables []*p4ir.Table, pkt *Packet) error {
-	for _, decl := range tables {
-		if pkt.Dropped() {
+func (in *Instance) applyTables(tables []*tableState, pkt *Packet) error {
+	pkt.bind(in.lay)
+	for _, ts := range tables {
+		if pkt.get(slotDrop) != 0 {
 			return nil
 		}
+		act, params := ts.plan.def, ts.plan.defParams
 		in.mu.RLock()
-		ts := in.tables[decl.Name]
-		entry, hit := in.lookup(ts, pkt)
+		if i, hit := in.lookup(ts, pkt); hit {
+			act, params = ts.acts[i].act, ts.acts[i].params
+		}
 		in.mu.RUnlock()
-		var actName string
-		var params map[string]uint64
-		if hit {
-			actName, params = entry.Action, entry.Params
-		} else {
-			actName, params = decl.DefaultAction, decl.DefaultParams
-		}
-		if actName == "" {
+		if act == nil {
 			continue // no default: table miss is a no-op
-		}
-		act, ok := in.prog.Action(actName)
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownAction, actName)
 		}
 		if err := in.execAction(act, params, pkt); err != nil {
 			return err
@@ -112,130 +101,107 @@ func (in *Instance) applyTables(tables []*p4ir.Table, pkt *Packet) error {
 }
 
 // execAction runs an action's operations against the packet.
-func (in *Instance) execAction(act *p4ir.Action, params map[string]uint64, pkt *Packet) error {
-	eval := func(v p4ir.Val) uint64 {
-		switch v.Kind {
+func (in *Instance) execAction(act *actPlan, params []uint64, pkt *Packet) error {
+	eval := func(v valPlan) uint64 {
+		switch v.kind {
 		case p4ir.ValConst:
-			return v.Const
+			return v.c
 		case p4ir.ValField:
-			return pkt.Get(v.Name)
+			return pkt.get(v.index)
 		case p4ir.ValParam:
-			return params[v.Name]
-		default:
-			return 0
+			if v.index >= 0 && v.index < len(params) {
+				return params[v.index]
+			}
 		}
+		return 0
 	}
-	for _, op := range act.Ops {
-		switch op.Kind {
+	for i := range act.ops {
+		op := &act.ops[i]
+		switch op.kind {
 		case p4ir.OpSet:
-			pkt.Set(op.Dst, in.maskToWidth(op.Dst, eval(op.Src)))
+			pkt.set(op.dst, eval(op.src)&op.mask)
 		case p4ir.OpAdd:
-			pkt.Set(op.Dst, in.maskToWidth(op.Dst, pkt.Get(op.Dst)+eval(op.Src)))
+			pkt.set(op.dst, (pkt.get(op.dst)+eval(op.src))&op.mask)
 		case p4ir.OpForward:
-			pkt.Set(p4ir.MetaEgressPort, eval(op.Src))
+			pkt.set(slotEgressPort, eval(op.src))
 		case p4ir.OpDrop:
-			pkt.Set(p4ir.MetaDrop, 1)
+			pkt.set(slotDrop, 1)
 		case p4ir.OpRegWrite:
-			in.RegWrite(op.Reg, eval(op.Index), eval(op.Src))
+			in.regWrite(op.reg, eval(op.idx), eval(op.src))
 		case p4ir.OpRegRead:
-			pkt.Set(op.Dst, in.RegRead(op.Reg, eval(op.Index)))
+			pkt.set(op.dst, in.regRead(op.reg, eval(op.idx)))
 		case p4ir.OpCount:
-			in.count(op.Reg, eval(op.Index))
+			in.count(op.reg, eval(op.idx))
 		default:
-			return fmt.Errorf("pisa: unknown op %v", op.Kind)
+			return fmt.Errorf("pisa: unknown op %v", op.kind)
 		}
 	}
 	return nil
 }
 
-func (in *Instance) count(reg string, idx uint64) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	arr := in.counts[reg]
-	if int(idx) < len(arr) {
-		arr[idx]++
-	}
-}
-
-// maskToWidth truncates a value to the declared width of a header field;
-// metadata fields are full 64-bit.
-func (in *Instance) maskToWidth(qname string, v uint64) uint64 {
-	hdrName, fieldName, ok := splitQName(qname)
-	if !ok || hdrName == "meta" {
-		return v
-	}
-	hdr, ok := in.prog.Header(hdrName)
-	if !ok {
-		return v
-	}
-	f, ok := hdr.Field(fieldName)
-	if !ok {
-		return v
-	}
-	return v & mask(f.Bits)
-}
-
-func splitQName(qname string) (hdr, field string, ok bool) {
-	for i := 0; i < len(qname); i++ {
-		if qname[i] == '.' {
-			return qname[:i], qname[i+1:], true
-		}
-	}
-	return "", "", false
-}
-
 // Deparse re-serializes the packet: extracted headers (with any field
-// modifications) followed by the original payload.
+// modifications) followed by the original payload, in one exact-size
+// allocation.
 func (in *Instance) Deparse(pkt *Packet) []byte {
-	// Pre-size for headers + payload so the serialization is one exact
-	// allocation: headers re-occupy their parsed width (payloadOff bits).
+	pkt.bind(in.lay)
 	payload := pkt.Payload()
-	w := bitWriter{data: make([]byte, 0, (pkt.payloadOff+7)/8+len(payload))}
-	for _, hname := range pkt.extracted {
-		hdr, ok := in.prog.Header(hname)
-		if !ok {
-			continue
-		}
-		qnames := in.qnames[hdr.Name]
-		for i, f := range hdr.Fields {
-			w.write(pkt.Get(qnames[i]), f.Bits)
+	bits := 0
+	for _, h := range pkt.ext {
+		bits += h.bits
+	}
+	out := make([]byte, (bits+7)/8+len(payload))
+	off := 0
+	for _, h := range pkt.ext {
+		for _, f := range h.fields {
+			writeField(out, off, f.bits, pkt.get(f.slot))
+			off += f.bits
 		}
 	}
-	return append(w.data, payload...)
+	copy(out[(bits+7)/8:], payload)
+	return out
+}
+
+// processed is what Process allocates for a frame besides the deparsed
+// bytes: the packet and its output.
+type processed struct {
+	pkt Packet
+	out [1]Output
 }
 
 // Process runs the full pipeline over raw frame bytes arriving on
 // ingressPort and returns the emitted outputs (possibly several, when the
 // program mirrors). A parse reject or a drop yields no outputs and no
-// error; substrate errors (unknown actions, etc.) are returned.
+// error; substrate errors (unknown ops, etc.) are returned.
 func (in *Instance) Process(data []byte, ingressPort uint64) ([]Output, error) {
-	pkt := newPacketSized(data, ingressPort, in.fieldHint)
+	o := new(processed)
+	pkt := &o.pkt
+	pkt.init(data, in.lay)
+	pkt.set(slotIngressPort, ingressPort)
 	if err := in.Parse(pkt); err != nil {
 		if errors.Is(err, ErrParseReject) || errors.Is(err, ErrTruncated) {
 			return nil, nil
 		}
 		return nil, err
 	}
-	if err := in.applyTables(in.prog.Ingress, pkt); err != nil {
+	if err := in.applyTables(in.ingress, pkt); err != nil {
 		return nil, err
 	}
-	if pkt.Dropped() {
+	if pkt.get(slotDrop) != 0 {
 		return nil, nil
 	}
-	if err := in.applyTables(in.prog.Egress, pkt); err != nil {
+	if err := in.applyTables(in.egress, pkt); err != nil {
 		return nil, err
 	}
-	if pkt.Dropped() {
+	if pkt.get(slotDrop) != 0 {
 		return nil, nil
 	}
 	pkt.Data = in.Deparse(pkt)
-	outs := []Output{{Port: pkt.EgressPort(), Packet: pkt}}
-	// Mirroring convention: programs set meta.mirrored=1 and
-	// meta.mirror_port to clone the frame (see p4ir.NewRogueForwarding).
-	if pkt.Get("meta.mirrored") != 0 {
+	o.out[0] = Output{Port: pkt.get(slotEgressPort), Packet: pkt}
+	outs := o.out[:]
+	if pkt.get(slotMirrored) != 0 {
 		cl := pkt.Clone()
-		cl.Set(p4ir.MetaEgressPort, pkt.Get("meta.mirror_port"))
-		outs = append(outs, Output{Port: cl.EgressPort(), Packet: cl, Mirror: true})
+		cl.set(slotEgressPort, pkt.get(slotMirrorPort))
+		outs = append(outs, Output{Port: cl.get(slotEgressPort), Packet: cl, Mirror: true})
 	}
 	return outs, nil
 }

@@ -210,6 +210,8 @@ type StageRecorder struct {
 	start  time.Time
 	region *ProfRegion // labels this recorder has stamped, if any
 
+	untraced bool // WantsFlow found that the tracer would not sample the flow
+
 	// The tally lives in the recorder, not behind a pointer, so that a
 	// recorder on the stack keeps it there too.
 	tallying bool
@@ -243,6 +245,22 @@ func (p *Planes) Recorder() StageRecorder {
 // flow IDs and other text nobody would read.
 func (r *StageRecorder) Detailed() bool {
 	return r.set != nil && (r.set.tracer != nil || len(r.set.sinks) > 0)
+}
+
+// WantsFlow reports whether a plane reads the flow of an envelope whose
+// flow ID is nonce's hex text, "-" when nonce is empty: every sink does,
+// the tracer only when it samples that flow. Sites skip building the
+// flow string when it does not, and the envelope r opens then leaves the
+// tracer out, which would not have sampled that flow anyway.
+func (r *StageRecorder) WantsFlow(nonce []byte) bool {
+	if r.set == nil {
+		return false
+	}
+	if len(r.set.sinks) > 0 || r.set.tracer.SampledNonce(nonce) {
+		return true
+	}
+	r.untraced = true
+	return false
 }
 
 // Feeds reports whether a sink is subscribed to stage s. Sites use it
@@ -284,7 +302,7 @@ func (r *StageRecorder) Open(ev StageEvent) {
 func (r *StageRecorder) open(ev *StageEvent) {
 	r.stage, r.flow, r.parent = ev.Stage, ev.Flow, ev.Parent
 	set := r.set
-	if set != nil && set.tracer != nil {
+	if set != nil && set.tracer != nil && !r.untraced {
 		r.ctx = set.tracer.ChildContext(ev.Parent, ev.Flow)
 		r.timed = r.timed || r.ctx.Valid()
 	}

@@ -174,6 +174,36 @@ func (t *FlowTracer) Sampled(flow string) bool {
 	return h.Sum32()%n == 0
 }
 
+// SampledNonce is Sampled for the flow ID that is nonce's hex text, or
+// "-" when nonce is empty — the IDs appraisals and in-band hops carry —
+// hashing the hex digits as it goes instead of building the text.
+func (t *FlowTracer) SampledNonce(nonce []byte) bool {
+	if t == nil {
+		return false
+	}
+	n := t.sampleEvery.Load()
+	switch {
+	case n == 0:
+		return false
+	case n == 1:
+		return true
+	}
+	const (
+		digits   = "0123456789abcdef"
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	if len(nonce) == 0 {
+		h = (h ^ '-') * prime32
+	}
+	for _, b := range nonce {
+		h = (h ^ uint32(digits[b>>4])) * prime32
+		h = (h ^ uint32(digits[b&15])) * prime32
+	}
+	return h%n == 0
+}
+
 // NewContext allocates a root span context for a sampled flow: the
 // trace ID is derived from the flow, the span ID freshly minted. For
 // unsampled flows (or a nil tracer) it returns the zero context, so

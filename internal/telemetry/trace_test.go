@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"encoding/hex"
 	"hash/fnv"
+	"math/rand"
 	"strconv"
 	"testing"
 	"time"
@@ -88,6 +90,38 @@ func TestTracerSampling(t *testing.T) {
 	tr.Record(out, "p", StageSign, 0, "")
 	if tr.Recorded() != before+1 {
 		t.Fatalf("recorded %d new spans, want exactly 1 (sampled flow only)", tr.Recorded()-before)
+	}
+}
+
+// Property: SampledNonce decides as Sampled does on the nonce's hex
+// text, and as Sampled("-") for an empty nonce, at every sampling rate.
+func TestPropertySampledNonceMatchesSampled(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var nilTracer *FlowTracer
+	if nilTracer.SampledNonce([]byte("x")) {
+		t.Fatal("nil tracer samples")
+	}
+	tr := NewFlowTracer(1)
+	for _, every := range []uint32{0, 1, 2, 3, 4, 7, 8, 16, 64, 1000} {
+		tr.SetSampleEvery(every)
+		if got, want := tr.SampledNonce(nil), tr.Sampled("-"); got != want {
+			t.Fatalf("1-in-%d, no nonce: %v, Sampled(\"-\") %v", every, got, want)
+		}
+		sampled := 0
+		for i := 0; i < 2000; i++ {
+			nonce := make([]byte, 1+rng.Intn(40))
+			rng.Read(nonce)
+			got, want := tr.SampledNonce(nonce), tr.Sampled(hex.EncodeToString(nonce))
+			if got != want {
+				t.Fatalf("1-in-%d, nonce %x: %v, Sampled %v", every, nonce, got, want)
+			}
+			if got {
+				sampled++
+			}
+		}
+		if every > 1 && (sampled == 0 || sampled == 2000) {
+			t.Fatalf("1-in-%d sampled %d of 2000 nonces", every, sampled)
+		}
 	}
 }
 
