@@ -9,6 +9,7 @@
 package bench
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"testing"
 	"time"
@@ -308,9 +309,9 @@ func BenchmarkFig4_Composition(b *testing.B) {
 // one width, reporting pkts/sec: each op Submits every job to a fresh
 // pool on the same appraiser and Closes it. The walk stays outside the
 // timer.
-func benchThroughputPool(b *testing.B, workers int, memo bool) {
+func benchThroughputPool(b *testing.B, workers int) {
 	const packets, flows = 256, 16
-	jobs, tb, _, err := harness.ThroughputCorpus(harness.ThroughputOptions{Packets: packets, Flows: flows, Memo: memo})
+	jobs, tb, _, err := harness.ThroughputCorpus(harness.ThroughputOptions{Packets: packets, Flows: flows})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,30 +330,17 @@ func benchThroughputPool(b *testing.B, workers int, memo bool) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(b.N*packets)/s, "pkts/sec")
 	}
-	if memo {
-		b.ReportMetric(a.MemoStats().HitRate(), "memoHit")
-	}
+	b.ReportMetric(a.MemoStats().HitRate(), "memoHit")
 }
 
-// BenchmarkThroughput_Workers sweeps the appraisal pool width with
-// memoization off: pure ed25519 verification fanned across workers.
-// Wall-clock scaling tracks GOMAXPROCS; at GOMAXPROCS=1 the sweep is
-// flat by construction (see README "Performance").
-func BenchmarkThroughput_Workers(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%dworkers", w), func(b *testing.B) {
-			benchThroughputPool(b, w, false)
-		})
-	}
-}
-
-// BenchmarkThroughput_WorkersMemo repeats the sweep with the verification
-// memo enabled: re-presented per-flow chains collapse to hash lookups,
-// which lifts throughput at every width independent of core count.
+// BenchmarkThroughput_WorkersMemo sweeps the appraisal pool width:
+// re-presented per-flow chains collapse to memo lookups, which lifts
+// throughput at every width independent of core count. Wall-clock
+// scaling tracks GOMAXPROCS (see README "Performance").
 func BenchmarkThroughput_WorkersMemo(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%dworkers", w), func(b *testing.B) {
-			benchThroughputPool(b, w, true)
+			benchThroughputPool(b, w)
 		})
 	}
 }
@@ -365,7 +353,7 @@ func BenchmarkThroughput_WorkersMemo(b *testing.B) {
 func BenchmarkThroughput_EndToEnd(b *testing.B) {
 	var appraising time.Duration
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunThroughput(harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true})
+		res, err := harness.RunThroughput(harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -389,7 +377,7 @@ func BenchmarkThroughput_Audit(b *testing.B) {
 	run := func(b *testing.B, audited bool) {
 		dir := b.TempDir()
 		for i := 0; i < b.N; i++ {
-			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true}
+			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8}
 			var w *auditlog.Writer
 			if audited {
 				var err error
@@ -426,7 +414,7 @@ func BenchmarkThroughput_Audit(b *testing.B) {
 func BenchmarkThroughput_Observe(b *testing.B) {
 	run := func(b *testing.B, sampleEvery uint32, observed bool) {
 		for i := 0; i < b.N; i++ {
-			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true}
+			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8}
 			if observed {
 				o.Spans = pera.SpanConfig{Enabled: true, SampleEvery: sampleEvery}
 				o.Collector = observatory.New("bench", observatory.Config{})
@@ -464,7 +452,7 @@ func BenchmarkThroughput_Trace(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true, Planes: harness.Planes{Tracer: tr}}
+			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Planes: harness.Planes{Tracer: tr}}
 			res, err := harness.RunThroughput(o)
 			if err != nil {
 				b.Fatal(err)
@@ -493,7 +481,7 @@ func BenchmarkThroughput_Trace(b *testing.B) {
 func BenchmarkThroughput_SLO(b *testing.B) {
 	run := func(b *testing.B, watched bool) {
 		for i := 0; i < b.N; i++ {
-			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true}
+			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8}
 			if watched {
 				o.Spans = pera.SpanConfig{Enabled: true}
 				o.Collector = observatory.New("bench", observatory.Config{})
@@ -542,7 +530,7 @@ func BenchmarkThroughput_Recorder(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true,
+			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8,
 				Planes: harness.Planes{Registry: reg}, Recorder: rec}
 			res, err := harness.RunThroughput(o)
 			if err != nil {
@@ -615,7 +603,7 @@ func BenchmarkThroughput_FleetScrape(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true, Planes: harness.Planes{Registry: reg}}
+			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Planes: harness.Planes{Registry: reg}}
 			res, err := harness.RunThroughput(o)
 			if err != nil {
 				b.Fatal(err)
@@ -653,7 +641,7 @@ func BenchmarkThroughput_Profile(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8, Memo: true}
+			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8}
 			res, err := harness.RunThroughput(o)
 			if err != nil {
 				b.Fatal(err)
@@ -677,9 +665,10 @@ func BenchmarkThroughput_Profile(b *testing.B) {
 }
 
 // BenchmarkVerifyMemo isolates the memo win on a single 3-hop chain:
-// "cold" pays ed25519 every time (unique memo per iteration would defeat
-// the point, so it uses no memo); "warm" hits the memo after the first
-// verification.
+// "cold" pays ed25519 every time (VerifySignatures, which uses no memo);
+// "warm" is what an appraiser's tree entry does with a chain the memo
+// has seen: encode it once into reused scratch, walk the encoding with
+// every signature answered by the memo, and hash it for the certificate.
 func BenchmarkVerifyMemo(b *testing.B) {
 	r := rot.NewDeterministic("bench", []byte("memo"))
 	ev := evidence.Nonce([]byte("n"))
@@ -690,18 +679,21 @@ func BenchmarkVerifyMemo(b *testing.B) {
 	keys := evidence.KeyMap{"bench": r.Public()}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := evidence.VerifySignaturesMemo(ev, keys, nil); err != nil {
+			if _, err := evidence.VerifySignatures(ev, keys); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		memo := evidence.NewVerifyMemo(0)
+		var enc []byte
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := evidence.VerifySignaturesMemo(ev, keys, memo); err != nil {
+			enc = evidence.AppendEncode(enc[:0], ev)
+			if _, _, err := memo.VerifyEncoded(enc, keys, nil); err != nil {
 				b.Fatal(err)
 			}
+			sha256.Sum256(enc)
 		}
 	})
 }
@@ -819,27 +811,45 @@ func BenchmarkHeaderPushPop(b *testing.B) {
 // BenchmarkPisaProcess is the PISA pipeline's layer row: one Process
 // (parse, ingress and egress tables, deparse) per op of a bank→client
 // frame with a 64 B payload, on each UC1 switch's program with the
-// entries the testbed installs.
+// entries the testbed installs. The parallel variants run Process on one
+// switch from GOMAXPROCS goroutines at once, as a pera.Switch does under
+// concurrent ingestion, so they show what packets sharing one instance
+// contend on.
 func BenchmarkPisaProcess(b *testing.B) {
 	tb, err := usecases.NewTestbed(pera.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, name := range []string{usecases.SwFirewall, usecases.SwACL, usecases.SwEdge} {
-		b.Run(name, func(b *testing.B) {
+	for _, parallel := range []bool{false, true} {
+		for _, name := range []string{usecases.SwFirewall, usecases.SwACL, usecases.SwEdge} {
 			inst := tb.Switches[name].Instance()
 			frame, err := pisa.IPFrame(inst.Program(), usecases.AddrBank, usecases.AddrClient, 40000, 443, make([]byte, 64))
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			process := func() {
 				if outs, err := inst.Process(frame, 1); err != nil || len(outs) != 1 {
-					b.Fatalf("process: %v %v", outs, err)
+					b.Errorf("process: %v %v", outs, err)
 				}
 			}
-		})
+			if !parallel {
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						process()
+					}
+				})
+				continue
+			}
+			b.Run("parallel/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						process()
+					}
+				})
+			})
+		}
 	}
 }
 

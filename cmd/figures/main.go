@@ -14,9 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"pera/internal/harness"
+	"pera/internal/pera"
 )
 
 func main() {
@@ -98,27 +100,85 @@ func fig2() error {
 
 func fig3() error {
 	fmt.Println("== Fig. 3: per-packet pipeline cost by evidence stage ==")
-	const iters = 20000
-	fmt.Printf("%-18s %s\n", "stage", "ns/packet")
-	for _, stage := range harness.Fig3Stages {
-		sw, frame, err := harness.NewFig3Switch()
-		if err != nil {
-			return err
-		}
-		var inband [][]byte
-		if stage == "+inband-header" {
-			inband = harness.Fig3InbandFrames(sw, frame, iters)
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := harness.RunFig3Stage(stage, sw, frame, inband, i); err != nil {
-				return err
-			}
-		}
-		ns := float64(time.Since(start).Nanoseconds()) / iters
-		fmt.Printf("%-18s %.0f\n", stage, ns)
+	rows, err := runFig3(20, 2000)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("(%d rounds of %d packets per stage, stages round-robin: median [q1–q3])\n",
+		rows[0].Rounds, rows[0].Iters)
+	fmt.Printf("%-18s %10s  %s\n", "stage", "ns/packet", "[q1–q3]")
+	for _, r := range rows {
+		fmt.Printf("%-18s %10.0f  [%.0f–%.0f]\n", r.Stage, r.NsPerOp, r.NsQ1, r.NsQ3)
 	}
 	return nil
+}
+
+// fig3Row is one pipeline-stage cost measurement: the median and
+// quartiles of its per-round nanoseconds per packet.
+type fig3Row struct {
+	Stage         string
+	NsPerOp       float64 // median
+	NsQ1, NsQ3    float64
+	Rounds, Iters int
+}
+
+// runFig3 times every harness.Fig3Stages configuration round-robin: in each of
+// rounds rounds, iters packets through each stage in turn, each on its
+// own switch and, across the whole run, each with its own nonce; one
+// untimed round first warms every stage. A stage's row is the median and
+// quartiles of its rounds, so host drift spreads over every stage alike
+// instead of skewing the stages that ran during it, and the spread says
+// which gaps between stages resolve.
+func runFig3(rounds, iters int) ([]fig3Row, error) {
+	type bench struct {
+		sw     *pera.Switch
+		frame  []byte
+		inband [][]byte
+		ns     []float64
+	}
+	benches := make([]bench, len(harness.Fig3Stages))
+	for s, stage := range harness.Fig3Stages {
+		sw, frame, err := harness.NewFig3Switch()
+		if err != nil {
+			return nil, err
+		}
+		benches[s] = bench{sw: sw, frame: frame}
+		if stage == "+inband-header" {
+			benches[s].inband = harness.Fig3InbandFrames(sw, frame, (rounds+1)*iters)
+		}
+	}
+	for r := 0; r <= rounds; r++ { // round 0 warms up
+		for s, stage := range harness.Fig3Stages {
+			b := &benches[s]
+			start := time.Now()
+			for i := r * iters; i < (r+1)*iters; i++ {
+				if err := harness.RunFig3Stage(stage, b.sw, b.frame, b.inband, i); err != nil {
+					return nil, err
+				}
+			}
+			if r > 0 {
+				b.ns = append(b.ns, float64(time.Since(start).Nanoseconds())/float64(iters))
+			}
+		}
+	}
+	rows := make([]fig3Row, len(harness.Fig3Stages))
+	for s, stage := range harness.Fig3Stages {
+		ns := benches[s].ns
+		sort.Float64s(ns)
+		rows[s] = fig3Row{Stage: stage, NsPerOp: quantile(ns, 0.5),
+			NsQ1: quantile(ns, 0.25), NsQ3: quantile(ns, 0.75), Rounds: rounds, Iters: iters}
+	}
+	return rows, nil
+}
+
+// quantile interpolates the q-quantile of sorted xs.
+func quantile(xs []float64, q float64) float64 {
+	pos := q * float64(len(xs)-1)
+	i := int(pos)
+	if i+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
 }
 
 func attacks() error {

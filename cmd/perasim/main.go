@@ -87,7 +87,6 @@ var (
 	workers = flag.Int("workers", 0, "appraisal pool width for -uc throughput; 0 sweeps 1,2,4,8")
 	packets = flag.Int("packets", 2000, "packets to appraise in -uc throughput")
 	flows   = flag.Int("flows", 50, "distinct flows in the -uc throughput corpus")
-	memoOff = flag.Bool("no-memo", false, "disable verification memoization in -uc throughput")
 
 	telemetryHold = flag.Bool("telemetry-hold", false, "with -telemetry: keep serving after the run completes, until interrupted")
 	jsonOut       = flag.Bool("json", false, "with -uc throughput/observe: write JSON results to stdout")
@@ -482,12 +481,11 @@ func runThroughput() error {
 	if *workers > 0 {
 		counts = []int{*workers}
 	}
-	fmt.Fprintf(os.Stderr, "corpus: %d packets over %d flows (chained UC1 path evidence), GOMAXPROCS=%d, memo=%v\n",
-		*packets, *flows, runtime.GOMAXPROCS(0), !*memoOff)
+	fmt.Fprintf(os.Stderr, "corpus: %d packets over %d flows (chained UC1 path evidence), GOMAXPROCS=%d\n",
+		*packets, *flows, runtime.GOMAXPROCS(0))
 	rows, err := harness.RunThroughputSweep(counts, harness.ThroughputOptions{
 		Packets:  *packets,
 		Flows:    *flows,
-		Memo:     !*memoOff,
 		Planes:   harness.Planes{Registry: pl.Registry, Tracer: pl.Tracer, Audit: pl.Audit},
 		Recorder: pl.Recorder,
 		Profiler: pl.Profiler,

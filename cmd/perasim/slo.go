@@ -29,7 +29,6 @@ func runSLO() error {
 		RecoverAfter: *sloRecover,
 		CacheTTL:     time.Duration(*sloTTL) * time.Second,
 		Tick:         time.Duration(*sloTick) * time.Second,
-		Memo:         !*memoOff,
 		Watchdog:     watchdog,
 		Collector:    collector,
 		AlertLog:     os.Stderr,

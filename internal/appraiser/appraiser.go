@@ -9,11 +9,11 @@ package appraiser
 import (
 	"bytes"
 	"crypto/ed25519"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -270,9 +270,10 @@ type Appraiser struct {
 	// appear in the evidence (freshness binding).
 	RequireNonce bool
 
-	// memo, when enabled, caches signature-verification outcomes so
+	// memo caches signature- and quote-verification outcomes, so
 	// re-presented high-inertia evidence costs one hash per signature
-	// node instead of one ed25519.Verify. Set via EnableMemo.
+	// node instead of one ed25519.Verify. Every appraiser has one, bounded
+	// to evidence.DefaultMemoCapacity entries; EnableMemo re-bounds it.
 	memo *evidence.VerifyMemo
 
 	// planes carries the observability planes the appraise and verify
@@ -297,9 +298,17 @@ type Appraiser struct {
 	nonceMu sync.Mutex
 	used    map[string]bool
 
-	certMu sync.Mutex
-	certs  map[string]*Certificate
+	certMu   sync.Mutex
+	certs    map[string]*Certificate
+	certRing []string // certs' nonces in store order, maxCerts at most
+	certPos  int      // the oldest slot of a full certRing
 }
+
+// maxCerts bounds the certificate store: Store keeps the newest maxCerts
+// certificates and forgets the oldest, as the memo bounds its entries. A
+// relying party retrieves a certificate within its round, long before
+// thousands of later rounds displace it.
+const maxCerts = 4096
 
 // New creates an appraiser with a key derived from seed, so simulations
 // are reproducible. Production callers should seed with fresh entropy.
@@ -314,35 +323,25 @@ func New(name string, seed []byte) *Appraiser {
 		golden: make(map[goldenKey]rot.Digest),
 		used:   make(map[string]bool),
 		certs:  make(map[string]*Certificate),
+		memo:   evidence.NewVerifyMemo(0),
 	}
 	a.planes.Init(name, telemetry.StageVerify, telemetry.StageAppraise)
 	return a
 }
 
-// EnableMemo installs a verification memo bounded to capacity entries
-// (capacity <= 0 selects evidence.DefaultMemoCapacity). Subsequent
-// appraisals memoize signature and quote checks; MemoStats exposes the
-// hit/miss counters.
-func (a *Appraiser) EnableMemo(capacity int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.memo = evidence.NewVerifyMemo(capacity)
-	a.memo.SetAudit(a.aud)
-}
+// EnableMemo empties the verification memo and bounds it to capacity
+// entries (capacity <= 0 selects evidence.DefaultMemoCapacity), its
+// counters zeroed. The memo is emptied in place, so a registry the
+// appraiser was instrumented into keeps reading it.
+func (a *Appraiser) EnableMemo(capacity int) { a.memo.Reset(capacity) }
 
-// MemoStats reports the verification memo's counters; zeros when no memo
-// is enabled.
-func (a *Appraiser) MemoStats() evidence.MemoStats {
-	a.mu.RLock()
-	m := a.memo
-	a.mu.RUnlock()
-	return m.Stats()
-}
+// MemoStats reports the verification memo's counters.
+func (a *Appraiser) MemoStats() evidence.MemoStats { return a.memo.Stats() }
 
 // Instrument registers the appraiser's latency histograms, labelled with
 // its name, with reg: pera_appraise_seconds times each appraise envelope
-// (pooled or not) and pera_verify_seconds its signature walk. The memo,
-// when enabled, is exported too.
+// (pooled or not) and pera_verify_seconds its signature walk. The memo's
+// counters are exported too.
 func (a *Appraiser) Instrument(reg *telemetry.Registry) {
 	appraise := telemetry.NewHistogram("pera_appraise_seconds", nil, telemetry.L("appraiser", a.name))
 	verify := telemetry.NewHistogram("pera_verify_seconds", nil, telemetry.L("appraiser", a.name))
@@ -350,10 +349,7 @@ func (a *Appraiser) Instrument(reg *telemetry.Registry) {
 	reg.Register(verify)
 	a.planes.SetHistogram(appraise, telemetry.StageAppraise)
 	a.planes.SetHistogram(verify, telemetry.StageVerify, telemetry.StageVerifyFail)
-	a.mu.RLock()
-	m := a.memo
-	a.mu.RUnlock()
-	m.Instrument(reg)
+	a.memo.Instrument(reg)
 }
 
 // SetAudit attaches the durable audit ledger: every appraisal emits an
@@ -363,7 +359,7 @@ func (a *Appraiser) SetAudit(w *auditlog.Writer) {
 	a.mu.Lock()
 	old := a.aud
 	a.aud = w
-	a.memo.SetAudit(w) // nil-safe; order vs EnableMemo doesn't matter
+	a.memo.SetAudit(w)
 	a.mu.Unlock()
 	if old != nil {
 		a.planes.Subscribe(old)
@@ -506,20 +502,18 @@ func (a *Appraiser) AllowHash(d rot.Digest) {
 // operational failures (nonce replay); verification failures are reported
 // through the certificate so they remain attributable and storable.
 func (a *Appraiser) Appraise(subject string, ev *evidence.Evidence, nonce []byte) (*Certificate, error) {
-	return a.appraise(telemetry.SpanContext{}, subject, ev, nonce)
+	return a.AppraiseCtx(telemetry.SpanContext{}, subject, ev, nonce)
 }
 
-// appraisalFlowID correlates appraisal-side audit records with the
-// switch side: the session nonce (hex) when present, else the first
-// nonce inside the evidence — the same ID pera.FlowID derives in-band.
-func appraisalFlowID(ev *evidence.Evidence, nonce []byte) string {
-	if len(nonce) > 0 {
-		return hex.EncodeToString(nonce)
+// appraisalFlowID renders the ID that correlates appraisal-side audit
+// records with the switch side: the hex of id (the session nonce when
+// there is one, else the chain's first nonce — the same ID pera.FlowID
+// derives in-band), or "-" without one.
+func appraisalFlowID(id []byte) string {
+	if len(id) == 0 {
+		return "-"
 	}
-	if n := evidence.FirstNonce(ev); n != nil {
-		return hex.EncodeToString(n)
-	}
-	return "-"
+	return hex.EncodeToString(id)
 }
 
 // AppraiseCtx is Appraise with a propagated trace context: the
@@ -527,14 +521,13 @@ func appraisalFlowID(ev *evidence.Evidence, nonce []byte) string {
 // rats trace-context field), joining the challenge's cross-process
 // trace.
 func (a *Appraiser) AppraiseCtx(parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte) (*Certificate, error) {
-	return a.appraise(parent, subject, ev, nonce)
-}
-
-// appraise decides one appraisal, signs its certificate on its own and
-// closes its envelope.
-func (a *Appraiser) appraise(parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte) (*Certificate, error) {
 	var d decision
 	a.decide(&d, parent, subject, ev, nonce, "")
+	return a.single(&d)
+}
+
+// single signs d's certificate on its own and closes its envelope.
+func (a *Appraiser) single(d *decision) (*Certificate, error) {
 	if d.cert != nil {
 		a.sign(d.cert)
 	}
@@ -554,14 +547,30 @@ type decision struct {
 	fresh bool
 }
 
-// decide runs an appraisal up to its signature: it opens the appraise
-// envelope, refuses a replayed nonce, runs check and fills in the
-// certificate, serial included. note (e.g. "worker 3") is stamped on the
-// audit records. The envelope stays open until the certificate is
-// signed, so the sinks see each appraisal start and end once, its
-// verdict with the signers it verified, and the tracer records its span
-// and a verdict child.
+// encPool recycles the scratch a tree is encoded into for appraisal.
+var encPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// decide appraises a tree: it validates ev, encodes it once into pooled
+// scratch and decides the encoding (decideEncoded). A tree that is not
+// well formed still gets a certificate, failed at the structure stage,
+// over the digest of its encoding.
 func (a *Appraiser) decide(d *decision, parent telemetry.SpanContext, subject string, ev *evidence.Evidence, nonce []byte, note string) {
+	bp := encPool.Get().(*[]byte)
+	*bp = evidence.AppendEncode((*bp)[:0], ev)
+	a.decideEncoded(d, parent, subject, *bp, evidence.Validate(ev), nonce, note)
+	encPool.Put(bp)
+}
+
+// decideEncoded runs an appraisal of the canonical encoding enc up to
+// its signature: it opens the appraise envelope, refuses a replayed
+// nonce, runs check (or fails at the structure stage with malformed, the
+// tree's validation error) and fills in the certificate, serial
+// included. note (e.g. "worker 3") is stamped on the audit records. The
+// envelope stays open until the certificate is signed, so the sinks see
+// each appraisal start and end once, its verdict with the signers it
+// verified, and the tracer records its span and a verdict child. Nothing
+// decided retains enc.
+func (a *Appraiser) decideEncoded(d *decision, parent telemetry.SpanContext, subject string, enc []byte, malformed error, nonce []byte, note string) {
 	*d = decision{rec: a.planes.Recorder()}
 	flow, nonceHex := "", ""
 	if d.rec.Detailed() {
@@ -570,12 +579,12 @@ func (a *Appraiser) decide(d *decision, parent telemetry.SpanContext, subject st
 		// flow, never just for the tracer to decide it is not sampled.
 		id := nonce
 		if len(id) == 0 {
-			id = evidence.FirstNonce(ev)
+			_, id, _ = evidence.Scan(enc) // evidence.FirstNonce over the bytes
 		}
 		if d.rec.WantsFlow(id) {
-			flow = appraisalFlowID(ev, nonce)
+			flow = appraisalFlowID(id)
 			if len(nonce) > 0 {
-				nonceHex = flow // appraisalFlowID is the nonce hex when there is one
+				nonceHex = flow // the flow ID is the nonce hex when there is one
 			}
 		}
 	}
@@ -599,12 +608,18 @@ func (a *Appraiser) decide(d *decision, parent telemetry.SpanContext, subject st
 			return
 		}
 	}
-	verdict, reason, prov := a.check(d, ev, nonce)
+	verdict, reason, prov := false, "", auditlog.Provenance{}
+	if malformed != nil {
+		reason = malformed.Error()
+		prov = reject("structure", clauseStructure, reason)
+	} else {
+		verdict, reason, prov = a.check(d, enc, nonce)
+	}
 	d.cert = &Certificate{
 		Issuer:         a.name,
 		Subject:        subject,
 		Nonce:          append([]byte(nil), nonce...),
-		EvidenceDigest: evidence.DigestOf(ev),
+		EvidenceDigest: sha256.Sum256(enc), // the tree's DigestOf: the encoding is canonical
 		Verdict:        verdict,
 		Reason:         reason,
 		Serial:         a.serial.Add(1),
@@ -661,116 +676,88 @@ func rejectAt(stage, clause, place, reason string) auditlog.Provenance {
 	return p
 }
 
-// check runs the verification pipeline and renders a verdict together
-// with the provenance naming the exact policy clause that decided. The
-// signature walk is reported on d's recorder as the appraisal's verify
-// stage; once it passes, and a sink reads the envelope, d's stage names
-// the signers it verified — the places the verdict covers. d.fresh
-// records whether any signature or quote needed a full Ed25519
-// verification: one the memo could not answer.
-func (a *Appraiser) check(d *decision, ev *evidence.Evidence, nonce []byte) (bool, string, auditlog.Provenance) {
-	if err := evidence.Validate(ev); err != nil {
-		return false, err.Error(), reject("structure", clauseStructure, err.Error())
-	}
+// check runs the verification pipeline over the canonical encoding enc
+// and renders a verdict together with the provenance naming the exact
+// policy clause that decided. Every read is of the bytes as they were
+// received: the signatures over the exact ranges their signers signed,
+// then the nonce, the hash commitments, and the measurements with their
+// quotes. The signature walk is reported on d's recorder as the
+// appraisal's verify stage; once it passes, and a sink reads the
+// envelope, d's stage names the signers it verified — the places the
+// verdict covers. d.fresh records whether any signature or quote needed
+// a full Ed25519 verification: one the memo could not answer.
+func (a *Appraiser) check(d *decision, enc, nonce []byte) (bool, string, auditlog.Provenance) {
 	// Snapshot the copy-on-write tables: the referenced maps are immutable
 	// once published, so the verification work below runs lock-free.
 	a.mu.RLock()
 	keys, golden, hashes := a.keys, a.golden, a.hashes
 	strict, requireNonce := a.Strict, a.RequireNonce
-	memo := a.memo
 	a.mu.RUnlock()
 
 	m := d.rec.Begin(telemetry.StageVerify)
-	// With a memo, the prewarm verifies the chain's new signatures into
-	// it and the walk answers every node from it; without one the walk
-	// verifies each signature in full.
-	d.fresh = memo.Prewarm(ev, keys) > 0
-	nsigs, err := evidence.VerifySignaturesMemo(ev, keys, memo)
-	if memo == nil {
-		d.fresh = nsigs > 0 || errors.Is(err, evidence.ErrBadSignature)
+	var signers *[]string
+	if d.rec.Feeds(telemetry.StageAppraise) {
+		signers = &d.stage.Signers
 	}
+	nsigs, full, err := a.memo.VerifyEncoded(enc, keys, signers)
+	d.fresh = full > 0
 	if err != nil {
 		d.rec.End(m, telemetry.StageEvent{Stage: telemetry.StageVerifyFail, Note: err.Error()})
 		return false, err.Error(), reject("signature", clauseSignature, err.Error())
 	}
 	d.rec.End(m, telemetry.StageEvent{})
-	if d.rec.Feeds(telemetry.StageAppraise) {
-		d.stage.Signers = pathSigners(ev)
+	var n evidence.Node
+	if requireNonce && len(nonce) > 0 {
+		found := false
+		for c := evidence.NewCursor(enc); !found && c.Next(&n); {
+			found = n.Kind == evidence.KindNonce && bytes.Equal(n.Nonce, nonce)
+		}
+		if !found {
+			return false, ErrNonceMissing.Error(), reject("nonce", clauseNonce, ErrNonceMissing.Error())
+		}
 	}
-	if requireNonce && len(nonce) > 0 && !evidence.HasNonce(ev, nonce) {
-		return false, ErrNonceMissing.Error(), reject("nonce", clauseNonce, ErrNonceMissing.Error())
-	}
-	if len(hashes) > 0 {
-		for _, h := range evidence.Hashes(ev) {
-			if !hashes[h] {
-				reason := fmt.Sprintf("unrecognized evidence digest %v", h)
+	if len(hashes) > 0 || strict {
+		for c := evidence.NewCursor(enc); c.Next(&n); {
+			switch {
+			case n.Kind != evidence.KindHash:
+			case len(hashes) == 0:
+				reason := "hash-collapsed evidence with no expected digests provisioned"
+				return false, reason, reject("hash", clauseHash, reason)
+			case !hashes[n.Digest]:
+				reason := fmt.Sprintf("unrecognized evidence digest %v", n.Digest)
 				return false, reason, reject("hash", clauseHash, reason)
 			}
 		}
-	} else if strict && len(evidence.Hashes(ev)) > 0 {
-		reason := "hash-collapsed evidence with no expected digests provisioned"
-		return false, reason, reject("hash", clauseHash, reason)
 	}
 	unknown, total := 0, 0
-	var failReason string
-	var failProv auditlog.Provenance
-	evidence.WalkMeasurements(ev, func(m *evidence.Evidence) bool {
+	for c := evidence.NewCursor(enc); c.Next(&n); {
+		if n.Kind != evidence.KindMeasurement {
+			continue
+		}
 		total++
+		place, target := evidence.Name(n.Place), evidence.Name(n.Target)
 		// Hardware claims carrying a serialized quote get the deeper
 		// check: the quote must verify under the platform's AIK and
 		// speak for the place that presented it.
-		if m.Detail == evidence.DetailHardware && len(m.Claims) > 0 {
-			q, err := rot.DecodeQuote(m.Claims)
-			if err != nil {
-				failReason = fmt.Sprintf("hardware claim at %s: %v", m.Place, err)
-				failProv = rejectAt("quote", clauseQuote, m.Place, failReason)
-				return false
-			}
-			if q.Platform != m.Place {
-				failReason = fmt.Sprintf("hardware quote speaks for %q but was presented by %q", q.Platform, m.Place)
-				failProv = rejectAt("quote", clauseQuote, m.Place, failReason)
-				return false
-			}
-			pub, ok := keys.KeyFor(q.Platform)
-			if !ok {
-				failReason = fmt.Sprintf("no key to verify hardware quote from %q", q.Platform)
-				failProv = rejectAt("quote", clauseQuote, m.Place, failReason)
-				return false
-			}
-			// Quote checks ride the same memo as evidence signatures: a
-			// cached hardware quote re-presented across packets is
-			// byte-identical, so the serialized claim bytes key the
-			// memoized verdict.
-			ok = memo.Check(pub, m.Claims, q.Signature, func() bool {
-				d.fresh = true
-				return rot.VerifyQuote(pub, q, nil) == nil
-			})
-			if !ok {
-				failReason = fmt.Sprintf("hardware quote from %s: verification failed", q.Platform)
-				failProv = rejectAt("quote", clauseQuote, m.Place, failReason)
-				return false
+		if n.Detail == evidence.DetailHardware && len(n.Claims) > 0 {
+			if reason := a.checkQuote(d, keys, place, n.Claims); reason != "" {
+				return false, reason, rejectAt("quote", clauseQuote, place, reason)
 			}
 		}
-		want, ok := golden[goldenKey{m.Place, m.Target, m.Detail}]
+		want, ok := golden[goldenKey{place, target, n.Detail}]
 		if !ok {
 			unknown++
 			if strict {
-				failReason = fmt.Sprintf("no golden value for %s/%s (%s)", m.Place, m.Target, m.Detail)
-				failProv = rejectAt("golden", clauseGolden, m.Place, failReason)
-				return false
+				reason := fmt.Sprintf("no golden value for %s/%s (%s)", place, target, n.Detail)
+				return false, reason, rejectAt("golden", clauseGolden, place, reason)
 			}
-			return true
+			continue
 		}
-		if want != m.Value {
-			failReason = fmt.Sprintf("measurement mismatch: %s/%s (%s) got %v want %v",
-				m.Place, m.Target, m.Detail, m.Value, want)
-			failProv = rejectAt("golden", clauseGolden, m.Place, failReason)
-			return false
+		if want != n.Value {
+			reason := fmt.Sprintf("measurement mismatch: %s/%s (%s) got %v want %v",
+				place, target, n.Detail, n.Value, want)
+			return false, reason, rejectAt("golden", clauseGolden, place, reason)
 		}
-		return true
-	})
-	if failReason != "" {
-		return false, failReason, failProv
 	}
 	reason := okReason(nsigs, total, unknown)
 	return true, reason, auditlog.Provenance{
@@ -778,31 +765,30 @@ func (a *Appraiser) check(d *decision, ev *evidence.Evidence, nonce []byte) (boo
 	}
 }
 
-// pathSigners returns the distinct signers of ev in path order — a
-// signature after everything it covers, so the first hop to sign comes
-// first — in one allocation of exactly their number. check calls it on
-// verified chains only, where every signer holds a registered key.
-func pathSigners(ev *evidence.Evidence) []string {
-	var buf [8]string // most paths fit without growing
-	found := appendSigners(buf[:0], ev)
-	if len(found) == 0 {
-		return nil
+// checkQuote checks the serialized quote a hardware claim presented at
+// place carries and returns why it fails, or "" when it verifies. Quote
+// checks ride the same memo as evidence signatures: a cached hardware
+// quote re-presented across rounds is byte-identical, so the serialized
+// claim bytes key the memoized verdict.
+func (a *Appraiser) checkQuote(d *decision, keys evidence.KeyMap, place string, claims []byte) string {
+	q, err := rot.DecodeQuote(claims)
+	if err != nil {
+		return fmt.Sprintf("hardware claim at %s: %v", place, err)
 	}
-	return append(make([]string, 0, len(found)), found...)
-}
-
-// appendSigners appends the signers in e that out lacks, in path order.
-func appendSigners(out []string, e *evidence.Evidence) []string {
-	switch e.Kind {
-	case evidence.KindSig:
-		out = appendSigners(out, e.Left)
-		if !slices.Contains(out, e.Signer) {
-			out = append(out, e.Signer)
-		}
-	case evidence.KindSeq, evidence.KindPar:
-		out = appendSigners(appendSigners(out, e.Left), e.Right)
+	if q.Platform != place {
+		return fmt.Sprintf("hardware quote speaks for %q but was presented by %q", q.Platform, place)
 	}
-	return out
+	pub, ok := keys.KeyFor(q.Platform)
+	if !ok {
+		return fmt.Sprintf("no key to verify hardware quote from %q", q.Platform)
+	}
+	if !a.memo.Check(pub, claims, q.Signature, func() bool {
+		d.fresh = true
+		return rot.VerifyQuote(pub, q, nil) == nil
+	}) {
+		return fmt.Sprintf("hardware quote from %s: verification failed", q.Platform)
+	}
+	return ""
 }
 
 // okReason renders the acceptance reason without fmt (two Sprintf calls
@@ -823,14 +809,27 @@ func okReason(nsigs, measurements, unknown int) string {
 }
 
 // Store saves a certificate for later retrieval by nonce — the
-// out-of-band variant's store(n).
+// out-of-band variant's store(n). The store keeps the newest maxCerts
+// certificates: storing one more forgets the oldest. A certificate
+// stored again under a nonce already held replaces it in place.
 func (a *Appraiser) Store(c *Certificate) {
 	a.certMu.Lock()
 	defer a.certMu.Unlock()
-	a.certs[string(c.Nonce)] = c
+	key := string(c.Nonce)
+	if _, ok := a.certs[key]; !ok {
+		if len(a.certRing) < maxCerts {
+			a.certRing = append(a.certRing, key)
+		} else {
+			delete(a.certs, a.certRing[a.certPos])
+			a.certRing[a.certPos] = key
+			a.certPos = (a.certPos + 1) % maxCerts
+		}
+	}
+	a.certs[key] = c
 }
 
-// Retrieve returns the certificate stored under nonce — retrieve(n).
+// Retrieve returns the certificate stored under nonce — retrieve(n). A
+// certificate older than the newest maxCerts answers ErrNoCertificate.
 func (a *Appraiser) Retrieve(nonce []byte) (*Certificate, error) {
 	a.certMu.Lock()
 	defer a.certMu.Unlock()
@@ -847,15 +846,18 @@ func (a *Appraiser) Handler() rats.Handler {
 	return func(req *rats.Message) *rats.Message {
 		switch req.Type {
 		case rats.MsgAppraise:
-			ev, err := evidence.Decode(req.Body)
-			if err != nil {
+			// The body is the evidence's canonical encoding: once Scan
+			// accepts it, it is appraised as received, never decoded.
+			if _, _, err := evidence.Scan(req.Body); err != nil {
 				return &rats.Message{Type: rats.MsgError, Session: req.Session, Body: []byte(err.Error())}
 			}
 			subject := "unknown"
 			if len(req.Claims) > 0 {
 				subject = req.Claims[0]
 			}
-			cert, err := a.AppraiseCtx(req.Context(), subject, ev, req.Nonce)
+			var d decision
+			a.decideEncoded(&d, req.Context(), subject, req.Body, nil, req.Nonce, "")
+			cert, err := a.single(&d)
 			if err != nil {
 				return &rats.Message{Type: rats.MsgError, Session: req.Session, Body: []byte(err.Error())}
 			}

@@ -69,11 +69,13 @@ func poolAppraiser(signer *rot.RoT) *Appraiser {
 	return a
 }
 
-// appraiseSerial is the reference: the plain appraiser, no memo, one
-// job after another.
+// appraiseSerial is the reference: the plain appraiser, one job after
+// another, its memo emptied before each, so every verdict comes from
+// full verification alone.
 func appraiseSerial(a *Appraiser, jobs []Job) []Result {
 	out := make([]Result, len(jobs))
 	for i, j := range jobs {
+		a.EnableMemo(0)
 		cert, err := a.Appraise(j.Subject, j.Evidence, j.Nonce)
 		out[i] = Result{Index: i, Certificate: cert, Err: err}
 	}
@@ -93,29 +95,32 @@ func submitAll(a *Appraiser, jobs []Job, workers int) []Result {
 	return out
 }
 
-// TestPoolDifferential runs the differential table with the memo off.
+// TestPoolDifferential runs the differential table with the pool's memo
+// cold: it has seen none of the run's chains.
 func TestPoolDifferential(t *testing.T) { poolDifferential(t, false) }
 
-// TestPoolDifferentialMemo runs the differential table with the memo on:
-// memoized verification must never change a verdict, must not keep one
-// the serial path would not reach, and re-presented chains must hit.
+// TestPoolDifferentialMemo runs the differential table with the pool's
+// memo warm: every chain of the run was appraised once before it, so the
+// memo answers every signature. Memoized verification must never change
+// a verdict, must not keep one the serial path would not reach, and
+// re-presented chains must hit.
 func TestPoolDifferentialMemo(t *testing.T) { poolDifferential(t, true) }
 
-// poolDifferential requires the pool to render exactly the plain serial
-// appraiser's verdict, reason, error, subject, nonce and evidence digest
-// for every job submitted to it, and the same set of serials: 1, 2, 4
-// and 8 workers, on an appraiser with the memo on or off. Each case
-// appraises every chain kind on its own, then the whole corpus followed
-// by two nonce-less re-presentations of it (each appraised again; memo
-// hits with the memo on). Certificate bytes may differ, since a worker
+// poolDifferential requires the pool to render exactly the reference
+// serial appraiser's verdict, reason, error, subject, nonce and evidence
+// digest for every job submitted to it, and the same set of serials: 1,
+// 2, 4 and 8 workers, on an appraiser whose memo is cold or warm. Each
+// case appraises every chain kind on its own, then the whole corpus
+// followed by two nonce-less re-presentations of it (each appraised
+// again; memo hits). Certificate bytes may differ, since a worker
 // certifies the memo-answered jobs queued behind each other with one
 // signature, but every pooled certificate must verify under the
-// appraiser's key, and with the memo on the re-presented corpus must
-// yield batched certificates. The torsion kind pins one signature
-// semantics: a cofactored check over a window of torsion chains would
-// PASS what crypto/ed25519 rejects, and with the memo on that PASS
-// would outlive the pool.
-func poolDifferential(t *testing.T, memo bool) {
+// appraiser's key, and the re-presented corpus must yield batched
+// certificates. The torsion kind pins one signature semantics: a
+// cofactored check over a window of torsion chains would PASS what
+// crypto/ed25519 rejects, and in the memo that PASS would outlive the
+// pool.
+func poolDifferential(t *testing.T, warm bool) {
 	signer := rot.NewDeterministic("sw1", []byte(poolSeed))
 	const n = 8
 	corpus, good := poolCorpus(t, signer, n)
@@ -150,10 +155,15 @@ func poolDifferential(t *testing.T, memo bool) {
 		t.Run(fmt.Sprintf("workers=%d/Submit", workers), func(t *testing.T) {
 			for _, run := range order {
 				a := poolAppraiser(signer)
-				if memo {
-					a.EnableMemo(0)
-				}
 				jobs := runs[run]
+				if warm {
+					// Appraise every chain once, nonce-less, so the
+					// replay set stays empty, then restart the serials.
+					for _, j := range jobs {
+						a.Appraise(j.Subject, j.Evidence, nil)
+					}
+					a.serial.Store(0)
+				}
 				got := submitAll(a, jobs, workers)
 				batched := 0
 				for i := range jobs {
@@ -171,9 +181,6 @@ func poolDifferential(t *testing.T, memo bool) {
 				}
 				if w, g := serials(want[run]), serials(got); !reflect.DeepEqual(w, g) {
 					t.Fatalf("%s: serial serials %v, pool serials %v", run, w, g)
-				}
-				if !memo {
-					continue
 				}
 				if run == "all" && batched == 0 {
 					t.Fatalf("no batched certificate over the re-presented corpus")

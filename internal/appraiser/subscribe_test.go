@@ -108,14 +108,28 @@ func TestPathSigners(t *testing.T) {
 	hop1 := evidence.Sign(sw1, evidence.Seq(evidence.Nonce([]byte("n")), claim("sw1")))
 	hop2 := evidence.Sign(sw2, evidence.Seq(hop1, claim("sw2")))
 	loop := evidence.Sign(sw1, evidence.Seq(hop2, claim("sw1")))
+	keys := evidence.KeyMap{"sw1": sw1.Public(), "sw2": sw2.Public()}
+	memo := evidence.NewVerifyMemo(0)
+	pathSigners := func(ev *evidence.Evidence) []string {
+		var signers []string
+		if _, _, err := memo.VerifyEncoded(evidence.Encode(ev), keys, &signers); err != nil {
+			t.Fatal(err)
+		}
+		return signers
+	}
 	if got, want := pathSigners(loop), []string{"sw1", "sw2"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("signers %v, want %v", got, want)
 	}
 	if got := pathSigners(claim("sw1")); got != nil {
 		t.Fatalf("unsigned chain: signers %v, want none", got)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { pathSigners(loop) }); allocs != 1 {
-		t.Fatalf("pathSigners allocated %.1f times, want 1", allocs)
+	if raceEnabled {
+		return // sync.Pool drops the walker's scratch under the race detector
+	}
+	enc := evidence.Encode(loop)
+	var signers []string
+	if allocs := testing.AllocsPerRun(100, func() { memo.VerifyEncoded(enc, keys, &signers) }); allocs != 1 {
+		t.Fatalf("the signer list allocated %.1f times, want 1", allocs)
 	}
 }
 
@@ -149,7 +163,13 @@ func TestTracerOnlyBuildsNoSigners(t *testing.T) {
 		}
 	}
 	bare := testing.AllocsPerRun(50, appraise)
-	flowID := testing.AllocsPerRun(50, func() { appraisalFlowID(ev, nil) })
+	enc := evidence.Encode(ev)
+	var id string
+	flowID := testing.AllocsPerRun(50, func() {
+		_, first, _ := evidence.Scan(enc)
+		id = appraisalFlowID(first)
+	})
+	_ = id
 	a.SetTracer(tr)
 	traced := testing.AllocsPerRun(50, appraise)
 	if traced != bare {

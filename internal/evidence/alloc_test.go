@@ -77,32 +77,40 @@ func TestDecodeDoesNotAliasInput(t *testing.T) {
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// TestMemoHitZeroAlloc pins the allocation-free memo hit: a lookup of a
-// memoized triple, and a VerifySignaturesMemo walk whose every signature
-// is memoized, allocate nothing.
+// TestMemoHitZeroAlloc pins the allocation-free memo hit: a
+// VerifyEncoded walk whose every signature is memoized allocates nothing,
+// and neither does one over a tree's encoding that Validate, AppendEncode
+// into reused scratch and the walk make together, the appraiser's tree
+// entry.
 func TestMemoHitZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	ev, r := allocEvidence(t)
-	pub := r.Public()
-	keys := KeyMap{"sw1": pub}
+	keys := KeyMap{"sw1": r.Public()}
 	memo := NewVerifyMemo(0)
-	msg := AppendSigMessage(nil, ev.Signer, ev.Left)
-	if !memo.Verify(pub, msg, ev.Signature) {
-		t.Fatal("honest signature rejected")
+	enc := Encode(ev)
+	if _, full, err := memo.VerifyEncoded(enc, keys, nil); full != 1 || err != nil {
+		t.Fatalf("first walk: %d verified in full, %v", full, err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		memo.Verify(pub, msg, ev.Signature)
+		if _, full, err := memo.VerifyEncoded(enc, keys, nil); full != 0 || err != nil {
+			t.Fatalf("memoized walk: %d verified in full, %v", full, err)
+		}
 	}); allocs != 0 {
-		t.Fatalf("memo hit allocated %.1f/op, want 0", allocs)
+		t.Fatalf("all-hit VerifyEncoded walk allocated %.1f/op, want 0", allocs)
 	}
+	scratch := make([]byte, 0, len(enc))
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := VerifySignaturesMemo(ev, keys, memo); err != nil {
+		if err := Validate(ev); err != nil {
+			t.Fatal(err)
+		}
+		scratch = AppendEncode(scratch[:0], ev)
+		if _, _, err := memo.VerifyEncoded(scratch, keys, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("all-hit VerifySignaturesMemo walk allocated %.1f/op, want 0", allocs)
+		t.Fatalf("validate, encode and an all-hit walk allocated %.1f/op, want 0", allocs)
 	}
 }
 

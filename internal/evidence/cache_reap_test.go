@@ -263,17 +263,17 @@ func TestVerifyMemoInstrument(t *testing.T) {
 	s := testSigner("sw1")
 	ev := Sign(s, Seq(sampleMeasurement(), Nonce([]byte("n"))))
 	keys := KeyMap{"sw1": s.Public()}
-	if _, err := VerifySignaturesMemo(ev, keys, m); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, _, err := m.VerifyEncoded(Encode(ev), keys, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := VerifySignaturesMemo(ev, keys, m); err != nil {
-		t.Fatal(err)
-	}
+	// One hit per signature walked, one miss per full verification.
 	snap := reg.Snapshot()
 	if v := snap.Value("pera_verify_memo_misses_total"); v != 1 {
 		t.Fatalf("misses = %v", v)
 	}
-	if v := snap.Value("pera_verify_memo_hits_total"); v != 1 {
+	if v := snap.Value("pera_verify_memo_hits_total"); v != 2 {
 		t.Fatalf("hits = %v", v)
 	}
 	if v := snap.Value("pera_verify_memo_entries"); v != 1 {

@@ -123,7 +123,7 @@ func Decode(data []byte) (*Evidence, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := decoder{buf: append([]byte(nil), data...), arena: make([]Evidence, nodes)}
+	d := decoder{c: NewCursor(append([]byte(nil), data...)), arena: make([]Evidence, nodes)}
 	return d.evidence(), nil
 }
 
@@ -199,7 +199,7 @@ func Scan(data []byte) (nodes int, nonce []byte, err error) {
 	return nodes, nonce, nil
 }
 
-// internTab deduplicates decoded strings across packets. The table is
+// internTab deduplicates decoded names across packets. The table is
 // bounded: oversized strings bypass it and a full table is dropped
 // wholesale (hostile unique-string floods degrade to plain allocation,
 // they cannot grow memory without bound).
@@ -213,7 +213,10 @@ const (
 	internMaxLen = 128
 )
 
-func internString(b []byte) string {
+// Name returns the string of a name field (a signer, measurer, target or
+// place) through the bounded intern table: names recur on every packet
+// of a flow, so reading one usually allocates nothing.
+func Name(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
@@ -237,33 +240,28 @@ func internString(b []byte) string {
 }
 
 // decoder builds the tree of an encoding Scan has accepted, so no read
-// can fail: fields alias buf and nodes come from an arena of exactly the
-// tree's size.
+// can fail: a cursor reads the nodes in preorder, the order the tree is
+// built in, and they come from an arena of exactly the tree's size.
 type decoder struct {
-	buf   []byte
-	off   int
+	c     Cursor
+	n     Node // the node being read; a child's read reuses it
 	arena []Evidence
 }
 
 func (d *decoder) evidence() *Evidence {
+	n := &d.n
+	d.c.Next(n)
 	e := &d.arena[0]
 	d.arena = d.arena[1:]
-	e.Kind = Kind(d.buf[d.off])
-	d.off++
+	*e = Evidence{
+		Kind: n.Kind, Nonce: orNil(n.Nonce),
+		Measurer: Name(n.Measurer), Target: Name(n.Target), Place: Name(n.Place),
+		Detail: n.Detail, Value: n.Value, Claims: orNil(n.Claims),
+		Digest: n.Digest,
+		Signer: Name(n.Signer), Signature: orNil(n.Signature),
+	}
 	switch e.Kind {
-	case KindNonce:
-		e.Nonce = d.bytes()
-	case KindMeasurement:
-		e.Measurer, e.Target, e.Place = d.string(), d.string(), d.string()
-		e.Detail = Detail(d.buf[d.off])
-		d.off++
-		d.digest(&e.Value)
-		e.Claims = d.bytes()
-	case KindHash:
-		d.digest(&e.Digest)
 	case KindSig:
-		e.Signer = d.string()
-		e.Signature = d.bytes()
 		e.Left = d.evidence()
 	case KindSeq, KindPar:
 		e.Left = d.evidence()
@@ -272,21 +270,13 @@ func (d *decoder) evidence() *Evidence {
 	return e
 }
 
-func (d *decoder) digest(out *rot.Digest) {
-	d.off += copy(out[:], d.buf[d.off:])
-}
-
-// bytes returns the next field, nil when it is empty.
-func (d *decoder) bytes() []byte {
-	v, off, _ := readField(d.buf, d.off)
-	d.off = off
-	if len(v) == 0 {
+// orNil returns an empty field as nil, as the tree constructors hold it.
+func orNil(b []byte) []byte {
+	if len(b) == 0 {
 		return nil
 	}
-	return v
+	return b
 }
-
-func (d *decoder) string() string { return internString(d.bytes()) }
 
 // readField reads the u32 length-prefixed field at buf[off:] and returns
 // it, capacity-clamped and aliasing buf, with the offset past it.

@@ -235,62 +235,20 @@ func (m KeyMap) KeyFor(signer string) (ed25519.PublicKey, bool) {
 	return k, ok
 }
 
-// VerifySignatures walks e and checks every signature node against keys.
-// It returns the number of signatures checked. A single bad or unkeyed
-// signature fails the whole tree: path evidence is only as strong as its
-// weakest link.
+// VerifySignatures checks every signature node of e against keys and
+// returns the number checked: it validates e, encodes it once into pooled
+// scratch and walks the encoding (VerifyEncoded, with no memo). A single
+// bad or unkeyed signature fails the whole tree: path evidence is only as
+// strong as its weakest link.
 func VerifySignatures(e *Evidence, keys KeyResolver) (int, error) {
-	return VerifySignaturesMemo(e, keys, nil)
-}
-
-// VerifySignaturesMemo is VerifySignatures with an optional verification
-// memo: signature nodes whose (key, message, signature) triple was checked
-// before cost one hash lookup instead of one ed25519.Verify. A nil memo
-// verifies everything in full.
-func VerifySignaturesMemo(e *Evidence, keys KeyResolver, memo *VerifyMemo) (int, error) {
-	if e == nil {
-		return 0, ErrMalformed
+	if err := Validate(e); err != nil {
+		return 0, err
 	}
-	// One scratch buffer serves every signature node in the walk; on memo
-	// hits the whole traversal allocates nothing.
 	bp := encBufPool.Get().(*[]byte)
-	defer func() {
-		encBufPool.Put(bp)
-	}()
-	n := 0
-	var walk func(*Evidence) error
-	walk = func(ev *Evidence) error {
-		if ev == nil {
-			return ErrMalformed
-		}
-		switch ev.Kind {
-		case KindEmpty, KindNonce, KindMeasurement, KindHash:
-			return nil
-		case KindSig:
-			pub, ok := keys.KeyFor(ev.Signer)
-			if !ok {
-				return fmt.Errorf("%w: %q", ErrUnknownKey, ev.Signer)
-			}
-			msg := AppendSigMessage((*bp)[:0], ev.Signer, ev.Left)
-			*bp = msg[:0]
-			if !memo.Verify(pub, msg, ev.Signature) {
-				return fmt.Errorf("%w: signer %q", ErrBadSignature, ev.Signer)
-			}
-			n++
-			return walk(ev.Left)
-		case KindSeq, KindPar:
-			if err := walk(ev.Left); err != nil {
-				return err
-			}
-			return walk(ev.Right)
-		default:
-			return fmt.Errorf("%w: kind %v", ErrMalformed, ev.Kind)
-		}
-	}
-	if err := walk(e); err != nil {
-		return n, err
-	}
-	return n, nil
+	*bp = AppendEncode((*bp)[:0], e)
+	n, _, err := (*VerifyMemo)(nil).VerifyEncoded(*bp, keys, nil)
+	encBufPool.Put(bp)
+	return n, err
 }
 
 // Measurements returns all measurement nodes in e, left-to-right. This is
@@ -316,60 +274,6 @@ func Measurements(e *Evidence) []*Evidence {
 	return out
 }
 
-// WalkMeasurements visits every measurement node in e, left-to-right,
-// without building a slice; fn returning false stops the walk. The
-// appraisal hot path uses this in place of Measurements.
-func WalkMeasurements(e *Evidence, fn func(*Evidence) bool) {
-	var walk func(*Evidence) bool
-	walk = func(ev *Evidence) bool {
-		if ev == nil {
-			return true
-		}
-		switch ev.Kind {
-		case KindMeasurement:
-			return fn(ev)
-		case KindSig:
-			return walk(ev.Left)
-		case KindSeq, KindPar:
-			return walk(ev.Left) && walk(ev.Right)
-		}
-		return true
-	}
-	walk(e)
-}
-
-// CountMeasurements returns the number of measurement nodes in e.
-func CountMeasurements(e *Evidence) int {
-	n := 0
-	WalkMeasurements(e, func(*Evidence) bool { n++; return true })
-	return n
-}
-
-// HasNonce reports whether nonce appears as a nonce node in e, without
-// materializing the Nonces slice.
-func HasNonce(e *Evidence, nonce []byte) bool {
-	found := false
-	var walk func(*Evidence)
-	walk = func(ev *Evidence) {
-		if ev == nil || found {
-			return
-		}
-		switch ev.Kind {
-		case KindNonce:
-			if string(ev.Nonce) == string(nonce) {
-				found = true
-			}
-		case KindSig:
-			walk(ev.Left)
-		case KindSeq, KindPar:
-			walk(ev.Left)
-			walk(ev.Right)
-		}
-	}
-	walk(e)
-	return found
-}
-
 // FirstNonce returns the value of the first nonce node in e that is not
 // empty, or nil. It is the flow ID rule every plane shares: the switch's
 // pera.FlowID, the appraiser's and the pool's trace correlation.
@@ -385,31 +289,6 @@ func FirstNonce(e *Evidence) []byte {
 			if len(ev.Nonce) > 0 {
 				out = ev.Nonce
 			}
-		case KindSig:
-			walk(ev.Left)
-		case KindSeq, KindPar:
-			walk(ev.Left)
-			walk(ev.Right)
-		}
-	}
-	walk(e)
-	return out
-}
-
-// Hashes returns all hash-commitment digests appearing in e,
-// left-to-right — what an appraiser checks against expected evidence
-// digests when attesters collapse their measurements with # before
-// signing (expression (3) of the paper).
-func Hashes(e *Evidence) []rot.Digest {
-	var out []rot.Digest
-	var walk func(*Evidence)
-	walk = func(ev *Evidence) {
-		if ev == nil {
-			return
-		}
-		switch ev.Kind {
-		case KindHash:
-			out = append(out, ev.Digest)
 		case KindSig:
 			walk(ev.Left)
 		case KindSeq, KindPar:

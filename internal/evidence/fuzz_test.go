@@ -2,8 +2,10 @@ package evidence
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -80,9 +82,17 @@ func TestDecodeDeepNesting(t *testing.T) {
 // inputs, and every accepted input must re-encode byte for byte, with
 // EncodedSize equal to its length: the encoding is canonical, so one tree
 // has one byte string. Scan must count the tree's nodes and find its
-// first nonce as the tree functions do. The seed corpus in
-// testdata/fuzz/FuzzDecode also runs under plain go test.
+// first nonce as the tree functions do. The signature walker over the
+// bytes must agree with the tree reference over the decoded tree, with
+// its memo cold and then warm: the same signature count, error text and
+// path-ordered signers, and SHA-256 of the input is the tree's DigestOf.
+// The seed corpus in testdata/fuzz/FuzzDecode also runs under plain go
+// test.
 func FuzzDecode(f *testing.F) {
+	keys := KeyMap{}
+	for _, name := range []string{"sw1", "sw2", "sw3"} {
+		keys[name] = testSigner(name).Public()
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ev, err := Decode(data)
 		nodes, nonce, scanErr := Scan(data)
@@ -106,6 +116,21 @@ func FuzzDecode(f *testing.F) {
 		}
 		if n := EncodedSize(ev); n != len(data) {
 			t.Fatalf("accepted %d bytes, EncodedSize %d", len(data), n)
+		}
+		if sha256.Sum256(data) != DigestOf(ev) {
+			t.Fatal("SHA-256 of the encoding differs from DigestOf")
+		}
+		refN, refErr := refVerifySignatures(ev, keys, nil)
+		memo := NewVerifyMemo(0)
+		for _, temp := range []string{"cold", "warm"} {
+			var signers []string
+			n, _, err := memo.VerifyEncoded(data, keys, &signers)
+			if n != refN || (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+				t.Fatalf("%s memo: walker %d, %v; reference %d, %v", temp, n, err, refN, refErr)
+			}
+			if want := refPathSigners(ev); err == nil && !slices.Equal(signers, want) {
+				t.Fatalf("%s memo: signers %q, reference %q", temp, signers, want)
+			}
 		}
 	})
 }

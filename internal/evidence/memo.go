@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"pera/internal/auditlog"
-	"pera/internal/rot"
 	"pera/internal/telemetry"
 )
 
@@ -75,18 +74,36 @@ type memoKey [sha256.Size]byte
 // at least one entry per shard). capacity <= 0 selects
 // DefaultMemoCapacity.
 func NewVerifyMemo(capacity int) *VerifyMemo {
-	if capacity <= 0 {
-		capacity = DefaultMemoCapacity
-	}
-	per := (capacity + memoShards - 1) / memoShards
-	if per < 1 {
-		per = 1
-	}
 	// Shard maps are created lazily on first store into each shard —
 	// lookups against a nil map are natural misses, and a memo is
 	// rebuilt per run in benchmarks and sweeps, so the 16-shard eager
 	// setup was pure constructor overhead.
-	return &VerifyMemo{perShard: per}
+	return &VerifyMemo{perShard: perShard(capacity)}
+}
+
+// perShard is the per-shard bound of a memo of capacity entries.
+func perShard(capacity int) int {
+	if capacity <= 0 {
+		capacity = DefaultMemoCapacity
+	}
+	return max((capacity+memoShards-1)/memoShards, 1)
+}
+
+// Reset empties the memo, zeroes its counters and bounds it to capacity
+// entries (as NewVerifyMemo does) in place, so whatever reads the memo —
+// an appraiser, a registry it was instrumented into — keeps reading it.
+func (m *VerifyMemo) Reset(capacity int) {
+	for i := range m.shards {
+		m.shards[i].mu.Lock()
+	}
+	m.perShard = perShard(capacity) // store reads it under a shard lock
+	for i := range m.shards {
+		s := &m.shards[i]
+		s.entries, s.ring, s.pos = nil, nil, 0
+		s.mu.Unlock()
+	}
+	m.hits.Store(0)
+	m.misses.Store(0)
 }
 
 // memoHashPool recycles SHA-256 states for key construction; sha256.New
@@ -107,6 +124,15 @@ type memoHasher struct {
 // memoKeyOf builds the lookup key. Fields are length-prefixed so the
 // boundary between public key, signature and message is unambiguous.
 func memoKeyOf(pub ed25519.PublicKey, message, sig []byte) memoKey {
+	mh := startKey(pub, sig)
+	mh.h.Write(message)
+	return mh.finish()
+}
+
+// startKey takes a pooled hasher and writes the key's length-prefixed
+// public key and signature; the caller writes the message, in as many
+// pieces as it lies in, and calls finish.
+func startKey(pub ed25519.PublicKey, sig []byte) *memoHasher {
 	mh := memoHashPool.Get().(*memoHasher)
 	h := mh.h
 	h.Reset()
@@ -116,9 +142,13 @@ func memoKeyOf(pub ed25519.PublicKey, message, sig []byte) memoKey {
 	binary.BigEndian.PutUint32(mh.lp[:], uint32(len(sig)))
 	h.Write(mh.lp[:])
 	h.Write(sig)
-	h.Write(message)
+	return mh
+}
+
+// finish returns the key and the hasher to its pool.
+func (mh *memoHasher) finish() memoKey {
 	var k memoKey
-	copy(k[:], h.Sum(mh.sum[:0]))
+	copy(k[:], mh.h.Sum(mh.sum[:0]))
 	memoHashPool.Put(mh)
 	return k
 }
@@ -170,90 +200,10 @@ func (m *VerifyMemo) insert(k memoKey, verdict bool) {
 	m.store(k, verdict)
 }
 
-// Verify checks the detached rot.Sign-style signature under pub, consulting
-// the memo first. A nil memo is valid and always verifies in full. Unlike
-// the generic Check, this path builds no closure, so memo hits are
-// allocation-free.
-func (m *VerifyMemo) Verify(pub ed25519.PublicKey, message, sig []byte) bool {
-	if m == nil {
-		return rot.Verify(pub, message, sig)
-	}
-	k := memoKeyOf(pub, message, sig)
-	if v, ok := m.lookup(k); ok {
-		m.hits.Add(1)
-		return v
-	}
-	v := rot.Verify(pub, message, sig)
-	m.insert(k, v)
-	return v
-}
-
-// prewarmScratch is Prewarm's pooled working set: the chain's signature
-// nodes, their keys, and one rot.SigPrefix‖message buffer.
-type prewarmScratch struct {
-	sigs []*Evidence
-	pubs []ed25519.PublicKey
-	msg  []byte
-}
-
-var prewarmPool = sync.Pool{New: func() any { return new(prewarmScratch) }}
-
-// Prewarm verifies every signature in e whose triple the memo does not
-// know yet, one at a time with crypto/ed25519 (exactly the check
-// rot.Verify makes), and stores the verdicts. Each new triple costs one
-// miss and one memo_insert record; the VerifySignaturesMemo walk that
-// follows then answers it as a hit without building a prefixed message.
-// A chain with an unknown signer or a malformed node seeds nothing: the
-// walk reports it. It returns how many signatures it verified in full.
-// A nil memo does nothing.
-func (m *VerifyMemo) Prewarm(e *Evidence, keys KeyResolver) (verified int) {
-	if m == nil {
-		return 0
-	}
-	s := prewarmPool.Get().(*prewarmScratch)
-	if s.collect(e, keys) {
-		for i, ev := range s.sigs {
-			pub := s.pubs[i]
-			s.msg = AppendSigMessage(append(s.msg[:0], rot.SigPrefix...), ev.Signer, ev.Left)
-			k := memoKeyOf(pub, s.msg[len(rot.SigPrefix):], ev.Signature)
-			if _, ok := m.lookup(k); !ok {
-				m.insert(k, len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, s.msg, ev.Signature))
-				verified++
-			}
-		}
-	}
-	clear(s.sigs) // do not pin the chain in the pool
-	s.sigs, s.pubs = s.sigs[:0], s.pubs[:0]
-	prewarmPool.Put(s)
-	return verified
-}
-
-// collect appends e's signature nodes and their keys in walk order. It
-// reports false for an unknown signer or a malformed node.
-func (s *prewarmScratch) collect(e *Evidence, keys KeyResolver) bool {
-	if e == nil {
-		return false
-	}
-	switch e.Kind {
-	case KindEmpty, KindNonce, KindMeasurement, KindHash:
-		return true
-	case KindSig:
-		pub, ok := keys.KeyFor(e.Signer)
-		if !ok {
-			return false
-		}
-		s.sigs, s.pubs = append(s.sigs, e), append(s.pubs, pub)
-		return s.collect(e.Left, keys)
-	case KindSeq, KindPar:
-		return s.collect(e.Left, keys) && s.collect(e.Right, keys)
-	}
-	return false
-}
-
 // Check returns the memoized verdict for (pub, message, sig), calling
-// verify and recording its result on a miss. It is the generic entry point
-// for memoizing any signature-shaped check (quotes); the evidence
-// signature path uses the closure-free Verify.
+// verify and recording its result on a miss. It memoizes any
+// signature-shaped check (quotes); evidence signatures go through
+// VerifyEncoded.
 func (m *VerifyMemo) Check(pub ed25519.PublicKey, message, sig []byte, verify func() bool) bool {
 	if m == nil {
 		return verify()
@@ -297,15 +247,6 @@ func (m *VerifyMemo) Stats() MemoStats {
 		s.mu.Unlock()
 	}
 	return st
-}
-
-// ResetStats zeroes the hit/miss counters without dropping entries.
-func (m *VerifyMemo) ResetStats() {
-	if m == nil {
-		return
-	}
-	m.hits.Store(0)
-	m.misses.Store(0)
 }
 
 // Instrument publishes the memo's effectiveness counters as lazy

@@ -48,7 +48,7 @@ func runAuditedThroughput(t *testing.T, packets, flows int) (string, *telemetry.
 	// One worker: appraisals run sequentially, so the ledger's total
 	// order and the tracer's span order can be compared exactly.
 	res, err := RunThroughput(ThroughputOptions{
-		Workers: 1, Packets: packets, Flows: flows, Memo: true,
+		Workers: 1, Packets: packets, Flows: flows,
 		Planes: Planes{Tracer: tr, Audit: w},
 	})
 	if err != nil {

@@ -302,12 +302,6 @@ func RunFig2(flows int) ([]Fig2Row, error) {
 	return rows, nil
 }
 
-// Fig3Row is one pipeline-stage cost measurement.
-type Fig3Row struct {
-	Stage   string
-	NsPerOp float64
-}
-
 // Fig3Stages enumerates the cumulative pipeline configurations of the
 // Fig. 3 switch diagram, each adding one evidence stage.
 var Fig3Stages = []string{

@@ -42,8 +42,6 @@ type ObserveOptions struct {
 	// StatsEvery pushes switch/audit/memo health to the collector every
 	// N packets (the out-of-band telemetry feed). Default 16.
 	StatsEvery int
-	// Memo enables the appraiser's verification memo.
-	Memo bool
 	// NetTracing turns on netsim delivery tracing so the result's
 	// testbed can corroborate span hop order against frames on the wire.
 	NetTracing bool
@@ -133,9 +131,6 @@ func RunObserve(o ObserveOptions) (*ObserveResult, error) {
 	if col == nil {
 		col = observatory.New("collector", observatory.Config{})
 	}
-	if o.Memo {
-		tb.Appraiser.EnableMemo(0)
-	}
 	// The collector's feeds 1 and 2: the span trails of terminal frames,
 	// and appraisal verdicts with place attribution.
 	Planes{Registry: o.Registry, Tracer: o.Tracer, Audit: o.Audit, Collector: col}.Attach(tb, cache)
@@ -155,10 +150,8 @@ func RunObserve(o ObserveOptions) (*ObserveResult, error) {
 		if o.Audit != nil {
 			col.IngestAudit(usecases.AppraiserName, o.Audit.Records(), o.Audit.Dropped())
 		}
-		if o.Memo {
-			ms := tb.Appraiser.MemoStats()
-			col.IngestMemo(usecases.AppraiserName, ms.Hits, ms.Misses)
-		}
+		ms := tb.Appraiser.MemoStats()
+		col.IngestMemo(usecases.AppraiserName, ms.Hits, ms.Misses)
 	}
 	for i := 0; i < o.Packets; i++ {
 		if o.AttackAfter >= 0 && i == o.AttackAfter {

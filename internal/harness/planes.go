@@ -34,8 +34,7 @@ type Planes struct {
 // covers from the signers that envelope verified. The watchdog, the
 // collector and then the ledger subscribe to it, in that order, so the
 // alert records a verdict causes precede the verdict's own record. Call
-// it before traffic flows and after EnableMemo, so the memo's counters
-// are exported too.
+// it before traffic flows.
 func (p Planes) Attach(tb *usecases.Testbed, cache *evidence.Cache) {
 	for _, sw := range tb.Switches {
 		if p.Registry != nil {

@@ -40,7 +40,7 @@ func runLedgered(t *testing.T, o ThroughputOptions) ([]auditlog.Record, *Through
 // timing, so a run with no registry and no tracer still records the
 // duration of every switch sign and cache-miss stage.
 func TestLedgerTimedWithoutOtherPlanes(t *testing.T) {
-	recs, _ := runLedgered(t, ThroughputOptions{Workers: 1, Packets: 6, Flows: 3, Memo: true})
+	recs, _ := runLedgered(t, ThroughputOptions{Workers: 1, Packets: 6, Flows: 3})
 	seen := map[auditlog.Event]int{}
 	for _, r := range recs {
 		if r.Event != auditlog.EventSign && r.Event != auditlog.EventCacheMiss {
@@ -147,7 +147,7 @@ func TestPlanesAgree(t *testing.T) {
 	tr.SetSampleEvery(1)
 	col := observatory.New("planes", observatory.Config{})
 	recs, res := runLedgered(t, ThroughputOptions{
-		Workers: 2, Packets: packets, Flows: flows, Memo: true,
+		Workers: 2, Packets: packets, Flows: flows,
 		Planes: Planes{Registry: reg, Tracer: tr, Collector: col},
 	})
 	if res.Pass != packets {

@@ -39,13 +39,13 @@ func TestProfilerE2EStageAttribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling e2e needs a real CPU window")
 	}
-	// Unique chains (Packets == Flows) with the memo off: every job
-	// pays its own signature checks, so the verify stage stays
-	// genuinely hot for the whole phase.
+	// Unique chains (Packets == Flows): no signature repeats, so every
+	// job pays its own signature checks in full and the verify stage
+	// stays genuinely hot for the whole phase.
 	const n = 1600
 	p := profiler.New(profiler.Options{Service: "tp-e2e"})
 	res, err := RunThroughput(ThroughputOptions{
-		Workers: 2, Packets: n, Flows: n, Memo: false, Profiler: p,
+		Workers: 2, Packets: n, Flows: n, Profiler: p,
 	})
 	if err != nil {
 		t.Fatal(err)

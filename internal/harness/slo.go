@@ -54,8 +54,6 @@ type SLOOptions struct {
 	// Budget overrides the derived staleness budget (default: derived
 	// from CacheTTL → fresh < 24s, lapsed ≥ 48s).
 	Budget freshness.Budget
-	// Memo enables the appraiser's verification memo.
-	Memo bool
 
 	// Watchdog receives everything; one is created when nil. A caller
 	// that pre-creates it (perasim, to mount /coverage.json before the
@@ -229,16 +227,11 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 
 	// The watchdog's two feeds: the cache lifecycle (evidence age per
 	// place) and verdicts, each naming the places whose signatures it
-	// verified — in-band packets and probes alike. The appraiser is
-	// instrumented before EnableMemo: the probe path's memo stays
-	// unexported.
+	// verified — in-band packets and probes alike.
 	Planes{
 		Registry: o.Registry, Tracer: o.Tracer, Audit: o.Audit,
 		Collector: col, Watchdog: wd,
 	}.Attach(tb, cache)
-	if o.Memo {
-		tb.Appraiser.EnableMemo(0)
-	}
 
 	res := &SLOResult{
 		Hops: o.Hops, Packets: o.Packets,

@@ -26,7 +26,6 @@ func TestSLOTrustDecayE2E(t *testing.T) {
 	res, err := RunSLO(SLOOptions{
 		Audit:    aud,
 		AlertLog: &logBuf,
-		Memo:     true,
 	})
 	if err != nil {
 		t.Fatalf("RunSLO: %v", err)

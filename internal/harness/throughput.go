@@ -37,7 +37,6 @@ type ThroughputResult struct {
 	// Speedup is relative to the first entry of a sweep (1.0 standalone).
 	Speedup float64
 
-	MemoEnabled bool
 	MemoHits    uint64
 	MemoMisses  uint64
 	MemoHitRate float64
@@ -57,7 +56,6 @@ type ThroughputOptions struct {
 	Workers int
 	Packets int
 	Flows   int
-	Memo    bool
 
 	// Planes are attached before the first packet, so they cover the
 	// walk (the on-switch half) and the pooled appraisal both; the pool
@@ -105,9 +103,6 @@ func ThroughputCorpus(o ThroughputOptions) ([]appraiser.Job, *usecases.Testbed, 
 	})
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	if o.Memo {
-		tb.Appraiser.EnableMemo(0)
 	}
 	o.Planes.Attach(tb, cache)
 	nonces := make([][]byte, flows)
@@ -162,17 +157,14 @@ func RunThroughput(o ThroughputOptions) (*ThroughputResult, error) {
 	res := &ThroughputResult{
 		Workers: pool.Workers(), Packets: o.Packets, Flows: o.Flows,
 		Pass: st.Pass, Fail: st.Fail, Errors: st.Errors,
-		Elapsed:     elapsed,
-		Speedup:     1.0,
-		MemoEnabled: o.Memo,
+		Elapsed: elapsed,
+		Speedup: 1.0,
 	}
 	if s := elapsed.Seconds(); s > 0 {
 		res.PacketsPerSec = float64(o.Packets) / s
 	}
-	if o.Memo {
-		ms := a.MemoStats()
-		res.MemoHits, res.MemoMisses, res.MemoHitRate = ms.Hits, ms.Misses, ms.HitRate()
-	}
+	ms := a.MemoStats()
+	res.MemoHits, res.MemoMisses, res.MemoHitRate = ms.Hits, ms.Misses, ms.HitRate()
 	res.CacheHitRate = cache.Stats().HitRate()
 	if o.Registry != nil {
 		snap := o.Registry.Snapshot()

@@ -8,12 +8,12 @@ import (
 )
 
 // TestRunThroughput checks the end-to-end harness: every walked packet
-// must appraise to a passing verdict, and with the memo enabled the
-// re-presented per-flow chains must produce a substantial hit rate
-// (the acceptance criterion for the verification memo).
+// must appraise to a passing verdict, and the re-presented per-flow
+// chains must produce a substantial memo hit rate (the acceptance
+// criterion for the verification memo).
 func TestRunThroughput(t *testing.T) {
 	const packets, flows = 60, 3
-	res, err := RunThroughput(ThroughputOptions{Workers: 4, Packets: packets, Flows: flows, Memo: true})
+	res, err := RunThroughput(ThroughputOptions{Workers: 4, Packets: packets, Flows: flows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,23 +32,45 @@ func TestRunThroughput(t *testing.T) {
 }
 
 // TestThroughputMemoDifferential ensures the memo changes cost, never
-// verdicts: memo-on and memo-off runs over identical corpora must agree.
+// verdicts: the pooled run, its memo answering every re-presented chain,
+// must agree with a reference appraisal of an identical corpus that
+// empties the memo before every job, so that each of its verdicts comes
+// from full verification alone.
 func TestThroughputMemoDifferential(t *testing.T) {
 	const packets, flows = 40, 2
-	on, err := RunThroughput(ThroughputOptions{Workers: 2, Packets: packets, Flows: flows, Memo: true})
+	on, err := RunThroughput(ThroughputOptions{Workers: 2, Packets: packets, Flows: flows})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := RunThroughput(ThroughputOptions{Workers: 2, Packets: packets, Flows: flows})
+	jobs, tb, _, err := ThroughputCorpus(ThroughputOptions{Packets: packets, Flows: flows})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var off ThroughputResult
+	a := tb.Appraiser
+	for _, j := range jobs {
+		a.EnableMemo(0)
+		cert, err := a.Appraise(j.Subject, j.Evidence, j.Nonce)
+		switch {
+		case err != nil:
+			off.Errors++
+		case cert.Verdict:
+			off.Pass++
+		default:
+			off.Fail++
+		}
+		// An emptied memo answers nothing: every signature and quote
+		// it was asked about was verified in full.
+		if st := a.MemoStats(); st.Misses == 0 || st.Entries != int(st.Misses) {
+			t.Fatalf("reference appraisal on an emptied memo: %+v", st)
+		}
 	}
 	if on.Pass != off.Pass || on.Fail != off.Fail || on.Errors != off.Errors {
-		t.Fatalf("memo changed verdicts: on=%d/%d/%d off=%d/%d/%d",
+		t.Fatalf("memo changed verdicts: on=%d/%d/%d reference=%d/%d/%d",
 			on.Pass, on.Fail, on.Errors, off.Pass, off.Fail, off.Errors)
 	}
-	if off.MemoHits != 0 || off.MemoMisses != 0 {
-		t.Fatalf("memo-off run reported memo traffic: %+v", off)
+	if on.MemoHits == 0 {
+		t.Fatalf("pooled run reported no memo hits: %+v", on)
 	}
 }
 
@@ -58,7 +80,7 @@ func TestThroughputMemoDifferential(t *testing.T) {
 // they are gated on GOMAXPROCS.
 func TestRunThroughputSweep(t *testing.T) {
 	const packets, flows = 40, 2
-	rows, err := RunThroughputSweep([]int{1, 2, 4}, ThroughputOptions{Packets: packets, Flows: flows, Memo: true})
+	rows, err := RunThroughputSweep([]int{1, 2, 4}, ThroughputOptions{Packets: packets, Flows: flows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +118,7 @@ func TestRunThroughputInstrumented(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewFlowTracer(256)
 	res, err := RunThroughput(ThroughputOptions{
-		Workers: workers, Packets: packets, Flows: flows, Memo: true,
+		Workers: workers, Packets: packets, Flows: flows,
 		Planes: Planes{Registry: reg, Tracer: tr},
 	})
 	if err != nil {

@@ -559,15 +559,12 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 		// The Verify half of the Sign/Verify stage (Fig. 3): inspect the
 		// incoming chain before doing any work on its behalf; a frame
 		// whose evidence does not verify is dropped here, so upstream
-		// tampering cannot ride further along the path. The chain is
-		// decoded for the check alone and stays bytes for the hop.
+		// tampering cannot ride further along the path. The signature
+		// walker checks the chain as the bytes popChain scanned.
 		if cfg.VerifyIncoming != nil {
 			s.met.verifyOps.Inc()
 			m := rec.Begin(telemetry.StageVerify)
-			ev, err := evidence.Decode(hdr.chain)
-			if err == nil {
-				_, err = evidence.VerifySignaturesMemo(ev, cfg.VerifyIncoming, cfg.VerifyMemo)
-			}
+			_, _, err := cfg.VerifyMemo.VerifyEncoded(hdr.chain, cfg.VerifyIncoming, nil)
 			if err != nil {
 				s.met.verifyFails.Inc()
 				rec.End(m, telemetry.StageEvent{

@@ -28,6 +28,9 @@ type Instance struct {
 	// installs are control-plane rare, digest reads are per-attestation.
 	tablesDigest atomic.Pointer[rot.Digest]
 
+	// mu serializes the control plane's table writes and guards the
+	// registers. The tables map and the ingress and egress lists are
+	// fixed at Load; each table's entries are read through its snapshot.
 	mu      sync.RWMutex
 	tables  map[string]*tableState
 	ingress []*tableState // prog.Ingress's tables, in order
@@ -37,11 +40,25 @@ type Instance struct {
 }
 
 type tableState struct {
-	decl    *p4ir.Table
-	plan    *tablePlan
+	decl *p4ir.Table
+	plan *tablePlan
+	// snap is the table's contents as the last InstallEntry or
+	// ClearTable published them, so a packet looks the table up without
+	// a lock. A snapshot is never changed once published: an install
+	// appends past the end of the current one, which readers of it
+	// never see, and a clear publishes an empty one.
+	snap atomic.Pointer[tableSnap]
+}
+
+// tableSnap is a table's installed entries and their bound actions.
+type tableSnap struct {
 	entries []p4ir.Entry
 	acts    []entryAction // entries[i]'s action, resolved at install
 }
+
+// noEntries is every empty table's snapshot; snapshots are immutable, so
+// one serves them all.
+var noEntries = &tableSnap{}
 
 // entryAction is an installed entry's action and its parameter values
 // in the action's declared order.
@@ -112,11 +129,13 @@ func Load(prog *p4ir.Program) (*Instance, error) {
 	}
 	for _, t := range prog.Ingress {
 		ts := &tableState{decl: t, plan: l.tables[t]}
+		ts.snap.Store(noEntries)
 		in.tables[t.Name] = ts
 		in.ingress = append(in.ingress, ts)
 	}
 	for _, t := range prog.Egress {
 		ts := &tableState{decl: t, plan: l.tables[t]}
+		ts.snap.Store(noEntries)
 		in.tables[t.Name] = ts
 		in.egress = append(in.egress, ts)
 	}
@@ -141,8 +160,9 @@ func (in *Instance) InstallEntry(table string, e p4ir.Entry) error {
 	if len(e.Matches) != len(ts.decl.Keys) {
 		return fmt.Errorf("%w: %d matches for %d keys", ErrBadEntry, len(e.Matches), len(ts.decl.Keys))
 	}
-	if ts.decl.MaxEntries > 0 && len(ts.entries) >= ts.decl.MaxEntries {
-		return fmt.Errorf("%w: %q at %d entries", ErrTableFull, table, len(ts.entries))
+	cur := ts.snap.Load()
+	if ts.decl.MaxEntries > 0 && len(cur.entries) >= ts.decl.MaxEntries {
+		return fmt.Errorf("%w: %q at %d entries", ErrTableFull, table, len(cur.entries))
 	}
 	if !actionPermitted(ts.decl, e.Action) {
 		return fmt.Errorf("%w: %q not permitted in table %q", ErrUnknownAction, e.Action, table)
@@ -151,8 +171,10 @@ func (in *Instance) InstallEntry(table string, e p4ir.Entry) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownAction, e.Action)
 	}
-	ts.entries = append(ts.entries, e)
-	ts.acts = append(ts.acts, entryAction{act, act.bind(e.Params)})
+	ts.snap.Store(&tableSnap{
+		entries: append(cur.entries, e),
+		acts:    append(cur.acts, entryAction{act, act.bind(e.Params)}),
+	})
 	in.tablesDigest.Store(nil)
 	return nil
 }
@@ -177,7 +199,7 @@ func (in *Instance) ClearTable(table string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTable, table)
 	}
-	ts.entries, ts.acts = nil, nil
+	ts.snap.Store(noEntries)
 	in.tablesDigest.Store(nil)
 	return nil
 }
@@ -190,20 +212,20 @@ func (in *Instance) Entries(table string) ([]p4ir.Entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTable, table)
 	}
-	return append([]p4ir.Entry(nil), ts.entries...), nil
+	return append([]p4ir.Entry(nil), ts.snap.Load().entries...), nil
 }
 
-// lookup finds the best-matching entry for the current packet field
-// values and returns its index. Selection: all keys must match; among
-// matching entries the one with the highest (priority, total LPM prefix
-// length) wins; ties go to the earliest installed. pkt must be bound to
-// the instance's layout.
-func (in *Instance) lookup(ts *tableState, pkt *Packet) (int, bool) {
+// lookup finds the entry of s best matching the current packet field
+// values under the table's keys and returns its index. Selection: all
+// keys must match; among matching entries the one with the highest
+// (priority, total LPM prefix length) wins; ties go to the earliest
+// installed. pkt must be bound to the instance's layout.
+func (s *tableSnap) lookup(keys []keyPlan, pkt *Packet) (int, bool) {
 	bestIdx := -1
 	bestPrio, bestPfx := 0, -1
-	for i := range ts.entries {
-		e := &ts.entries[i]
-		pfx, ok := entryMatches(ts.plan.keys, e, pkt)
+	for i := range s.entries {
+		e := &s.entries[i]
+		pfx, ok := entryMatches(keys, e, pkt)
 		if !ok {
 			continue
 		}
@@ -324,7 +346,7 @@ func (in *Instance) TablesDigest() rot.Digest {
 	sort.Strings(names)
 	h := sha256.New()
 	for _, n := range names {
-		d := p4ir.EntriesDigest(n, in.tables[n].entries)
+		d := p4ir.EntriesDigest(n, in.tables[n].snap.Load().entries)
 		h.Write(d[:])
 	}
 	var out rot.Digest
@@ -382,9 +404,9 @@ func (in *Instance) DumpTables() string {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		ts := in.tables[n]
-		fmt.Fprintf(&b, "table %s (%d entries)\n", n, len(ts.entries))
-		for _, e := range ts.entries {
+		entries := in.tables[n].snap.Load().entries
+		fmt.Fprintf(&b, "table %s (%d entries)\n", n, len(entries))
+		for _, e := range entries {
 			fmt.Fprintf(&b, "  prio=%d %v -> %s%v\n", e.Priority, e.Matches, e.Action, e.Params)
 		}
 	}

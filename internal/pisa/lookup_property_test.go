@@ -116,10 +116,11 @@ func TestPropertyLookupMatchesReference(t *testing.T) {
 			wantE, wantOK := refLookup(tbl, entries, pkt)
 			ts := inst.tables["ipv4_fwd"]
 			pkt.bind(inst.lay)
-			got, gotOK := inst.lookup(ts, pkt)
+			snap := ts.snap.Load()
+			got, gotOK := snap.lookup(ts.plan.keys, pkt)
 			var gotE p4ir.Entry
 			if gotOK {
-				gotE = ts.entries[got]
+				gotE = snap.entries[got]
 			}
 			if wantOK != gotOK {
 				t.Fatalf("trial %d: hit disagreement (ref %v, got %v) pkt %s", trial, wantOK, gotOK, pkt)

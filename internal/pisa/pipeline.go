@@ -76,8 +76,9 @@ func (in *Instance) Parse(pkt *Packet) error {
 	return fmt.Errorf("pisa: parser exceeded %d steps", maxParserSteps)
 }
 
-// applyTables runs a pipeline of tables in order. Processing stops early
-// if the packet is dropped.
+// applyTables runs a pipeline of tables in order, each looked up in its
+// published snapshot without a lock. Processing stops early if the
+// packet is dropped.
 func (in *Instance) applyTables(tables []*tableState, pkt *Packet) error {
 	pkt.bind(in.lay)
 	for _, ts := range tables {
@@ -85,11 +86,10 @@ func (in *Instance) applyTables(tables []*tableState, pkt *Packet) error {
 			return nil
 		}
 		act, params := ts.plan.def, ts.plan.defParams
-		in.mu.RLock()
-		if i, hit := in.lookup(ts, pkt); hit {
-			act, params = ts.acts[i].act, ts.acts[i].params
+		s := ts.snap.Load()
+		if i, hit := s.lookup(ts.plan.keys, pkt); hit {
+			act, params = s.acts[i].act, s.acts[i].params
 		}
-		in.mu.RUnlock()
 		if act == nil {
 			continue // no default: table miss is a no-op
 		}

@@ -28,10 +28,10 @@ go build -o "$TMP/attestctl" ./cmd/attestctl
 # log, so create it first.
 : >"$TMP/stderr"
 
-# Unique chains (packets == flows, memo off) keep ed25519 verification
-# genuinely hot for the whole timed phase — the corpus the profiler is
-# supposed to attribute.
-"$TMP/perasim" -uc throughput -workers 2 -packets 2000 -flows 2000 -no-memo \
+# Unique chains (packets == flows, so every signature is new to the
+# memo) keep ed25519 verification genuinely hot for the whole timed
+# phase — the corpus the profiler is supposed to attribute.
+"$TMP/perasim" -uc throughput -workers 2 -packets 2000 -flows 2000 \
     -profile -telemetry 127.0.0.1:0 -telemetry-hold \
     >"$TMP/stdout" 2>"$TMP/stderr" &
 PID=$!

@@ -5,8 +5,10 @@
 # the challenge and appraise frames), then assert via `attestctl trace`
 # that the two processes' span rings merge into ONE trace — same
 # flow-derived trace ID on both sides, attester and appraiser span trees
-# present, critical-path breakdown rendered. Run via `make trace-smoke`
-# (part of tier-1 `make test`).
+# present, critical-path breakdown rendered. A second round must then be
+# answered by appraised's verification memo: its /metrics count one full
+# verification per fresh signature and one for the cached quote. Run via
+# `make trace-smoke` (part of tier-1 `make test`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -98,5 +100,28 @@ FLOW=$(sed -n 's/^attestctl: nonce \([0-9a-f]*\).*/\1/p' "$TMP/round.out")
 grep -q "trace $TID" "$TMP/byflow.out" || {
     echo "trace-smoke: FAIL — flow arg did not resolve to trace $TID:"; cat "$TMP/byflow.out"; exit 1
 }
+
+# A second round: the switch caches its hardware claim, so the quote
+# arrives byte for byte as before and the appraiser's memo answers it.
+# Over both rounds appraised verified in full exactly two fresh evidence
+# signatures and one quote.
+"$TMP/attestctl" -attester "$ATT_ADDR" -appraiser "$APPR_ADDR" \
+    -claims hardware,program,tables -subject sw1 >"$TMP/round2.out" 2>&1 || {
+    echo "trace-smoke: FAIL — second attestation round errored:"; cat "$TMP/round2.out"; exit 1
+}
+grep -q "result PASS" "$TMP/round2.out" || {
+    echo "trace-smoke: FAIL — second round did not PASS:"; cat "$TMP/round2.out"; exit 1
+}
+if command -v curl >/dev/null 2>&1; then
+    curl -fsS "$APPR_TELEM/metrics" >"$TMP/appraised.metrics"
+else
+    wget -qO "$TMP/appraised.metrics" "$APPR_TELEM/metrics"
+fi
+MISSES=$(sed -n 's/^pera_verify_memo_misses_total \([0-9]*\)$/\1/p' "$TMP/appraised.metrics")
+[ "$MISSES" = 3 ] || {
+    echo "trace-smoke: FAIL — pera_verify_memo_misses_total is '$MISSES', want 3 (two signatures, one quote):"
+    grep pera_verify_memo "$TMP/appraised.metrics"; exit 1
+}
+echo "trace-smoke: second round PASS, the quote verified once ($MISSES full verifications)"
 
 echo "trace-smoke: OK (one trace $TID across attestd + appraised)"
