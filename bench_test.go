@@ -417,7 +417,7 @@ func BenchmarkThroughput_Observe(b *testing.B) {
 			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8}
 			if observed {
 				o.Spans = pera.SpanConfig{Enabled: true, SampleEvery: sampleEvery}
-				o.Collector = observatory.New("bench", observatory.Config{})
+				o.Collector = observatory.New("bench")
 			}
 			res, err := harness.RunThroughput(o)
 			if err != nil {
@@ -484,7 +484,7 @@ func BenchmarkThroughput_SLO(b *testing.B) {
 			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8}
 			if watched {
 				o.Spans = pera.SpanConfig{Enabled: true}
-				o.Collector = observatory.New("bench", observatory.Config{})
+				o.Collector = observatory.New("bench")
 				o.Watchdog = freshness.New("bench", freshness.Config{})
 			}
 			res, err := harness.RunThroughput(o)

@@ -183,7 +183,6 @@ func (p *Planes) Start() error {
 	if f.Profile {
 		prof := profiler.New(profiler.Options{
 			Service: s.Service, Window: f.ProfileWindow, Registry: p.Registry,
-			Diff: profiler.DiffConfig{AutoBaseline: true},
 		})
 		p.addSinks(prof.AddSink)
 		if p.Recorder != nil {

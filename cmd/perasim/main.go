@@ -151,7 +151,7 @@ func main() {
 	}
 
 	if *uc == "observe" || *uc == "slo" {
-		collector = observatory.New("collector", observatory.Config{})
+		collector = observatory.New("collector")
 	}
 	if *uc == "slo" {
 		// Created up front so /coverage.json and /alerts.json are live

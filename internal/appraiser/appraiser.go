@@ -769,24 +769,25 @@ func (a *Appraiser) check(d *decision, enc, nonce []byte) (bool, string, auditlo
 // place carries and returns why it fails, or "" when it verifies. Quote
 // checks ride the same memo as evidence signatures: a cached hardware
 // quote re-presented across rounds is byte-identical, so the serialized
-// claim bytes key the memoized verdict.
+// claim bytes key the memoized verdict. The quote is read in place; only
+// a memo miss copies it out to verify it.
 func (a *Appraiser) checkQuote(d *decision, keys evidence.KeyMap, place string, claims []byte) string {
-	q, err := rot.DecodeQuote(claims)
+	w, err := rot.ReadQuote(claims)
 	if err != nil {
 		return fmt.Sprintf("hardware claim at %s: %v", place, err)
 	}
-	if q.Platform != place {
-		return fmt.Sprintf("hardware quote speaks for %q but was presented by %q", q.Platform, place)
+	if string(w.Platform) != place {
+		return fmt.Sprintf("hardware quote speaks for %q but was presented by %q", w.Platform, place)
 	}
-	pub, ok := keys.KeyFor(q.Platform)
+	pub, ok := keys.KeyFor(place)
 	if !ok {
-		return fmt.Sprintf("no key to verify hardware quote from %q", q.Platform)
+		return fmt.Sprintf("no key to verify hardware quote from %q", place)
 	}
-	if !a.memo.Check(pub, claims, q.Signature, func() bool {
+	if !a.memo.Check(pub, claims, w.Signature, func() bool {
 		d.fresh = true
-		return rot.VerifyQuote(pub, q, nil) == nil
+		return rot.VerifyQuote(pub, w.Quote(), nil) == nil
 	}) {
-		return fmt.Sprintf("hardware quote from %s: verification failed", q.Platform)
+		return fmt.Sprintf("hardware quote from %s: verification failed", place)
 	}
 	return ""
 }

@@ -138,6 +138,53 @@ func TestHandlerMatchesAppraise(t *testing.T) {
 	}
 }
 
+// TestHandlerQuoteHitAllocs: after the first RATS round a switch's
+// cached hardware quote is a memo hit, and the appraise handler reads it
+// in place: a chain whose hardware claim carries the quote allocates
+// exactly as much as the same chain whose claim carries none.
+func TestHandlerQuoteHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race, so allocation counts vary")
+	}
+	r := attesterRoT()
+	r.ExtendData(0, []byte("asic"), "hw")
+	pcr0, _ := r.PCR(0)
+	q, _ := r.Quote(nil, 0, 4)
+	const rounds = 200
+	allocs := func(claims []byte) float64 {
+		a := newAppraiser(r)
+		a.SetGolden("sw1", "hardware", evidence.DetailHardware, pcr0)
+		h := a.Handler()
+		body := evidence.Encode(evidence.Sign(r, evidence.Seq(evidence.Measurement("sw1", "hardware", "sw1",
+			evidence.DetailHardware, pcr0, claims), goodEvidence(r, []byte("n")))))
+		// One round before the measured ones fills the memo; AllocsPerRun
+		// runs its function once more than it measures.
+		msgs := make([]*rats.Message, rounds+2)
+		for i := range msgs {
+			msgs[i] = &rats.Message{Type: rats.MsgAppraise, Nonce: []byte(fmt.Sprintf("round-%d", i)), Body: body}
+		}
+		var resp *rats.Message
+		next := 0
+		round := func() { resp = h(msgs[next]); next++ }
+		round()
+		misses := a.MemoStats().Misses
+		n := testing.AllocsPerRun(rounds, round)
+		cert, err := DecodeCertificate(resp.Body)
+		if resp.Type != rats.MsgResult || err != nil || !cert.Verdict {
+			t.Fatalf("claims %d bytes: last round %v %q (%v)", len(claims), resp.Type, resp.Body, err)
+		}
+		if ms := a.MemoStats(); ms.Misses != misses {
+			t.Fatalf("claims %d bytes: memo %+v, want every measured round answered by the memo", len(claims), ms)
+		}
+		return n
+	}
+	plain, quoted := allocs(nil), allocs(rot.EncodeQuote(q))
+	if quoted != plain {
+		t.Fatalf("a memo-answered quote costs the handler %v allocations per round (%v with it, %v without)",
+			quoted-plain, quoted, plain)
+	}
+}
+
 // TestCertificateStoreBounded: the store keeps the newest maxCerts
 // certificates. Storing k more forgets exactly the k oldest, every newer
 // one stays retrievable, and storing many times the bound retains no

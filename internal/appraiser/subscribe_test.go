@@ -38,7 +38,7 @@ func TestSubscribeFeedsEverySink(t *testing.T) {
 	r := attesterRoT()
 	a := newAppraiser(r)
 	s1, s2 := &endedSink{}, &endedSink{}
-	col := observatory.New("collector", observatory.Config{})
+	col := observatory.New("collector")
 	wd := freshness.New("watchdog", freshness.Config{})
 	for _, s := range []telemetry.StageSink{s1, wd, col, s2} {
 		a.Subscribe(s)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"pera/internal/telemetry"
 )
@@ -157,17 +156,17 @@ func (b *blockableWriter) Write(p []byte) (int, error) {
 
 func TestWriterDropsWhenQueueFull(t *testing.T) {
 	bw := &blockableWriter{release: make(chan struct{})}
-	w := NewWriter(bw, Options{Queue: 4, FlushEvery: time.Hour})
-	// Records bigger than the 64KB bufio buffer force every line through
+	w := NewWriter(bw, Options{})
+	// A record bigger than the 64KB bufio buffer forces its line through
 	// the blocked underlying writer, stalling the goroutine so the
-	// 4-slot queue fills.
-	const emitted = 64
-	big := strings.Repeat("x", 70<<10)
-	for i := 0; i < emitted; i++ {
-		w.Emit(Record{Event: EventSign, Place: "sw1", Note: big})
+	// queue behind it fills with small records and the rest drop.
+	const emitted = 1 + queueLen + 64
+	w.Emit(Record{Event: EventSign, Place: "sw1", Note: strings.Repeat("x", 70<<10)})
+	for i := 1; i < emitted; i++ {
+		w.Emit(Record{Event: EventSign, Place: "sw1"})
 	}
 	if got := w.Dropped(); got == 0 {
-		t.Fatalf("no drops counted with a stalled 4-slot queue after %d emits", emitted)
+		t.Fatalf("no drops counted with a stalled %d-slot queue after %d emits", queueLen, emitted)
 	}
 	close(bw.release)
 	w.Close()

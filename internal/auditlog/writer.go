@@ -16,7 +16,18 @@ import (
 	"pera/internal/telemetry"
 )
 
-// Options tunes a Writer.
+// The writer's queue and flush cadence.
+const (
+	// queueLen bounds the async emission queue. When the queue is full
+	// the hot path drops the record and counts it
+	// (pera_audit_dropped_total) rather than blocking the packet
+	// pipeline.
+	queueLen = 4096
+	// flushEvery is the periodic flush/fsync cadence.
+	flushEvery = 250 * time.Millisecond
+)
+
+// Options names a Writer's MAC key.
 type Options struct {
 	// KeyID names the MAC key in the ledger_open header so an offline
 	// verifier knows which key to fetch. Defaults to "dev".
@@ -24,12 +35,6 @@ type Options struct {
 	// Key is the 32-byte ledger MAC key (DeriveKey / rot.AuditKey). Nil
 	// selects DevKey.
 	Key []byte
-	// Queue bounds the async emission queue. When the queue is full the
-	// hot path drops the record and counts it (pera_audit_dropped_total)
-	// rather than blocking the packet pipeline. <= 0 selects 4096.
-	Queue int
-	// FlushEvery is the periodic flush/fsync cadence. <= 0 selects 250ms.
-	FlushEvery time.Duration
 }
 
 // Writer is the append-only ledger writer. Emission is asynchronous: the
@@ -54,8 +59,6 @@ type Writer struct {
 	file  *os.File // non-nil when backed by a file (fsync target)
 	owned io.Closer
 
-	flushEvery time.Duration
-
 	records atomic.Uint64
 	dropped atomic.Uint64
 	bytes   atomic.Uint64
@@ -72,21 +75,14 @@ func NewWriter(w io.Writer, opt Options) *Writer {
 	if opt.KeyID == "" {
 		opt.KeyID = "dev"
 	}
-	if opt.Queue <= 0 {
-		opt.Queue = 4096
-	}
-	if opt.FlushEvery <= 0 {
-		opt.FlushEvery = 250 * time.Millisecond
-	}
 	lw := &Writer{
-		ch:         make(chan Record, opt.Queue),
-		flush:      make(chan chan struct{}),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
-		key:        opt.Key,
-		keyID:      opt.KeyID,
-		out:        bufio.NewWriterSize(w, 64<<10),
-		flushEvery: opt.FlushEvery,
+		ch:    make(chan Record, queueLen),
+		flush: make(chan chan struct{}),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
+		key:   opt.Key,
+		keyID: opt.KeyID,
+		out:   bufio.NewWriterSize(w, 64<<10),
 	}
 	if f, ok := w.(*os.File); ok {
 		lw.file = f
@@ -168,7 +164,7 @@ func (w *Writer) run() {
 	var prev [sha256.Size]byte
 	copy(prev[:], genesis(w.key))
 	seq := uint64(0)
-	ticker := time.NewTicker(w.flushEvery)
+	ticker := time.NewTicker(flushEvery)
 	defer ticker.Stop()
 
 	mac := hmac.New(sha256.New, w.key)

@@ -9,6 +9,16 @@ import (
 	"pera/internal/telemetry"
 )
 
+// Backoff and staleness, in scrape intervals.
+const (
+	// maxBackoff caps the exponential backoff between attempts at a
+	// failing target.
+	maxBackoff = 8
+	// staleAfter marks a target stale when its last successful scrape
+	// is older than this even without failed attempts (a hung loop).
+	staleAfter = 3
+)
+
 // Config tunes an Aggregator.
 type Config struct {
 	// Name labels the fleet in views and renders. Default "fleet".
@@ -21,13 +31,6 @@ type Config struct {
 	// down (the first failure marks it stale). Default 2, so a killed
 	// process is down within two scrape intervals.
 	DownAfter int
-	// MaxBackoff caps the exponential backoff between attempts at a
-	// failing target. Default 8×Interval.
-	MaxBackoff time.Duration
-	// StaleAfter marks a target stale when its last successful scrape is
-	// older than this even without failed attempts (a hung loop).
-	// Default 3×Interval.
-	StaleAfter time.Duration
 	// TargetsFile, when set, is re-read whenever its mtime changes; the
 	// parsed targets are merged over the static list (file wins on name
 	// collisions, removed lines drop the target).
@@ -51,12 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 2
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 8 * c.Interval
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = 3 * c.Interval
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -94,7 +91,7 @@ func (ts *targetState) state(cfg Config, now int64) string {
 		return StateStale
 	case ts.lastOK == 0:
 		return StateStale // no attempt has completed yet
-	case now-ts.lastOK > int64(cfg.StaleAfter):
+	case now-ts.lastOK > int64(staleAfter*cfg.Interval):
 		return StateStale
 	default:
 		return StateUp
@@ -244,23 +241,21 @@ func (a *Aggregator) Close() {
 
 // scrapeLoop drives one target: scrape, publish, sleep. The sleep is
 // the configured interval while healthy and an exponentially backed-off
-// multiple of it while failing (capped at MaxBackoff), so a dead target
-// costs the fleet a bounded trickle of connection attempts instead of a
-// hot error loop.
+// multiple of it while failing (capped at maxBackoff intervals), so a
+// dead target costs the fleet a bounded trickle of connection attempts
+// instead of a hot error loop.
 func (a *Aggregator) scrapeLoop(ts *targetState) {
 	defer close(ts.done)
 	for {
 		a.scrapeOnce(ts)
 
 		a.mu.Lock()
-		delay := a.cfg.Interval
+		delay, limit := a.cfg.Interval, maxBackoff*a.cfg.Interval
 		if n := ts.consecFails; n > 0 {
-			for i := 1; i < n && delay < a.cfg.MaxBackoff; i++ {
+			for i := 1; i < n && delay < limit; i++ {
 				delay *= 2
 			}
-			if delay > a.cfg.MaxBackoff {
-				delay = a.cfg.MaxBackoff
-			}
+			delay = min(delay, limit)
 		}
 		a.mu.Unlock()
 

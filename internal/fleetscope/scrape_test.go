@@ -109,22 +109,23 @@ func TestAggregatorNeverUpGoesDown(t *testing.T) {
 }
 
 // Backoff: a failing target's attempt cadence stretches toward
-// MaxBackoff instead of hot-looping.
+// maxBackoff intervals instead of hot-looping.
 func TestAggregatorBackoff(t *testing.T) {
 	interval := 20 * time.Millisecond
-	a := New(Config{Interval: interval, Timeout: 50 * time.Millisecond, MaxBackoff: 8 * interval},
+	a := New(Config{Interval: interval, Timeout: 50 * time.Millisecond},
 		[]Target{{Name: "ghost", URL: "http://127.0.0.1:1"}})
 	a.Start()
 	defer a.Close()
 
-	// After the failure streak builds, attempts are spaced at MaxBackoff.
+	// After the failure streak builds, attempts are spaced at maxBackoff
+	// intervals.
 	waitFor(t, 3*time.Second, "failure streak", func() bool {
 		return targetByName(a.View(), "ghost").ConsecFails >= 5
 	})
 	s0 := targetByName(a.View(), "ghost").Scrapes
 	time.Sleep(10 * interval)
 	s1 := targetByName(a.View(), "ghost").Scrapes
-	// 10 intervals at MaxBackoff=8×interval spacing allows ~1-2 attempts;
+	// 10 intervals at maxBackoff=8×interval spacing allows ~1-2 attempts;
 	// without backoff there would be ~10.
 	if attempts := s1 - s0; attempts > 4 {
 		t.Fatalf("%d attempts in 10 intervals against a dead target — backoff not applied", attempts)

@@ -14,7 +14,7 @@ const (
 	// LapsedAfter (or the place is tracked and never attested).
 	RuleStaleness = "staleness-threshold"
 	// RuleBurn fires when the fraction of out-of-budget window samples
-	// consumes the error budget (1 − SLOTarget) at ≥ BurnMax× the
+	// consumes the error budget (1 − sloTarget) at ≥ burnMax× the
 	// allowed rate.
 	RuleBurn = "freshness-burn"
 )
@@ -60,7 +60,7 @@ type alertState struct {
 // KindAnomaly marks events emitted by the flight-recorder anomaly
 // detectors (internal/recorder). They ride the same Sink pipeline as the
 // watchdog's fired/resolved/probe transitions so anomalies land in the
-// same stderr log, JSONL stream and sealed audit ledger as alerts — no
+// same stderr log and sealed audit ledger as alerts — no
 // parallel alerting path. For anomaly events Alert.Rule carries the
 // detector name, Alert.Place the attributed place (when known) and
 // Alert.Reason the detector's explanation.
@@ -123,17 +123,17 @@ func (w *Watchdog) evaluateLocked() ([]Event, []probeTarget) {
 		}
 		events, probes = w.stepRuleLocked(RuleStaleness, r, st, age, breach, reason, events, probes)
 
-		// Burn-rate rule: error budget = 1 − SLOTarget of window samples
-		// may be out of budget; fire when consumption runs ≥ BurnMax×.
-		if r.winN >= w.cfg.MinSamples {
+		// Burn-rate rule: error budget = 1 − sloTarget of window samples
+		// may be out of budget; fire when consumption runs ≥ burnMax×.
+		if r.winN >= minSamples {
 			badFrac := float64(r.winBad) / float64(r.winN)
-			errBudget := 1 - w.cfg.SLOTarget
+			errBudget := 1 - sloTarget
 			burn := badFrac / errBudget
-			breach = burn >= w.cfg.BurnMax
+			breach = burn >= burnMax
 			reason = ""
 			if breach {
 				reason = fmt.Sprintf("freshness SLO burning at %.1fx: %.0f%% of last %d samples out of budget (target %.0f%%)",
-					burn, badFrac*100, r.winN, w.cfg.SLOTarget*100)
+					burn, badFrac*100, r.winN, sloTarget*100)
 			}
 			events, probes = w.stepRuleLocked(RuleBurn, r, st, age, breach, reason, events, probes)
 		}
@@ -154,18 +154,18 @@ func (w *Watchdog) stepRuleLocked(rule string, r *row, st Status, age time.Durat
 	}
 
 	if as.current == nil {
-		// Quiescent: count consecutive breaches toward FireAfter.
+		// Quiescent: count consecutive breaches toward fireAfter.
 		if !breach {
 			as.breachStreak = 0
 			return events, probes
 		}
 		as.breachStreak++
-		if as.breachStreak < w.cfg.FireAfter {
+		if as.breachStreak < fireAfter {
 			return events, probes
 		}
 		w.alertSeq++
 		a := &Alert{
-			ID: w.alertSeq, Rule: rule, Place: r.place, Policy: w.cfg.Policy,
+			ID: w.alertSeq, Rule: rule, Place: r.place, Policy: policy,
 			State: StateFiring, Reason: reason,
 			AgeNS: int64(age), FiredAtNS: w.cfg.Clock().UnixNano(), FiredEval: w.evals,
 		}
@@ -182,10 +182,10 @@ func (w *Watchdog) stepRuleLocked(rule string, r *row, st Status, age time.Durat
 	// Firing: resolution requires the place back in budget (fresh
 	// evidence appraised clean) AND the rule's breach condition clear —
 	// a burn alert must not flap while its window is still draining —
-	// for ResolveAfter consecutive evals.
+	// for resolveAfter consecutive evals.
 	if st == StatusFresh && !breach {
 		as.cleanStreak++
-		if as.cleanStreak >= w.cfg.ResolveAfter {
+		if as.cleanStreak >= resolveAfter {
 			a := as.current
 			a.State = StateResolved
 			a.ResolvedNS = w.cfg.Clock().UnixNano()
@@ -200,7 +200,7 @@ func (w *Watchdog) stepRuleLocked(rule string, r *row, st Status, age time.Durat
 	if reason != "" {
 		as.current.Reason = reason // keep the latest breach detail
 	}
-	if w.evals-as.lastProbeEval >= uint64(w.cfg.ProbeEvery) {
+	if w.evals-as.lastProbeEval >= probeEvery {
 		as.lastProbeEval = w.evals
 		probes = append(probes, probeTarget{place: r.place, key: key})
 	}
@@ -208,7 +208,7 @@ func (w *Watchdog) stepRuleLocked(rule string, r *row, st Status, age time.Durat
 }
 
 // ProbeFiring issues one immediate probe round for every firing alert,
-// regardless of the ProbeEvery cadence — the hook a harness or operator
+// regardless of the probeEvery cadence — the hook a harness or operator
 // uses the moment a device is believed back.
 func (w *Watchdog) ProbeFiring() {
 	w.mu.Lock()
@@ -231,12 +231,12 @@ func (w *Watchdog) ProbeFiring() {
 
 // pushAlertLocked inserts an alert into the bounded ring.
 func (w *Watchdog) pushAlertLocked(a *Alert) {
-	if len(w.ring) < w.cfg.AlertRing {
+	if len(w.ring) < alertRing {
 		w.ring = append(w.ring, a)
 		return
 	}
 	w.ring[w.ringHead] = a
-	w.ringHead = (w.ringHead + 1) % w.cfg.AlertRing
+	w.ringHead = (w.ringHead + 1) % alertRing
 }
 
 // runProbes challenges each target place through the prober, records
@@ -277,7 +277,7 @@ func (w *Watchdog) runProbes(targets []probeTarget) {
 			}
 			snap = *as.current
 		} else {
-			snap = Alert{Rule: t.key.rule, Place: t.place, Policy: w.cfg.Policy}
+			snap = Alert{Rule: t.key.rule, Place: t.place, Policy: policy}
 		}
 		w.mu.Unlock()
 		e := Event{Kind: "probe", Alert: snap, ProbeOK: err == nil}

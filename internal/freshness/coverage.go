@@ -71,18 +71,18 @@ func (w *Watchdog) Coverage() Coverage {
 	now := w.cfg.Clock()
 	cov := Coverage{
 		Watchdog:       w.name,
-		Policy:         w.cfg.Policy,
+		Policy:         policy,
 		NowNS:          now.UnixNano(),
 		BudgetFreshNS:  int64(w.cfg.Budget.FreshFor),
 		BudgetLapsedNS: int64(w.cfg.Budget.LapsedAfter),
-		SLOTarget:      w.cfg.SLOTarget,
+		SLOTarget:      sloTarget,
 		Evaluations:    w.evals,
 	}
 	for _, place := range w.rowSeq {
 		r := w.rows[place]
 		st, age := w.statusLocked(r, now)
 		pc := PlaceCoverage{
-			Place: place, Policy: w.cfg.Policy, Status: st,
+			Place: place, Policy: policy, Status: st,
 			AgeNS:        int64(age),
 			CachePuts:    r.puts,
 			CacheHits:    r.hits,

@@ -71,88 +71,55 @@ func DeriveBudget(ttl time.Duration) Budget {
 	return Budget{FreshFor: ttl * 3 / 2, LapsedAfter: ttl * 3}
 }
 
-// Config tunes the watchdog. The zero value is usable: budget derived
-// from DetailTables inertia, AP1 policy, real clock.
+// The watchdog's policy label, burn-rate window and alert engine. The
+// SLO target is typed float64 so that 1 − sloTarget rounds as float64
+// arithmetic does.
+const (
+	// policy names the appraisal policy this watchdog guards (label on
+	// rows, metrics, and alert records).
+	policy = "AP1"
+	// window is the per-place sliding window of status samples the
+	// burn-rate rule evaluates over.
+	window = 64
+	// minSamples gates the burn-rate rule until the window has data.
+	minSamples = 8
+	// sloTarget is the fraction of window samples required fresh (error
+	// budget = 1 − sloTarget).
+	sloTarget float64 = 0.9
+	// burnMax fires the burn-rate rule when observed badness consumes
+	// the error budget this many times faster than allowed.
+	burnMax = 2
+	// fireAfter is the hysteresis on the firing edge: consecutive
+	// breaching evaluations before an alert fires.
+	fireAfter = 2
+	// resolveAfter is the hysteresis on the resolving edge: consecutive
+	// clean evaluations (status fresh again) before a firing alert
+	// resolves.
+	resolveAfter = 2
+	// alertRing bounds retained alert history.
+	alertRing = 128
+	// probeEvery re-probes a still-firing alert every N evaluations (the
+	// first probe goes out on the firing transition).
+	probeEvery = 8
+)
+
+// Config sets the watchdog's budget and clock. The zero value is
+// usable: budget derived from DetailTables inertia, real clock.
 type Config struct {
-	// Policy names the appraisal policy this watchdog guards (label on
-	// rows, metrics, and alert records). Default "AP1".
-	Policy string
-	// Detail is the budget-driving detail level. Default DetailTables —
-	// the shortest practical inertia on the Fig. 4 ladder.
-	Detail evidence.Detail
-	// TTL is the effective cache inertia window for Detail (mirror of
-	// evidence.Cache.SetTTL). Zero uses Detail.Inertia().
-	TTL time.Duration
-	// Budget overrides the derived staleness budget when non-zero.
+	// Budget is the staleness budget; zero derives it from
+	// DetailTables' inertia.
 	Budget Budget
 	// Clock drives all age arithmetic; default time.Now. Simulations
 	// share one fake clock between cache and watchdog.
 	Clock func() time.Time
-	// Window is the per-place sliding window of status samples the
-	// burn-rate rule evaluates over. Default 64.
-	Window int
-	// MinSamples gates the burn-rate rule until the window has data.
-	// Default 8.
-	MinSamples int
-	// SLOTarget is the fraction of window samples required fresh
-	// (error budget = 1 − SLOTarget). Default 0.9.
-	SLOTarget float64
-	// BurnMax fires the burn-rate rule when observed badness consumes
-	// the error budget this many times faster than allowed. Default 2.
-	BurnMax float64
-	// FireAfter is the hysteresis on the firing edge: consecutive
-	// breaching evaluations before an alert fires. Default 2.
-	FireAfter int
-	// ResolveAfter is the hysteresis on the resolving edge: consecutive
-	// clean evaluations (status fresh again) before a firing alert
-	// resolves. Default 2.
-	ResolveAfter int
-	// AlertRing bounds retained alert history. Default 128.
-	AlertRing int
-	// ProbeEvery re-probes a still-firing alert every N evaluations
-	// (the first probe goes out on the firing transition). Default 8.
-	ProbeEvery int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Policy == "" {
-		c.Policy = "AP1"
-	}
-	if c.Detail == 0 {
-		c.Detail = evidence.DetailTables
-	}
-	if c.TTL <= 0 {
-		c.TTL = c.Detail.Inertia()
-	}
 	if c.Budget == (Budget{}) {
-		c.Budget = DeriveBudget(c.TTL)
+		c.Budget = DeriveBudget(evidence.DetailTables.Inertia())
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
-	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 8
-	}
-	if c.SLOTarget <= 0 || c.SLOTarget >= 1 {
-		c.SLOTarget = 0.9
-	}
-	if c.BurnMax <= 0 {
-		c.BurnMax = 2
-	}
-	if c.FireAfter <= 0 {
-		c.FireAfter = 2
-	}
-	if c.ResolveAfter <= 0 {
-		c.ResolveAfter = 2
-	}
-	if c.AlertRing <= 0 {
-		c.AlertRing = 128
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 8
 	}
 	return c
 }
@@ -251,8 +218,8 @@ func (w *Watchdog) Track(places ...string) {
 	w.flushRegistrations()
 }
 
-// AddSink attaches an alert sink (stderr log, JSONL file, audit
-// ledger…). Sinks are invoked outside the watchdog lock.
+// AddSink attaches an alert sink (stderr log, audit ledger, the
+// recorder…). Sinks are invoked outside the watchdog lock.
 func (w *Watchdog) AddSink(s Sink) {
 	if s == nil {
 		return
@@ -275,7 +242,7 @@ func (w *Watchdog) rowLocked(place string) *row {
 	if r, ok := w.rows[place]; ok {
 		return r
 	}
-	r := &row{place: place, win: make([]bool, w.cfg.Window)}
+	r := &row{place: place, win: make([]bool, window)}
 	w.rows[place] = r
 	w.rowSeq = append(w.rowSeq, place)
 	w.regPending = append(w.regPending, place)

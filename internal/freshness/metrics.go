@@ -133,9 +133,6 @@ func (w *Watchdog) placeAge(place string) float64 {
 // hold the registry lock while calling closures that take w.mu — so
 // the two locks must only ever nest registry → watchdog.
 func (w *Watchdog) registerPlace(reg *telemetry.Registry, place string) {
-	w.mu.Lock()
-	policy := w.cfg.Policy
-	w.mu.Unlock()
 	reg.RegisterFunc("pera_freshness_evidence_age_seconds", telemetry.KindGauge,
 		func() float64 { return w.placeAge(place) },
 		telemetry.L("place", place), telemetry.L("policy", policy))

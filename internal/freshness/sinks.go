@@ -1,7 +1,6 @@
 package freshness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -54,31 +53,6 @@ func (s *LogSink) Emit(e Event) {
 	case KindProfile:
 		fmt.Fprintf(s.w, "profiler: REGRESSION rule=%s place=%s — %s\n", a.Rule, a.Place, a.Reason)
 	}
-}
-
-// JSONLSink writes one JSON object per line — the machine-readable
-// file sink.
-type JSONLSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewJSONLSink wraps w (typically an opened file; the caller owns
-// closing it).
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
-
-// Emit implements Sink.
-func (s *JSONLSink) Emit(e Event) {
-	if s == nil || s.w == nil {
-		return
-	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.Write(append(b, '\n'))
 }
 
 // AuditSink seals alert transitions onto the tamper-evident audit

@@ -21,6 +21,10 @@ import (
 // program swap mid-run, and reports how many packets the anomaly model
 // needed to localize the compromise to the right switch.
 
+// statsEvery is the cadence, in packets, of the switch/audit/memo
+// health pushes to the collector (the out-of-band telemetry feed).
+const statsEvery = 16
+
 // ObserveOptions parameterizes one observatory run.
 type ObserveOptions struct {
 	// Hops is the number of PERA switches on the chain. Default 4.
@@ -39,9 +43,6 @@ type ObserveOptions struct {
 	// ByteBudget caps the in-band span section (the Detail knob); 0
 	// uses pera.DefaultSpanBudget.
 	ByteBudget int
-	// StatsEvery pushes switch/audit/memo health to the collector every
-	// N packets (the out-of-band telemetry feed). Default 16.
-	StatsEvery int
 	// NetTracing turns on netsim delivery tracing so the result's
 	// testbed can corroborate span hop order against frames on the wire.
 	NetTracing bool
@@ -72,9 +73,6 @@ func (o ObserveOptions) withDefaults() ObserveOptions {
 	}
 	if o.AttackSwitch == "" {
 		o.AttackSwitch = fmt.Sprintf("sw%d", (o.Hops+1)/2)
-	}
-	if o.StatsEvery <= 0 {
-		o.StatsEvery = 16
 	}
 	return o
 }
@@ -129,7 +127,7 @@ func RunObserve(o ObserveOptions) (*ObserveResult, error) {
 	}
 	col := o.Collector
 	if col == nil {
-		col = observatory.New("collector", observatory.Config{})
+		col = observatory.New("collector")
 	}
 	// The collector's feeds 1 and 2: the span trails of terminal frames,
 	// and appraisal verdicts with place attribution.
@@ -180,7 +178,7 @@ func RunObserve(o ObserveOptions) (*ObserveResult, error) {
 		if res.LocalizedAt == 0 && col.Localized() != nil {
 			res.LocalizedAt = i + 1
 		}
-		if (i+1)%o.StatsEvery == 0 {
+		if (i+1)%statsEvery == 0 {
 			push()
 		}
 		o.Recorder.Scrape()

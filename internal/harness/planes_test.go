@@ -145,7 +145,7 @@ func TestPlanesAgree(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewFlowTracer(1 << 14)
 	tr.SetSampleEvery(1)
-	col := observatory.New("planes", observatory.Config{})
+	col := observatory.New("planes")
 	recs, res := runLedgered(t, ThroughputOptions{
 		Workers: 2, Packets: packets, Flows: flows,
 		Planes: Planes{Registry: reg, Tracer: tr, Collector: col},

@@ -39,7 +39,7 @@ func TestRecorderE2EIncidentBundleLocalizesCompromise(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	col := observatory.New("collector", observatory.Config{})
+	col := observatory.New("collector")
 
 	rec := recorder.New(recorder.Config{
 		Service: "harness-e2e",
@@ -181,17 +181,17 @@ func TestRecorderE2EIncidentBundleLocalizesCompromise(t *testing.T) {
 func TestRecorderE2ECleanRunStaysQuiet(t *testing.T) {
 	bundleDir := filepath.Join(t.TempDir(), "incidents")
 	reg := telemetry.NewRegistry()
-	col := observatory.New("collector", observatory.Config{})
+	col := observatory.New("collector")
 	rec := recorder.New(recorder.Config{
 		Clock:  (&tickClock{}).Now,
 		Bundle: recorder.BundlerConfig{Dir: bundleDir},
 		// Watch the deterministic counter series: latency quantiles
 		// depend on wall-clock scheduling and would make a "must stay
 		// quiet" assertion timing-dependent.
-		Detect: recorder.DetectorConfig{Watch: []string{
+		Watch: []string{
 			"pera_verify_fails_total",
 			"pera_evidence_cache_misses_total",
-		}},
+		},
 	})
 	rec.SetRegistry(reg)
 	rec.SetCollector(col)

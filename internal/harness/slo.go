@@ -49,11 +49,9 @@ type SLOOptions struct {
 	// Tick is the simulated time per packet. Default 1s.
 	Tick time.Duration
 	// CacheTTL overrides the tables/program inertia window (the Fig. 4
-	// knob, evidence.Cache.SetTTL). Default 16s.
+	// knob, evidence.Cache.SetTTL); the staleness budget derives from it
+	// (default 16s → fresh < 24s, lapsed ≥ 48s).
 	CacheTTL time.Duration
-	// Budget overrides the derived staleness budget (default: derived
-	// from CacheTTL → fresh < 24s, lapsed ≥ 48s).
-	Budget freshness.Budget
 
 	// Watchdog receives everything; one is created when nil. A caller
 	// that pre-creates it (perasim, to mount /coverage.json before the
@@ -63,8 +61,6 @@ type SLOOptions struct {
 	Collector *observatory.Collector
 	// AlertLog, when non-nil, receives the stderr-style alert lines.
 	AlertLog io.Writer
-	// AlertJSONL, when non-nil, receives one JSON event per line.
-	AlertJSONL io.Writer
 
 	Registry *telemetry.Registry
 	Tracer   *telemetry.FlowTracer
@@ -152,17 +148,8 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 		return nil, err
 	}
 
-	budget := o.Budget
-	if budget == (freshness.Budget{}) {
-		budget = freshness.DeriveBudget(o.CacheTTL)
-	}
-	wcfg := freshness.Config{
-		Policy: "AP1",
-		Detail: evidence.DetailTables,
-		TTL:    o.CacheTTL,
-		Budget: budget,
-		Clock:  clk.Now,
-	}
+	budget := freshness.DeriveBudget(o.CacheTTL)
+	wcfg := freshness.Config{Budget: budget, Clock: clk.Now}
 	wd := o.Watchdog
 	if wd == nil {
 		wd = freshness.New("watchdog", wcfg)
@@ -172,13 +159,10 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 
 	col := o.Collector
 	if col == nil {
-		col = observatory.New("collector", observatory.Config{})
+		col = observatory.New("collector")
 	}
 	if o.AlertLog != nil {
 		wd.AddSink(freshness.NewLogSink(o.AlertLog))
-	}
-	if o.AlertJSONL != nil {
-		wd.AddSink(freshness.NewJSONLSink(o.AlertJSONL))
 	}
 
 	// Active re-attestation: the full Fig. 1 loop over a rats pipe to

@@ -79,7 +79,7 @@ func verdictFeedAgrees(t *testing.T, spans, forge bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := observatory.New("collector", observatory.Config{})
+	col := observatory.New("collector")
 	wd := freshness.New("watchdog", freshness.Config{})
 	Planes{Audit: w, Collector: col, Watchdog: wd}.Attach(tb, cache)
 

@@ -35,46 +35,24 @@ import (
 	"pera/internal/telemetry"
 )
 
-// Config tunes the collector's retention and anomaly model.
-type Config struct {
-	// PathCapacity bounds retained end-to-end traces (ring). Default 256.
-	PathCapacity int
-	// Window is the rolling appraisal-outcome window per place. Default 64.
-	Window int
-	// Baseline is how many initial observations per place form its
-	// baseline failure rate. Default 16.
-	Baseline int
-	// Threshold is the window-vs-baseline failure-rate departure that
-	// flags a place. Default 0.25.
-	Threshold float64
-	// MinFails is the minimum window failures before flagging — guards
-	// against flagging on one unlucky packet. Default 3.
-	MinFails int
-	// LatencyRing bounds retained per-place hop latencies. Default 256.
-	LatencyRing int
-}
-
-func (c Config) withDefaults() Config {
-	if c.PathCapacity <= 0 {
-		c.PathCapacity = 256
-	}
-	if c.Window <= 0 {
-		c.Window = 64
-	}
-	if c.Baseline <= 0 {
-		c.Baseline = 16
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 0.25
-	}
-	if c.MinFails <= 0 {
-		c.MinFails = 3
-	}
-	if c.LatencyRing <= 0 {
-		c.LatencyRing = 256
-	}
-	return c
-}
+// The collector's retention and anomaly model.
+const (
+	// pathCapacity bounds retained end-to-end traces (ring).
+	pathCapacity = 256
+	// window is the rolling appraisal-outcome window per place.
+	window = 64
+	// baseline is how many initial observations per place form its
+	// baseline failure rate.
+	baseline = 16
+	// threshold is the window-vs-baseline failure-rate departure that
+	// flags a place.
+	threshold = 0.25
+	// minFails is the minimum window failures before flagging — guards
+	// against flagging on one unlucky packet.
+	minFails = 3
+	// latencyRing bounds retained per-place hop latencies.
+	latencyRing = 256
+)
 
 // PathTrace is one reassembled end-to-end trace: the ordered hop spans a
 // frame accumulated, joined with the appraisal verdict for its flow.
@@ -108,14 +86,13 @@ type linkKey struct{ from, to string }
 // telemetry.StageSink.
 type Collector struct {
 	name string
-	cfg  Config
 
 	mu       sync.Mutex
 	places   map[string]*place
 	placeSeq []string // first-seen order ≈ path order
 	links    map[linkKey]*link
 	linkSeq  []linkKey
-	paths    []*PathTrace // ring, capacity cfg.PathCapacity
+	paths    []*PathTrace // ring, capacity pathCapacity
 	pathHead int
 	byFlow   map[string]*PathTrace // awaiting a verdict
 	seq      uint64                // traces ingested (monotonic)
@@ -126,10 +103,9 @@ type Collector struct {
 }
 
 // New creates a collector. The name is its netsim node identity.
-func New(name string, cfg Config) *Collector {
+func New(name string) *Collector {
 	return &Collector{
 		name:   name,
-		cfg:    cfg.withDefaults(),
 		places: make(map[string]*place),
 		links:  make(map[linkKey]*link),
 		byFlow: make(map[string]*PathTrace),
@@ -180,7 +156,7 @@ func (c *Collector) IngestPath(flow string, hops []pera.HopSpan, truncated bool)
 	c.seq++
 	pt := &PathTrace{Seq: c.seq, Flow: flow, Hops: append([]pera.HopSpan(nil), hops...), Truncated: truncated}
 	// Ring insert; evict the oldest trace's pending-verdict entry with it.
-	if len(c.paths) < c.cfg.PathCapacity {
+	if len(c.paths) < pathCapacity {
 		c.paths = append(c.paths, pt)
 	} else {
 		old := c.paths[c.pathHead]
@@ -188,7 +164,7 @@ func (c *Collector) IngestPath(flow string, hops []pera.HopSpan, truncated bool)
 			delete(c.byFlow, old.Flow)
 		}
 		c.paths[c.pathHead] = pt
-		c.pathHead = (c.pathHead + 1) % c.cfg.PathCapacity
+		c.pathHead = (c.pathHead + 1) % pathCapacity
 	}
 	c.byFlow[flow] = pt
 	for i := range hops {
@@ -242,7 +218,7 @@ func (c *Collector) StageEnded(ev telemetry.StageEvent) {
 	}
 	observe := func(name string, fail bool) {
 		p := c.place(name)
-		p.observe(fail, c.cfg)
+		p.observe(fail)
 		if p.flagged && p.flaggedAt == 0 {
 			p.flaggedAt = c.verdicts
 			if c.loc == nil {
@@ -253,7 +229,7 @@ func (c *Collector) StageEnded(ev telemetry.StageEvent) {
 					WindowRate:   p.windowRate(),
 					BaselineRate: p.baselineRate(),
 					Reason: fmt.Sprintf("window fail rate %.2f departed baseline %.2f by more than %.2f (stage %s: %s)",
-						p.windowRate(), p.baselineRate(), c.cfg.Threshold, stage, reason),
+						p.windowRate(), p.baselineRate(), threshold, stage, reason),
 				}
 			}
 		}
@@ -312,7 +288,7 @@ func (c *Collector) Localized() *Localization {
 func (c *Collector) place(name string) *place {
 	p, ok := c.places[name]
 	if !ok {
-		p = newPlace(name, c.cfg)
+		p = newPlace(name)
 		c.places[name] = p
 		c.placeSeq = append(c.placeSeq, name)
 	}

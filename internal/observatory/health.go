@@ -40,25 +40,25 @@ type place struct {
 	memoMisses   uint64
 }
 
-func newPlace(name string, cfg Config) *place {
+func newPlace(name string) *place {
 	return &place{
 		name: name,
-		lat:  ring{buf: make([]float64, 0, cfg.LatencyRing), cap: cfg.LatencyRing},
-		win:  make([]bool, cfg.Window),
+		lat:  ring{buf: make([]float64, 0, latencyRing)},
+		win:  make([]bool, window),
 	}
 }
 
 // observe folds one appraisal outcome into the rolling window and the
 // baseline, then re-evaluates the anomaly condition: enough failures in
 // the window AND a failure rate departing the baseline by more than the
-// threshold. The baseline is the place's first cfg.Baseline outcomes —
+// threshold. The baseline is the place's first baseline outcomes —
 // "what this hop looked like when the operator turned the collector on".
-func (p *place) observe(fail bool, cfg Config) {
+func (p *place) observe(fail bool) {
 	p.obs++
 	if fail {
 		p.fails++
 	}
-	if int(p.obs) <= cfg.Baseline {
+	if int(p.obs) <= baseline {
 		p.baseObs++
 		if fail {
 			p.baseFails++
@@ -80,8 +80,8 @@ func (p *place) observe(fail bool, cfg Config) {
 		}
 		p.winHead = (p.winHead + 1) % len(p.win)
 	}
-	if !p.flagged && p.winFails >= cfg.MinFails &&
-		p.windowRate()-p.baselineRate() > cfg.Threshold {
+	if !p.flagged && p.winFails >= minFails &&
+		p.windowRate()-p.baselineRate() > threshold {
 		p.flagged = true
 	}
 }
@@ -113,16 +113,15 @@ type link struct {
 type ring struct {
 	buf  []float64
 	head int
-	cap  int
 }
 
 func (r *ring) push(v float64) {
-	if len(r.buf) < r.cap {
+	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, v)
 		return
 	}
 	r.buf[r.head] = v
-	r.head = (r.head + 1) % r.cap
+	r.head = (r.head + 1) % len(r.buf)
 }
 
 // quantiles returns p50/p95/p99 over the retained samples (zeros when

@@ -3,32 +3,32 @@ package observatory
 import "testing"
 
 // TestHealthWindowRollover pins the per-place rolling outcome window
-// across its fill→rollover boundary: once winN reaches the configured
-// window, each new outcome must displace exactly the oldest one, and
+// across its fill→rollover boundary: once winN reaches the window, each new outcome must displace exactly the oldest one, and
 // winFails must track the displaced value — never going negative and
 // never counting an outcome that has rotated out. The freshness
 // watchdog's burn-rate evaluator leans on the same sliding-window
 // arithmetic, so a drift here silently corrupts both planes.
 func TestHealthWindowRollover(t *testing.T) {
-	cfg := Config{Window: 4, Baseline: 2, MinFails: 2, Threshold: 0.25}.withDefaults()
-	p := newPlace("sw2", cfg)
+	p := newPlace("sw2")
 
-	// Fill: four clean outcomes.
-	for i := 0; i < 4; i++ {
-		p.observe(false, cfg)
+	// Fill: a window of clean outcomes.
+	for i := 0; i < window; i++ {
+		p.observe(false)
 	}
-	if p.winN != 4 || p.winFails != 0 {
-		t.Fatalf("after fill: winN=%d winFails=%d, want 4/0", p.winN, p.winFails)
+	if p.winN != window || p.winFails != 0 {
+		t.Fatalf("after fill: winN=%d winFails=%d, want %d/0", p.winN, p.winFails, window)
 	}
 
-	// Rollover: two failures displace two of the clean outcomes.
-	p.observe(true, cfg)
-	p.observe(true, cfg)
-	if p.winN != 4 {
+	// Rollover: half a window of failures displaces half the clean
+	// outcomes.
+	for i := 0; i < window/2; i++ {
+		p.observe(true)
+	}
+	if p.winN != window {
 		t.Fatalf("winN grew past the window: %d", p.winN)
 	}
-	if p.winFails != 2 {
-		t.Fatalf("winFails = %d, want 2", p.winFails)
+	if p.winFails != window/2 {
+		t.Fatalf("winFails = %d, want %d", p.winFails, window/2)
 	}
 	if got := p.windowRate(); got != 0.5 {
 		t.Fatalf("windowRate = %v, want 0.5", got)
@@ -37,11 +37,11 @@ func TestHealthWindowRollover(t *testing.T) {
 		t.Fatal("place not flagged at 0.5 window rate over a clean baseline")
 	}
 
-	// Recovery: four clean outcomes rotate both failures out; the
-	// decrement side of the rollover must land winFails back at exactly
-	// zero, not below.
-	for i := 0; i < 4; i++ {
-		p.observe(false, cfg)
+	// Recovery: a window of clean outcomes rotates every failure out;
+	// the decrement side of the rollover must land winFails back at
+	// exactly zero, not below.
+	for i := 0; i < window; i++ {
+		p.observe(false)
 		if p.winFails < 0 {
 			t.Fatalf("winFails went negative: %d", p.winFails)
 		}
@@ -57,17 +57,16 @@ func TestHealthWindowRollover(t *testing.T) {
 // TestHealthWindowLongRun cross-checks the ring arithmetic against a
 // reference model over many wraps of the head pointer.
 func TestHealthWindowLongRun(t *testing.T) {
-	cfg := Config{Window: 8, Baseline: 4, MinFails: 3, Threshold: 0.25}.withDefaults()
-	p := newPlace("sw1", cfg)
+	p := newPlace("sw1")
 
 	var history []bool
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 12*window; i++ {
 		fail := i%3 == 0 // deterministic mixed pattern
 		history = append(history, fail)
-		p.observe(fail, cfg)
+		p.observe(fail)
 
 		want := 0
-		start := len(history) - cfg.Window
+		start := len(history) - window
 		if start < 0 {
 			start = 0
 		}

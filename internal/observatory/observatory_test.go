@@ -38,7 +38,7 @@ func pathHops(places ...string) []pera.HopSpan {
 }
 
 func TestCollectorReassemblesPaths(t *testing.T) {
-	c := New("collector", Config{})
+	c := New("collector")
 	c.IngestPath("f1", pathHops("sw1", "sw2", "sw3"), false)
 	c.IngestPath("f2", pathHops("sw1", "sw2", "sw3"), true)
 	s := c.Snapshot()
@@ -61,21 +61,24 @@ func TestCollectorReassemblesPaths(t *testing.T) {
 }
 
 func TestCollectorPathRingBounded(t *testing.T) {
-	c := New("collector", Config{PathCapacity: 4})
-	for i := 0; i < 10; i++ {
+	c := New("collector")
+	const n = pathCapacity + 6
+	for i := 0; i < n; i++ {
 		c.IngestPath(fmt.Sprintf("f%d", i), pathHops("sw1"), false)
 	}
 	s := c.Snapshot()
-	if s.Traces != 10 || len(s.Paths) != 4 {
-		t.Fatalf("traces %d, retained %d", s.Traces, len(s.Paths))
+	if s.Traces != n || len(c.paths) != pathCapacity {
+		t.Fatalf("traces %d, retained %d", s.Traces, len(c.paths))
 	}
-	if s.Paths[0].Flow != "f9" || s.Paths[3].Flow != "f6" {
-		t.Fatalf("ring order: %s .. %s", s.Paths[0].Flow, s.Paths[3].Flow)
+	// The snapshot lists the newest first; the ring's oldest survivor
+	// sits at its head.
+	if s.Paths[0].Flow != fmt.Sprintf("f%d", n-1) || c.paths[c.pathHead].Flow != "f6" {
+		t.Fatalf("ring order: %s .. %s", s.Paths[0].Flow, c.paths[c.pathHead].Flow)
 	}
 }
 
 func TestVerdictJoinsTrace(t *testing.T) {
-	c := New("collector", Config{})
+	c := New("collector")
 	c.IngestPath("f1", pathHops("sw1", "sw2"), false)
 	feedVerdict(c, "f1", []string{"sw1", "sw2"}, false, "sw2", "golden", "measurement mismatch")
 	s := c.Snapshot()
@@ -97,7 +100,7 @@ func TestVerdictJoinsTrace(t *testing.T) {
 // attribution to one switch. The anomaly model must flag exactly that
 // switch, within the window.
 func TestLocalizationFlagsCompromisedPlace(t *testing.T) {
-	c := New("collector", Config{Baseline: 8, MinFails: 3})
+	c := New("collector")
 	hops := []string{"sw1", "sw2", "sw3", "sw4"}
 	flow := 0
 	send := func(verdict bool, failPlace string) {
@@ -108,7 +111,7 @@ func TestLocalizationFlagsCompromisedPlace(t *testing.T) {
 		}
 		feedVerdict(c, fmt.Sprintf("flow%d", flow), hops, verdict, failPlace, stage, reason)
 	}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < baseline; i++ {
 		send(true, "")
 	}
 	if c.Localized() != nil {
@@ -144,7 +147,7 @@ func TestLocalizationFlagsCompromisedPlace(t *testing.T) {
 }
 
 func TestStatsAndHealthPushes(t *testing.T) {
-	c := New("collector", Config{})
+	c := New("collector")
 	c.IngestStats("sw1", pera.Stats{Packets: 100, VerifyOps: 80, VerifyFails: 8})
 	c.IngestAudit("sw1", 500, 2)
 	c.IngestMemo("sw1", 90, 10)
@@ -164,8 +167,31 @@ func TestStatsAndHealthPushes(t *testing.T) {
 	}
 }
 
+// TestRenderTopPushOnlyPlace: a place known only from memo and audit
+// pushes gets no table row, whose columns it cannot fill, but one line
+// under the table with its memo and audit health.
+func TestRenderTopPushOnlyPlace(t *testing.T) {
+	c := New("collector")
+	c.IngestPath("f1", pathHops("sw1"), false)
+	c.IngestMemo("Appraiser", 90, 10)
+	c.IngestAudit("Appraiser", 500, 2)
+	var top strings.Builder
+	RenderTop(&top, c.Snapshot())
+	out := top.String()
+	if !strings.Contains(out, "\nsw1 ") {
+		t.Fatalf("no row for sw1:\n%s", out)
+	}
+	if strings.Contains(out, "\nAppraiser  ") {
+		t.Fatalf("push-only place printed as a table row:\n%s", out)
+	}
+	const want = "\nAppraiser (pushes only): memo 90 hits, 10 misses; audit 500 records, 2 dropped\n"
+	if !strings.Contains(out, want) {
+		t.Fatalf("push-only line missing, want %q in:\n%s", want, out)
+	}
+}
+
 func TestSnapshotHTTPAndRender(t *testing.T) {
-	c := New("collector", Config{})
+	c := New("collector")
 	c.IngestPath("f1", pathHops("sw1", "sw2"), false)
 	feedVerdict(c, "f1", []string{"sw1", "sw2"}, true, "", "accept", "ok")
 
@@ -199,11 +225,11 @@ func TestSnapshotHTTPAndRender(t *testing.T) {
 // no span trail at all, and a FAIL reaches the place its provenance
 // names even when no verified signature is that place's.
 func TestVerdictWithoutTrace(t *testing.T) {
-	c := New("collector", Config{Baseline: 4, MinFails: 2})
-	for i := 0; i < 4; i++ {
+	c := New("collector")
+	for i := 0; i < baseline; i++ {
 		feedVerdict(c, fmt.Sprintf("w%d", i), []string{"sw1"}, true, "", "accept", "ok")
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < baseline/2; i++ {
 		feedVerdict(c, fmt.Sprintf("x%d", i), nil, false, "sw1", "golden", "mismatch")
 	}
 	if loc := c.Localized(); loc == nil || loc.Place != "sw1" {

@@ -10,12 +10,19 @@ import (
 // RenderTop writes the live places/links table attestctl top refreshes:
 // one row per place with latency quantiles, cache and verify health, and
 // the anomaly column, then the link rows and the localization verdict.
+// A place known only from memo and audit pushes (the appraiser) has
+// nothing for the table's columns; its health is one line under it.
 func RenderTop(w io.Writer, s Snapshot) {
 	fmt.Fprintf(w, "observatory %s — %d traces, %d verdicts, %d pushes\n\n",
 		s.Collector, s.Traces, s.Verdicts, s.Pushes)
 	fmt.Fprintf(w, "%-10s %7s %9s %9s %9s %6s %6s %7s %7s %8s %6s\n",
 		"PLACE", "SPANS", "LAT-P50", "LAT-P95", "LAT-P99", "CACHE%", "VFAIL%", "OBS", "FAILS", "WIN-RATE", "ANOM")
+	var pushOnly []PlaceHealth
 	for _, p := range s.Places {
+		if p.Spans == 0 && p.Observed == 0 && p.Packets == 0 && p.VerifyOps == 0 {
+			pushOnly = append(pushOnly, p)
+			continue
+		}
 		anom := "-"
 		if p.Anomalous {
 			anom = "FLAG"
@@ -25,6 +32,13 @@ func RenderTop(w io.Writer, s Snapshot) {
 			fmtNS(p.LatP50NS), fmtNS(p.LatP95NS), fmtNS(p.LatP99NS),
 			fmtPct(p.CacheHitRate), fmtPct(p.VerifyFailRate),
 			p.Observed, p.Fails, p.WindowRate, anom)
+	}
+	if len(pushOnly) > 0 {
+		fmt.Fprintln(w)
+		for _, p := range pushOnly {
+			fmt.Fprintf(w, "%s (pushes only): memo %d hits, %d misses; audit %d records, %d dropped\n",
+				p.Place, p.MemoHits, p.MemoMisses, p.AuditRecords, p.AuditDropped)
+		}
 	}
 	if len(s.Links) > 0 {
 		fmt.Fprintf(w, "\n%-22s %8s %10s\n", "LINK", "FRAMES", "EV-BYTES")

@@ -33,7 +33,7 @@ func TestSwitchConcurrentInject(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := s.Inject(1, frame); err != nil {
+				if _, err := s.Receive(1, frame); err != nil {
 					t.Errorf("inject: %v", err)
 					return
 				}
@@ -95,7 +95,7 @@ func TestSwitchConcurrentInjectInBand(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := s.Inject(1, wire); err != nil {
+				if _, err := s.Receive(1, wire); err != nil {
 					t.Errorf("inject: %v", err)
 					return
 				}

@@ -73,7 +73,7 @@ type Config struct {
 
 // Stats are cumulative counters the benchmarks read. It is a plain
 // snapshot type; the switch maintains the live counters as telemetry
-// instruments (see switchMetrics) so concurrent Inject callers never
+// instruments (see switchMetrics) so concurrent Receive callers never
 // serialize on a stats lock.
 type Stats struct {
 	Packets       uint64 // frames processed
@@ -190,7 +190,7 @@ func (m *switchMetrics) reset() {
 // Switch is a PERA switch: a PISA dataplane plus a root of trust, the
 // Sign/Verify stage, and the evidence Create/Inspect/Compose block.
 // It implements netsim.Node and netsim.Dataplane, and is safe for
-// concurrent Inject: configuration is read under a read lock, the PISA
+// concurrent Receive: configuration is read under a read lock, the PISA
 // instance guards its own tables/registers, and all counters are atomic.
 type Switch struct {
 	name string
@@ -513,14 +513,6 @@ func (s *Switch) claimEvidence(rec *telemetry.StageRecorder, d evidence.Detail, 
 	}
 	rec.End(m, telemetry.StageEvent{Stage: stage, Target: target, Detail: d.String()})
 	return ev, err
-}
-
-// Inject delivers one frame to the switch's pipeline. It is the
-// concurrent-ingestion entry point: multiple goroutines may Inject into
-// the same switch simultaneously (the throughput harness's per-worker
-// traffic sources do exactly that).
-func (s *Switch) Inject(port uint64, frame []byte) ([]netsim.Emission, error) {
-	return s.Receive(port, frame)
 }
 
 // Receive implements netsim.Node: the full Fig. 3 pipeline with the

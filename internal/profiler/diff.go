@@ -124,14 +124,14 @@ func (p *Profiler) Summary(lookback time.Duration) Summary {
 		}
 		w = mergeWindows(p.windows[lo:])
 	}
-	w.fill(&s, p.opts.TopN)
+	w.fill(&s)
 	for _, kind := range Kinds {
 		if len(p.artifacts[kind]) > 0 {
 			s.Kinds = append(s.Kinds, kind)
 		}
 	}
 	if p.baseline != nil {
-		d := diffWindows(p.baseline, &w, p.opts.Diff)
+		d := diffWindows(p.baseline, &w)
 		s.Diff = &d
 	}
 	if len(p.findings) > 0 {
@@ -142,16 +142,16 @@ func (p *Profiler) Summary(lookback time.Duration) Summary {
 
 // Summarize attributes a raw CPU profile, such as an exported cpu.pprof,
 // with the steps a live capture runs (attribute in ingestCPU, fill in
-// Summary, the default top-n), so its summary equals the live one.
+// Summary), so its summary equals the live one.
 func Summarize(data []byte) (Summary, error) {
 	w, err := attribute(data)
 	s := Summary{Captures: 1}
-	w.fill(&s, Options{}.withDefaults().TopN)
+	w.fill(&s)
 	return s, err
 }
 
 // fill writes a window's time span, totals, stage and top-n tables.
-func (w *window) fill(s *Summary, topN int) {
+func (w *window) fill(s *Summary) {
 	s.CapturedNS = w.tsNS
 	s.WindowNS = w.durNS
 	s.Samples = w.samples
@@ -161,7 +161,7 @@ func (w *window) fill(s *Summary, topN int) {
 		s.LabeledShare = w.labeled / w.total
 	}
 	s.Stages = sortedStages(w)
-	s.Top = sortedFuncs(w, topN)
+	s.Top = sortedFuncs(w)
 	if len(s.Top) > 0 {
 		s.Hotspot, s.HotspotShare = s.Top[0].Name, s.Top[0].Share
 	}
@@ -179,7 +179,7 @@ func (p *Profiler) Diff() (TopDiff, bool) {
 		return TopDiff{}, false
 	}
 	w := p.windows[len(p.windows)-1]
-	return diffWindows(p.baseline, &w, p.opts.Diff), true
+	return diffWindows(p.baseline, &w), true
 }
 
 // TopDiffJSON marshals the current baseline diff for incident bundles
@@ -206,8 +206,8 @@ func share(sec, total float64) float64 {
 
 // diffWindows builds the stage/function share comparison between a
 // baseline and a current window and extracts findings over the
-// configured deltas.
-func diffWindows(base, cur *window, cfg DiffConfig) TopDiff {
+// stage and function deltas.
+func diffWindows(base, cur *window) TopDiff {
 	d := TopDiff{
 		BaselineNS: base.tsNS, CurrentNS: cur.tsNS,
 		BaselineSeconds: base.total, CurrentSeconds: cur.total,
@@ -261,11 +261,11 @@ func diffWindows(base, cur *window, cfg DiffConfig) TopDiff {
 		return d.Functions[i].Name < d.Functions[j].Name
 	})
 
-	if cur.total < cfg.MinSeconds || base.total < cfg.MinSeconds {
+	if cur.total < minSeconds || base.total < minSeconds {
 		return d // shares of a near-idle window are noise, never findings
 	}
 	for _, sd := range d.Stages {
-		if sd.Delta >= cfg.StageDelta {
+		if sd.Delta >= stageDeltaMin {
 			d.Findings = append(d.Findings, Finding{
 				Kind: "stage", What: sd.Stage, Place: sd.Place,
 				BaseShare: sd.BaseShare, CurShare: sd.CurShare, Delta: sd.Delta,
@@ -276,7 +276,7 @@ func diffWindows(base, cur *window, cfg DiffConfig) TopDiff {
 		}
 	}
 	for _, fd := range d.Functions {
-		if fd.Delta >= cfg.FuncDelta {
+		if fd.Delta >= funcDeltaMin {
 			d.Findings = append(d.Findings, Finding{
 				Kind: "function", What: fd.Name,
 				BaseShare: fd.BaseShare, CurShare: fd.CurShare, Delta: fd.Delta,
@@ -294,7 +294,7 @@ func diffWindows(base, cur *window, cfg DiffConfig) TopDiff {
 // latched while they breach: a persistent regression fires once, not
 // once per window.
 func (p *Profiler) evaluate(base, cur *window) {
-	d := diffWindows(base, cur, p.opts.Diff)
+	d := diffWindows(base, cur)
 
 	p.mu.Lock()
 	fresh := make([]Finding, 0, len(d.Findings))
@@ -325,7 +325,7 @@ func (p *Profiler) evaluate(base, cur *window) {
 }
 
 // dispatch publishes one finding through the freshness sink pipeline —
-// the same stderr/JSONL/audit-ledger (and recorder bundling) fan-out
+// the same stderr/audit-ledger (and recorder bundling) fan-out
 // alerts and anomalies ride.
 func (p *Profiler) dispatch(f *Finding) {
 	p.regressions.Add(1)

@@ -4,7 +4,7 @@
 // samples to RATS stages via the telemetry.ProfRegion labels stamped
 // around the hot-path regions, and diffs the live window against a
 // pinned baseline so a hot-path regression pages through the same
-// freshness sink pipeline (stderr/JSONL/audit ledger) every other alert
+// freshness sink pipeline (stderr/audit ledger) every other alert
 // rides. See docs/PROFILING.md.
 package profiler
 

@@ -19,51 +19,35 @@ import (
 // contention and allocation picture alongside the CPU attribution.
 var Kinds = []string{"cpu", "heap", "mutex", "block", "goroutine"}
 
+// The capture ring, the top-function table and the regression
+// detector.
+const (
+	// ringLen bounds how many capture windows are retained.
+	ringLen = 8
+	// topN bounds the top-function table.
+	topN = 10
+	// stageDeltaMin is the share increase (absolute, 0..1) of one
+	// stage's CPU that flags a profile_regression.
+	stageDeltaMin = 0.15
+	// funcDeltaMin is the same threshold for one function.
+	funcDeltaMin = 0.20
+	// minSeconds is the minimum CPU observed in a window before it is
+	// diffed at all — near-idle windows have meaningless shares. The
+	// first window that reaches it is pinned as the baseline when none
+	// was pinned explicitly.
+	minSeconds = 0.010
+)
+
 // Options tunes a Profiler.
 type Options struct {
 	// Service names the process in summaries (default "pera").
 	Service string
 	// Window is one CPU capture window for the Start loop (default 2s).
 	Window time.Duration
-	// Ring bounds how many capture windows are retained (default 8).
-	Ring int
-	// TopN bounds the top-function table (default 10).
-	TopN int
 	// Registry, when non-nil, receives the pera_profile_* instruments.
 	Registry *telemetry.Registry
-	// Diff tunes the regression detector.
-	Diff DiffConfig
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
-}
-
-// DiffConfig tunes the baseline diff engine.
-type DiffConfig struct {
-	// StageDelta is the share increase (absolute, 0..1) of one stage's
-	// CPU that flags a profile_regression (default 0.15).
-	StageDelta float64
-	// FuncDelta is the same threshold for one function (default 0.20).
-	FuncDelta float64
-	// MinSeconds is the minimum CPU observed in a window before it is
-	// diffed at all — near-idle windows have meaningless shares
-	// (default 10ms).
-	MinSeconds float64
-	// AutoBaseline pins the first completed window as the baseline when
-	// none was pinned explicitly (the Start loop's default behaviour).
-	AutoBaseline bool
-}
-
-func (c DiffConfig) withDefaults() DiffConfig {
-	if c.StageDelta <= 0 {
-		c.StageDelta = 0.15
-	}
-	if c.FuncDelta <= 0 {
-		c.FuncDelta = 0.20
-	}
-	if c.MinSeconds <= 0 {
-		c.MinSeconds = 0.010
-	}
-	return c
 }
 
 func (o Options) withDefaults() Options {
@@ -73,16 +57,9 @@ func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 2 * time.Second
 	}
-	if o.Ring <= 0 {
-		o.Ring = 8
-	}
-	if o.TopN <= 0 {
-		o.TopN = 10
-	}
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
-	o.Diff = o.Diff.withDefaults()
 	return o
 }
 
@@ -116,8 +93,8 @@ type Profiler struct {
 	opts Options
 
 	mu        sync.Mutex
-	artifacts map[string][]artifact // newest last, bounded by opts.Ring
-	windows   []window              // newest last, bounded by opts.Ring
+	artifacts map[string][]artifact // newest last, bounded by ringLen
+	windows   []window              // newest last, bounded by ringLen
 	baseline  *window               // pinned diff reference (aggregated)
 	findings  []Finding             // newest last, bounded ring
 	breaching map[string]bool       // finding keys currently over threshold
@@ -162,7 +139,7 @@ func New(opts Options) *Profiler {
 }
 
 // AddSink attaches a freshness sink for profile_regression findings —
-// typically the same LogSink/JSONLSink/AuditSink set the watchdog and
+// typically the same LogSink/AuditSink set the watchdog and
 // recorder publish to, so all three planes page through one pipeline.
 func (p *Profiler) AddSink(s freshness.Sink) {
 	if p == nil || s == nil {
@@ -284,8 +261,8 @@ func (p *Profiler) storeArtifact(kind string, tsNS int64, data []byte) {
 	}
 	p.mu.Lock()
 	ring := append(p.artifacts[kind], artifact{kind: kind, tsNS: tsNS, data: data})
-	if len(ring) > p.opts.Ring {
-		ring = ring[len(ring)-p.opts.Ring:]
+	if len(ring) > ringLen {
+		ring = ring[len(ring)-ringLen:]
 	}
 	p.artifacts[kind] = ring
 	p.mu.Unlock()
@@ -349,8 +326,8 @@ func (p *Profiler) ingestCPU(data []byte, startNS, endNS int64) error {
 
 	p.mu.Lock()
 	p.windows = append(p.windows, w)
-	if len(p.windows) > p.opts.Ring {
-		p.windows = p.windows[len(p.windows)-p.opts.Ring:]
+	if len(p.windows) > ringLen {
+		p.windows = p.windows[len(p.windows)-ringLen:]
 	}
 	for k, sec := range w.stages {
 		tot, ok := p.stageTotals[k]
@@ -365,7 +342,7 @@ func (p *Profiler) ingestCPU(data []byte, startNS, endNS int64) error {
 		}
 		*tot += sec
 	}
-	if p.baseline == nil && p.opts.Diff.AutoBaseline && w.total >= p.opts.Diff.MinSeconds {
+	if p.baseline == nil && w.total >= minSeconds {
 		base := w
 		p.baseline = &base
 	}
@@ -504,7 +481,7 @@ func sortedStages(w *window) []StageCost {
 }
 
 // sortedFuncs renders a window's flat-function map as a top-N table.
-func sortedFuncs(w *window, n int) []FuncCost {
+func sortedFuncs(w *window) []FuncCost {
 	out := make([]FuncCost, 0, len(w.funcs))
 	for name, sec := range w.funcs {
 		fc := FuncCost{Name: name, Seconds: sec}
@@ -519,8 +496,8 @@ func sortedFuncs(w *window, n int) []FuncCost {
 		}
 		return out[i].Name < out[j].Name
 	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
+	if len(out) > topN {
+		out = out[:topN]
 	}
 	return out
 }

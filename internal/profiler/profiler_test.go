@@ -124,7 +124,7 @@ func TestDiffWindowsFindsStageRegression(t *testing.T) {
 		map[stageKey]float64{{"verify", "ap"}: 0.6, {"sign", "sw1"}: 0.1},
 		map[string]float64{"crypto/ed25519.Verify": 0.6})
 
-	d := diffWindows(&base, &cur, DiffConfig{}.withDefaults())
+	d := diffWindows(&base, &cur)
 	if len(d.Findings) == 0 {
 		t.Fatalf("no findings for a 20%%→60%% stage jump")
 	}
@@ -157,7 +157,7 @@ func TestDiffWindowsFindsStageRegression(t *testing.T) {
 func TestDiffWindowsIgnoresIdle(t *testing.T) {
 	base := mkWindow(1, 0.001, map[stageKey]float64{{"verify", "ap"}: 0.0002}, nil)
 	cur := mkWindow(2, 0.001, map[stageKey]float64{{"verify", "ap"}: 0.0009}, nil)
-	d := diffWindows(&base, &cur, DiffConfig{}.withDefaults())
+	d := diffWindows(&base, &cur)
 	if len(d.Findings) != 0 {
 		t.Fatalf("near-idle windows produced findings: %+v", d.Findings)
 	}

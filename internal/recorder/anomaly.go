@@ -39,68 +39,35 @@ var DefaultWatch = []string{
 	"pera_audit_queue_depth",
 }
 
-// DetectorConfig tunes the anomaly engine.
-type DetectorConfig struct {
-	// Watch lists metric names (or exact series IDs) to evaluate. Empty
-	// selects DefaultWatch. Histogram metrics are watched through their
-	// derived _p50/_p99/_count series names.
-	Watch []string
-	// Z is the robust z-score trip threshold (default 6).
-	Z float64
-	// Alpha is the EWMA smoothing factor (default 0.3).
-	Alpha float64
-	// Warmup is the minimum samples per series before evaluation
-	// (default 12): detectors never judge a cold start.
-	Warmup int
-	// Window is how many fine-ring samples feed the median/MAD baseline
-	// (default 60).
-	Window int
-	// MinSigma floors the robust deviation so an all-constant baseline
+// The detectors' thresholds and memory. The float thresholds are typed
+// float64 so that expressions over them, such as zTrip*alpha/2, round
+// at every step as float64 arithmetic does.
+const (
+	// zTrip is the robust z-score trip threshold.
+	zTrip float64 = 6
+	// alpha is the EWMA smoothing factor.
+	alpha float64 = 0.3
+	// warmup is the minimum samples per series before evaluation:
+	// detectors never judge a cold start.
+	warmup = 12
+	// baselineLen is how many fine-ring samples feed the median/MAD
+	// baseline.
+	baselineLen = 60
+	// minSigma floors the robust deviation so an all-constant baseline
 	// (MAD 0 — e.g. a counter that has never incremented) still yields
-	// a finite z for a genuine jump without tripping on float jitter
-	// (default 1e-6).
-	MinSigma float64
-	// RelSigma floors the robust deviation at this fraction of the
-	// baseline median (default 0.1). Latency quantiles cluster so
-	// tightly that their MAD is microseconds and ordinary jitter scores
-	// hundreds of σ; the relative floor makes deviation meaningful in
-	// proportion to the level, while zero-based baselines (a counter
-	// that has never failed) keep their absolute MinSigma sensitivity.
-	RelSigma float64
-	// Cooldown suppresses re-firing the same series for this long
-	// (default 30s) so one incident does not become an anomaly storm.
-	Cooldown time.Duration
-	// Disable turns the engine off while keeping history recording.
-	Disable bool
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if len(c.Watch) == 0 {
-		c.Watch = DefaultWatch
-	}
-	if c.Z <= 0 {
-		c.Z = 6
-	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
-		c.Alpha = 0.3
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 12
-	}
-	if c.Window <= 0 {
-		c.Window = 60
-	}
-	if c.MinSigma <= 0 {
-		c.MinSigma = 1e-6
-	}
-	if c.RelSigma <= 0 {
-		c.RelSigma = 0.1
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	return c
-}
+	// a finite z for a genuine jump without tripping on float jitter.
+	minSigma float64 = 1e-6
+	// relSigma floors the robust deviation at this fraction of the
+	// baseline median. Latency quantiles cluster so tightly that their
+	// MAD is microseconds and ordinary jitter scores hundreds of σ; the
+	// relative floor makes deviation meaningful in proportion to the
+	// level, while zero-based baselines (a counter that has never
+	// failed) keep their absolute minSigma sensitivity.
+	relSigma float64 = 0.1
+	// cooldown suppresses re-firing the same series for this long so
+	// one incident does not become an anomaly storm.
+	cooldown = 30 * time.Second
+)
 
 // Anomaly is one detector trip.
 type Anomaly struct {
@@ -121,7 +88,7 @@ type detState struct {
 	lastV      float64
 	lastTS     int64
 	rateInit   bool
-	rates      []float64 // counter-rate window (bounded by cfg.Window)
+	rates      []float64 // counter-rate window (bounded by baselineLen)
 	samples    int
 	mutedUntil int64
 }
@@ -130,7 +97,7 @@ type detState struct {
 // on each scrape tick; it keeps only O(watched series) state of its own
 // — baselines come from the store's rings.
 type Engine struct {
-	cfg   DetectorConfig
+	watch []string
 	store *Store
 
 	states map[string]*detState
@@ -146,20 +113,26 @@ type Engine struct {
 	anomalies uint64
 }
 
-// NewEngine builds an engine over store.
-func NewEngine(store *Store, cfg DetectorConfig) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), store: store, states: make(map[string]*detState)}
+// NewEngine builds an engine over store that evaluates the watched
+// metric names (or exact series IDs); an empty list selects
+// DefaultWatch. Histogram metrics are watched through their derived
+// _p50/_p99/_count series names.
+func NewEngine(store *Store, watch []string) *Engine {
+	if len(watch) == 0 {
+		watch = DefaultWatch
+	}
+	return &Engine{watch: watch, store: store, states: make(map[string]*detState)}
 }
 
 // sigma converts a MAD into the robust standard deviation, floored
-// absolutely (MinSigma) and relative to the baseline level (RelSigma).
-func (e *Engine) sigma(med, mad float64) float64 {
+// absolutely (minSigma) and relative to the baseline level (relSigma).
+func sigma(med, mad float64) float64 {
 	s := 1.4826 * mad
-	if rel := e.cfg.RelSigma * math.Abs(med); s < rel {
+	if rel := relSigma * math.Abs(med); s < rel {
 		s = rel
 	}
-	if s < e.cfg.MinSigma {
-		s = e.cfg.MinSigma
+	if s < minSigma {
+		s = minSigma
 	}
 	return s
 }
@@ -249,11 +222,11 @@ func (e *Engine) baselineMedianMAD(vals []float64) (med, mad float64) {
 // Evaluate runs every detector once against the newest samples and
 // returns the trips. Called by the Recorder after each Observe.
 func (e *Engine) Evaluate(nowNS int64) []Anomaly {
-	if e == nil || e.cfg.Disable {
+	if e == nil {
 		return nil
 	}
 	e.evals++
-	e.ids = e.store.matchIDs(e.ids[:0], e.cfg.Watch)
+	e.ids = e.store.matchIDs(e.ids[:0], e.watch)
 	var out []Anomaly
 	for _, id := range e.ids {
 		if a := e.evalSeries(nowNS, id); a != nil {
@@ -268,7 +241,7 @@ func (e *Engine) evalSeries(nowNS int64, id string) *Anomaly {
 	var kind telemetry.Kind
 	var place string
 	var ok bool
-	e.window, kind, place, ok = e.store.window(e.window[:0], id, e.cfg.Window)
+	e.window, kind, place, ok = e.store.window(e.window[:0], id, baselineLen)
 	if !ok || len(e.window) == 0 {
 		return nil
 	}
@@ -289,26 +262,26 @@ func (e *Engine) evalSeries(nowNS int64, id string) *Anomaly {
 	if !st.ewmaInit {
 		st.ewma, st.ewmaInit = cur, true
 	} else {
-		st.ewma = e.cfg.Alpha*cur + (1-e.cfg.Alpha)*st.ewma
+		st.ewma = alpha*cur + (1-alpha)*st.ewma
 	}
-	if st.samples < e.cfg.Warmup || len(e.window) < e.cfg.Warmup {
+	if st.samples < warmup || len(e.window) < warmup {
 		return nil
 	}
 	// Baseline excludes the newest sample so a genuine step change is
 	// judged against history, not against itself.
 	med, mad := e.baselineMedianMAD(e.window[:len(e.window)-1])
-	sigma := e.sigma(med, mad)
+	sigma := sigma(med, mad)
 	z := math.Abs(cur-med) / sigma
 	// EWMA confirmation: the smoothed series must also have moved, so a
 	// single-sample glitch on a flat series does not page.
 	ez := math.Abs(st.ewma-med) / sigma
-	if z < e.cfg.Z || ez < e.cfg.Z*e.cfg.Alpha/2 {
+	if z < zTrip || ez < zTrip*alpha/2 {
 		return nil
 	}
 	if nowNS < st.mutedUntil {
 		return nil
 	}
-	st.mutedUntil = nowNS + int64(e.cfg.Cooldown)
+	st.mutedUntil = nowNS + int64(cooldown)
 	return &Anomaly{
 		TSNS: nowNS, Rule: RuleRobustZ, SeriesID: id, Place: place,
 		Value: cur, Baseline: med, Z: z,
@@ -337,27 +310,27 @@ func (e *Engine) evalRate(nowNS int64, id, place string, st *detState, cur float
 		return nil
 	}
 	st.rates = append(st.rates, rate)
-	if len(st.rates) > e.cfg.Window {
+	if len(st.rates) > baselineLen {
 		copy(st.rates, st.rates[1:])
 		st.rates = st.rates[:len(st.rates)-1]
 	}
 	st.samples++
-	if st.samples < e.cfg.Warmup {
+	if st.samples < warmup {
 		return nil
 	}
 	med, mad := e.baselineMedianMAD(st.rates[:len(st.rates)-1])
-	sigma := e.sigma(med, mad)
+	sigma := sigma(med, mad)
 	if rate <= med {
 		return nil // only positive spikes: failures appearing, not stopping
 	}
 	z := (rate - med) / sigma
-	if z < e.cfg.Z {
+	if z < zTrip {
 		return nil
 	}
 	if nowNS < st.mutedUntil {
 		return nil
 	}
-	st.mutedUntil = nowNS + int64(e.cfg.Cooldown)
+	st.mutedUntil = nowNS + int64(cooldown)
 	return &Anomaly{
 		TSNS: nowNS, Rule: RuleRateSpike, SeriesID: id, Place: place,
 		Value: rate, Baseline: med, Z: z,

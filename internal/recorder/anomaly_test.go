@@ -9,12 +9,12 @@ import (
 
 // feedGauge drives a gauge series through the store+engine one scrape at
 // a time and returns every anomaly tripped.
-func feedGauge(t *testing.T, vals []float64, cfg DetectorConfig) []Anomaly {
+func feedGauge(t *testing.T, vals []float64) []Anomaly {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	g := reg.Gauge("pera_pool_queue_depth")
-	s := NewStore(StoreConfig{})
-	e := NewEngine(s, cfg)
+	s := NewStore()
+	e := NewEngine(s, nil)
 	var out []Anomaly
 	for i, v := range vals {
 		g.Set(v)
@@ -32,7 +32,7 @@ func TestRobustZTripsOnStep(t *testing.T) {
 		vals[i] = 10 + float64(i%3)*0.01
 	}
 	vals[30] = 1000
-	got := feedGauge(t, vals, DetectorConfig{})
+	got := feedGauge(t, vals)
 	if len(got) != 1 {
 		t.Fatalf("anomalies = %d, want exactly 1 (the step)", len(got))
 	}
@@ -57,17 +57,17 @@ func TestRobustZQuietOnSteadySeries(t *testing.T) {
 	for i := range vals {
 		vals[i] = 50 + float64(i%5)
 	}
-	if got := feedGauge(t, vals, DetectorConfig{}); len(got) != 0 {
+	if got := feedGauge(t, vals); len(got) != 0 {
 		t.Fatalf("steady series tripped %d anomalies: %+v", len(got), got)
 	}
 }
 
 func TestRobustZAllZeroBaselineStillTrips(t *testing.T) {
-	// MAD of an all-constant baseline is 0; MinSigma must keep a genuine
+	// MAD of an all-constant baseline is 0; minSigma must keep a genuine
 	// jump detectable instead of dividing by zero or staying silent.
 	vals := make([]float64, 21)
 	vals[20] = 5
-	got := feedGauge(t, vals, DetectorConfig{})
+	got := feedGauge(t, vals)
 	if len(got) != 1 {
 		t.Fatalf("anomalies = %d, want 1 (jump off a flat-zero baseline)", len(got))
 	}
@@ -76,35 +76,37 @@ func TestRobustZAllZeroBaselineStillTrips(t *testing.T) {
 func TestDetectorWarmupSuppresses(t *testing.T) {
 	// A spike inside the warmup window is never judged.
 	vals := []float64{0, 0, 0, 0, 1000}
-	if got := feedGauge(t, vals, DetectorConfig{Warmup: 12}); len(got) != 0 {
+	if got := feedGauge(t, vals); len(got) != 0 {
 		t.Fatalf("warmup violated: %+v", got)
 	}
 }
 
 func TestDetectorCooldownMutes(t *testing.T) {
-	// Two steps 5s apart with a 30s cooldown: only the first pages.
-	vals := make([]float64, 40)
+	// Two steps 5s apart: only the first pages, the second falls inside
+	// the cooldown. A third step 5s past the cooldown pages again.
+	const first = 30
+	after := first + int(cooldown/time.Second) + 5
+	vals := make([]float64, after+5)
 	for i := range vals {
 		vals[i] = 10
 	}
-	vals[30] = 500
-	vals[35] = 800
-	got := feedGauge(t, vals, DetectorConfig{})
-	if len(got) != 1 {
-		t.Fatalf("anomalies = %d, want 1 (second trip inside cooldown)", len(got))
-	}
-	// With a 1s cooldown both page.
-	got = feedGauge(t, vals, DetectorConfig{Cooldown: time.Second})
+	vals[first] = 500
+	vals[first+5] = 800
+	vals[after] = 800
+	got := feedGauge(t, vals)
 	if len(got) != 2 {
-		t.Fatalf("anomalies = %d, want 2 with short cooldown", len(got))
+		t.Fatalf("anomalies = %d, want 2 (second trip inside cooldown, third past it)", len(got))
+	}
+	if got[0].TSNS != sec(first) || got[1].TSNS != sec(after) {
+		t.Fatalf("trips at %d and %d, want %d and %d", got[0].TSNS, got[1].TSNS, sec(first), sec(after))
 	}
 }
 
 func TestRateSpikeOnCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("pera_verify_fails_total")
-	s := NewStore(StoreConfig{})
-	e := NewEngine(s, DetectorConfig{})
+	s := NewStore()
+	e := NewEngine(s, nil)
 	var got []Anomaly
 	for i := 0; i < 40; i++ {
 		if i == 30 {
@@ -129,8 +131,8 @@ func TestRateSpikeOnCounter(t *testing.T) {
 func TestRateSpikeIgnoresDecreaseAndReset(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("pera_verify_fails_total")
-	s := NewStore(StoreConfig{})
-	e := NewEngine(s, DetectorConfig{})
+	s := NewStore()
+	e := NewEngine(s, nil)
 	var got []Anomaly
 	tick := 0
 	scrape := func() {
@@ -175,8 +177,8 @@ func TestRateSpikeBaselineRestartsAfterReset(t *testing.T) {
 	// re-warmed a genuine spike pages again.
 	reg := telemetry.NewRegistry()
 	c := reg.Counter("pera_verify_fails_total")
-	s := NewStore(StoreConfig{})
-	e := NewEngine(s, DetectorConfig{Warmup: 12, Cooldown: time.Second})
+	s := NewStore()
+	e := NewEngine(s, nil)
 	var got []Anomaly
 	tick := 0
 	scrape := func() {
@@ -228,8 +230,8 @@ func TestEngineWatchesOnlyConfiguredSeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	watched := reg.Gauge("pera_pool_queue_depth")
 	ignored := reg.Gauge("unwatched_gauge")
-	s := NewStore(StoreConfig{})
-	e := NewEngine(s, DetectorConfig{}) // DefaultWatch
+	s := NewStore()
+	e := NewEngine(s, nil) // DefaultWatch
 	var got []Anomaly
 	for i := 0; i < 40; i++ {
 		watched.Set(1)
@@ -247,14 +249,6 @@ func TestEngineWatchesOnlyConfiguredSeries(t *testing.T) {
 	evals, anomalies := e.Stats()
 	if evals == 0 || anomalies != 0 {
 		t.Fatalf("stats = %d evals / %d anomalies", evals, anomalies)
-	}
-}
-
-func TestEngineDisable(t *testing.T) {
-	vals := make([]float64, 31)
-	vals[30] = 1e9
-	if got := feedGauge(t, vals, DetectorConfig{Disable: true}); len(got) != 0 {
-		t.Fatalf("disabled engine paged: %+v", got)
 	}
 }
 

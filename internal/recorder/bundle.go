@@ -73,6 +73,15 @@ type Manifest struct {
 	Ledger    *LedgerInfo    `json:"ledger,omitempty"`
 }
 
+// The bundler's disk budget and ledger tail.
+const (
+	// diskBudget is the byte budget for a bundle directory: after each
+	// write, oldest bundles are deleted until the total fits.
+	diskBudget = 64 << 20
+	// tailRecords bounds the bundled ledger tail.
+	tailRecords = 512
+)
+
 // BundlerConfig tunes incident capture.
 type BundlerConfig struct {
 	// Dir is where bundles land. Empty disables bundling (history and
@@ -81,11 +90,6 @@ type BundlerConfig struct {
 	// Debounce is the minimum spacing between bundles (default 30s): a
 	// burst of anomalies from one incident yields one bundle.
 	Debounce time.Duration
-	// MaxBytes is the disk budget for Dir (default 64 MiB): after each
-	// write, oldest bundles are deleted until the total fits.
-	MaxBytes int64
-	// TailRecords bounds the bundled ledger tail (default 512).
-	TailRecords int
 	// Key verifies and re-anchors the ledger tail (nil = DevKey).
 	Key []byte
 	// KeyID names the key in the manifest (default "dev").
@@ -95,12 +99,6 @@ type BundlerConfig struct {
 func (c BundlerConfig) withDefaults() BundlerConfig {
 	if c.Debounce <= 0 {
 		c.Debounce = 30 * time.Second
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 64 << 20
-	}
-	if c.TailRecords <= 0 {
-		c.TailRecords = 512
 	}
 	if c.KeyID == "" {
 		c.KeyID = "dev"
@@ -177,7 +175,7 @@ func writeBundle(cfg BundlerConfig, service string, trig Trigger, cap capture) (
 	// aborting the capture.
 	var ledger *LedgerInfo
 	if cap.ledgerPath != "" {
-		tail, err := auditlog.VerifyTailFile(cap.ledgerPath, cfg.Key, cfg.TailRecords)
+		tail, err := auditlog.VerifyTailFile(cap.ledgerPath, cfg.Key, tailRecords)
 		if err != nil {
 			add("ledger_error.txt", []byte(err.Error()+"\n"))
 		} else {
@@ -322,8 +320,7 @@ type Bundle struct {
 // the recorder writes holds a full history store (512 series of 300
 // fine and 360 coarse points, about 22 MB of JSON), a 4,096-span trace
 // export (about 1 MB), a 512-record ledger tail and the newest
-// profiles; 64 MiB is past that, and is the bundler's default disk
-// budget.
+// profiles; 64 MiB is past that, and is the bundler's disk budget.
 const maxBundleBytes = 64 << 20
 
 // OpenBundle reads and parses one bundle archive: a gzip'd tar with the

@@ -120,15 +120,15 @@ func TestBundleLedgerTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
+	// A ledger longer than tailRecords exercises the mid-chain anchor.
+	for i := 0; i < tailRecords+20; i++ {
 		w.Emit(auditlog.Record{Event: auditlog.EventVerdict, Place: "sw1", Verdict: "PASS"})
 	}
 	w.Flush()
 
 	cap := testCapture(t)
 	cap.ledgerPath = ledger
-	// TailRecords below the ledger length exercises the mid-chain anchor.
-	cfg := BundlerConfig{Dir: dir, TailRecords: 8}.withDefaults()
+	cfg := BundlerConfig{Dir: dir}.withDefaults()
 	path, err := writeBundle(cfg, "svc", Trigger{Kind: "alert", TSNS: sec(9)}, cap)
 	if err != nil {
 		t.Fatal(err)
@@ -142,18 +142,18 @@ func TestBundleLedgerTail(t *testing.T) {
 	if b.Manifest.Ledger == nil {
 		t.Fatal("manifest carries no ledger info")
 	}
-	if b.Manifest.Ledger.Records != 8 {
-		t.Fatalf("tail records = %d, want 8", b.Manifest.Ledger.Records)
+	if b.Manifest.Ledger.Records != tailRecords {
+		t.Fatalf("tail records = %d, want %d", b.Manifest.Ledger.Records, tailRecords)
 	}
-	if b.Manifest.Ledger.Start != b.Manifest.Ledger.Total-8 {
+	if b.Manifest.Ledger.Start != b.Manifest.Ledger.Total-tailRecords {
 		t.Fatalf("tail start = %d of %d", b.Manifest.Ledger.Start, b.Manifest.Ledger.Total)
 	}
 	n, err := b.Verify(nil)
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	if n != 8 {
-		t.Fatalf("verified ledger records = %d, want 8", n)
+	if n != tailRecords {
+		t.Fatalf("verified ledger records = %d, want %d", n, tailRecords)
 	}
 	// Tamper with one tail line: the HMAC chain must break.
 	tail := b.Files["ledger_tail.jsonl"]

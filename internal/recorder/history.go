@@ -108,50 +108,27 @@ type series struct {
 	coarseBucket int64
 }
 
-// StoreConfig sizes the history store. The defaults give every series
-// 1s×5min fine history and 10s×1h coarse history — the ISSUE 8 shape —
-// in a few KB per series.
-type StoreConfig struct {
-	FineStep    time.Duration // nominal fine resolution (default 1s)
-	FineSlots   int           // fine ring capacity (default 300 → 5min at 1s)
-	CoarseStep  time.Duration // coarse resolution (default 10s)
-	CoarseSlots int           // coarse ring capacity (default 360 → 1h at 10s)
-	// MaxSeries bounds total memory: once reached, newly appearing
+// The history store's shape: every series gets 1s×5min fine history
+// and 10s×1h coarse history in a few KB.
+const (
+	fineSlots   = 300              // fine ring capacity: 5min at 1s
+	coarseStep  = 10 * time.Second // coarse resolution
+	coarseSlots = 360              // coarse ring capacity: 1h at 10s
+	// maxSeries bounds total memory: once reached, newly appearing
 	// metric identities are dropped and counted rather than grown.
-	MaxSeries int // default 512
-}
-
-func (c StoreConfig) withDefaults() StoreConfig {
-	if c.FineStep <= 0 {
-		c.FineStep = time.Second
-	}
-	if c.FineSlots <= 0 {
-		c.FineSlots = 300
-	}
-	if c.CoarseStep <= 0 {
-		c.CoarseStep = 10 * time.Second
-	}
-	if c.CoarseSlots <= 0 {
-		c.CoarseSlots = 360
-	}
-	if c.MaxSeries <= 0 {
-		c.MaxSeries = 512
-	}
-	return c
-}
+	maxSeries = 512
+)
 
 // Store is the fixed-memory time-series store. One Observe call per
 // scrape tick appends the registry snapshot into per-series rings.
 // Histogram metrics expand into derived _p50/_p99/_count series so
 // detectors and sparklines work over scalars uniformly.
 type Store struct {
-	cfg StoreConfig
-
 	mu      sync.RWMutex
 	series  map[string]*series
 	scrapes uint64
 	points  uint64
-	dropped uint64 // series beyond MaxSeries
+	dropped uint64 // series beyond maxSeries
 	lastNS  int64
 
 	// scratch backs the per-append series-ID lookup: building the key in
@@ -162,8 +139,8 @@ type Store struct {
 }
 
 // NewStore builds an empty store.
-func NewStore(cfg StoreConfig) *Store {
-	return &Store{cfg: cfg.withDefaults(), series: make(map[string]*series)}
+func NewStore() *Store {
+	return &Store{series: make(map[string]*series)}
 }
 
 // seriesID renders a metric identity as name{k="v",...} — the same
@@ -230,7 +207,7 @@ func (s *Store) append(nowNS int64, name, suffix, ls string, labels []telemetry.
 	s.scratch = append(append(append(s.scratch[:0], name...), suffix...), ls...)
 	sr := s.series[string(s.scratch)]
 	if sr == nil {
-		if len(s.series) >= s.cfg.MaxSeries {
+		if len(s.series) >= maxSeries {
 			s.dropped++
 			return
 		}
@@ -239,8 +216,8 @@ func (s *Store) append(nowNS int64, name, suffix, ls string, labels []telemetry.
 			id:           id,
 			kind:         kind,
 			place:        placeOf(labels),
-			fine:         newRing(s.cfg.FineSlots),
-			coarse:       newRing(s.cfg.CoarseSlots),
+			fine:         newRing(fineSlots),
+			coarse:       newRing(coarseSlots),
 			coarseBucket: -1,
 		}
 		s.series[id] = sr
@@ -248,7 +225,7 @@ func (s *Store) append(nowNS int64, name, suffix, ls string, labels []telemetry.
 	p := Point{TS: nowNS, V: v}
 	sr.fine.push(p)
 	s.points++
-	if bucket := nowNS / int64(s.cfg.CoarseStep); bucket != sr.coarseBucket {
+	if bucket := nowNS / int64(coarseStep); bucket != sr.coarseBucket {
 		sr.coarseBucket = bucket
 		sr.coarse.push(p)
 	}

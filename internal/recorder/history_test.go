@@ -1,6 +1,7 @@
 package recorder
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -43,7 +44,7 @@ func TestRingWraparound(t *testing.T) {
 func TestStoreDualResolution(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	g := reg.Gauge("depth")
-	s := NewStore(StoreConfig{FineSlots: 300, CoarseSlots: 360})
+	s := NewStore()
 
 	// 25 scrapes at 1s: fine keeps all 25, coarse keeps one per 10s bucket.
 	for i := 0; i < 25; i++ {
@@ -75,7 +76,7 @@ func TestStoreHistogramDerivedSeries(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(0.001)
 	}
-	s := NewStore(StoreConfig{})
+	s := NewStore()
 	s.Observe(sec(1), reg.Snapshot())
 
 	for _, want := range []string{"lat_seconds_p50", "lat_seconds_p99", "lat_seconds_count"} {
@@ -95,15 +96,15 @@ func TestStoreHistogramDerivedSeries(t *testing.T) {
 
 func TestStoreMaxSeriesDrop(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	for i := 0; i < 6; i++ {
-		reg.Counter("m", telemetry.L("i", string(rune('a'+i)))).Inc()
+	for i := 0; i < maxSeries+2; i++ {
+		reg.Counter("m", telemetry.L("i", strconv.Itoa(i))).Inc()
 	}
-	s := NewStore(StoreConfig{MaxSeries: 4})
+	s := NewStore()
 	s.Observe(sec(1), reg.Snapshot())
 
 	_, _, dropped, nseries, _ := s.Stats()
-	if nseries != 4 {
-		t.Fatalf("series = %d, want 4 (MaxSeries cap)", nseries)
+	if nseries != maxSeries {
+		t.Fatalf("series = %d, want %d (maxSeries cap)", nseries, maxSeries)
 	}
 	if dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)
@@ -111,8 +112,8 @@ func TestStoreMaxSeriesDrop(t *testing.T) {
 	// Existing series keep recording after the cap is hit.
 	s.Observe(sec(2), reg.Snapshot())
 	_, points, _, _, _ := s.Stats()
-	if points != 8 {
-		t.Fatalf("points = %d, want 8 (4 series × 2 scrapes)", points)
+	if points != 2*maxSeries {
+		t.Fatalf("points = %d, want %d (%d series × 2 scrapes)", points, 2*maxSeries, maxSeries)
 	}
 }
 
@@ -120,7 +121,7 @@ func TestStoreQueryByLabelVariantAndID(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Gauge("util", telemetry.L("place", "sw1")).Set(1)
 	reg.Gauge("util", telemetry.L("place", "sw2")).Set(2)
-	s := NewStore(StoreConfig{})
+	s := NewStore()
 	s.Observe(sec(1), reg.Snapshot())
 
 	// Bare name matches all label variants.
@@ -152,23 +153,25 @@ func TestStoreFixedMemory(t *testing.T) {
 	// The rings never grow: after filling, points stay bounded by slots.
 	reg := telemetry.NewRegistry()
 	g := reg.Gauge("bounded")
-	s := NewStore(StoreConfig{FineSlots: 8, CoarseSlots: 4})
-	for i := 0; i < 1000; i++ {
+	s := NewStore()
+	// One scrape a second, past the coarse ring's span.
+	n := (coarseSlots + 10) * int(coarseStep/time.Second)
+	for i := 0; i < n; i++ {
 		g.Set(float64(i))
 		s.Observe(sec(i), reg.Snapshot())
 	}
 	fine := s.Query("bounded", 0, false)
-	if len(fine[0].Points) != 8 {
-		t.Fatalf("fine points = %d, want 8", len(fine[0].Points))
+	if len(fine[0].Points) != fineSlots {
+		t.Fatalf("fine points = %d, want %d", len(fine[0].Points), fineSlots)
 	}
 	coarse := s.Query("bounded", 0, true)
-	if len(coarse[0].Points) != 4 {
-		t.Fatalf("coarse points = %d, want 4", len(coarse[0].Points))
+	if len(coarse[0].Points) != coarseSlots {
+		t.Fatalf("coarse points = %d, want %d", len(coarse[0].Points), coarseSlots)
 	}
 	// Newest fine value survives; oldest were overwritten.
 	last := fine[0].Points[len(fine[0].Points)-1]
-	if last.V != 999 {
-		t.Fatalf("newest fine value = %g, want 999", last.V)
+	if last.V != float64(n-1) {
+		t.Fatalf("newest fine value = %g, want %d", last.V, n-1)
 	}
 }
 

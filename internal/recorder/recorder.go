@@ -23,9 +23,10 @@ type Config struct {
 	// Service names the process in bundles and OTLP exports (default
 	// "pera").
 	Service string
-	Store   StoreConfig
-	Detect  DetectorConfig
-	Bundle  BundlerConfig
+	// Watch lists the metric names (or exact series IDs) the anomaly
+	// detectors evaluate. Empty selects DefaultWatch.
+	Watch  []string
+	Bundle BundlerConfig
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
 }
@@ -91,11 +92,11 @@ type Recorder struct {
 func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	cfg.Bundle = cfg.Bundle.withDefaults()
-	store := NewStore(cfg.Store)
+	store := NewStore()
 	return &Recorder{
 		cfg:    cfg,
 		store:  store,
-		engine: NewEngine(store, cfg.Detect),
+		engine: NewEngine(store, cfg.Watch),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -173,7 +174,7 @@ func (r *Recorder) SetConfigInfo(kv map[string]string) {
 }
 
 // AddSink attaches a sink for anomaly events — typically the same
-// LogSink/JSONLSink/AuditSink instances the watchdog publishes to, so
+// LogSink/AuditSink instances the watchdog publishes to, so
 // anomalies and alerts share one pipeline.
 func (r *Recorder) AddSink(s freshness.Sink) {
 	if r == nil || s == nil {
@@ -266,7 +267,7 @@ func (r *Recorder) checkLocalization(nowNS int64) *Anomaly {
 }
 
 // dispatchAnomaly publishes one anomaly through the freshness sink
-// pipeline (stderr log, JSONL, sealed audit ledger) and captures a
+// pipeline (stderr log, sealed audit ledger) and captures a
 // bundle for it.
 func (r *Recorder) dispatchAnomaly(a *Anomaly) {
 	r.anomalies.Add(1)
@@ -377,7 +378,7 @@ func (r *Recorder) capture(trig Trigger, anomalyJSON []byte) (string, error) {
 	}
 	r.bundles.Add(1)
 	r.lastPath.Store(path)
-	if n := enforceBudget(r.cfg.Bundle.Dir, r.cfg.Bundle.MaxBytes); n > 0 {
+	if n := enforceBudget(r.cfg.Bundle.Dir, diskBudget); n > 0 {
 		r.reclaimed.Add(uint64(n))
 	}
 	// Seal the capture itself onto the ledger so the trail records that
@@ -550,7 +551,7 @@ func (r *Recorder) handleHistory(w http.ResponseWriter, req *http.Request) {
 				"bad step: "+s+" (want a duration like 1s, 10s)")
 			return
 		}
-		coarse = d >= r.store.cfg.CoarseStep
+		coarse = d >= coarseStep
 	}
 	series := r.store.Query(metric, since, coarse)
 	if len(series) == 0 {

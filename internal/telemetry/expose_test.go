@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // goldenRegistry builds a deterministic registry covering every exposition
@@ -129,7 +130,7 @@ func TestFormatValue(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	reg := goldenRegistry()
 	tr := NewFlowTracer(16)
-	tr.Record("f1", "sw1", StageSign, 0, "")
+	tr.RecordChild(SpanContext{}, "f1", "sw1", StageSign, time.Time{}, 0, "")
 	srv, err := Serve("127.0.0.1:0", reg, tr)
 	if err != nil {
 		t.Fatal(err)

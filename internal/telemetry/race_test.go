@@ -67,7 +67,7 @@ func TestConcurrentHammer(t *testing.T) {
 				c.Inc()
 				g.Set(float64(i))
 				h.Observe(float64(i%7) * 1e-5)
-				tr.Record(flow, "hammer", StageSign, time.Microsecond, "")
+				tr.RecordChild(SpanContext{}, flow, "hammer", StageSign, time.Time{}, time.Microsecond, "")
 				if i%100 == 0 {
 					// Concurrent get-or-create against live registration.
 					reg.Counter("hammer_total").Add(0)

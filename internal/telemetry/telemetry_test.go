@@ -54,7 +54,7 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	h.ObserveSince(time.Time{})
 	var tr *FlowTracer
 	tr.SetSampleEvery(1)
-	tr.Record("f", "p", StageSign, 0, "")
+	tr.RecordChild(SpanContext{}, "f", "p", StageSign, time.Time{}, 0, "")
 	if tr.Sampled("f") || tr.Len() != 0 || tr.Recorded() != 0 || tr.Spans() != nil {
 		t.Fatal("nil tracer not inert")
 	}

@@ -230,17 +230,6 @@ func (t *FlowTracer) ChildContext(parent SpanContext, flow string) SpanContext {
 	return SpanContext{TraceID: tid, SpanID: NewSpanID()}
 }
 
-// Record appends a flat span if the flow is sampled — the legacy
-// correlation-only API: the span roots its flow's trace (no parent),
-// and its start time is reconstructed from the duration.
-func (t *FlowTracer) Record(flow, place string, stage Stage, dur time.Duration, note string) {
-	if t == nil || !t.Sampled(flow) {
-		return
-	}
-	ctx := SpanContext{TraceID: TraceIDFromFlow(flow), SpanID: NewSpanID()}
-	t.push(ctx, SpanContext{}, flow, place, stage, time.Now().Add(-dur), dur, note)
-}
-
 // RecordChild records a span under parent and returns its context so
 // further children can nest. start may be zero (stamped now).
 func (t *FlowTracer) RecordChild(parent SpanContext, flow, place string, stage Stage, start time.Time, dur time.Duration, note string) SpanContext {

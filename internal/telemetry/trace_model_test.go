@@ -177,7 +177,7 @@ func TestOTLPExportShape(t *testing.T) {
 func TestOTLPSkipsLegacySpans(t *testing.T) {
 	tr := NewFlowTracer(16)
 	tr.SetSampleEvery(1)
-	tr.Record("f1", "sw1", StageSign, time.Millisecond, "") // legacy API roots its own trace
+	tr.RecordChild(SpanContext{}, "f1", "sw1", StageSign, time.Time{}, time.Millisecond, "") // roots its own trace
 	tr.RecordSpan(SpanContext{}, SpanContext{}, "", "", StageSign, time.Time{}, 0, "")
 	spans := append(tr.Spans(), Span{Flow: "f2", Place: "x", Stage: StageSign}) // no IDs at all
 	var buf bytes.Buffer
@@ -185,7 +185,7 @@ func TestOTLPSkipsLegacySpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := bytes.Count(buf.Bytes(), []byte(`"traceId"`)); n != 1 {
-		t.Fatalf("exported %d spans, want 1 (legacy spans keep IDs, ID-less are skipped)\n%s", n, buf.String())
+		t.Fatalf("exported %d spans, want 1 (a rooted span keeps its IDs, ID-less spans are skipped)\n%s", n, buf.String())
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 func TestTracerRecordsAndOrders(t *testing.T) {
 	tr := NewFlowTracer(8)
 	for i := 0; i < 3; i++ {
-		tr.Record("flow-a", "sw1", StageSign, time.Duration(i), "")
+		tr.RecordChild(SpanContext{}, "flow-a", "sw1", StageSign, time.Time{}, time.Duration(i), "")
 	}
 	if tr.Len() != 3 || tr.Recorded() != 3 {
 		t.Fatalf("len=%d recorded=%d, want 3/3", tr.Len(), tr.Recorded())
@@ -28,7 +28,7 @@ func TestTracerRecordsAndOrders(t *testing.T) {
 func TestTracerRingWrap(t *testing.T) {
 	tr := NewFlowTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.Record("f", "p", StageVerify, 0, strconv.Itoa(i))
+		tr.RecordChild(SpanContext{}, "f", "p", StageVerify, time.Time{}, 0, strconv.Itoa(i))
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("ring len = %d, want capacity 4", tr.Len())
@@ -49,7 +49,7 @@ func TestTracerSampling(t *testing.T) {
 	tr := NewFlowTracer(16)
 
 	tr.SetSampleEvery(0) // disabled
-	tr.Record("any", "p", StageSign, 0, "")
+	tr.RecordChild(SpanContext{}, "any", "p", StageSign, time.Time{}, 0, "")
 	if tr.Recorded() != 0 {
 		t.Fatal("disabled tracer recorded a span")
 	}
@@ -86,8 +86,8 @@ func TestTracerSampling(t *testing.T) {
 		t.Fatalf("Sampled disagrees with hash classes for %q/%q", in, out)
 	}
 	before := tr.Recorded()
-	tr.Record(in, "p", StageSign, 0, "")
-	tr.Record(out, "p", StageSign, 0, "")
+	tr.RecordChild(SpanContext{}, in, "p", StageSign, time.Time{}, 0, "")
+	tr.RecordChild(SpanContext{}, out, "p", StageSign, time.Time{}, 0, "")
 	if tr.Recorded() != before+1 {
 		t.Fatalf("recorded %d new spans, want exactly 1 (sampled flow only)", tr.Recorded()-before)
 	}
@@ -127,9 +127,9 @@ func TestPropertySampledNonceMatchesSampled(t *testing.T) {
 
 func TestTracerFlowFilter(t *testing.T) {
 	tr := NewFlowTracer(16)
-	tr.Record("a", "sw1", StageSign, 0, "")
-	tr.Record("b", "sw1", StageSign, 0, "")
-	tr.Record("a", "rp", StageAppraise, 0, "")
+	tr.RecordChild(SpanContext{}, "a", "sw1", StageSign, time.Time{}, 0, "")
+	tr.RecordChild(SpanContext{}, "b", "sw1", StageSign, time.Time{}, 0, "")
+	tr.RecordChild(SpanContext{}, "a", "rp", StageAppraise, time.Time{}, 0, "")
 	got := tr.Flow("a")
 	if len(got) != 2 || got[0].Place != "sw1" || got[1].Place != "rp" {
 		t.Fatalf("Flow(a) = %+v", got)
@@ -145,7 +145,7 @@ func TestTracerInstrument(t *testing.T) {
 	reg := NewRegistry()
 	tr.Instrument(reg)
 	tr.SetSampleEvery(1)
-	tr.Record("f", "p", StageSign, 0, "")
+	tr.RecordChild(SpanContext{}, "f", "p", StageSign, time.Time{}, 0, "")
 	snap := reg.Snapshot()
 	if v := snap.Value("pera_trace_recorded_total"); v != 1 {
 		t.Fatalf("pera_trace_recorded_total = %v, want 1", v)
@@ -160,7 +160,7 @@ func TestTracerInstrument(t *testing.T) {
 
 func TestTracerDefaultCapacity(t *testing.T) {
 	tr := NewFlowTracer(0)
-	tr.Record("f", "p", StageSign, 0, "")
+	tr.RecordChild(SpanContext{}, "f", "p", StageSign, time.Time{}, 0, "")
 	if got := len(tr.buf); got != DefaultTraceCapacity {
 		t.Fatalf("default capacity = %d, want %d", got, DefaultTraceCapacity)
 	}
