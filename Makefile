@@ -59,16 +59,19 @@ perabench-test:
 	cd perabench && $(GO) vet . && $(GO) test -race .
 
 # Native fuzz targets, one after another, FUZZTIME each: the RATS wire
-# decoder, the evidence decoder, the PERA header pop and policy
-# decoder, the policy parser, the certificate and quote decoders, the
-# NetKAT and P4-lite source parsers, the fleet target list parser, the
-# audit ledger reader, the pprof profile reader, the incident bundle
-# reader, and the PISA pipeline (frame bytes through every library
-# program, compiled and reference side by side).
+# decoder and its framing (byte streams through Conn.Read, every frame
+# it accepts written back as the same bytes), the evidence decoder, the
+# PERA header pop and policy decoder, the policy parser, the
+# certificate and quote decoders, the NetKAT and P4-lite source
+# parsers, the fleet target list parser, the audit ledger reader, the
+# pprof profile reader, the incident bundle reader, and the PISA
+# pipeline (frame bytes through every library program, compiled and
+# reference side by side).
 # Their seeds already run as plain tests under `go test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/rats
+	$(GO) test -run '^$$' -fuzz '^FuzzConnRead$$' -fuzztime $(FUZZTIME) ./internal/rats
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/evidence
 	$(GO) test -run '^$$' -fuzz '^FuzzPop$$' -fuzztime $(FUZZTIME) ./internal/pera
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePolicy$$' -fuzztime $(FUZZTIME) ./internal/pera

@@ -143,6 +143,15 @@ func (r *certReader) lv(what string) []byte {
 	return r.next(int(binary.BigEndian.Uint32(n)), what)
 }
 
+// span is a field's byte range in the certificate's wire form.
+type span struct{ lo, hi int }
+
+// lvSpan reads a length-prefixed field like lv and returns its range.
+func (r *certReader) lvSpan(what string) span {
+	v := r.lv(what)
+	return span{r.off - len(v), r.off}
+}
+
 // DecodeCertificate parses a certificate from either wire form. Both are
 // canonical: a verdict byte other than 0 or 1, a batch proof that does
 // not fit RFC 9162 (a size below 2, an index outside it, a path of the
@@ -160,9 +169,9 @@ func DecodeCertificate(data []byte) (*Certificate, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadCertificate)
 	}
 	c := &Certificate{}
-	c.Issuer = string(r.lv("field"))
-	c.Subject = string(r.lv("field"))
-	c.Nonce = append([]byte(nil), r.lv("field")...)
+	issuer := r.lvSpan("field")
+	subject := r.lvSpan("field")
+	nonce := r.lv("field")
 	copy(c.EvidenceDigest[:], r.next(rot.DigestSize, "digest"))
 	if v := r.next(1, "verdict"); v != nil {
 		if v[0] > 1 {
@@ -170,7 +179,7 @@ func DecodeCertificate(data []byte) (*Certificate, error) {
 		}
 		c.Verdict = v[0] == 1
 	}
-	c.Reason = string(r.lv("field"))
+	reason := r.lvSpan("field")
 	if s := r.next(8, "serial"); s != nil {
 		c.Serial = binary.BigEndian.Uint64(s)
 	}
@@ -184,7 +193,20 @@ func DecodeCertificate(data []byte) (*Certificate, error) {
 	if r.off != len(data) {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrBadCertificate)
 	}
-	c.Signature = append([]byte(nil), sig...)
+	// Copy each byte of the input at most once: the text fields are
+	// substrings of one string, the nonce and signature share one slab.
+	text := string(data[issuer.lo:reason.hi])
+	sub := func(f span) string { return text[f.lo-issuer.lo : f.hi-issuer.lo] }
+	c.Issuer, c.Subject, c.Reason = sub(issuer), sub(subject), sub(reason)
+	if n := len(nonce) + len(sig); n > 0 {
+		slab := append(append(make([]byte, 0, n), nonce...), sig...)
+		if len(nonce) > 0 {
+			c.Nonce = slab[:len(nonce):len(nonce)]
+		}
+		if len(sig) > 0 {
+			c.Signature = slab[len(nonce):]
+		}
+	}
 	return c, nil
 }
 
@@ -842,7 +864,10 @@ func (a *Appraiser) Retrieve(nonce []byte) (*Certificate, error) {
 }
 
 // Handler returns a rats.Handler serving MsgAppraise (verify + certify +
-// store) and MsgRetrieve (fetch stored certificate) requests.
+// store) and MsgRetrieve (fetch stored certificate) requests. The
+// request's byte fields alias its frame (rats.Decode): what the handler
+// keeps past its return, the stored certificate's nonce and the replay
+// set's key, decideEncoded copies.
 func (a *Appraiser) Handler() rats.Handler {
 	return func(req *rats.Message) *rats.Message {
 		switch req.Type {

@@ -213,6 +213,34 @@ func TestDecodeCertificateCanonical(t *testing.T) {
 	}
 }
 
+// TestDecodeCertificateCopiesOnce: the decoded certificate owns its
+// fields, so overwriting the input afterwards changes none of them, and
+// it takes three allocations: the certificate, one string its text
+// fields are cut from and one slab for its nonce and signature.
+func TestDecodeCertificateCopiesOnce(t *testing.T) {
+	r := attesterRoT()
+	a := newAppraiser(r)
+	cert, _ := a.Appraise("sw1", goodEvidence(r, []byte("once")), []byte("once"))
+	enc := cert.Encode()
+	dec, err := DecodeCertificate(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range enc {
+		enc[i] = 0xa5
+	}
+	if err := VerifyCertificate(a.Public(), dec); err != nil || dec.Subject != "sw1" || string(dec.Nonce) != "once" {
+		t.Fatalf("decoded certificate changed with its input: %+v %v", dec, err)
+	}
+	if raceEnabled {
+		return
+	}
+	enc = cert.Encode()
+	if n := testing.AllocsPerRun(100, func() { DecodeCertificate(enc) }); n != 3 {
+		t.Fatalf("DecodeCertificate allocated %v times, want 3", n)
+	}
+}
+
 func TestStoreRetrieve(t *testing.T) {
 	r := attesterRoT()
 	a := newAppraiser(r)

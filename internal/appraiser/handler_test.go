@@ -185,6 +185,46 @@ func TestHandlerQuoteHitAllocs(t *testing.T) {
 	}
 }
 
+// TestHandlerKeepsNoFrameBytes: a request's byte fields alias its frame
+// (rats.Decode), and what the handler keeps past its return is copied:
+// overwriting the frame afterwards leaves the stored certificate and the
+// replay set as they were.
+func TestHandlerKeepsNoFrameBytes(t *testing.T) {
+	r := attesterRoT()
+	a := newAppraiser(r)
+	h := a.Handler()
+	nonce := []byte("frame-nonce")
+	appraise := func(session uint64, nonce []byte) *rats.Message {
+		return &rats.Message{
+			Type: rats.MsgAppraise, Session: session, Nonce: nonce, Claims: []string{"sw1"},
+			Body: evidence.Encode(goodEvidence(r, nonce)),
+		}
+	}
+	frame := rats.Encode(appraise(1, nonce))
+	req, err := rats.Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := h(req)
+	if resp.Type != rats.MsgResult {
+		t.Fatalf("appraise: %v %q", resp.Type, resp.Body)
+	}
+	issued := resp.Body
+	for i := range frame {
+		frame[i] = 0x5a
+	}
+	cert, err := a.Retrieve(nonce)
+	if err != nil || !bytes.Equal(cert.Encode(), issued) || cert.Subject != "sw1" || !bytes.Equal(cert.Nonce, nonce) {
+		t.Fatalf("stored certificate changed with the frame: %+v %v", cert, err)
+	}
+	if resp := h(appraise(2, nonce)); resp.Type != rats.MsgError || string(resp.Body) != ErrNonceReplayed.Error() {
+		t.Fatalf("replayed nonce: %v %q", resp.Type, resp.Body)
+	}
+	if resp := h(appraise(3, bytes.Repeat([]byte{0x5a}, len(nonce)))); resp.Type != rats.MsgResult {
+		t.Fatalf("a nonce spelling the overwritten frame bytes counts as used: %v %q", resp.Type, resp.Body)
+	}
+}
+
 // TestCertificateStoreBounded: the store keeps the newest maxCerts
 // certificates. Storing k more forgets exactly the k oldest, every newer
 // one stays retrievable, and storing many times the bound retains no

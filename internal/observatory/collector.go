@@ -47,9 +47,6 @@ const (
 	// threshold is the window-vs-baseline failure-rate departure that
 	// flags a place.
 	threshold = 0.25
-	// minFails is the minimum window failures before flagging — guards
-	// against flagging on one unlucky packet.
-	minFails = 3
 	// latencyRing bounds retained per-place hop latencies.
 	latencyRing = 256
 )

@@ -49,10 +49,13 @@ func newPlace(name string) *place {
 }
 
 // observe folds one appraisal outcome into the rolling window and the
-// baseline, then re-evaluates the anomaly condition: enough failures in
-// the window AND a failure rate departing the baseline by more than the
-// threshold. The baseline is the place's first baseline outcomes —
-// "what this hop looked like when the operator turned the collector on".
+// baseline, then re-evaluates the anomaly condition: a window failure
+// rate departing the baseline by more than the threshold. The baseline
+// is the place's first baseline outcomes — "what this hop looked like
+// when the operator turned the collector on". One unlucky packet cannot
+// flag a place: while the window holds only the baseline the two rates
+// are equal, and after a clean baseline of 16 it takes 6 failures
+// (6/22 > 0.25) to depart by more than the threshold.
 func (p *place) observe(fail bool) {
 	p.obs++
 	if fail {
@@ -80,8 +83,7 @@ func (p *place) observe(fail bool) {
 		}
 		p.winHead = (p.winHead + 1) % len(p.win)
 	}
-	if !p.flagged && p.winFails >= minFails &&
-		p.windowRate()-p.baselineRate() > threshold {
+	if !p.flagged && p.windowRate()-p.baselineRate() > threshold {
 		p.flagged = true
 	}
 }

@@ -80,3 +80,23 @@ func TestHealthWindowLongRun(t *testing.T) {
 		}
 	}
 }
+
+// TestHealthFlagBoundary: after a clean baseline of 16 outcomes, 5
+// failures (5/21 = 0.24) do not flag a place and the 6th (6/22 = 0.27)
+// does: the rate test alone keeps one unlucky packet from flagging.
+func TestHealthFlagBoundary(t *testing.T) {
+	p := newPlace("sw2")
+	for i := 0; i < baseline; i++ {
+		p.observe(false)
+	}
+	for i := 1; i <= 5; i++ {
+		p.observe(true)
+		if p.flagged {
+			t.Fatalf("flagged after %d failures (window rate %.3f)", i, p.windowRate())
+		}
+	}
+	p.observe(true)
+	if !p.flagged {
+		t.Fatalf("not flagged after 6 failures (window rate %.3f)", p.windowRate())
+	}
+}

@@ -118,7 +118,9 @@ func (r *RemoteSigner) Sign(message []byte) []byte {
 		return nil
 	}
 	r.setErr(nil)
-	return resp.Body
+	// The signature outlives the response frame it was decoded from
+	// (rats.Decode aliases it): the evidence it signs keeps it.
+	return append([]byte(nil), resp.Body...)
 }
 
 func (r *RemoteSigner) setErr(err error) {

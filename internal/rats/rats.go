@@ -107,33 +107,37 @@ const extTagTrace uint8 = 1
 
 const traceWireLen = 16 + 8 + 1
 
-func (tc *TraceContext) wire() []byte {
-	v := make([]byte, traceWireLen)
-	hexInto(v[0:16], tc.TraceID)
-	hexInto(v[16:24], tc.SpanID)
+// appendWire appends the context's traceWireLen-byte wire value.
+func (tc *TraceContext) appendWire(b []byte) []byte {
+	b = appendHex(b, tc.TraceID, 16)
+	b = appendHex(b, tc.SpanID, 8)
 	if tc.Sampled {
-		v[24] = 1
+		return append(b, 1)
 	}
-	return v
+	return append(b, 0)
 }
 
-// hexInto fills dst from a hex string of exactly the right width;
-// malformed IDs encode as zeros rather than corrupting the frame.
-func hexInto(dst []byte, s string) {
-	if b, err := hex.DecodeString(s); err == nil && len(b) == len(dst) {
-		copy(dst, b)
+// appendHex appends the n bytes the hex string s spells; a malformed ID
+// appends n zeros rather than corrupting the frame.
+func appendHex(b []byte, s string, n int) []byte {
+	if len(s) == 2*n {
+		if out, err := hex.AppendDecode(b, []byte(s)); err == nil {
+			return out
+		}
 	}
+	return append(b, make([]byte, n)...)
 }
 
+// parseTraceContext reads a trace context's wire value. Both IDs are
+// substrings of one hex string.
 func parseTraceContext(v []byte) (*TraceContext, error) {
 	if len(v) != traceWireLen {
 		return nil, fmt.Errorf("%w: trace context length %d", ErrBadMessage, len(v))
 	}
-	return &TraceContext{
-		TraceID: hex.EncodeToString(v[0:16]),
-		SpanID:  hex.EncodeToString(v[16:24]),
-		Sampled: v[24]&1 == 1,
-	}, nil
+	var ids [2 * (traceWireLen - 1)]byte
+	hex.Encode(ids[:], v[:traceWireLen-1])
+	s := string(ids[:])
+	return &TraceContext{TraceID: s[:32], SpanID: s[32:], Sampled: v[24]&1 == 1}, nil
 }
 
 // Context returns the propagated context in the telemetry layer's form
@@ -180,20 +184,44 @@ var (
 )
 
 // Encode serializes m to its wire form (excluding the outer length
-// frame, which WriteMessage adds).
+// frame, which Conn.Write adds) in one buffer of exactly its size.
 func Encode(m *Message) []byte {
-	var b []byte
+	return appendMessage(make([]byte, 0, encodedSize(m)), m)
+}
+
+// encodedSize is the length of m's wire form: what Encode and Conn.Write
+// size their one buffer by.
+func encodedSize(m *Message) int {
+	n := 1 + 8 + 4 + len(m.Nonce) + 4 + 4 + len(m.Body)
+	for _, c := range m.Claims {
+		n += 4 + len(c)
+	}
+	if m.Trace != nil {
+		n += 1 + 4 + traceWireLen
+	}
+	for _, e := range m.Ext {
+		if e.Tag != extTagTrace {
+			n += 1 + 4 + len(e.Value)
+		}
+	}
+	return n
+}
+
+// appendMessage appends m's wire form to b.
+func appendMessage(b []byte, m *Message) []byte {
 	b = append(b, byte(m.Type))
 	b = binary.BigEndian.AppendUint64(b, m.Session)
 	b = appendLV(b, m.Nonce)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Claims)))
 	for _, c := range m.Claims {
-		b = appendLV(b, []byte(c))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(c)))
+		b = append(b, c...)
 	}
 	b = appendLV(b, m.Body)
 	if m.Trace != nil {
 		b = append(b, extTagTrace)
-		b = appendLV(b, m.Trace.wire())
+		b = binary.BigEndian.AppendUint32(b, traceWireLen)
+		b = m.Trace.appendWire(b)
 	}
 	for _, e := range m.Ext {
 		if e.Tag == extTagTrace {
@@ -210,9 +238,16 @@ func appendLV(b, v []byte) []byte {
 	return append(b, v...)
 }
 
-// Decode parses a wire-form message.
+// Decode parses a wire-form message without copying its byte fields:
+// Nonce, Body and every Ext value are sub-slices of data, each with its
+// capacity clamped to its length, so appending to one reallocates
+// instead of overwriting the field after it. The claims are substrings
+// of one string copied out of data, and the trace context owns its
+// strings. A caller that overwrites or reuses data after Decode, or
+// that keeps a byte field longer than it means to keep data, copies
+// that field first; Conn.Read gives every frame a buffer of its own.
 func Decode(data []byte) (*Message, error) {
-	d := &lvReader{buf: data}
+	d := lvReader{buf: data}
 	tb, err := d.byte()
 	if err != nil {
 		return nil, err
@@ -234,12 +269,22 @@ func Decode(data []byte) (*Message, error) {
 	if nclaims > 1024 {
 		return nil, fmt.Errorf("%w: %d claims", ErrBadMessage, nclaims)
 	}
-	for i := uint32(0); i < nclaims; i++ {
-		c, err := d.lv()
-		if err != nil {
-			return nil, err
+	if nclaims > 0 {
+		// Check every claim's length first, then cut the claims out of
+		// one string of their whole section.
+		start := d.off
+		for i := uint32(0); i < nclaims; i++ {
+			if _, err := d.lv(); err != nil {
+				return nil, err
+			}
 		}
-		m.Claims = append(m.Claims, string(c))
+		section := string(data[start:d.off])
+		m.Claims = make([]string, nclaims)
+		for i, off := 0, 0; i < len(m.Claims); i++ {
+			n := int(binary.BigEndian.Uint32(data[start+off:]))
+			m.Claims[i] = section[off+4 : off+4+n]
+			off += 4 + n
+		}
 	}
 	if m.Body, err = d.lv(); err != nil {
 		return nil, err
@@ -312,8 +357,12 @@ func (r *lvReader) lv() ([]byte, error) {
 	if r.off+int(n) > len(r.buf) {
 		return nil, fmt.Errorf("%w: truncated field", ErrBadMessage)
 	}
-	v := append([]byte(nil), r.buf[r.off:r.off+int(n)]...)
-	r.off += int(n)
+	if n == 0 {
+		return nil, nil
+	}
+	end := r.off + int(n)
+	v := r.buf[r.off:end:end]
+	r.off = end
 	return v, nil
 }
 
@@ -321,12 +370,14 @@ func (r *lvReader) lv() ([]byte, error) {
 // by the encoded message. Reads and writes are independently locked, so
 // one goroutine may read while another writes.
 type Conn struct {
-	cmu sync.Mutex // serializes whole Call exchanges
-	rmu sync.Mutex
-	wmu sync.Mutex
-	r   *bufio.Reader
-	w   io.Writer
-	c   io.Closer
+	cmu  sync.Mutex // serializes whole Call exchanges
+	rmu  sync.Mutex
+	wmu  sync.Mutex
+	r    *bufio.Reader
+	w    io.Writer
+	c    io.Closer
+	rhdr [4]byte // Read's length prefix, guarded by rmu
+	wbuf []byte  // Write's frame scratch, guarded by wmu
 
 	tracer *telemetry.FlowTracer // optional: auto-inject trace context
 }
@@ -344,35 +395,40 @@ func NewConn(rw io.ReadWriter) *Conn {
 // before the Conn is shared between goroutines.
 func (c *Conn) SetTracer(tr *telemetry.FlowTracer) { c.tracer = tr }
 
-// Write sends one message.
+// Write sends one message as one Write of its whole frame, length
+// prefix included. The frame is built in a scratch buffer the Conn
+// keeps between messages; one that grew past readChunk for a large
+// message is dropped afterwards, so an idle Conn holds no big buffer.
 func (c *Conn) Write(m *Message) error {
 	if c.tracer != nil && m.Trace == nil && len(m.Nonce) > 0 {
 		m.SetContext(c.tracer.NewContext(FlowID(m.Nonce)))
 	}
-	data := Encode(m)
-	if len(data) > MaxMessageSize {
+	size := encodedSize(m)
+	if size > MaxMessageSize {
 		return ErrMessageTooLarge
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := c.w.Write(hdr[:]); err != nil {
-		return err
+	if cap(c.wbuf) < 4+size {
+		c.wbuf = make([]byte, 0, 4+size)
 	}
-	_, err := c.w.Write(data)
+	frame := appendMessage(binary.BigEndian.AppendUint32(c.wbuf[:0], uint32(size)), m)
+	_, err := c.w.Write(frame)
+	if cap(c.wbuf) > readChunk {
+		c.wbuf = nil
+	}
 	return err
 }
 
-// Read receives one message.
+// Read receives one message, decoded in place: its byte fields alias
+// the one buffer Read allocated for the frame (see Decode).
 func (c *Conn) Read() (*Message, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.rhdr[:]); err != nil {
 		return nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := binary.BigEndian.Uint32(c.rhdr[:])
 	if size > MaxMessageSize {
 		return nil, ErrMessageTooLarge
 	}
