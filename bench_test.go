@@ -406,17 +406,15 @@ func BenchmarkThroughput_Audit(b *testing.B) {
 
 // BenchmarkThroughput_Observe measures what the observatory plane costs
 // the end-to-end throughput run: "off" is BenchmarkThroughput_EndToEnd's
-// configuration; "sample1" additionally puts a hop span on every flow at
-// every switch and attaches a collector that ingests every span trail
-// and appraisal verdict; "sample8" spans 1-in-8 flows — the Fig. 4
-// Inertia knob that amortizes the span cost (see BENCH_throughput.json
-// observe_overhead).
+// configuration; "collector" additionally subscribes a collector to
+// every switch's hops and to every appraisal verdict (see
+// BENCH_throughput.json observe_overhead, whose sample1 and sample8 rows
+// measured the in-band span section this replaced).
 func BenchmarkThroughput_Observe(b *testing.B) {
-	run := func(b *testing.B, sampleEvery uint32, observed bool) {
+	run := func(b *testing.B, observed bool) {
 		for i := 0; i < b.N; i++ {
 			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8}
 			if observed {
-				o.Spans = pera.SpanConfig{Enabled: true, SampleEvery: sampleEvery}
 				o.Collector = observatory.New("bench")
 			}
 			res, err := harness.RunThroughput(o)
@@ -428,9 +426,8 @@ func BenchmarkThroughput_Observe(b *testing.B) {
 			}
 		}
 	}
-	b.Run("off", func(b *testing.B) { run(b, 0, false) })
-	b.Run("sample1", func(b *testing.B) { run(b, 1, true) })
-	b.Run("sample8", func(b *testing.B) { run(b, 8, true) })
+	b.Run("off", func(b *testing.B) { run(b, false) })
+	b.Run("collector", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkThroughput_Trace measures what distributed tracing costs the
@@ -473,8 +470,8 @@ func BenchmarkThroughput_Trace(b *testing.B) {
 
 // BenchmarkThroughput_SLO measures what the trust-decay watchdog costs
 // on top of the full observatory configuration: "off" is the end_to_end
-// baseline; "watchdog" additionally enables hop spans on every flow, a
-// collector and a freshness watchdog on both of its feeds (cache events,
+// baseline; "watchdog" additionally attaches a collector reading every
+// hop and a freshness watchdog on both of its feeds (cache events,
 // appraisal verdicts naming their verified signers, which the collector
 // reads too), so every packet pays the coverage bookkeeping and both
 // alert-rule evaluations (see BENCH_throughput.json slo_overhead).
@@ -483,7 +480,6 @@ func BenchmarkThroughput_SLO(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			o := harness.ThroughputOptions{Workers: 0, Packets: 128, Flows: 8}
 			if watched {
-				o.Spans = pera.SpanConfig{Enabled: true}
 				o.Collector = observatory.New("bench")
 				o.Watchdog = freshness.New("bench", freshness.Config{})
 			}

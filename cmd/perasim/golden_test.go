@@ -16,9 +16,10 @@ var update = flag.Bool("update", false, "rewrite testdata/golden/*.golden from t
 // the runs that exercise the watchdog's and the collector's constants
 // end to end. The trust-decay runs run on a simulated clock and are
 // pinned whole: stdout, stderr and exit status. The observatory runs
-// time real hops, so only their verdict and localization lines, and the
-// JSON snapshot's per-place verdict window fields and push count, are
-// pinned.
+// time real hops, so only what is not a time is pinned: their verdict
+// and localization lines, the JSON snapshot's per-place verdict window
+// fields and push count, and, in observe_hops_json, every other field
+// of the snapshot that is not a time.
 func TestGolden(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -30,6 +31,7 @@ func TestGolden(t *testing.T) {
 		{"slo_json", "-slo -json", whole},
 		{"observe", "-observe", observeLines},
 		{"observe_json", "-observe -json", observeWindows},
+		{"observe_hops_json", "-observe -json", observeHopRows},
 
 		// Runs that cross the boundaries the default ones never reach:
 		// a swap inside the collector's baseline, a swap late enough
@@ -107,6 +109,73 @@ func observeWindows(t *testing.T, stdout, _ string) string {
 	for _, p := range snap.Places {
 		fmt.Fprintf(&b, "%s observed=%d fails=%d window_fail_rate=%v anomalous=%v flagged_at=%d\n",
 			p.Place, p.Observed, p.Fails, p.WindowFailRate, p.Anomalous, p.FlaggedAt)
+	}
+	return b.String()
+}
+
+// observeHopRows keeps every field of the -observe -json snapshot that is
+// not a time: the frame and trace counts; each place's hop, evidence,
+// cache, guard and sampler counts and its pushed packet and verify
+// counts; each link's frames and evidence bytes; and each serialized
+// path's flow, verdict, failing place, truncation and hop rows.
+func observeHopRows(t *testing.T, stdout, _ string) string {
+	var snap struct {
+		Frames uint64 `json:"frames"`
+		Traces uint64 `json:"traces"`
+		Places []struct {
+			Place        string `json:"place"`
+			Spans        uint64 `json:"spans"`
+			EvBytes      uint64 `json:"ev_bytes"`
+			CacheHits    uint64 `json:"cache_hits"`
+			CacheMisses  uint64 `json:"cache_misses"`
+			GuardRejects uint64 `json:"guard_rejects"`
+			SampleSkips  uint64 `json:"sample_skips"`
+			Packets      uint64 `json:"packets"`
+			VerifyOps    uint64 `json:"verify_ops"`
+		} `json:"places"`
+		Links []struct {
+			From    string `json:"from"`
+			To      string `json:"to"`
+			Frames  uint64 `json:"frames"`
+			EvBytes uint64 `json:"ev_bytes"`
+		} `json:"links"`
+		Paths []struct {
+			Flow      string `json:"flow"`
+			Verdict   string `json:"verdict"`
+			FailPlace string `json:"fail_place"`
+			Truncated bool   `json:"truncated"`
+			Hops      []struct {
+				Place        string `json:"place"`
+				Flags        uint8  `json:"flags"`
+				EvBytes      uint64 `json:"ev_bytes"`
+				CacheHits    uint64 `json:"cache_hits"`
+				CacheMisses  uint64 `json:"cache_misses"`
+				GuardRejects uint64 `json:"guard_rejects"`
+				SampleSkips  uint64 `json:"sample_skips"`
+			} `json:"hops"`
+		} `json:"paths"`
+	}
+	if err := json.Unmarshal([]byte(stdout), &snap); err != nil {
+		t.Fatalf("perasim -observe -json: %v", err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "-- stdout frames, traces --\n%d %d\n", snap.Frames, snap.Traces)
+	b.WriteString("-- stdout places (spans, ev_bytes, cache_hits, cache_misses, guard_rejects, sample_skips, packets, verify_ops) --\n")
+	for _, p := range snap.Places {
+		fmt.Fprintf(&b, "%s spans=%d ev_bytes=%d cache=%d/%d guard_rejects=%d sample_skips=%d packets=%d verify_ops=%d\n",
+			p.Place, p.Spans, p.EvBytes, p.CacheHits, p.CacheMisses, p.GuardRejects, p.SampleSkips, p.Packets, p.VerifyOps)
+	}
+	b.WriteString("-- stdout links (frames, ev_bytes) --\n")
+	for _, l := range snap.Links {
+		fmt.Fprintf(&b, "%s->%s frames=%d ev_bytes=%d\n", l.From, l.To, l.Frames, l.EvBytes)
+	}
+	b.WriteString("-- stdout paths (flow, verdict, fail_place, truncated; hop place, flags, ev_bytes, cache, guard_rejects, sample_skips) --\n")
+	for _, p := range snap.Paths {
+		fmt.Fprintf(&b, "%s verdict=%s fail_place=%s truncated=%v\n", p.Flow, p.Verdict, p.FailPlace, p.Truncated)
+		for _, h := range p.Hops {
+			fmt.Fprintf(&b, "  %s flags=%d ev_bytes=%d cache=%d/%d guard_rejects=%d sample_skips=%d\n",
+				h.Place, h.Flags, h.EvBytes, h.CacheHits, h.CacheMisses, h.GuardRejects, h.SampleSkips)
+		}
 	}
 	return b.String()
 }

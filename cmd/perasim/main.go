@@ -29,9 +29,9 @@
 //	                     # write every RATS lifecycle event to a
 //	                     # hash-chained ledger; inspect with
 //	                     # attestctl audit verify/query/explain
-//	perasim -observe -observe-hops 4 -observe-sample 1
-//	                     # observatory: linear UC1 chain with in-band hop
-//	                     # spans, out-of-band collector, mid-run program
+//	perasim -observe -observe-hops 4
+//	                     # observatory: linear UC1 chain, a collector
+//	                     # reading every hop and verdict, mid-run program
 //	                     # swap and compromise localization; with
 //	                     # -telemetry the collector serves
 //	                     # /observatory.json (watch with attestctl top)
@@ -94,8 +94,6 @@ var (
 	observe       = flag.Bool("observe", false, "run the observatory scenario (shorthand for -uc observe)")
 	observeHops   = flag.Int("observe-hops", 4, "switches on the observatory's linear chain")
 	observePkts   = flag.Int("observe-packets", 96, "attested packets to drive through the observatory run")
-	observeSample = flag.Uint("observe-sample", 1, "hop-span 1-in-N flow sampling (Fig. 4 Inertia knob; 1 spans every flow)")
-	observeBudget = flag.Int("observe-budget", 0, "in-band span-section byte budget (Fig. 4 Detail knob; 0 = default)")
 	observeAttack = flag.String("observe-attack", "", "switch to program-swap mid-run (default the middle hop; 'none' disables)")
 
 	slo         = flag.Bool("slo", false, "run the trust-decay scenario (shorthand for -uc slo)")

@@ -10,25 +10,23 @@ import (
 )
 
 // runObserve drives the observatory scenario: attested UC1 traffic over
-// a linear chain with in-band hop spans, the out-of-band collector on
-// all three feeds, a mid-run Athens program swap, and compromise
-// localization. Human-readable tables go to stdout (stderr in machine
-// modes); -json writes the collector snapshot to stdout; with
-// -telemetry the collector also serves /observatory.json live.
+// a linear chain, the out-of-band collector on all three feeds (every
+// switch's hops, verdicts, pushes), a mid-run Athens program swap, and
+// compromise localization. Human-readable tables go to stdout (stderr
+// in machine modes); -json writes the collector snapshot to stdout;
+// with -telemetry the collector also serves /observatory.json live.
 func runObserve() error {
 	out := os.Stderr
-	fmt.Fprintln(out, "== Observatory: in-band hop spans, collector, compromise localization ==")
+	fmt.Fprintln(out, "== Observatory: per-hop traces, collector, compromise localization ==")
 	attack := *observeAttack
 	opts := harness.ObserveOptions{
-		Hops:        *observeHops,
-		Packets:     *observePkts,
-		SampleEvery: uint32(*observeSample),
-		ByteBudget:  *observeBudget,
-		Collector:   collector,
-		Registry:    pl.Registry,
-		Tracer:      pl.Tracer,
-		Audit:       pl.Audit,
-		Recorder:    pl.Recorder,
+		Hops:      *observeHops,
+		Packets:   *observePkts,
+		Collector: collector,
+		Registry:  pl.Registry,
+		Tracer:    pl.Tracer,
+		Audit:     pl.Audit,
+		Recorder:  pl.Recorder,
 	}
 	switch attack {
 	case "none":
@@ -37,8 +35,7 @@ func runObserve() error {
 	default:
 		opts.AttackSwitch = attack
 	}
-	fmt.Fprintf(out, "chain: bank — sw1..sw%d — client, %d packets, span sampling 1-in-%d\n",
-		opts.Hops, opts.Packets, *observeSample)
+	fmt.Fprintf(out, "chain: bank — sw1..sw%d — client, %d packets\n", opts.Hops, opts.Packets)
 	res, err := harness.RunObserve(opts)
 	if err != nil {
 		return err

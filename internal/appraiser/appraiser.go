@@ -11,7 +11,6 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"strconv"
@@ -527,17 +526,6 @@ func (a *Appraiser) Appraise(subject string, ev *evidence.Evidence, nonce []byte
 	return a.AppraiseCtx(telemetry.SpanContext{}, subject, ev, nonce)
 }
 
-// appraisalFlowID renders the ID that correlates appraisal-side audit
-// records with the switch side: the hex of id (the session nonce when
-// there is one, else the chain's first nonce — the same ID pera.FlowID
-// derives in-band), or "-" without one.
-func appraisalFlowID(id []byte) string {
-	if len(id) == 0 {
-		return "-"
-	}
-	return hex.EncodeToString(id)
-}
-
 // AppraiseCtx is Appraise with a propagated trace context: the
 // appraisal spans parent under the requester's span (carried in the
 // rats trace-context field), joining the challenge's cross-process
@@ -597,14 +585,15 @@ func (a *Appraiser) decideEncoded(d *decision, parent telemetry.SpanContext, sub
 	flow, nonceHex := "", ""
 	if d.rec.Detailed() {
 		// The flow ID is the hex of the session nonce or, without one,
-		// of the chain's first nonce: built only for a sink or a sampled
-		// flow, never just for the tracer to decide it is not sampled.
+		// of the chain's first nonce — the ID a switch gives the chain
+		// in-band: built only for a sink or a sampled flow, never just
+		// for the tracer to decide it is not sampled.
 		id := nonce
 		if len(id) == 0 {
 			_, id, _ = evidence.Scan(enc) // evidence.FirstNonce over the bytes
 		}
 		if d.rec.WantsFlow(id) {
-			flow = appraisalFlowID(id)
+			flow = rats.FlowID(id)
 			if len(nonce) > 0 {
 				nonceHex = flow // the flow ID is the nonce hex when there is one
 			}

@@ -11,6 +11,7 @@ import (
 	"pera/internal/evidence"
 	"pera/internal/freshness"
 	"pera/internal/observatory"
+	"pera/internal/rats"
 	"pera/internal/rot"
 	"pera/internal/telemetry"
 )
@@ -167,7 +168,7 @@ func TestTracerOnlyBuildsNoSigners(t *testing.T) {
 	var id string
 	flowID := testing.AllocsPerRun(50, func() {
 		_, first, _ := evidence.Scan(enc)
-		id = appraisalFlowID(first)
+		id = rats.FlowID(first)
 	})
 	_ = id
 	a.SetTracer(tr)

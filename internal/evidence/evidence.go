@@ -275,8 +275,9 @@ func Measurements(e *Evidence) []*Evidence {
 }
 
 // FirstNonce returns the value of the first nonce node in e that is not
-// empty, or nil. It is the flow ID rule every plane shares: the switch's
-// pera.FlowID, the appraiser's and the pool's trace correlation.
+// empty, or nil. It is the flow ID rule every plane shares: its hex
+// (rats.FlowID) keys the switch's hops, the appraiser's and the pool's
+// trace correlation.
 func FirstNonce(e *Evidence) []byte {
 	var out []byte
 	var walk func(*Evidence)

@@ -15,11 +15,11 @@ import (
 
 // Observatory harness: the end-to-end loop behind `perasim -uc observe`
 // and the localization acceptance test. It drives attested UC1 traffic
-// over a linear bank—sw1—…—swN—client chain with hop spans enabled,
-// feeds the collector from all three of its inputs (terminal frames,
-// appraisal verdicts, periodic telemetry pushes), injects the Athens
-// program swap mid-run, and reports how many packets the anomaly model
-// needed to localize the compromise to the right switch.
+// over a linear bank—sw1—…—swN—client chain, feeds the collector from
+// all three of its inputs (every switch's hops, appraisal verdicts,
+// periodic telemetry pushes), injects the Athens program swap mid-run,
+// and reports how many packets the anomaly model needed to localize the
+// compromise to the right switch.
 
 // statsEvery is the cadence, in packets, of the switch/audit/memo
 // health pushes to the collector (the out-of-band telemetry feed).
@@ -37,14 +37,8 @@ type ObserveOptions struct {
 	AttackAfter int
 	// AttackSwitch is the swap target. Default the middle switch.
 	AttackSwitch string
-	// SampleEvery spans 1-in-N flows (the Fig. 4 Inertia knob); 0/1
-	// spans every flow.
-	SampleEvery uint32
-	// ByteBudget caps the in-band span section (the Detail knob); 0
-	// uses pera.DefaultSpanBudget.
-	ByteBudget int
 	// NetTracing turns on netsim delivery tracing so the result's
-	// testbed can corroborate span hop order against frames on the wire.
+	// testbed can corroborate trace hop order against frames on the wire.
 	NetTracing bool
 
 	// Collector receives everything; one is created when nil.
@@ -91,7 +85,7 @@ type ObserveResult struct {
 	Localization *observatory.Localization
 
 	// Flows holds the per-packet flow IDs (hex nonce) in send order —
-	// the key joining span traces, appraisal verdicts and ledger events.
+	// the key joining path traces, appraisal verdicts and ledger events.
 	Flows []string
 	// Verdicts holds the per-packet appraisal outcomes, parallel to Flows.
 	Verdicts []bool
@@ -116,11 +110,6 @@ func RunObserve(o ObserveOptions) (*ObserveResult, error) {
 		InBand:      true,
 		Composition: evidence.Chained,
 		Cache:       cache,
-		Spans: pera.SpanConfig{
-			Enabled:     true,
-			SampleEvery: o.SampleEvery,
-			ByteBudget:  o.ByteBudget,
-		},
 	})
 	if err != nil {
 		return nil, err
@@ -129,8 +118,8 @@ func RunObserve(o ObserveOptions) (*ObserveResult, error) {
 	if col == nil {
 		col = observatory.New("collector")
 	}
-	// The collector's feeds 1 and 2: the span trails of terminal frames,
-	// and appraisal verdicts with place attribution.
+	// The collector's feeds 1 and 2: every switch's hops, and appraisal
+	// verdicts with place attribution.
 	Planes{Registry: o.Registry, Tracer: o.Tracer, Audit: o.Audit, Collector: col}.Attach(tb, cache)
 	tb.Net.SetTracing(o.NetTracing)
 

@@ -3,15 +3,18 @@ package harness
 import (
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pera/internal/auditlog"
+	"pera/internal/observatory"
+	"pera/internal/telemetry"
 	"pera/internal/usecases"
 )
 
 // End-to-end acceptance test for the observatory: a 4-hop UC1 chain with
 // one compromised switch. Three independent observers of the same
-// traffic must agree on the path — the collector's in-band span trails,
+// traffic must agree on the path — the collector's path traces,
 // netsim's delivery trace, and the audit ledger's per-flow sign
 // sequence — and the collector must localize the compromise to the
 // attacked switch within the anomaly window.
@@ -57,7 +60,7 @@ func TestObserveE2EPathAgreementAndLocalization(t *testing.T) {
 			res.LocalizedAt, res.AttackAt)
 	}
 
-	// Observer 1 — collector span trails: every retained trace names the
+	// Observer 1 — collector path traces: every retained trace names the
 	// full hop sequence, in order, keyed by its nonce.
 	snap := res.Collector.Snapshot()
 	if snap.Traces != uint64(res.Packets) {
@@ -84,7 +87,7 @@ func TestObserveE2EPathAgreementAndLocalization(t *testing.T) {
 	}
 
 	// Observer 2 — netsim delivery trace: the wire order of the first
-	// frame's traversal must match the span hop order.
+	// frame's traversal must match the trace's hop order.
 	var wire []string
 	for _, e := range res.Testbed.Net.Trace() {
 		if e.To == usecases.HostClient {
@@ -130,23 +133,98 @@ func TestObserveE2EPathAgreementAndLocalization(t *testing.T) {
 	}
 }
 
-// TestObserveSampling: with 1-in-N span sampling, only sampled flows
-// yield traces, but localization still lands on the attacked switch —
-// verdict attribution does not depend on spans.
+// TestObserveSampling: the collector reads every hop whatever the
+// tracer samples. With a 1-in-8 tracer on the run, every packet still
+// yields a path trace under its flow and localization lands on the
+// attacked switch, while the tracer records hops for only some flows.
 func TestObserveSampling(t *testing.T) {
+	tr := telemetry.NewFlowTracer(1 << 16)
+	tr.SetSampleEvery(8)
 	res, err := RunObserve(ObserveOptions{
 		Hops: 4, Packets: 96, AttackAfter: 32, AttackSwitch: "sw2",
-		SampleEvery: 8,
+		Tracer: tr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := res.Collector.Snapshot()
-	if snap.Traces == 0 || snap.Traces >= uint64(res.Packets) {
-		t.Fatalf("sampled run ingested %d traces of %d packets", snap.Traces, res.Packets)
+	if snap.Traces != uint64(res.Packets) {
+		t.Fatalf("collector ingested %d traces of %d packets", snap.Traces, res.Packets)
+	}
+	for _, pt := range snap.Paths {
+		if len(pt.Hops) != res.Hops || !slices.Contains(res.Flows, pt.Flow) {
+			t.Fatalf("trace %d: flow %q, %d hops", pt.Seq, pt.Flow, len(pt.Hops))
+		}
+	}
+	traced := map[string]bool{}
+	for _, s := range tr.Spans() {
+		if s.Stage == telemetry.StageHop {
+			traced[s.Flow] = true
+		}
+	}
+	if len(traced) == 0 || len(traced) >= res.Packets {
+		t.Fatalf("a 1-in-8 tracer recorded hops of %d of %d flows", len(traced), res.Packets)
 	}
 	if res.Localization == nil || res.Localization.Place != "sw2" {
 		t.Fatalf("localization: %+v", res.Localization)
+	}
+}
+
+// TestObservatoryAgreesWithTracer: the collector and the tracer read
+// the same stage events, so for every (flow, place) the collector's hop
+// row and the tracer's hop, verify and sign spans agree on the hop's
+// total, Verify and Sign time to the nanosecond, and every trace's hop
+// order is the order the tracer recorded the flow's hops in. The run is
+// short enough that the snapshot holds every trace.
+func TestObservatoryAgreesWithTracer(t *testing.T) {
+	tr := telemetry.NewFlowTracer(1 << 16)
+	tr.SetSampleEvery(1)
+	res, err := RunObserve(ObserveOptions{Packets: observatory.MaxSnapshotPaths, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct{ flow, place string }
+	type times struct{ total, verify, sign uint64 }
+	traced := map[key]times{}
+	order := map[string][]string{}
+	for _, s := range tr.Spans() {
+		if _, ok := res.Testbed.Switches[s.Place]; !ok {
+			continue
+		}
+		k := key{s.Flow, s.Place}
+		ts := traced[k]
+		switch s.Stage {
+		case telemetry.StageHop:
+			ts.total = uint64(s.Dur)
+			order[s.Flow] = append(order[s.Flow], s.Place)
+		case telemetry.StageVerify, telemetry.StageVerifyFail:
+			ts.verify += uint64(s.Dur)
+		case telemetry.StageSign:
+			ts.sign += uint64(s.Dur)
+		}
+		traced[k] = ts
+	}
+	snap := res.Collector.Snapshot()
+	if len(snap.Paths) != res.Packets {
+		t.Fatalf("snapshot holds %d traces, want all %d", len(snap.Paths), res.Packets)
+	}
+	rows := 0
+	for _, pt := range snap.Paths {
+		var places []string
+		for _, h := range pt.Hops {
+			places = append(places, h.Place)
+			got := times{h.TotalNS, h.VerifyNS, h.SignNS}
+			if want := traced[key{pt.Flow, h.Place}]; got != want || got.total == 0 || got.sign == 0 {
+				t.Fatalf("flow %s at %s: collector (total, verify, sign) %v ns, tracer %v ns", pt.Flow, h.Place, got, want)
+			}
+			rows++
+		}
+		if !reflect.DeepEqual(places, order[pt.Flow]) {
+			t.Fatalf("flow %s: collector hop order %v, tracer %v", pt.Flow, places, order[pt.Flow])
+		}
+	}
+	if rows != len(traced) || rows != res.Packets*res.Hops {
+		t.Fatalf("collector holds %d hop rows, tracer %d (flow, place) pairs, want %d", rows, len(traced), res.Packets*res.Hops)
 	}
 }
 

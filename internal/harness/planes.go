@@ -16,8 +16,8 @@ type Planes struct {
 	Registry *telemetry.Registry
 	Tracer   *telemetry.FlowTracer
 	Audit    *auditlog.Writer
-	// Collector shadows the client host, reassembling in-band span
-	// trails for per-hop timing, and reads every verdict.
+	// Collector reads every switch's hops off the stage seam, for
+	// per-hop timing and path traces, and every verdict.
 	Collector *observatory.Collector
 	// Watchdog consumes the cache's events and every verdict.
 	Watchdog *freshness.Watchdog
@@ -27,9 +27,10 @@ type Planes struct {
 // appraiser report to the registry, the tracer and the ledger; the
 // network, the evidence cache (nil when the testbed has none), the
 // tracer's and the ledger's own health report to the registry; the
-// cache's expiries go to the ledger; the collector and watchdog get
-// their feeds; and the appraiser is bound to Table 1's AP1 term (UC1
-// path attestation) on the ledger. Every plane reads a verdict from the
+// cache's expiries go to the ledger; the collector reads every
+// switch's hops; the collector and watchdog get their verdict feeds;
+// and the appraiser is bound to Table 1's AP1 term (UC1 path
+// attestation) on the ledger. Every plane reads a verdict from the
 // appraiser's one appraise envelope, pooled or not, and the places it
 // covers from the signers that envelope verified. The watchdog, the
 // collector and then the ledger subscribe to it, in that order, so the
@@ -64,7 +65,9 @@ func (p Planes) Attach(tb *usecases.Testbed, cache *evidence.Cache) {
 		}
 	}
 	if p.Collector != nil {
-		p.Collector.AttachHost(tb.Client)
+		for _, sw := range tb.Switches {
+			sw.Subscribe(p.Collector)
+		}
 		tb.Appraiser.Subscribe(p.Collector)
 	}
 	if p.Audit != nil {

@@ -142,7 +142,6 @@ func RunSLO(o SLOOptions) (*SLOResult, error) {
 		InBand:      true,
 		Composition: evidence.Chained,
 		Cache:       cache,
-		Spans:       pera.SpanConfig{Enabled: true},
 	})
 	if err != nil {
 		return nil, err

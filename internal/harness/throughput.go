@@ -63,9 +63,6 @@ type ThroughputOptions struct {
 	// carries the run's final snapshot. The caller owns the ledger writer
 	// and must Close it to flush the chain.
 	Planes
-	// Spans enables in-band hop spans on every switch — the observatory
-	// overhead the BenchmarkThroughput_Observe variants measure.
-	Spans pera.SpanConfig
 	// Recorder, when non-nil, is scraped every recorderEvery submissions
 	// of the timed appraisal phase and once after it — the
 	// flight-recorder overhead BenchmarkThroughput_Recorder measures.
@@ -99,7 +96,6 @@ func ThroughputCorpus(o ThroughputOptions) ([]appraiser.Job, *usecases.Testbed, 
 		InBand:      true,
 		Composition: evidence.Chained,
 		Cache:       cache,
-		Spans:       o.Spans,
 	})
 	if err != nil {
 		return nil, nil, nil, err

@@ -15,7 +15,6 @@ type Host struct {
 
 	mu       sync.Mutex
 	received [][]byte
-	tap      func(port uint64, frame []byte)
 }
 
 // HostPort is the single network-facing port of a Host.
@@ -33,25 +32,11 @@ func (h *Host) Name() string { return h.name }
 // Addr returns the host's address.
 func (h *Host) Addr() uint64 { return h.addr }
 
-// Tap installs a tap seeing every frame delivered to the host — how an
-// out-of-band collector attaches to a path's terminal without sitting
-// in the forwarding path. The tap runs synchronously on delivery with
-// its own copy of the frame; nil detaches.
-func (h *Host) Tap(fn func(port uint64, frame []byte)) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.tap = fn
-}
-
 // Receive implements Node: hosts are sinks.
 func (h *Host) Receive(port uint64, frame []byte) ([]Emission, error) {
 	h.mu.Lock()
 	h.received = append(h.received, append([]byte(nil), frame...))
-	tap := h.tap
 	h.mu.Unlock()
-	if tap != nil {
-		tap(port, append([]byte(nil), frame...))
-	}
 	return nil, nil
 }
 

@@ -3,26 +3,25 @@
 // the observatory answers the question that view cannot: *which hop* is
 // slow, failing, or compromised.
 //
-// Three pieces compose it:
+// One Collector reads three feeds:
 //
-//   - In-band hop spans (pera.HopSpan): each span-enabled hop appends a
-//     compact record of its processing to the in-band header, riding
-//     the same frame as the evidence chain (INT lineage).
-//   - The out-of-band Collector here: attachable to any netsim topology
-//     (as a node or as a terminal-host observer), it pops terminal
-//     spans, reassembles end-to-end path traces keyed by nonce/flow,
-//     ingests periodic telemetry pushes from every place, and maintains
-//     per-place and per-link health.
-//   - Compromise localization: the Collector is a telemetry.StageSink
-//     subscribed to the appraiser's appraise envelope
-//     (Appraiser.Subscribe), so every verdict trains a rolling window at
-//     each place whose signature the appraiser verified, failing only
-//     the place its provenance names (which switch's claim failed the
-//     golden comparison); the first place whose failure rate departs
-//     its baseline is flagged — a UC1 program swap is attributed to the
-//     specific switch, not just "path failed". The span trail gives
-//     per-hop timing, link health and the trace's verdict join, never
-//     attribution: it is unsigned, and sampled.
+//   - Hops: the Collector is a telemetry.StageSink subscribed to every
+//     switch (Switch.Subscribe). From the stage events of each hop over
+//     a frame carrying a PERA header it builds that hop's row — timing,
+//     evidence growth, cache, guard and sampler outcomes — stamped with
+//     the place of the switch that ran it, and reassembles each frame's
+//     rows into an end-to-end path trace keyed by flow. The rows come
+//     from the same events the tracer and the ledger read, so the
+//     planes cannot disagree on a hop.
+//   - Verdicts: subscribed to the appraiser's appraise envelope
+//     (Appraiser.Subscribe), every verdict joins its flow's trace and
+//     trains a rolling window at each place whose signature the
+//     appraiser verified, failing only the place its provenance names
+//     (which switch's claim failed the golden comparison); the first
+//     place whose failure rate departs its baseline is flagged — a UC1
+//     program swap is attributed to the specific switch, not just "path
+//     failed".
+//   - Pushes: periodic switch counters, ledger and memo health.
 package observatory
 
 import (
@@ -30,7 +29,6 @@ import (
 	"slices"
 	"sync"
 
-	"pera/internal/netsim"
 	"pera/internal/pera"
 	"pera/internal/telemetry"
 )
@@ -51,17 +49,47 @@ const (
 	latencyRing = 256
 )
 
-// PathTrace is one reassembled end-to-end trace: the ordered hop spans a
-// frame accumulated, joined with the appraisal verdict for its flow.
+// Hop flag bits.
+const (
+	// HopVerified: the Verify stage ran on the incoming chain and passed.
+	HopVerified uint8 = 1 << 0
+	// HopAttested: the hop produced evidence for at least one obligation.
+	HopAttested uint8 = 1 << 1
+)
+
+// Hop is one switch's row in a path trace, read off the stage events of
+// one hop envelope. All counters are per frame (not cumulative).
+type Hop struct {
+	Place        string `json:"place"`
+	Flags        uint8  `json:"flags"`
+	VerifyNS     uint64 `json:"verify_ns"`     // Verify stage duration, passed or failed
+	SignNS       uint64 `json:"sign_ns"`       // total Sign stage duration
+	TotalNS      uint64 `json:"total_ns"`      // the hop envelope's duration
+	EvBytes      uint32 `json:"ev_bytes"`      // evidence bytes this hop added
+	CacheHits    uint16 `json:"cache_hits"`    // evidence-cache hits
+	CacheMisses  uint16 `json:"cache_misses"`  // evidence-cache misses
+	GuardRejects uint16 `json:"guard_rejects"` // obligations skipped by ▶ tests
+	SampleSkips  uint16 `json:"sample_skips"`  // obligations skipped by the sampler
+}
+
+// Verified reports whether the Verify stage passed at this hop.
+func (h *Hop) Verified() bool { return h.Flags&HopVerified != 0 }
+
+// Attested reports whether this hop produced evidence.
+func (h *Hop) Attested() bool { return h.Flags&HopAttested != 0 }
+
+// PathTrace is one reassembled end-to-end trace: the ordered hops a
+// frame crossed, joined with the appraisal verdict for its flow.
+// Truncated is always false: every hop the collector saw is on it.
 type PathTrace struct {
-	Seq       uint64         `json:"seq"`
-	Flow      string         `json:"flow"`
-	Hops      []pera.HopSpan `json:"hops"`
-	Truncated bool           `json:"truncated"`
-	Verdict   string         `json:"verdict,omitempty"` // PASS / FAIL, "" until appraised
-	FailPlace string         `json:"fail_place,omitempty"`
-	FailStage string         `json:"fail_stage,omitempty"`
-	Reason    string         `json:"reason,omitempty"`
+	Seq       uint64 `json:"seq"`
+	Flow      string `json:"flow"`
+	Hops      []Hop  `json:"hops"`
+	Truncated bool   `json:"truncated"`
+	Verdict   string `json:"verdict,omitempty"` // PASS / FAIL, "" until appraised
+	FailPlace string `json:"fail_place,omitempty"`
+	FailStage string `json:"fail_stage,omitempty"`
+	Reason    string `json:"reason,omitempty"`
 }
 
 // Localization names the place a rolling-window anomaly attributed a
@@ -77,10 +105,12 @@ type Localization struct {
 
 type linkKey struct{ from, to string }
 
+// hopKey names a hop in flight: the switch running it and the flow.
+type hopKey struct{ place, flow string }
+
 // Collector is the out-of-band observatory node. It is safe for
-// concurrent use (netsim delivery, appraisal workers and stats pushers
-// may all feed it at once) and implements netsim.Node and
-// telemetry.StageSink.
+// concurrent use (switches, appraisal workers and stats pushers may all
+// feed it at once) and implements telemetry.StageSink.
 type Collector struct {
 	name string
 
@@ -89,70 +119,114 @@ type Collector struct {
 	placeSeq []string // first-seen order ≈ path order
 	links    map[linkKey]*link
 	linkSeq  []linkKey
-	paths    []*PathTrace // ring, capacity pathCapacity
+	pending  map[hopKey]*Hop // hops opened and not yet closed
+	paths    []*PathTrace    // ring, capacity pathCapacity
 	pathHead int
-	byFlow   map[string]*PathTrace // awaiting a verdict
-	seq      uint64                // traces ingested (monotonic)
+	byFlow   map[string]*PathTrace // each flow's open trace, awaiting a verdict
+	seq      uint64                // traces started (monotonic), one per frame
 	verdicts uint64
 	pushes   uint64 // stats/audit/memo pushes
-	frames   uint64 // frames inspected
 	loc      *Localization
 }
 
-// New creates a collector. The name is its netsim node identity.
+// New creates a collector; the name labels its snapshot.
 func New(name string) *Collector {
 	return &Collector{
-		name:   name,
-		places: make(map[string]*place),
-		links:  make(map[linkKey]*link),
-		byFlow: make(map[string]*PathTrace),
+		name:    name,
+		places:  make(map[string]*place),
+		links:   make(map[linkKey]*link),
+		pending: make(map[hopKey]*Hop),
+		byFlow:  make(map[string]*PathTrace),
 	}
 }
 
-// Name implements netsim.Node.
-func (c *Collector) Name() string { return c.name }
-
-// Receive implements netsim.Node: frames routed to the collector are
-// ingested and sunk (it never forwards).
-func (c *Collector) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
-	c.IngestFrame(frame)
-	return nil, nil
-}
-
-// AttachHost taps a terminal host so every delivered frame is ingested —
-// the usual deployment: the collector shadows the path's destination
-// without occupying a topology port.
-func (c *Collector) AttachHost(h *netsim.Host) {
-	h.Tap(func(_ uint64, frame []byte) { c.IngestFrame(frame) })
-}
-
-// IngestFrame inspects one terminal frame: if it carries a PERA header
-// with hop spans, the span trail becomes a path trace. Returns whether a
-// trace was ingested.
-func (c *Collector) IngestFrame(frame []byte) bool {
+// StageOpened implements telemetry.StageSink: a hop over a frame that
+// carries a PERA header opens its row. Other hops, and every other
+// envelope, open nothing, so the stages inside them are ignored.
+func (c *Collector) StageOpened(ev telemetry.StageEvent) {
+	if ev.Stage != telemetry.StageHop || ev.Note != pera.NoteInBand {
+		return
+	}
 	c.mu.Lock()
-	c.frames++
+	c.pending[hopKey{ev.Place, ev.Flow}] = &Hop{Place: ev.Place}
 	c.mu.Unlock()
-	if !pera.HasHeader(frame) {
-		return false
-	}
-	hdr, _, err := pera.Pop(frame)
-	if err != nil || (len(hdr.Spans) == 0 && !hdr.SpansTruncated) {
-		return false
-	}
-	c.IngestPath(pera.FlowID(hdr), hdr.Spans, hdr.SpansTruncated)
-	return true
 }
 
-// IngestPath records one reassembled path trace (flow-keyed) and folds
-// each hop's span into that place's health. Exposed for out-of-band
-// span transports; in-band callers use IngestFrame.
-func (c *Collector) IngestPath(flow string, hops []pera.HopSpan, truncated bool) {
+// StageEnded implements telemetry.StageSink. An appraise envelope is a
+// verdict (see verdict). A stage inside an open hop folds into its row,
+// and the hop's own end files the row into its flow's trace.
+func (c *Collector) StageEnded(ev telemetry.StageEvent) {
+	if ev.Stage == telemetry.StageAppraise {
+		c.verdict(ev)
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	k := hopKey{ev.Place, ev.Flow}
+	h := c.pending[k]
+	if h == nil {
+		return
+	}
+	switch ev.Stage {
+	case telemetry.StageHop:
+		delete(c.pending, k)
+		h.TotalNS = uint64(ev.Dur)
+		h.EvBytes = uint32(ev.EvBytes)
+		c.file(ev.Flow, h)
+	case telemetry.StageVerify:
+		h.Flags |= HopVerified
+		h.VerifyNS += uint64(ev.Dur)
+	case telemetry.StageVerifyFail:
+		h.VerifyNS += uint64(ev.Dur)
+	case telemetry.StageGuardReject:
+		h.GuardRejects++
+	case telemetry.StageSampleSkip:
+		h.SampleSkips++
+	case telemetry.StageEvidence, telemetry.StageCompose:
+		h.Flags |= HopAttested
+	case telemetry.StageCacheHit:
+		h.Flags |= HopAttested
+		h.CacheHits++
+	case telemetry.StageCacheMiss:
+		h.Flags |= HopAttested
+		h.CacheMisses++
+	case telemetry.StageSign:
+		h.Flags |= HopAttested
+		h.SignNS += uint64(ev.Dur)
+	}
+}
+
+// file appends a closed hop to its flow's open trace — or to a new one
+// when the flow has none, or when its trace already holds the hop's
+// place: paths are loop-free, so that hop belongs to the flow's next
+// frame — and folds the hop into its place's and its link's health.
+// Caller holds mu.
+func (c *Collector) file(flow string, h *Hop) {
+	pt := c.byFlow[flow]
+	if pt == nil || slices.ContainsFunc(pt.Hops, func(x Hop) bool { return x.Place == h.Place }) {
+		pt = c.newTrace(flow)
+	}
+	p := c.place(h.Place)
+	p.spans++
+	p.evBytes += uint64(h.EvBytes)
+	p.cacheHits += uint64(h.CacheHits)
+	p.cacheMisses += uint64(h.CacheMisses)
+	p.guardRejects += uint64(h.GuardRejects)
+	p.sampleSkips += uint64(h.SampleSkips)
+	p.lat.push(float64(h.TotalNS))
+	if n := len(pt.Hops); n > 0 {
+		l := c.link(pt.Hops[n-1].Place, h.Place)
+		l.frames++
+		l.evBytes += uint64(h.EvBytes)
+	}
+	pt.Hops = append(pt.Hops, *h)
+}
+
+// newTrace starts a flow's next path trace in the ring, evicting the
+// oldest trace's pending-verdict entry with it. Caller holds mu.
+func (c *Collector) newTrace(flow string) *PathTrace {
 	c.seq++
-	pt := &PathTrace{Seq: c.seq, Flow: flow, Hops: append([]pera.HopSpan(nil), hops...), Truncated: truncated}
-	// Ring insert; evict the oldest trace's pending-verdict entry with it.
+	pt := &PathTrace{Seq: c.seq, Flow: flow}
 	if len(c.paths) < pathCapacity {
 		c.paths = append(c.paths, pt)
 	} else {
@@ -164,38 +238,19 @@ func (c *Collector) IngestPath(flow string, hops []pera.HopSpan, truncated bool)
 		c.pathHead = (c.pathHead + 1) % pathCapacity
 	}
 	c.byFlow[flow] = pt
-	for i := range hops {
-		sp := &hops[i]
-		p := c.place(sp.Place)
-		p.spans++
-		p.evBytes += uint64(sp.EvBytes)
-		p.cacheHits += uint64(sp.CacheHits)
-		p.cacheMisses += uint64(sp.CacheMisses)
-		p.guardRejects += uint64(sp.GuardRejects)
-		p.sampleSkips += uint64(sp.SampleSkips)
-		p.lat.push(float64(sp.TotalNS))
-		if i > 0 {
-			l := c.link(hops[i-1].Place, sp.Place)
-			l.frames++
-			l.evBytes += uint64(sp.EvBytes)
-		}
-	}
+	return pt
 }
 
-// StageOpened implements telemetry.StageSink; an appraisal's start
-// carries nothing the collector reads.
-func (c *Collector) StageOpened(telemetry.StageEvent) {}
-
-// StageEnded implements telemetry.StageSink for the appraiser's appraise
-// envelope: the verdict joins the pending path trace for its flow, and
-// every place whose signature the appraiser verified (ev.Signers)
-// receives an appraisal outcome — a failure is attributed only to the
-// place the verdict's provenance names, which is what trains the
-// per-place anomaly windows to localize rather than blame the whole
-// path. The named place learns of its failure even when its signature
-// is not among them. An appraisal that failed operationally (Err, e.g.
-// a nonce replay) rendered no verdict and is skipped.
-func (c *Collector) StageEnded(ev telemetry.StageEvent) {
+// verdict reads the end of the appraiser's appraise envelope: the
+// verdict joins the open path trace for its flow, and every place whose
+// signature the appraiser verified (ev.Signers) receives an appraisal
+// outcome — a failure is attributed only to the place the verdict's
+// provenance names, which is what trains the per-place anomaly windows
+// to localize rather than blame the whole path. The named place learns
+// of its failure even when its signature is not among them. An
+// appraisal that failed operationally (Err, e.g. a nonce replay)
+// rendered no verdict and is skipped.
+func (c *Collector) verdict(ev telemetry.StageEvent) {
 	if ev.Err != "" || ev.Verdict == "" {
 		return
 	}

@@ -10,7 +10,7 @@ import (
 type place struct {
 	name string
 
-	// From ingested spans (per-frame records).
+	// From hop rows (Switch.Subscribe).
 	spans        uint64
 	evBytes      uint64
 	cacheHits    uint64
@@ -103,7 +103,7 @@ func (p *place) baselineRate() float64 {
 }
 
 // link is one directed link's health row (from → to), observed from
-// consecutive span pairs on ingested paths.
+// consecutive hops on path traces.
 type link struct {
 	from    string
 	to      string

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"pera/internal/pera"
 	"pera/internal/telemetry"
@@ -25,29 +26,47 @@ func feedVerdict(c *Collector, flow string, signers []string, pass bool, place, 
 	})
 }
 
-func pathHops(places ...string) []pera.HopSpan {
-	hops := make([]pera.HopSpan, len(places))
-	for i, p := range places {
-		hops[i] = pera.HopSpan{
-			Place: p, Flags: pera.SpanAttested,
-			SignNS: 100_000, TotalNS: uint64(150_000 * (i + 1)),
-			EvBytes: 200, CacheMisses: 1,
-		}
+// feedHop feeds c one in-band hop at place the way Switch.Subscribe
+// delivers it: the envelope opens, a cache miss and a sign end inside
+// it, and the envelope closes with the hop's time and evidence growth.
+func feedHop(c *Collector, flow, place string, total time.Duration) {
+	ev := func(s telemetry.Stage) telemetry.StageEvent {
+		return telemetry.StageEvent{Stage: s, Place: place, Flow: flow}
 	}
-	return hops
+	open := ev(telemetry.StageHop)
+	open.Note = pera.NoteInBand
+	c.StageOpened(open)
+	c.StageEnded(ev(telemetry.StageCacheMiss))
+	sign := ev(telemetry.StageSign)
+	sign.Dur = 100 * time.Microsecond
+	c.StageEnded(sign)
+	end := ev(telemetry.StageHop)
+	end.Dur, end.EvBytes = total, 200
+	c.StageEnded(end)
+}
+
+// feedPath feeds one frame's hops at places, in order.
+func feedPath(c *Collector, flow string, places ...string) {
+	for i, p := range places {
+		feedHop(c, flow, p, time.Duration(i+1)*150*time.Microsecond)
+	}
 }
 
 func TestCollectorReassemblesPaths(t *testing.T) {
 	c := New("collector")
-	c.IngestPath("f1", pathHops("sw1", "sw2", "sw3"), false)
-	c.IngestPath("f2", pathHops("sw1", "sw2", "sw3"), true)
+	feedPath(c, "f1", "sw1", "sw2", "sw3")
+	feedPath(c, "f2", "sw1", "sw2", "sw3")
 	s := c.Snapshot()
-	if s.Traces != 2 || len(s.Paths) != 2 {
-		t.Fatalf("traces: %d paths: %d", s.Traces, len(s.Paths))
+	if s.Traces != 2 || s.Frames != 2 || len(s.Paths) != 2 {
+		t.Fatalf("traces: %d frames: %d paths: %d", s.Traces, s.Frames, len(s.Paths))
 	}
 	// Newest first.
-	if s.Paths[0].Flow != "f2" || !s.Paths[0].Truncated || s.Paths[1].Flow != "f1" {
+	if s.Paths[0].Flow != "f2" || s.Paths[0].Truncated || s.Paths[1].Flow != "f1" {
 		t.Fatalf("paths: %+v", s.Paths)
+	}
+	want := Hop{Place: "sw2", Flags: HopAttested, SignNS: 100_000, TotalNS: 300_000, EvBytes: 200, CacheMisses: 1}
+	if got := s.Paths[0].Hops; len(got) != 3 || got[1] != want {
+		t.Fatalf("f2 hops: %+v, want sw2's %+v", got, want)
 	}
 	if len(s.Places) != 3 || s.Places[0].Place != "sw1" || s.Places[2].Place != "sw3" {
 		t.Fatalf("places: %+v", s.Places)
@@ -64,7 +83,7 @@ func TestCollectorPathRingBounded(t *testing.T) {
 	c := New("collector")
 	const n = pathCapacity + 6
 	for i := 0; i < n; i++ {
-		c.IngestPath(fmt.Sprintf("f%d", i), pathHops("sw1"), false)
+		feedPath(c, fmt.Sprintf("f%d", i), "sw1")
 	}
 	s := c.Snapshot()
 	if s.Traces != n || len(c.paths) != pathCapacity {
@@ -79,7 +98,7 @@ func TestCollectorPathRingBounded(t *testing.T) {
 
 func TestVerdictJoinsTrace(t *testing.T) {
 	c := New("collector")
-	c.IngestPath("f1", pathHops("sw1", "sw2"), false)
+	feedPath(c, "f1", "sw1", "sw2")
 	feedVerdict(c, "f1", []string{"sw1", "sw2"}, false, "sw2", "golden", "measurement mismatch")
 	s := c.Snapshot()
 	pt := s.Paths[0]
@@ -172,7 +191,7 @@ func TestStatsAndHealthPushes(t *testing.T) {
 // under the table with its memo and audit health.
 func TestRenderTopPushOnlyPlace(t *testing.T) {
 	c := New("collector")
-	c.IngestPath("f1", pathHops("sw1"), false)
+	feedPath(c, "f1", "sw1")
 	c.IngestMemo("Appraiser", 90, 10)
 	c.IngestAudit("Appraiser", 500, 2)
 	var top strings.Builder
@@ -192,7 +211,7 @@ func TestRenderTopPushOnlyPlace(t *testing.T) {
 
 func TestSnapshotHTTPAndRender(t *testing.T) {
 	c := New("collector")
-	c.IngestPath("f1", pathHops("sw1", "sw2"), false)
+	feedPath(c, "f1", "sw1", "sw2")
 	feedVerdict(c, "f1", []string{"sw1", "sw2"}, true, "", "accept", "ok")
 
 	srv := httptest.NewServer(c.Handler())
@@ -222,7 +241,7 @@ func TestSnapshotHTTPAndRender(t *testing.T) {
 }
 
 // TestVerdictWithoutTrace: verdicts train their signers' windows with
-// no span trail at all, and a FAIL reaches the place its provenance
+// no hop seen at all, and a FAIL reaches the place its provenance
 // names even when no verified signature is that place's.
 func TestVerdictWithoutTrace(t *testing.T) {
 	c := New("collector")
@@ -234,5 +253,53 @@ func TestVerdictWithoutTrace(t *testing.T) {
 	}
 	if loc := c.Localized(); loc == nil || loc.Place != "sw1" {
 		t.Fatalf("localization: %+v", loc)
+	}
+}
+
+// TestCollectorHopFeed: the collector keys open hops by (place, flow),
+// so interleaved flows each get their own rows; a stage outside an
+// in-band hop (an attest round's, or one inside a hop over a frame
+// without a PERA header) touches no row; and a hop at a place the
+// flow's open trace already holds starts the flow's next trace.
+func TestCollectorHopFeed(t *testing.T) {
+	c := New("collector")
+	ev := func(s telemetry.Stage, place, flow string) telemetry.StageEvent {
+		return telemetry.StageEvent{Stage: s, Place: place, Flow: flow}
+	}
+	inBand := ev(telemetry.StageHop, "sw1", "a")
+	inBand.Note = pera.NoteInBand
+	c.StageOpened(inBand)
+	inBand.Flow = "b"
+	c.StageOpened(inBand)
+	c.StageEnded(ev(telemetry.StageCacheHit, "sw1", "b"))
+	c.StageEnded(ev(telemetry.StageGuardReject, "sw1", "a"))
+
+	// An attest round and a header-less hop at the same place.
+	c.StageOpened(ev(telemetry.StageAttest, "sw1", "c"))
+	c.StageEnded(ev(telemetry.StageSign, "sw1", "c"))
+	c.StageEnded(ev(telemetry.StageAttest, "sw1", "c"))
+	c.StageOpened(ev(telemetry.StageHop, "sw1", "d"))
+	c.StageEnded(ev(telemetry.StageSampleSkip, "sw1", "d"))
+	c.StageEnded(ev(telemetry.StageHop, "sw1", "d"))
+
+	c.StageEnded(ev(telemetry.StageHop, "sw1", "a"))
+	c.StageEnded(ev(telemetry.StageHop, "sw1", "b"))
+	feedPath(c, "a", "sw2", "sw1")
+
+	s := c.Snapshot()
+	var got []string
+	for _, pt := range s.Paths {
+		line := pt.Flow + ":"
+		for _, h := range pt.Hops {
+			line += fmt.Sprintf(" %s/%d/%d/%d/%d", h.Place, h.Flags, h.CacheHits, h.GuardRejects, h.SampleSkips)
+		}
+		got = append(got, line)
+	}
+	want := []string{"a: sw1/2/0/0/0", "b: sw1/2/1/0/0", "a: sw1/0/0/1/0 sw2/2/0/0/0"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Fatalf("traces, newest first:\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if s.Frames != 3 || len(s.Places) != 2 || s.Places[0].Spans != 3 {
+		t.Fatalf("frames %d, places %+v", s.Frames, s.Places)
 	}
 }

@@ -3,6 +3,7 @@ package observatory
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 
 	"pera/internal/telemetry"
 )
@@ -74,7 +75,7 @@ func (c *Collector) Snapshot() Snapshot {
 	defer c.mu.Unlock()
 	s := Snapshot{
 		Collector: c.name,
-		Frames:    c.frames,
+		Frames:    c.seq,
 		Traces:    c.seq,
 		Verdicts:  c.verdicts,
 		Pushes:    c.pushes,
@@ -125,8 +126,9 @@ func (c *Collector) Snapshot() Snapshot {
 	n := len(c.paths)
 	for i := 0; i < n && len(s.Paths) < MaxSnapshotPaths; i++ {
 		// Walk the ring backwards from the newest slot.
-		idx := (c.pathHead + n - 1 - i) % n
-		s.Paths = append(s.Paths, *c.paths[idx])
+		pt := *c.paths[(c.pathHead+n-1-i)%n]
+		pt.Hops = slices.Clone(pt.Hops) // the live trace may grow
+		s.Paths = append(s.Paths, pt)
 	}
 	if c.loc != nil {
 		l := *c.loc

@@ -7,6 +7,7 @@ import (
 
 	"pera/internal/evidence"
 	"pera/internal/netsim"
+	"pera/internal/observatory"
 	"pera/internal/pera"
 	"pera/internal/pisa"
 	"pera/internal/usecases"
@@ -36,16 +37,15 @@ var chainPolicies = map[string][]pera.Obligation{
 
 // referenceHop is what sw emits for frame in by the tree path: it pops
 // in, applies each of the policy's obligations at sw as a tree, and
-// pushes the result over out's inner frame. out's span section is
-// carried over once its new span is checked, since span timings differ
-// from run to run.
-func referenceHop(t *testing.T, sw *pera.Switch, in, out []byte) []byte {
+// pushes the result over out's inner frame. It also returns the bytes
+// the chain grew by.
+func referenceHop(t *testing.T, sw *pera.Switch, in, out []byte) ([]byte, int) {
 	t.Helper()
 	hdr, _, err := pera.Pop(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, inner, err := pera.Pop(out)
+	_, inner, err := pera.Pop(out)
 	if err != nil {
 		t.Fatalf("%s emitted an unreadable frame: %v", sw.Name(), err)
 	}
@@ -75,22 +75,16 @@ func referenceHop(t *testing.T, sw *pera.Switch, in, out []byte) []byte {
 			ev = evidence.Sign(sw.RoT(), ev)
 		}
 	}
-	if n := len(got.Spans); n > 0 {
-		sp := got.Spans[n-1]
-		grown := evidence.EncodedSize(ev) - evidence.EncodedSize(hdr.Evidence)
-		if n != len(hdr.Spans)+1 || sp.Place != sw.Name() || int(sp.EvBytes) != grown {
-			t.Fatalf("%s span %+v after %d spans, want place %s and %d evidence bytes",
-				sw.Name(), sp, len(hdr.Spans), sw.Name(), grown)
-		}
-	}
-	ref := &pera.Header{Policy: hdr.Policy, Evidence: ev, Spans: got.Spans, SpansTruncated: got.SpansTruncated}
-	return pera.Push(ref, inner)
+	grown := evidence.EncodedSize(ev) - evidence.EncodedSize(hdr.Evidence)
+	return pera.Push(&pera.Header{Policy: hdr.Policy, Evidence: ev}, inner), grown
 }
 
 // walkUC1 sends frame from the bank and returns what reaches the client,
-// checking every switch hop against referenceHop.
-func walkUC1(t *testing.T, tb *usecases.Testbed, frame []byte) []byte {
+// checking every switch hop against referenceHop, and each switch's
+// hop as an observatory hop row: its place and the chain's growth.
+func walkUC1(t *testing.T, tb *usecases.Testbed, frame []byte) ([]byte, []observatory.Hop) {
 	t.Helper()
+	var hops []observatory.Hop
 	node, port, ok := tb.Net.Peer(usecases.HostBank, netsim.HostPort)
 	for ok && node != usecases.HostClient {
 		n, _ := tb.Net.Node(node)
@@ -100,9 +94,11 @@ func walkUC1(t *testing.T, tb *usecases.Testbed, frame []byte) []byte {
 			t.Fatalf("%s: %d emissions, %v", node, len(emits), err)
 		}
 		if sw, isSwitch := tb.Switches[node]; isSwitch {
-			if want := referenceHop(t, sw, in, emits[0].Frame); !bytes.Equal(emits[0].Frame, want) {
+			want, grown := referenceHop(t, sw, in, emits[0].Frame)
+			if !bytes.Equal(emits[0].Frame, want) {
 				t.Fatalf("%s emitted\n%x\nthe tree path emits\n%x", node, emits[0].Frame, want)
 			}
+			hops = append(hops, observatory.Hop{Place: node, EvBytes: uint32(grown)})
 		}
 		frame = emits[0].Frame
 		node, port, ok = tb.Net.Peer(node, emits[0].Port)
@@ -110,13 +106,15 @@ func walkUC1(t *testing.T, tb *usecases.Testbed, frame []byte) []byte {
 	if !ok {
 		t.Fatal("frame left the path before the client")
 	}
-	return frame
+	return frame, hops
 }
 
 // TestChainMatchesTreePath is the differential test of the byte-form
 // chain: fresh and repeated nonces (a repeat is answered by the Sign
-// memo), hop spans on and off, the Verify stage on and off, and hashed,
-// two-claim and unsigned obligations all emit the tree path's frames.
+// memo), hop spans on and off (an observatory collector subscribed to
+// every switch, whose hop rows must name each switch and the chain's
+// growth there), the Verify stage on and off, and hashed, two-claim and
+// unsigned obligations all emit the tree path's frames.
 func TestChainMatchesTreePath(t *testing.T) {
 	for _, spans := range []bool{false, true} {
 		for _, verify := range []bool{false, true} {
@@ -126,12 +124,16 @@ func TestChainMatchesTreePath(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cfg := pera.Config{InBand: true, Composition: evidence.Chained, Spans: pera.SpanConfig{Enabled: spans}}
+					cfg := pera.Config{InBand: true, Composition: evidence.Chained}
 					if verify {
 						cfg.VerifyIncoming = tb.Keys()
 					}
+					col := observatory.New("collector")
 					for _, sw := range tb.Switches {
 						sw.SetConfig(cfg)
+						if spans {
+							sw.Subscribe(col)
+						}
 					}
 					prog := usecases.SwitchProgram(usecases.SwEdge)
 					for i, nonce := range []string{"fresh-1", "fresh-2", "fresh-2"} {
@@ -140,12 +142,26 @@ func TestChainMatchesTreePath(t *testing.T) {
 							t.Fatal(err)
 						}
 						pol := &pera.Policy{ID: 7, Nonce: []byte(nonce), Obls: obls}
-						hdr, _, err := pera.Pop(walkUC1(t, tb, pera.WrapFrame(pol, inner)))
+						out, want := walkUC1(t, tb, pera.WrapFrame(pol, inner))
+						hdr, _, err := pera.Pop(out)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if _, err := evidence.VerifySignatures(hdr.Evidence, tb.Keys()); err != nil {
 							t.Fatalf("packet %d: delivered chain does not verify: %v", i, err)
+						}
+						if !spans {
+							continue
+						}
+						paths := col.Snapshot().Paths
+						if len(paths) != i+1 || len(paths[0].Hops) != len(want) {
+							t.Fatalf("packet %d: %d traces, newest %+v; want %d, its hops %+v", i, len(paths), paths[0], i+1, want)
+						}
+						for j, h := range paths[0].Hops {
+							if h.Place != want[j].Place || h.EvBytes != want[j].EvBytes || h.Verified() != verify {
+								t.Fatalf("packet %d hop %d: %+v, want place %s, %d evidence bytes, verified %v",
+									i, j, h, want[j].Place, want[j].EvBytes, verify)
+							}
 						}
 					}
 					if hits := tb.Switches[usecases.SwFirewall].Stats().SignMemoHits; hits != 1 {

@@ -26,34 +26,24 @@ import (
 // headerMagic marks a PERA in-band header.
 var headerMagic = [4]byte{'P', 'E', 'R', 'A'}
 
-// Wire versions: v1 carries policy + evidence; v2 appends a third LV
-// section of hop spans (see hopspan.go). Push emits v1 whenever the
-// header carries no spans, so span-free traffic is byte-identical to
-// the v1 wire and older parsers keep working on it.
-const (
-	headerVersion   = 1
-	headerVersionV2 = 2
-)
+// headerVersion is the one wire version: policy and evidence sections.
+// Any other version byte is refused.
+const headerVersion = 1
 
-// Header is the in-band unit: the policy being executed, the evidence
-// accumulated so far along the path, and (v2) the hop spans recording
-// each place's processing of this frame.
+// Header is the in-band unit: the policy being executed and the
+// evidence accumulated so far along the path.
 type Header struct {
 	Policy   *Policy
 	Evidence *evidence.Evidence
 
-	// Spans is the observability section: one compact record per hop
-	// that processed this frame with span recording enabled.
-	Spans []HopSpan
-	// SpansTruncated marks that at least one hop dropped its span to
-	// honor the section byte budget — the trace is a prefix, not a lie.
-	SpansTruncated bool
-
 	// chain is the evidence section as its canonical encoding, valid only
 	// while Evidence is nil: a switch's Receive checks the section with
 	// evidence.Scan and extends it as bytes instead of decoding it. It
-	// may alias the received frame, so it never leaves Receive.
+	// may alias the received frame, so it never leaves Receive. nonce is
+	// the chain's first non-empty nonce, which that Scan returns: the
+	// frame's flow ID (rats.FlowID) is its hex.
 	chain []byte
+	nonce []byte
 
 	// rawPolicy caches the encoded policy bytes recovered by Pop, valid
 	// while Policy still points at rawPolicyOf. The policy travels the
@@ -107,28 +97,13 @@ func HasHeader(frame []byte) bool {
 func Push(h *Header, inner []byte) []byte {
 	pol := h.encodedPolicy()
 	evSize := h.evidenceSize()
-	withSpans := len(h.Spans) > 0 || h.SpansTruncated
-	size := 4 + 1 + 4 + len(pol) + 4 + evSize + len(inner)
-	spanSize := 0
-	if withSpans {
-		spanSize = SpanSectionSize(h.Spans)
-		size += 4 + spanSize
-	}
-	out := make([]byte, 0, size)
+	out := make([]byte, 0, 4+1+4+len(pol)+4+evSize+len(inner))
 	out = append(out, headerMagic[:]...)
-	if withSpans {
-		out = append(out, headerVersionV2)
-	} else {
-		out = append(out, headerVersion)
-	}
+	out = append(out, headerVersion)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(pol)))
 	out = append(out, pol...)
 	out = binary.BigEndian.AppendUint32(out, uint32(evSize))
 	out = h.appendEvidence(out)
-	if withSpans {
-		out = binary.BigEndian.AppendUint32(out, uint32(spanSize))
-		out = appendSpanSection(out, h.Spans, h.SpansTruncated)
-	}
 	return append(out, inner...)
 }
 
@@ -151,13 +126,14 @@ func Pop(frame []byte) (*Header, []byte, error) {
 
 // popChain is Pop for a switch's Receive: it checks the evidence section
 // with evidence.Scan, which accepts exactly what Decode does, and
-// keeps it as bytes in the header's chain, aliasing frame.
+// keeps it as bytes in the header's chain, and the first nonce Scan
+// finds in its nonce, both aliasing frame.
 func popChain(frame []byte) (*Header, []byte, error) {
 	h, inner, err := popSections(frame)
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, _, err := evidence.Scan(h.chain); err != nil {
+	if _, h.nonce, err = evidence.Scan(h.chain); err != nil {
 		return nil, nil, err
 	}
 	return h, inner, nil
@@ -173,8 +149,7 @@ func popSections(frame []byte) (*Header, []byte, error) {
 	if off >= len(frame) {
 		return nil, nil, fmt.Errorf("%w: truncated version", ErrHeaderDecode)
 	}
-	version := frame[off]
-	if version != headerVersion && version != headerVersionV2 {
+	if version := frame[off]; version != headerVersion {
 		return nil, nil, fmt.Errorf("%w: version %d", ErrHeaderDecode, version)
 	}
 	off++
@@ -186,19 +161,6 @@ func popSections(frame []byte) (*Header, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var spans []HopSpan
-	truncated := false
-	if version == headerVersionV2 {
-		var spb []byte
-		spb, off, err = lv(frame, off)
-		if err != nil {
-			return nil, nil, err
-		}
-		spans, truncated, err = decodeSpanSection(spb)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
 	// The policy travels the path unchanged, so hops share one decode per
 	// unique wire encoding; raw is the cache's canonical copy (never the
 	// frame), kept for the egress Push to replay.
@@ -208,7 +170,6 @@ func popSections(frame []byte) (*Header, []byte, error) {
 	}
 	return &Header{
 		Policy: policy, chain: evb,
-		Spans: spans, SpansTruncated: truncated,
 		rawPolicy: raw, rawPolicyOf: policy,
 	}, frame[off:], nil
 }
@@ -228,9 +189,5 @@ func lv(frame []byte, off int) ([]byte, int, error) {
 // HeaderOverhead returns the wire bytes the header adds to a frame — the
 // quantity the Fig. 2/Fig. 4 harnesses report as in-band overhead.
 func HeaderOverhead(h *Header) int {
-	n := 4 + 1 + 4 + len(h.encodedPolicy()) + 4 + h.evidenceSize()
-	if len(h.Spans) > 0 || h.SpansTruncated {
-		n += 4 + SpanSectionSize(h.Spans)
-	}
-	return n
+	return 4 + 1 + 4 + len(h.encodedPolicy()) + 4 + h.evidenceSize()
 }

@@ -1,19 +1,18 @@
 package pera
 
 import (
-	"encoding/hex"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pera/internal/auditlog"
 	"pera/internal/evidence"
 	"pera/internal/netsim"
 	"pera/internal/p4ir"
 	"pera/internal/pisa"
+	"pera/internal/rats"
 	"pera/internal/rot"
 	"pera/internal/telemetry"
 )
@@ -65,10 +64,6 @@ type Config struct {
 	// checks, so a high-inertia chain re-presented across packets costs
 	// one hash instead of one ed25519.Verify per signature node.
 	VerifyMemo *evidence.VerifyMemo
-	// Spans tunes in-band hop-span production for the observatory plane
-	// (see hopspan.go): per-hop place/timing/outcome records appended to
-	// the header alongside the evidence.
-	Spans SpanConfig
 }
 
 // Stats are cumulative counters the benchmarks read. It is a plain
@@ -87,9 +82,6 @@ type Stats struct {
 	SampleSkips   uint64 // obligations skipped by the sampler
 	VerifyOps     uint64 // incoming chains checked by the Verify stage
 	VerifyFails   uint64 // frames dropped for unverifiable chains
-	HopSpans      uint64 // hop spans appended to in-band headers
-	HopSpanBytes  uint64 // encoded bytes those spans added
-	HopSpanDrops  uint64 // spans dropped for the section byte budget
 }
 
 // switchMetrics is the live, lock-free representation of Stats: every
@@ -113,9 +105,6 @@ type switchMetrics struct {
 	sampleSkips   telemetry.Counter
 	verifyOps     telemetry.Counter
 	verifyFails   telemetry.Counter
-	hopSpans      telemetry.Counter
-	hopSpanBytes  telemetry.Counter
-	hopSpanDrops  telemetry.Counter
 
 	signSeconds   telemetry.Histogram // Fig. 3 Sign stage latency
 	verifySeconds telemetry.Histogram // Fig. 3 Verify stage latency (in-band)
@@ -135,9 +124,6 @@ func (m *switchMetrics) init(name string) {
 	m.sampleSkips.Init("pera_sample_skips_total", sw)
 	m.verifyOps.Init("pera_verify_ops_total", sw)
 	m.verifyFails.Init("pera_verify_fails_total", sw)
-	m.hopSpans.Init("pera_hop_spans_total", sw)
-	m.hopSpanBytes.Init("pera_hop_span_bytes_total", sw)
-	m.hopSpanDrops.Init("pera_hop_span_drops_total", sw)
 	m.signSeconds.Init("pera_sign_seconds", nil, sw)
 	m.verifySeconds.Init("pera_switch_verify_seconds", nil, sw)
 }
@@ -146,7 +132,7 @@ func (m *switchMetrics) instruments() []telemetry.Instrument {
 	return []telemetry.Instrument{
 		&m.packets, &m.attested, &m.signOps, &m.signMemoHits, &m.evidenceBytes,
 		&m.inBandBytes, &m.outOfBandMsgs, &m.guardRejects, &m.sampleSkips,
-		&m.verifyOps, &m.verifyFails, &m.hopSpans, &m.hopSpanBytes, &m.hopSpanDrops,
+		&m.verifyOps, &m.verifyFails,
 		&m.signSeconds, &m.verifySeconds,
 	}
 }
@@ -164,9 +150,6 @@ func (m *switchMetrics) snapshot() Stats {
 		SampleSkips:   m.sampleSkips.Value(),
 		VerifyOps:     m.verifyOps.Value(),
 		VerifyFails:   m.verifyFails.Value(),
-		HopSpans:      m.hopSpans.Value(),
-		HopSpanBytes:  m.hopSpanBytes.Value(),
-		HopSpanDrops:  m.hopSpanDrops.Value(),
 	}
 }
 
@@ -182,9 +165,6 @@ func (m *switchMetrics) reset() {
 	m.sampleSkips.Reset()
 	m.verifyOps.Reset()
 	m.verifyFails.Reset()
-	m.hopSpans.Reset()
-	m.hopSpanBytes.Reset()
-	m.hopSpanDrops.Reset()
 }
 
 // Switch is a PERA switch: a PISA dataplane plus a root of trust, the
@@ -341,7 +321,29 @@ func (s *Switch) SetTracer(tr *telemetry.FlowTracer) {
 	s.planes.SetTracer(tr)
 }
 
-// ledgeredStages are the switch stages the audit ledger records.
+// hopStages are the hop envelope and every stage a hop runs inside it.
+var hopStages = []telemetry.Stage{
+	telemetry.StageHop, telemetry.StageVerify, telemetry.StageVerifyFail,
+	telemetry.StageEvidence, telemetry.StageCacheHit, telemetry.StageCacheMiss,
+	telemetry.StageCompose, telemetry.StageSign, telemetry.StageGuardReject,
+	telemetry.StageSampleSkip,
+}
+
+// Subscribe feeds sink the hop envelope and every stage inside it — the
+// switch's twin of Appraiser.Subscribe. The sink also sees those stages
+// when they run inside an attest envelope (AttestCtx), which it does
+// not receive. A hop that pops a PERA header opens with Note NoteInBand
+// and closes with EvBytes, the chain's growth across the hop.
+func (s *Switch) Subscribe(sink telemetry.StageSink) {
+	s.planes.Subscribe(sink, hopStages...)
+}
+
+// NoteInBand is the Note on the opening event of a hop that pops a PERA
+// header: an in-band switch receiving a frame that carries one.
+const NoteInBand = "in-band"
+
+// ledgeredStages are the switch stages the audit ledger records; a
+// sampler skip is not one of them.
 var ledgeredStages = []telemetry.Stage{
 	telemetry.StageVerify, telemetry.StageVerifyFail, telemetry.StageEvidence,
 	telemetry.StageCacheHit, telemetry.StageCacheMiss, telemetry.StageCompose,
@@ -420,8 +422,8 @@ func (s *Switch) Attest(nonce []byte, details ...evidence.Detail) (*evidence.Evi
 func (s *Switch) AttestCtx(parent telemetry.SpanContext, nonce []byte, details ...evidence.Detail) (*evidence.Evidence, error) {
 	rec := s.planes.Recorder()
 	flow := ""
-	if rec.Detailed() && len(nonce) > 0 {
-		flow = hex.EncodeToString(nonce)
+	if len(nonce) > 0 && rec.WantsFlow(nonce) {
+		flow = rats.FlowID(nonce)
 	}
 	rec.Open(telemetry.StageEvent{Stage: telemetry.StageAttest, Flow: flow, Parent: parent})
 	if aud := s.aud.Load(); aud != nil {
@@ -527,8 +529,6 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 	rec := s.planes.Recorder()
 
 	var hdr *Header
-	var sp *HopSpan
-	var spanStart time.Time
 	evBefore := 0
 	inner := frame
 	if cfg.InBand && HasHeader(frame) {
@@ -536,18 +536,12 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 		if err != nil {
 			return nil, err
 		}
-		hdr, inner = h, rest
+		hdr, inner, evBefore = h, rest, len(h.chain)
 		flow := ""
-		if rec.Detailed() || cfg.Spans.Enabled {
-			flow = FlowID(hdr)
+		if rec.WantsFlow(hdr.nonce) {
+			flow = rats.FlowID(hdr.nonce)
 		}
-		rec.Open(telemetry.StageEvent{Stage: telemetry.StageHop, Flow: flow})
-		if cfg.Spans.Enabled && cfg.Spans.Sampled(flow) {
-			sp = &HopSpan{Place: s.name}
-			spanStart = time.Now()
-			evBefore = hdr.evidenceSize()
-			rec.Tally() // sp reads this hop's stages off the recorder
-		}
+		rec.Open(telemetry.StageEvent{Stage: telemetry.StageHop, Flow: flow, Note: NoteInBand})
 		// The Verify half of the Sign/Verify stage (Fig. 3): inspect the
 		// incoming chain before doing any work on its behalf; a frame
 		// whose evidence does not verify is dropped here, so upstream
@@ -573,11 +567,9 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 	}
 
 	outs, err := inst.Process(inner, port)
-	if err != nil {
+	if err != nil || len(outs) == 0 {
+		rec.Close(telemetry.StageEvent{Note: "dropped"})
 		return nil, err
-	}
-	if len(outs) == 0 {
-		return nil, nil
 	}
 
 	// Evidence stage: obligations come from the standing config and any
@@ -588,7 +580,7 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 	if hdr == nil && rec.Detailed() {
 		rec.Open(telemetry.StageEvent{Stage: telemetry.StageHop, Flow: strconv.FormatUint(pkt.FlowHash(), 16)})
 	}
-	var outcomes [obligationOutcomes]int
+	attested := false
 	obls := [2][]Obligation{cfg.Standing}
 	if hdr != nil {
 		obls[1] = hdr.Policy.Obls
@@ -599,51 +591,16 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 			if !o.AppliesAt(s.name) {
 				continue
 			}
-			out, err := s.applyObligation(&rec, o, &cfg, sink, pkt, inner, hdr)
+			ok, err := s.applyObligation(&rec, o, &cfg, sink, pkt, inner, hdr)
 			if err != nil {
+				rec.Close(telemetry.StageEvent{Note: "dropped"})
 				return nil, err
 			}
-			outcomes[out]++
+			attested = attested || ok
 		}
 	}
-	attested := outcomes[obligationAttested] > 0
 	if attested {
 		s.met.attested.Inc()
-	}
-
-	// Seal this hop's span into the header, budget permitting. EvBytes is
-	// the chain growth across the hop, TotalNS the whole-pipeline time —
-	// measured here so the span itself is the last thing the hop does.
-	if sp != nil {
-		if attested {
-			sp.Flags |= SpanAttested
-		}
-		if rec.Count(telemetry.StageVerify) > 0 {
-			sp.Flags |= SpanVerified
-			sp.VerifyNS = uint64(rec.Total(telemetry.StageVerify))
-		}
-		sp.SignNS = uint64(rec.Total(telemetry.StageSign))
-		sp.CacheHits = uint16(rec.Count(telemetry.StageCacheHit))
-		sp.CacheMisses = uint16(rec.Count(telemetry.StageCacheMiss))
-		sp.GuardRejects = uint16(outcomes[obligationGuarded])
-		sp.SampleSkips = uint16(outcomes[obligationSkipped])
-		if grown := hdr.evidenceSize() - evBefore; grown > 0 {
-			sp.EvBytes = uint32(grown)
-		}
-		sp.TotalNS = uint64(time.Since(spanStart))
-		before := 0
-		if len(hdr.Spans) > 0 || hdr.SpansTruncated {
-			before = SpanSectionSize(hdr.Spans)
-		}
-		withSelf := SpanSectionSize(append(hdr.Spans[:len(hdr.Spans):len(hdr.Spans)], *sp))
-		if withSelf <= cfg.Spans.Budget() {
-			hdr.Spans = append(hdr.Spans, *sp)
-			s.met.hopSpans.Inc()
-			s.met.hopSpanBytes.Add(uint64(withSelf - before))
-		} else {
-			hdr.SpansTruncated = true
-			s.met.hopSpanDrops.Inc()
-		}
 	}
 
 	emissions := make([]netsim.Emission, 0, len(outs))
@@ -656,25 +613,20 @@ func (s *Switch) Receive(port uint64, frame []byte) ([]netsim.Emission, error) {
 		emissions = append(emissions, netsim.Emission{Port: o.Port, Frame: data})
 	}
 	// The hop span covers the whole pipeline and is recorded last, after
-	// its stage spans, so the ring holds complete hops.
-	rec.Close(telemetry.StageEvent{})
+	// its stage spans, so the ring holds complete hops. It carries the
+	// chain's growth across the hop.
+	grown := 0
+	if hdr != nil {
+		grown = len(hdr.chain) - evBefore
+	}
+	rec.Close(telemetry.StageEvent{EvBytes: grown})
 	return emissions, nil
 }
 
-// obligationOutcome is what one obligation did at this hop.
-type obligationOutcome uint8
-
-const (
-	obligationAttested obligationOutcome = iota // evidence produced
-	obligationGuarded                           // skipped by a failed ▶ test
-	obligationSkipped                           // skipped by the sampler
-	obligationOutcomes
-)
-
 // applyObligation runs one obligation against the current packet: guard
 // and sampling gates, evidence production, and in-band or out-of-band
-// emission.
-func (s *Switch) applyObligation(rec *telemetry.StageRecorder, o *Obligation, cfg *Config, sink Sink, pkt *pisa.Packet, inner []byte, hdr *Header) (obligationOutcome, error) {
+// emission. It reports whether the obligation produced evidence.
+func (s *Switch) applyObligation(rec *telemetry.StageRecorder, o *Obligation, cfg *Config, sink Sink, pkt *pisa.Packet, inner []byte, hdr *Header) (bool, error) {
 	if !MatchAll(o.Guards, pkt) {
 		s.met.guardRejects.Inc()
 		if rec.Detailed() {
@@ -686,19 +638,20 @@ func (s *Switch) applyObligation(rec *telemetry.StageRecorder, o *Obligation, cf
 				},
 			})
 		}
-		return obligationGuarded, nil
+		return false, nil
 	}
 	if !cfg.Sampler.Sample(pkt.FlowHash()) {
 		s.met.sampleSkips.Inc()
-		return obligationSkipped, nil
+		rec.Mark(telemetry.StageEvent{Stage: telemetry.StageSampleSkip})
+		return false, nil
 	}
 	local, err := s.localEvidence(rec, o, inner)
 	if err != nil {
-		return obligationAttested, err
+		return false, err
 	}
 	if hdr != nil && cfg.Composition == evidence.Chained {
 		s.extendChain(rec, o, hdr, local)
-		return obligationAttested, nil
+		return true, nil
 	}
 	// Pointwise (or no header to thread through): out-of-band.
 	if o.SignEvidence {
@@ -706,7 +659,7 @@ func (s *Switch) applyObligation(rec *telemetry.StageRecorder, o *Obligation, cf
 	}
 	s.met.evidenceBytes.Add(uint64(evidence.EncodedSize(local)))
 	s.emitOOB(sink, o.Appraiser, local)
-	return obligationAttested, nil
+	return true, nil
 }
 
 // localEvidence builds this hop's own evidence for one obligation: its

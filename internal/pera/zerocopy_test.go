@@ -15,10 +15,10 @@ import (
 // returns. These tests pin that contract and the codec's round-trip
 // equality under the raw-policy replay cache.
 
-// zcHeader builds a header with signed, chained evidence and (optionally)
-// hop spans — the richest shape the wire carries. It panics on setup
-// failure so FuzzPop can use it for seed corpora too.
-func zcHeader(spans bool) *Header {
+// zcHeader builds a header with signed, chained evidence — the richest
+// shape the wire carries. It panics on setup failure so FuzzPop can use
+// it for seed corpora too.
+func zcHeader() *Header {
 	r, err := rot.New("sw1")
 	if err != nil {
 		panic(err)
@@ -26,7 +26,7 @@ func zcHeader(spans bool) *Header {
 	m1 := evidence.Measurement("sw1", "prog", "sw1", evidence.DetailProgram, rot.Digest{7: 7}, nil)
 	m2 := evidence.Measurement("sw1", "tables", "sw1", evidence.DetailTables, rot.Digest{9: 9}, nil)
 	ev := evidence.Sign(r, evidence.Seq(m1, m2))
-	h := &Header{
+	return &Header{
 		Policy: &Policy{
 			ID:    42,
 			Nonce: []byte("zc-nonce"),
@@ -40,13 +40,6 @@ func zcHeader(spans bool) *Header {
 		},
 		Evidence: ev,
 	}
-	if spans {
-		h.Spans = []HopSpan{
-			{Place: "sw1", Flags: SpanVerified, VerifyNS: 123, SignNS: 456, TotalNS: 789, EvBytes: 64, CacheHits: 2},
-			{Place: "sw2", TotalNS: 1},
-		}
-	}
-	return h
 }
 
 // TestPopDoesNotAliasFrame mutates every byte of the source frame after
@@ -54,31 +47,29 @@ func zcHeader(spans bool) *Header {
 // zero-copy parse may alias the frame transiently, but nothing the
 // caller receives in the Header may.
 func TestPopDoesNotAliasFrame(t *testing.T) {
-	for _, spans := range []bool{false, true} {
-		inner := []byte("inner-frame-payload")
-		frame := Push(zcHeader(spans), inner)
-		hdr, rest, err := Pop(frame)
-		if err != nil {
-			t.Fatalf("spans=%v: %v", spans, err)
-		}
-		if !bytes.Equal(rest, inner) {
-			t.Fatalf("spans=%v: inner frame mismatch", spans)
-		}
-		before := Push(hdr, nil)
-		for i := range frame {
-			frame[i] ^= 0xFF
-		}
-		after := Push(hdr, nil)
-		if !bytes.Equal(before, after) {
-			t.Fatalf("spans=%v: header re-encode changed after source frame mutation", spans)
-		}
-		// Spot-check decoded structure too, not just the encoder.
-		if hdr.Policy.ID != 42 || string(hdr.Policy.Nonce) != "zc-nonce" {
-			t.Fatalf("spans=%v: policy corrupted by frame mutation: %+v", spans, hdr.Policy)
-		}
-		if n := len(evidence.Measurements(hdr.Evidence)); n != 2 {
-			t.Fatalf("spans=%v: evidence corrupted: %d measurements", spans, n)
-		}
+	inner := []byte("inner-frame-payload")
+	frame := Push(zcHeader(), inner)
+	hdr, rest, err := Pop(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rest, inner) {
+		t.Fatal("inner frame mismatch")
+	}
+	before := Push(hdr, nil)
+	for i := range frame {
+		frame[i] ^= 0xFF
+	}
+	after := Push(hdr, nil)
+	if !bytes.Equal(before, after) {
+		t.Fatal("header re-encode changed after source frame mutation")
+	}
+	// Spot-check decoded structure too, not just the encoder.
+	if hdr.Policy.ID != 42 || string(hdr.Policy.Nonce) != "zc-nonce" {
+		t.Fatalf("policy corrupted by frame mutation: %+v", hdr.Policy)
+	}
+	if n := len(evidence.Measurements(hdr.Evidence)); n != 2 {
+		t.Fatalf("evidence corrupted: %d measurements", n)
 	}
 }
 
@@ -87,17 +78,15 @@ func TestPopDoesNotAliasFrame(t *testing.T) {
 // the original frame bit for bit (the raw-policy replay cache makes this
 // cheap; this test makes sure it also keeps it correct).
 func TestPushPopRoundTrip(t *testing.T) {
-	for _, spans := range []bool{false, true} {
-		inner := []byte("round-trip-inner")
-		orig := Push(zcHeader(spans), inner)
-		hdr, rest, err := Pop(orig)
-		if err != nil {
-			t.Fatalf("spans=%v: %v", spans, err)
-		}
-		again := Push(hdr, rest)
-		if !bytes.Equal(orig, again) {
-			t.Fatalf("spans=%v: Push(Pop(frame)) != frame\n orig %x\nagain %x", spans, orig, again)
-		}
+	inner := []byte("round-trip-inner")
+	orig := Push(zcHeader(), inner)
+	hdr, rest, err := Pop(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := Push(hdr, rest)
+	if !bytes.Equal(orig, again) {
+		t.Fatalf("Push(Pop(frame)) != frame\n orig %x\nagain %x", orig, again)
 	}
 }
 
@@ -105,7 +94,7 @@ func TestPushPopRoundTrip(t *testing.T) {
 // truncations and corruptions of a valid frame either fail to parse or
 // yield headers that survive the source buffer being zeroed.
 func TestPopRandomSlicesNoAliasing(t *testing.T) {
-	base := Push(zcHeader(true), []byte("payload"))
+	base := Push(zcHeader(), []byte("payload"))
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
 		data := append([]byte(nil), base...)
@@ -132,13 +121,15 @@ func TestPopRandomSlicesNoAliasing(t *testing.T) {
 }
 
 // FuzzPop drives the header parser with arbitrary bytes: it must never
-// panic, and any frame it accepts must re-encode to a frame it accepts
-// again with an identical header section. The hop's own pop, which keeps
-// the evidence section as bytes, must accept exactly the frames Pop
-// accepts and push the same bytes.
+// panic, it must refuse every version but 1 (the second seed is a
+// frame on the retired version 2), and any frame it accepts must
+// re-encode to a frame it accepts again with an identical header
+// section. The hop's own pop, which keeps the evidence section as
+// bytes, must accept exactly the frames Pop accepts and push the same
+// bytes.
 func FuzzPop(f *testing.F) {
-	f.Add(Push(zcHeader(false), []byte("seed")))
-	f.Add(Push(zcHeader(true), []byte("seed-v2")))
+	f.Add(Push(zcHeader(), []byte("seed")))
+	f.Add(v2Frame(zcHeader(), []byte("seed-v2")))
 	f.Add([]byte("PERA"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -149,6 +140,9 @@ func FuzzPop(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if data[4] != headerVersion {
+			t.Fatalf("accepted a version-%d header", data[4])
 		}
 		reenc := Push(hdr, rest)
 		if got := Push(raw, rawRest); !bytes.Equal(got, reenc) {

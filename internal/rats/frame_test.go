@@ -10,6 +10,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"pera/internal/telemetry"
 )
 
 // raceEnabled is set by race_test.go in -race builds.
@@ -55,6 +57,35 @@ func TestWriteOneCall(t *testing.T) {
 	}
 	if len(w.calls) != 0 {
 		t.Fatalf("oversize write made %d Write calls", len(w.calls))
+	}
+}
+
+// TestWriteUnsampledFlowAllocs: with a tracer set, a write of a message
+// whose flow the tracer does not sample builds no flow ID, and so
+// allocates nothing once the frame scratch exists.
+func TestWriteUnsampledFlowAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocation")
+	}
+	tr := telemetry.NewFlowTracer(16)
+	tr.SetSampleEvery(1 << 30)
+	nonce := []byte("unsampled")
+	if tr.SampledNonce(nonce) {
+		t.Fatal("the test flow is sampled at 1 in 2^30")
+	}
+	c := NewConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(nil), io.Discard})
+	c.SetTracer(tr)
+	m := &Message{Type: MsgChallenge, Session: 1, Nonce: nonce, Claims: []string{"program"}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := c.Write(m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || m.Trace != nil {
+		t.Fatalf("writing an unsampled flow's message: %.0f allocations, trace %+v; want 0 and none", allocs, m.Trace)
 	}
 }
 

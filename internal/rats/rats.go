@@ -400,7 +400,7 @@ func (c *Conn) SetTracer(tr *telemetry.FlowTracer) { c.tracer = tr }
 // keeps between messages; one that grew past readChunk for a large
 // message is dropped afterwards, so an idle Conn holds no big buffer.
 func (c *Conn) Write(m *Message) error {
-	if c.tracer != nil && m.Trace == nil && len(m.Nonce) > 0 {
+	if m.Trace == nil && len(m.Nonce) > 0 && c.tracer.SampledNonce(m.Nonce) {
 		m.SetContext(c.tracer.NewContext(FlowID(m.Nonce)))
 	}
 	size := encodedSize(m)

@@ -20,12 +20,10 @@ import (
 //   - stage sinks (Subscribe): the durable ledger, the observatory
 //     collector and the freshness watchdog, each on its own stages;
 //   - profiler labels: Begin stamps the stage's pprof labels and End
-//     restores the enclosing region's;
-//   - the recorder's own tally (Tally): per-stage counts and durations,
-//     which the in-band hop span carries.
+//     restores the enclosing region's.
 //
 // A stage is timed whenever an attached plane records durations: a
-// histogram, a sink, a tally, or the tracer for a sampled flow.
+// histogram, a sink, or the tracer for a sampled flow.
 // With no plane attached and the profiler disarmed, Open, Begin, End
 // and Close are each one inlined bool test.
 
@@ -46,6 +44,7 @@ type StageEvent struct {
 	Verdict string // PASS or FAIL: the envelope rendered a verdict
 	Err     string // the envelope failed operationally (e.g. nonce replay)
 	Note    string
+	EvBytes int        // evidence bytes the stage added: a hop's in-band chain growth
 	Prov    Provenance // the clause that decided; Clause == "" means none
 	// Signers names the places whose signatures the appraisal verified,
 	// innermost first (path order); set on an appraise envelope whose
@@ -79,7 +78,8 @@ type StageSink interface {
 var stageOrder = [...]Stage{
 	StageSign, StageEvidence, StageCompose, StageCacheHit, StageCacheMiss,
 	StageVerify, StageVerifyFail, StageAppraise, StageHop, StageAttest,
-	StageGuardReject, StageVerdict, StageChallenge, StageAppraisal, StageProbe,
+	StageGuardReject, StageSampleSkip, StageVerdict, StageChallenge,
+	StageAppraisal, StageProbe,
 }
 
 const numStages = len(stageOrder) + 1
@@ -200,7 +200,7 @@ func (p *Planes) swap(next planeSet) {
 type StageRecorder struct {
 	planes *Planes
 	set    *planeSet
-	on     bool // a plane, a tally or the profiler consumes stages
+	on     bool // a plane or the profiler consumes stages
 	timed  bool
 
 	stage  Stage // the envelope, once opened
@@ -211,14 +211,6 @@ type StageRecorder struct {
 	region *ProfRegion // labels this recorder has stamped, if any
 
 	untraced bool // WantsFlow found that the tracer would not sample the flow
-
-	// The tally lives in the recorder, not behind a pointer, so that a
-	// recorder on the stack keeps it there too.
-	tallying bool
-	tally    [numStages]struct {
-		n   int
-		dur time.Duration
-	}
 }
 
 // StageMark is an open stage, returned by Begin and consumed by End.
@@ -278,18 +270,6 @@ func (r *StageRecorder) Feeds(s Stage) bool {
 	}
 	return false
 }
-
-// Tally counts the stages that end after this call and sums their
-// durations (Count, Total); it turns timing on.
-func (r *StageRecorder) Tally() {
-	r.tallying, r.on, r.timed = true, true, true
-}
-
-// Count returns how many s stages ended since Tally.
-func (r *StageRecorder) Count(s Stage) int { return r.tally[stageIndex(s)].n }
-
-// Total returns the summed duration of the s stages ended since Tally.
-func (r *StageRecorder) Total(s Stage) time.Duration { return r.tally[stageIndex(s)].dur }
 
 // Open starts the envelope stage: ev names the stage, the flow and the
 // parent span, plus any fields the ledger records when it begins.
@@ -407,15 +387,11 @@ const (
 
 // publish hands one ended stage to every subscriber.
 func (r *StageRecorder) publish(ev *StageEvent, kind spanKind) {
-	i := stageIndex(ev.Stage)
-	if r.tallying {
-		r.tally[i].n++
-		r.tally[i].dur += ev.Dur
-	}
 	set := r.set
 	if set == nil {
 		return
 	}
+	i := stageIndex(ev.Stage)
 	ev.Place, ev.Flow = r.planes.place, r.flow
 	if h := set.hist[i]; h != nil && !ev.Start.IsZero() {
 		h.ObserveExemplar(ev.Dur.Seconds(), r.ctx.TraceID)

@@ -32,6 +32,7 @@ const (
 	StageProbe     Stage = "probe"     // freshness re-attestation probe (full loop)
 
 	StageGuardReject Stage = "guard_reject" // obligation skipped by a failed ▶ test (a point: no span)
+	StageSampleSkip  Stage = "sample_skip"  // obligation skipped by the Fig. 4 sampler (a point: no span)
 )
 
 // Span is one recorded pipeline step. Flow correlation (nonce hex or

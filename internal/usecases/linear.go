@@ -96,7 +96,7 @@ func (tb *Testbed) provision(name string, sw *pera.Switch) error {
 }
 
 // PathSwitchNames returns the PERA switches on the bank→client path, in
-// path order — the hop sequence the observatory expects span trails and
+// path order — the hop sequence the observatory expects path traces and
 // delivery traces to agree on.
 func (tb *Testbed) PathSwitchNames() []string {
 	var out []string
